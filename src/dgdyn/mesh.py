@@ -276,61 +276,58 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     if bc_mode not in BC_MODES:
         raise ValueError(f"unknown bc_mode {bc_mode!r}")
     n = mesh.n_cells_per_side
-    verts = mesh.vertices
+    nv = mesh.n_vertices
     tris = mesh.triangles
 
-    # Edge -> incident (triangle, opposite local vertex) map.
-    incidence: dict[tuple[int, int], list[int]] = {}
-    for t, (a, b, c) in enumerate(tris):
-        for va, vb in ((a, b), (b, c), (c, a)):
-            key = (va, vb) if va < vb else (vb, va)
-            incidence.setdefault(key, []).append(t)
+    # Edge -> incident triangles: every (triangle, local edge) as a sorted
+    # vertex pair encoded lo * n_vertices + hi; a stable sort keeps each
+    # edge's triangles in increasing order.
+    va = tris.ravel()
+    vb = tris[:, [1, 2, 0]].ravel()
+    codes = np.minimum(va, vb) * nv + np.maximum(va, vb)
+    order = np.argsort(codes, kind="stable")
+    owner = order // 3
+    keys, first, counts = np.unique(codes[order], return_index=True, return_counts=True)
+    if (counts > 2).any():
+        bad = int(np.argmax(counts > 2))
+        lo, hi = divmod(int(keys[bad]), nv)
+        raise MeshError(f"edge {(lo, hi)} shared by {counts[bad]} triangles")
+    pairs = np.column_stack([keys // nv, keys % nv])
 
-    interior_rows = []
-    gamma1_rows = []  # (key, elem, component)
-    left_rows = {}  # j-row of lower endpoint -> (key, elem)
-    right_rows = {}
+    two = counts == 2
+    interior = _build_two_sided(mesh, pairs[two], owner[first[two]], owner[first[two] + 1])
 
-    for key in sorted(incidence):
-        elems = incidence[key]
-        if len(elems) > 2:
-            raise MeshError(f"edge {key} shared by {len(elems)} triangles")
-        va, vb = key
-        ia, ja = int(va) % (n + 1), int(va) // (n + 1)
-        ib, jb = int(vb) % (n + 1), int(vb) // (n + 1)
-        if len(elems) == 2:
-            interior_rows.append((key, elems[0], elems[1]))
-            continue
-        (t,) = elems
-        if ja == 0 and jb == 0:
-            gamma1_rows.append((key, t, 0))
-        elif ja == n and jb == n:
-            gamma1_rows.append((key, t, 1))
-        elif ia == 0 and ib == 0:
-            left_rows[min(ja, jb)] = (key, t)
-        elif ia == n and ib == n:
-            right_rows[min(ja, jb)] = (key, t)
-        else:  # pragma: no cover - impossible for the structured construction
-            raise MeshError(f"boundary edge {key} on no boundary")
+    # one-sided edges, in edge-key order
+    bkeys, belem = pairs[~two], owner[first[~two]]
+    i, j = bkeys % (n + 1), bkeys // (n + 1)
+    bottom = (j == 0).all(axis=1)
+    top = (j == n).all(axis=1)
+    left = (i == 0).all(axis=1)
+    right = (i == n).all(axis=1)
+    if not (bottom | top | left | right).all():  # pragma: no cover - impossible for the structured construction
+        raise MeshError(f"boundary edge {tuple(bkeys[~(bottom | top | left | right)][0])} on no boundary")
+    g1 = bottom | top
+    gamma1 = _build_gamma1(mesh, bkeys[g1], belem[g1], top[g1].astype(int))
 
-    interior = _build_two_sided(mesh, interior_rows)
-    gamma1 = _build_gamma1(mesh, gamma1_rows)
+    # lateral edges ordered by the grid row of their lower endpoint
+    lrow = j.min(axis=1)
+    lorder, rorder = (np.flatnonzero(side)[np.argsort(lrow[side], kind="stable")] for side in (left, right))
 
     gamma2_pairs = None
     dirichlet = None
     if bc_mode == PERIODIC:
-        if set(left_rows) != set(right_rows):  # pragma: no cover
+        if not np.array_equal(lrow[lorder], lrow[rorder]):  # pragma: no cover
             raise MeshError("unmatched periodic edges")
-        pair_rows = []
-        for j in sorted(right_rows):
-            rkey, rtri = right_rows[j]
-            lkey, ltri = left_rows[j]
-            pair_rows.append((rkey, rtri, ltri))
         gamma2_pairs = _build_two_sided(
-            mesh, pair_rows, shift=np.array([-mesh.domain.width, 0.0]), normal=np.array([1.0, 0.0])
+            mesh,
+            bkeys[rorder],
+            belem[rorder],
+            belem[lorder],
+            shift=np.array([-mesh.domain.width, 0.0]),
+            normal=np.array([1.0, 0.0]),
         )
     else:
-        dirichlet = _build_dirichlet(mesh, left_rows, right_rows)
+        dirichlet = _build_dirichlet(mesh, bkeys[lorder], belem[lorder], bkeys[rorder], belem[rorder])
 
     ridges = _build_ridges(mesh, gamma1, bc_mode)
     return EdgeClassification(
@@ -343,43 +340,33 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     )
 
 
-def _build_two_sided(mesh, rows, shift=None, normal=None) -> TwoSidedFaces:
-    if not rows:
-        keys = np.empty((0, 2), dtype=int)
-        ep = em = np.empty(0, dtype=int)
-    elif shift is None:
-        # interior edges: the plus element is the one with the smaller index
-        keys = np.array([r[0] for r in rows], dtype=int)
-        ep = np.array([min(r[1], r[2]) for r in rows], dtype=int)
-        em = np.array([max(r[1], r[2]) for r in rows], dtype=int)
+def _build_two_sided(mesh, keys, elem_a, elem_b, shift=None, normal=None) -> TwoSidedFaces:
+    """Faces on the vertex pairs ``keys``.  Interior edges (no ``shift``) take
+    the smaller element index as the plus side; periodic pairs take
+    ``elem_a``, the element on the right boundary."""
+    if shift is None:
+        ep, em = np.minimum(elem_a, elem_b), np.maximum(elem_a, elem_b)
     else:
-        # periodic pairs: plus is the element on the right boundary
-        keys = np.array([r[0] for r in rows], dtype=int)
-        ep = np.array([r[1] for r in rows], dtype=int)
-        em = np.array([r[2] for r in rows], dtype=int)
-    p0 = mesh.vertices[keys[:, 0]] if len(rows) else np.empty((0, 2))
-    p1 = mesh.vertices[keys[:, 1]] if len(rows) else np.empty((0, 2))
+        ep, em = elem_a, elem_b
+    p0 = mesh.vertices[keys[:, 0]]
+    p1 = mesh.vertices[keys[:, 1]]
     tang = p1 - p0
-    length = np.linalg.norm(tang, axis=1) if len(rows) else np.empty(0)
+    length = np.linalg.norm(tang, axis=1)
     if normal is None:
-        nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
-        if len(rows):
-            nrm /= length[:, None]
-            # orient outward from the plus element
-            mid = 0.5 * (p0 + p1)
-            flip = np.einsum("ei,ei->e", nrm, mid - mesh.centroids[ep]) < 0
-            nrm[flip] *= -1.0
+        nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+        # orient outward from the plus element
+        mid = 0.5 * (p0 + p1)
+        flip = np.einsum("ei,ei->e", nrm, mid - mesh.centroids[ep]) < 0
+        nrm[flip] *= -1.0
     else:
-        nrm = np.broadcast_to(normal, (len(rows), 2)).copy()
-    ms = np.zeros((len(rows), 2)) if shift is None else np.broadcast_to(shift, (len(rows), 2)).copy()
+        nrm = np.broadcast_to(normal, (len(keys), 2)).copy()
+    ms = np.zeros((len(keys), 2)) if shift is None else np.broadcast_to(shift, (len(keys), 2)).copy()
     return TwoSidedFaces(p0=p0, p1=p1, elem_plus=ep, elem_minus=em, normal=nrm, length=length, minus_shift=ms)
 
 
-def _build_gamma1(mesh, rows) -> BoundaryFaces:
-    rows = sorted(rows, key=lambda r: (r[2], mesh.vertices[r[0][0]][0]))
-    keys = np.array([r[0] for r in rows], dtype=int)
-    elem = np.array([r[1] for r in rows], dtype=int)
-    comp = np.array([r[2] for r in rows], dtype=int)
+def _build_gamma1(mesh, keys, elem, comp) -> BoundaryFaces:
+    order = np.lexsort((mesh.vertices[keys[:, 0], 0], comp))
+    keys, elem, comp = keys[order], elem[order], comp[order]
     p0 = mesh.vertices[keys[:, 0]]
     p1 = mesh.vertices[keys[:, 1]]
     # ensure p0 is the left endpoint so the edge tangent is +x
@@ -390,25 +377,19 @@ def _build_gamma1(mesh, rows) -> BoundaryFaces:
     return BoundaryFaces(p0=p0, p1=p1, elem=elem, normal=normal, length=length, component=comp)
 
 
-def _build_dirichlet(mesh, left_rows, right_rows) -> BoundaryFaces:
-    rows = []
-    for j in sorted(left_rows):
-        key, t = left_rows[j]
-        rows.append((key, t, 0, np.array([-1.0, 0.0])))
-    for j in sorted(right_rows):
-        key, t = right_rows[j]
-        rows.append((key, t, 1, np.array([1.0, 0.0])))
-    keys = np.array([r[0] for r in rows], dtype=int)
+def _build_dirichlet(mesh, left_keys, left_elem, right_keys, right_elem) -> BoundaryFaces:
+    keys = np.concatenate([left_keys, right_keys])
+    comp = np.repeat([0, 1], [len(left_keys), len(right_keys)])
     p0 = mesh.vertices[keys[:, 0]]
     p1 = mesh.vertices[keys[:, 1]]
     length = np.linalg.norm(p1 - p0, axis=1)
     return BoundaryFaces(
         p0=p0,
         p1=p1,
-        elem=np.array([r[1] for r in rows], dtype=int),
-        normal=np.array([r[3] for r in rows]),
+        elem=np.concatenate([left_elem, right_elem]),
+        normal=np.where(comp[:, None] == 0, [-1.0, 0.0], [1.0, 0.0]),
         length=length,
-        component=np.array([r[2] for r in rows], dtype=int),
+        component=comp,
     )
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 class SolverError(Exception):
@@ -21,12 +22,21 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
 
-def jacobi_preconditioner(A: sp.spmatrix):
-    diag = A.diagonal()
-    if (diag <= 0).any():
-        raise SolverError("non-positive diagonal; matrix is not SPD")
-    inv = 1.0 / diag
-    return lambda r: inv * r
+def element_blocks(A: sp.spmatrix, block_size: int) -> np.ndarray:
+    """The diagonal blocks of A in the block-per-element dof layout, shape
+    (n // block_size, block_size, block_size): element e's own block."""
+    n = A.shape[0]
+    if n % block_size:
+        raise SolverError("matrix size is not a multiple of the block size")
+    coo = A.tocoo()
+    row = coo.row.astype(np.int64)
+    col = coo.col.astype(np.int64)
+    mask = (row // block_size) == (col // block_size)
+    # entry (e, i, j) of the block stack sits at e*b*b + i*b + j = row*b + col % b
+    flat = np.bincount(
+        row[mask] * block_size + col[mask] % block_size, weights=coo.data[mask], minlength=n * block_size
+    )
+    return flat.reshape(n // block_size, block_size, block_size)
 
 
 def block_jacobi_preconditioner(A: sp.spmatrix, block_size: int):
@@ -35,19 +45,8 @@ def block_jacobi_preconditioner(A: sp.spmatrix, block_size: int):
     With the block-per-element dof layout this captures the full mass block
     and the local stiffness/penalty couplings, which keeps iteration counts
     bounded for stiffness-dominated steps where plain Jacobi degrades."""
-    n = A.shape[0]
-    if n % block_size:
-        raise SolverError("matrix size is not a multiple of the block size")
-    nb = n // block_size
-    coo = A.tocoo()
-    mask = (coo.row // block_size) == (coo.col // block_size)
-    blocks = np.zeros((nb, block_size, block_size))
-    np.add.at(
-        blocks,
-        (coo.row[mask] // block_size, coo.row[mask] % block_size, coo.col[mask] % block_size),
-        coo.data[mask],
-    )
-    inv = np.linalg.inv(blocks)
+    inv = np.linalg.inv(element_blocks(A, block_size))
+    nb = len(inv)
 
     def apply(r):
         return np.einsum("bij,bj->bi", inv, r.reshape(nb, block_size)).ravel()
@@ -55,17 +54,35 @@ def block_jacobi_preconditioner(A: sp.spmatrix, block_size: int):
     return apply
 
 
+def two_level_preconditioner(smoother, P: sp.spmatrix, coarse: sp.spmatrix):
+    """Additive two-level preconditioner B r = smoother(r) + P coarse^-1 P' r.
+
+    ``P`` embeds a coarse space into the unknowns and ``coarse`` is the
+    Galerkin matrix P' A P, factored here once.  The block-Jacobi smoother
+    alone needs a number of iterations growing like 1/h when the system is
+    stiffness dominated; the exact coarse solve removes the smooth error it
+    cannot reach (Dobrev, Lazarov, Vassilevski & Zikatanov, Numer. Linear
+    Algebra Appl. 13, 2006).  The additive form is SPD whenever the smoother
+    and A are, so it preconditions CG as it is.
+    """
+    # minimum degree on coarse' + coarse: 1.34 M nonzeros in the level-7
+    # P1 factors against 2.26 M with the default COLAMD ordering
+    lu = spla.splu(sp.csc_matrix(coarse), permc_spec="MMD_AT_PLUS_A")
+    PT = P.T.tocsr()
+    return lambda r: smoother(r) + P @ lu.solve(PT @ r)
+
+
 def cg_solve(
     A: sp.spmatrix,
     rhs: np.ndarray,
     tol: float = 1e-12,
     max_iter: int | None = None,
-    preconditioner="jacobi",
+    preconditioner=None,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = rhs for symmetric positive definite A.
 
-    ``preconditioner`` is "none", "jacobi", or a callable r -> z.  Returns
+    ``preconditioner`` is a callable r -> z, the identity when None.  Returns
     the solution and a report; convergence means the true residual satisfies
     ||A x - rhs|| <= tol ||rhs||, or, once restarts stop reducing it, lies
     within the rounding floor eps || |rhs| + |A| |x| || / ||rhs||.  Running
@@ -82,14 +99,7 @@ def cg_solve(
     if rhs_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    if preconditioner == "none":
-        apply_prec = lambda r: r
-    elif preconditioner == "jacobi":
-        apply_prec = jacobi_preconditioner(A)
-    elif callable(preconditioner):
-        apply_prec = preconditioner
-    else:
-        raise SolverError(f"unknown preconditioner {preconditioner!r}")
+    apply_prec = (lambda r: r) if preconditioner is None else preconditioner
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     history: list[float] = []

@@ -7,6 +7,7 @@ from functools import cached_property, lru_cache
 from math import ceil
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import Mesh
@@ -132,6 +133,24 @@ class DGSpace:
 
     def element_dofs(self, t: int) -> np.ndarray:
         return self.dofs[t]
+
+
+def conforming_p1_embedding(space: DGSpace) -> sp.csr_matrix:
+    """Embedding of the conforming P1 vertex space into the DG space.
+
+    Column v holds the hat function of mesh vertex v at every element's
+    Lagrange nodes (its barycentric coordinates there), shape
+    (n_dofs, n_vertices).  Periodic seam vertices stay distinct columns.
+    """
+    mesh = space.mesh
+    bary = reference_basis(1).eval(space.basis.nodes)  # (n_local, 3)
+    shape = (mesh.n_triangles, space.n_local, 3)
+    rows = np.broadcast_to(space.dofs[:, :, None], shape)
+    cols = np.broadcast_to(mesh.triangles[:, None, :], shape)
+    vals = np.broadcast_to(bary, shape)
+    P = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(space.n_dofs, mesh.n_vertices))
+    P.eliminate_zeros()  # P2 edge nodes are off the opposite vertex's support
+    return P
 
 
 def interpolate(mesh: Mesh, space: DGSpace, u, t: float = 0.0) -> np.ndarray:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dgdyn.assembly import FormParams, assemble_Ah, assemble_mass
+from dgdyn.config import ProblemConfig
 from dgdyn.mesh import build_structured_mesh, classify_edges
-from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, jacobi_preconditioner
-from dgdyn.space import DGSpace
+from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
+from dgdyn.space import DGSpace, conforming_p1_embedding
+from dgdyn.timestepper import build_operators
 
 
 def be_system(level, p=1, dt=1e-3, lam=10.0):
@@ -16,6 +19,11 @@ def be_system(level, p=1, dt=1e-3, lam=10.0):
     A = assemble_Ah(mesh, edges, space, params)
     M = assemble_mass(mesh, edges, space, lam)
     return (M + dt * A).tocsr(), space
+
+
+def two_level(S, space):
+    P = conforming_p1_embedding(space)
+    return two_level_preconditioner(block_jacobi_preconditioner(S, space.n_local), P, P.T @ S @ P)
 
 
 def test_identity_one_iteration():
@@ -51,30 +59,24 @@ def test_dimension_mismatch():
 def test_indefinite_detected():
     A = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(SolverError):
-        cg_solve(A, np.array([1.0, 1.0]), preconditioner="none")
+        cg_solve(A, np.array([1.0, 1.0]))
 
 
 def test_non_finite_detected():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, np.nan]]))
     with pytest.raises(SolverError):
-        cg_solve(A, np.array([1.0, 1.0]), preconditioner="none")
+        cg_solve(A, np.array([1.0, 1.0]))
 
 
-def test_jacobi_rejects_nonpositive_diagonal():
-    A = sp.csr_matrix(np.diag([1.0, 0.0]))
-    with pytest.raises(SolverError):
-        jacobi_preconditioner(A)
-
-
-@pytest.mark.parametrize("prec", ["jacobi", "block"])
+@pytest.mark.parametrize("prec", ["two_level", "block"])
 def test_backward_euler_system_monotone_preconditioned_residual(prec):
     # the preconditioned residual norm sqrt(r' z) decreases monotonically on
     # these systems; without preconditioning plain CG oscillates (only the
-    # A-norm of the error is guaranteed monotone), so "none" is excluded
+    # A-norm of the error is guaranteed monotone), so the identity is excluded
     S, space = be_system(3)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(S.shape[0])
-    preconditioner = block_jacobi_preconditioner(S, space.n_local) if prec == "block" else prec
+    preconditioner = block_jacobi_preconditioner(S, space.n_local) if prec == "block" else two_level(S, space)
     x, report = cg_solve(S, rhs, tol=1e-12, preconditioner=preconditioner)
     assert report.converged
     hist = np.asarray(report.residual_history)
@@ -85,7 +87,7 @@ def test_unpreconditioned_cg_converges():
     S, _ = be_system(3)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(S.shape[0])
-    _, report = cg_solve(S, rhs, tol=1e-12, preconditioner="none")
+    _, report = cg_solve(S, rhs, tol=1e-12)
     assert report.converged
 
 
@@ -124,3 +126,40 @@ def test_attainable_accuracy_below_tol_is_converged():
     assert report.final_relative_residual == true_rel
     assert 1e-20 < true_rel <= floor
     assert report.iterations < 10 * S.shape[0]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc_mode", ["periodic", "dirichlet_lateral"])
+@pytest.mark.parametrize(
+    "penalty_mode, dt",
+    # fixed_sigma at criterion 3's level and dt: its A_h is indefinite, M + dt A is not
+    [("gamma_over_h", 0.1), ("fixed_sigma", 1e-5)],
+)
+def test_two_level_preconditioner_spd(p, bc_mode, penalty_mode, dt):
+    ops = build_operators(ProblemConfig(level=4, p=p, bc_mode=bc_mode, penalty_mode=penalty_mode, dt=dt))
+    S = (ops.M + dt * ops.A).tocsr()
+    B = two_level(S, ops.space)
+    rng = np.random.default_rng(p)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, S.shape[0]))
+        Bx, By = B(x), B(y)
+        assert abs(x @ By - y @ Bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
+        assert x @ Bx > 0.0
+
+
+def test_two_level_iterations_bounded_in_h():
+    # at dt = 0.1 the system is stiffness dominated: block-Jacobi CG needs
+    # more iterations on every refinement, the coarse solve keeps them flat
+    block_iters, two_level_iters = [], []
+    for level in (3, 4, 5, 6):
+        S, space = be_system(level, dt=0.1)
+        rhs = np.random.default_rng(level).standard_normal(S.shape[0])
+        _, block = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, space.n_local))
+        x, report = cg_solve(S, rhs, preconditioner=two_level(S, space))
+        x_direct = spla.splu(S.tocsc()).solve(rhs)
+        assert block.converged and report.converged
+        assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) < 1e-8
+        block_iters.append(block.iterations)
+        two_level_iters.append(report.iterations)
+    assert all(a < b for a, b in zip(block_iters, block_iters[1:])), block_iters
+    assert max(two_level_iters) < 60, two_level_iters

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import dgdyn.timestepper
 from dgdyn.assembly import FormParams
 from dgdyn.config import ProblemConfig
 from dgdyn.errors import energy_norm, l2_errors, rate
+from dgdyn.manufactured import get_case
 from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges
-from dgdyn.solver import SolverError
+from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
 from dgdyn.space import DGSpace, interpolate
 from dgdyn.timestepper import build_operators, l2_project, run_backward_euler, solve_stationary
 
@@ -219,3 +221,32 @@ def test_dirichlet_mode_runs():
     u0 = lambda x, y: np.zeros_like(x)
     res = run_backward_euler(config, None, None, u0)
     assert np.allclose(res.coeffs, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dt, t_final, two_level", [(1e-5, 5e-5, False), (0.1, 0.2, True)])
+def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_level):
+    # rho = dt * max_e 1'A_e 1 / 1'M_e 1 is 0.12 at dt = 1e-5 and 1.2e3 at
+    # dt = 0.1 on level 4: every step must make the iteration count of block
+    # Jacobi alone in the first case, of the two-level one in the second (the
+    # two counts differ in both: 9 against 11, and about 120 against 30)
+    solves = []
+
+    def recording_cg_solve(system, rhs, **kwargs):
+        x, report = cg_solve(system, rhs, **kwargs)
+        solves.append((system, rhs, kwargs["tol"], report.iterations))
+        return x, report
+
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
+    case = get_case("example1")
+    config = ProblemConfig(case="example1", level=4, p=1, dt=dt, t_final=t_final)
+    ops = build_operators(config)
+    run_backward_euler(config, case.f, case.g, case.u0, ops=ops)
+    assert len(solves) == config.num_steps()
+
+    n_local = ops.space.n_local
+    P, PtMP, PtAP = ops.coarse_p1
+    for system, rhs, tol, iterations in solves:
+        block = block_jacobi_preconditioner(system, n_local)
+        preconditioners = {False: block, True: two_level_preconditioner(block, P, PtMP + dt * PtAP)}
+        counts = {k: cg_solve(system, rhs, tol=tol, preconditioner=B)[1].iterations for k, B in preconditioners.items()}
+        assert iterations == counts[two_level] != counts[not two_level]
