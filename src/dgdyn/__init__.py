@@ -34,7 +34,6 @@ from .timestepper import (
     TransientResult,
     build_operators,
     l2_lambda_project,
-    l2_project,
     run_backward_euler,
     solve_stationary,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "interpolate",
     "l2_errors",
     "l2_lambda_project",
-    "l2_project",
     "rate",
     "reference_basis",
     "run_backward_euler",

@@ -89,26 +89,6 @@ class _FaceTables:
     wl: np.ndarray  # (nE, nq) quadrature weights times edge length
 
 
-@dataclass(eq=False)
-class _RidgeTables:
-    """Point evaluations at ridges, split into two-sided and one-sided sets."""
-
-    elem_plus: np.ndarray
-    phi_plus: np.ndarray  # (nR, n_local)
-    dt_plus: np.ndarray  # tangential derivative of the basis, (nR, n_local)
-    sign_plus: np.ndarray
-    elem_minus: np.ndarray
-    phi_minus: np.ndarray
-    dt_minus: np.ndarray
-    sign_minus: np.ndarray
-    corner_elem: np.ndarray
-    corner_phi: np.ndarray
-    corner_dt: np.ndarray
-    corner_sign: np.ndarray
-    corner_x: np.ndarray
-    corner_y: np.ndarray
-
-
 def _side_tables(mesh, space, elems, points) -> _SideTables:
     ref = mesh.to_reference(elems, points)
     phi = space.basis.eval(ref)
@@ -173,40 +153,24 @@ def _dirichlet_face_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace
 
 
 @lru_cache(maxsize=16)
-def _ridge_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> _RidgeTables:
+def _ridge_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> tuple[_FaceTables, _FaceTables]:
+    """The ridges as the faces of the 1D mesh on gamma1: one point each, unit
+    weight, normal the outward tangent of the plus side.  Returns the
+    two-sided ridges and the one-sided Dirichlet corners (plus side only)."""
     r = edges.ridges
 
-    def point_eval(elems, points):
-        st = _side_tables(mesh, space, elems, points[:, None, :])
-        phi = st.phi[:, 0, :]
-        dt = st.gphi[:, 0, :, :] @ RIDGE_TANGENT
-        return phi, dt
+    def faces(mask, two_sided):
+        def side(elem, point):
+            return _side_tables(mesh, space, elem[mask], point[mask][:, None, :])
 
-    two = r.two_sided
-    one = ~two
-    phi_p, dt_p = point_eval(r.elem_plus[two], r.point_plus[two])
-    phi_m, dt_m = point_eval(r.elem_minus[two], r.point_minus[two])
-    if one.any():
-        phi_c, dt_c = point_eval(r.elem_plus[one], r.point_plus[one])
-    else:
-        phi_c = np.empty((0, space.n_local))
-        dt_c = np.empty((0, space.n_local))
-    return _RidgeTables(
-        elem_plus=r.elem_plus[two],
-        phi_plus=phi_p,
-        dt_plus=dt_p,
-        sign_plus=r.sign_plus[two],
-        elem_minus=r.elem_minus[two],
-        phi_minus=phi_m,
-        dt_minus=dt_m,
-        sign_minus=r.sign_minus[two],
-        corner_elem=r.elem_plus[one],
-        corner_phi=phi_c,
-        corner_dt=dt_c,
-        corner_sign=r.sign_plus[one],
-        corner_x=r.point_plus[one][:, 0] if one.any() else np.empty(0),
-        corner_y=r.point_plus[one][:, 1] if one.any() else np.empty(0),
-    )
+        return _FaceTables(
+            plus=side(r.elem_plus, r.point_plus),
+            minus=side(r.elem_minus, r.point_minus) if two_sided else None,
+            normal=r.sign_plus[mask][:, None] * RIDGE_TANGENT,
+            wl=np.ones((int(mask.sum()), 1)),
+        )
+
+    return faces(r.two_sided, True), faces(~r.two_sided, False)
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +222,15 @@ def _two_sided_penalty_blocks(ft: _FaceTables, sigma: float):
     return out
 
 
-def _ridge_blocks(phis, dts, signs, elems, sigma, half_average):
-    """Point coupling blocks -[v]{d w} - [w]{d v} + sigma [v][w] over the
-    given ridge slots (two entries for a two-sided ridge, one for a corner)."""
-    factor = 0.5 if half_average else 1.0
-    out = []
-    for phi_a, dt_a, s_a, el_a in zip(phis, dts, signs, elems):
-        for phi_b, dt_b, s_b, el_b in zip(phis, dts, signs, elems):
-            block = (
-                -factor * s_a[:, None, None] * np.einsum("el,em->elm", phi_a, dt_b)
-                - factor * s_b[:, None, None] * np.einsum("el,em->elm", dt_a, phi_b)
-                + sigma * (s_a * s_b)[:, None, None] * np.einsum("el,em->elm", phi_a, phi_b)
-            )
-            out.append((el_a, el_b, block))
-    return out
+def _one_sided_penalty_block(ft: _FaceTables, sigma: float) -> np.ndarray:
+    """The Nitsche block -(v, grad w . n) - (w, grad v . n) + sigma (v, w) on
+    a batch of one-sided faces."""
+    gn = np.einsum("eqli,ei->eql", ft.plus.gphi, ft.normal)
+    return (
+        -np.einsum("eq,eql,eqm->elm", ft.wl, ft.plus.phi, gn)
+        - np.einsum("eq,eql,eqm->elm", ft.wl, gn, ft.plus.phi)
+        + sigma * np.einsum("eq,eql,eqm->elm", ft.wl, ft.plus.phi, ft.plus.phi)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +254,8 @@ def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 
 def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
     """Surface form on gamma1: tangential stiffness along the boundary edges
-    plus jump/flux point couplings at the (two-sided) ridges.
+    plus the interior-penalty terms of the 1D surface mesh, whose faces are
+    the two-sided ridges.
 
     One-sided corner ridges of the Dirichlet variant are excluded here;
     they enter through assemble_dirichlet_terms."""
@@ -308,16 +268,8 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
         np.einsum("eq,eql,eqm->elm", ft.wl, dt, dt),
     )
 
-    rt = _ridge_tables(mesh, edges, space)
-    blocks = _ridge_blocks(
-        (rt.phi_plus, rt.phi_minus),
-        (rt.dt_plus, rt.dt_minus),
-        (rt.sign_plus, rt.sign_minus),
-        (rt.elem_plus, rt.elem_minus),
-        params.sigma,
-        half_average=True,
-    )
-    for el_a, el_b, block in blocks:
+    ridges, _ = _ridge_tables(mesh, edges, space)
+    for el_a, el_b, block in _two_sided_penalty_blocks(ridges, params.sigma):
         builder.add_blocks(space.dofs[el_a], space.dofs[el_b], block)
     return builder.tocsr()
 
@@ -397,42 +349,22 @@ def assemble_dirichlet_terms(
     terms of the surface operator at the corner ridges."""
     if edges.bc_mode != DIRICHLET_LATERAL:
         raise ValueError("Dirichlet terms require bc_mode='dirichlet_lateral'")
-    sigma = params.sigma
+    _, corners = _ridge_tables(mesh, edges, space)
+
+    def faces(degree):  # (tables, weight); the corners are points, so degree-free
+        return ((_dirichlet_face_tables(mesh, edges, space, degree), 1.0), (corners, params.beta))
+
     builder = _CooBuilder(space.n_dofs)
+    for ft, weight in faces(2 * space.p):
+        dofs = space.dofs[ft.plus.elem]
+        builder.add_blocks(dofs, dofs, weight * _one_sided_penalty_block(ft, params.sigma))
     rhs = np.zeros(space.n_dofs)
-
-    ft = _dirichlet_face_tables(mesh, edges, space, 2 * space.p)
-    gn = np.einsum("eqli,ei->eql", ft.plus.gphi, ft.normal)
-    block = (
-        -np.einsum("eq,eql,eqm->elm", ft.wl, ft.plus.phi, gn)
-        - np.einsum("eq,eql,eqm->elm", ft.wl, gn, ft.plus.phi)
-        + sigma * np.einsum("eq,eql,eqm->elm", ft.wl, ft.plus.phi, ft.plus.phi)
-    )
-    builder.add_blocks(space.dofs[ft.plus.elem], space.dofs[ft.plus.elem], block)
-
-    rt = _ridge_tables(mesh, edges, space)
-    if len(rt.corner_elem):
-        blocks = _ridge_blocks(
-            (rt.corner_phi,), (rt.corner_dt,), (rt.corner_sign,), (rt.corner_elem,), sigma, half_average=False
-        )
-        for el_a, el_b, b in blocks:
-            builder.add_blocks(space.dofs[el_a], space.dofs[el_b], params.beta * b)
-
     if u_D is not None:
-        fte = _dirichlet_face_tables(mesh, edges, space, 2 * space.p + 4)
-        gne = np.einsum("eqli,ei->eql", fte.plus.gphi, fte.normal)
-        ud = np.asarray(u_D(t, fte.plus.x, fte.plus.y), dtype=float)
-        local = np.einsum("eq,eq,eql->el", fte.wl, ud, sigma * fte.plus.phi - gne)
-        np.add.at(rhs, space.dofs[fte.plus.elem], local)
-        if len(rt.corner_elem):
-            udr = np.asarray(u_D(t, rt.corner_x, rt.corner_y), dtype=float)
-            local = (
-                params.beta
-                * udr[:, None]
-                * (sigma * rt.corner_phi - rt.corner_sign[:, None] * rt.corner_dt)
-            )
-            np.add.at(rhs, space.dofs[rt.corner_elem], local)
-
+        for ft, weight in faces(2 * space.p + 4):
+            gn = np.einsum("eqli,ei->eql", ft.plus.gphi, ft.normal)
+            ud = np.asarray(u_D(t, ft.plus.x, ft.plus.y), dtype=float)
+            local = np.einsum("eq,eq,eql->el", ft.wl, ud, params.sigma * ft.plus.phi - gn)
+            np.add.at(rhs, space.dofs[ft.plus.elem], weight * local)
     return builder.tocsr(), rhs
 
 

@@ -24,7 +24,7 @@ from .assembly import (
     _ridge_tables,
     _volume_tables,
 )
-from .mesh import EdgeClassification, Mesh
+from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh
 from .space import DGSpace
 
 
@@ -60,25 +60,32 @@ def _as_field(exact):
     return exact, None
 
 
-def _side_values(side, space, coeffs, value_fn, t):
-    val = np.zeros_like(side.x)
+def _trace(side, space, u_h, value_fn, grad_fn, t):
+    """Value and gradient of exact - u_h at the points of one face side; a
+    missing u_h or exact callable counts as zero."""
+    val = np.zeros(side.x.shape)
+    grad = np.zeros(side.x.shape + (2,))
     if value_fn is not None:
-        val = val + np.asarray(value_fn(t, side.x, side.y), dtype=float)
-    if coeffs is not None:
-        dg = np.einsum("eql,el->eq", side.phi, coeffs[space.dofs[side.elem]])
-        val = val - dg if value_fn is not None else dg
-    return val
-
-
-def _side_grads(side, space, coeffs, grad_fn, t):
-    g = np.zeros(side.x.shape + (2,))
+        val += value_fn(t, side.x, side.y)
     if grad_fn is not None:
         gx, gy = grad_fn(t, side.x, side.y)
-        g = g + np.stack([np.asarray(gx, float), np.asarray(gy, float)], axis=-1)
-    if coeffs is not None:
-        dg = np.einsum("eqli,el->eqi", side.gphi, coeffs[space.dofs[side.elem]])
-        g = g - dg if grad_fn is not None else dg
-    return g
+        grad[..., 0] += gx
+        grad[..., 1] += gy
+    if u_h is not None:
+        coeffs = u_h[space.dofs[side.elem]]
+        val -= np.einsum("eql,el->eq", side.phi, coeffs)
+        grad -= np.einsum("eqli,el->eqi", side.gphi, coeffs)
+    return val, grad
+
+
+def _two_sided(ft, space, u_h, grad_fn, t):
+    """Jump and average gradient of exact - u_h on two-sided faces.  The
+    exact field has no jumps, so the jump is that of u_h and the exact
+    gradient is evaluated once, on the plus side."""
+    vp, gp = _trace(ft.plus, space, u_h, None, None, t)
+    vm, gm = _trace(ft.minus, space, u_h, None, None, t)
+    _, grad = _trace(ft.plus, space, None, None, grad_fn, t)
+    return vp - vm, grad + 0.5 * (gp + gm)
 
 
 def energy_norm_terms(
@@ -112,81 +119,33 @@ def energy_norm_terms(
         np.einsum("q,e,eqi,eqi->", vol.w, mesh.det_jacobians, grad_vol, grad_vol)
     )
 
-    # interior and periodic edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2
+    # interior and periodic edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2;
+    # ridges, the faces of the surface mesh: beta sigma [w]^2 +
+    # (beta/sigma) {d_t w}^2; Dirichlet edges and corners count w itself
     ft = _interior_face_tables(mesh, edges, space, degree)
-    vp = _side_values(ft.plus, space, u_h, value_fn, t)
-    vm = _side_values(ft.minus, space, u_h, value_fn, t)
-    gp = _side_grads(ft.plus, space, u_h, grad_fn, t)
-    gm = _side_grads(ft.minus, space, u_h, grad_fn, t)
-    jump = vp - vm
-    avg = 0.5 * (gp + gm)
+    jump, avg = _two_sided(ft, space, u_h, grad_fn, t)
     jump2 = float(np.einsum("eq,eq->", ft.wl, jump**2))
     avg2 = float(np.einsum("eq,eqi,eqi->", ft.wl, avg, avg))
-    if edges.dirichlet is not None and len(edges.dirichlet):
+    ridges, corners = _ridge_tables(mesh, edges, space)
+    jump_r, avg_r = _two_sided(ridges, space, u_h, grad_fn, t)
+    rj2 = float((jump_r**2).sum())
+    ra2 = float(((avg_r @ RIDGE_TANGENT) ** 2).sum())
+    if edges.bc_mode == DIRICHLET_LATERAL:
         fd = _dirichlet_face_tables(mesh, edges, space, degree)
-        vd = _side_values(fd.plus, space, u_h, value_fn, t)
-        gd = _side_grads(fd.plus, space, u_h, grad_fn, t)
+        vd, gd = _trace(fd.plus, space, u_h, value_fn, grad_fn, t)
         jump2 += float(np.einsum("eq,eq->", fd.wl, vd**2))
         avg2 += float(np.einsum("eq,eqi,eqi->", fd.wl, gd, gd))
+        vc, gc = _trace(corners.plus, space, u_h, value_fn, grad_fn, t)
+        rj2 += float((vc**2).sum())
+        ra2 += float(((gc @ RIDGE_TANGENT) ** 2).sum())
     terms["jump_penalty"] = sigma * jump2
     terms["grad_average"] = avg2 / sigma
 
     # gamma1: alpha ||w||^2 + beta |w|_H1^2 along the boundary
     fg = _gamma1_face_tables(mesh, edges, space, degree)
-    vg = _side_values(fg.plus, space, u_h, value_fn, t)
-    gg = _side_grads(fg.plus, space, u_h, grad_fn, t)
-    dt_g = gg @ RIDGE_TANGENT
+    vg, gg = _trace(fg.plus, space, u_h, value_fn, grad_fn, t)
     terms["alpha_boundary"] = params.alpha * float(np.einsum("eq,eq->", fg.wl, vg**2))
-    terms["beta_tangential"] = params.beta * float(np.einsum("eq,eq->", fg.wl, dt_g**2))
-
-    # ridges: beta sigma [w]^2 + (beta/sigma) {d_t w}^2 point sums
-    rt = _ridge_tables(mesh, edges, space)
-    r = edges.ridges
-    two = r.two_sided
-    rj2 = 0.0
-    ra2 = 0.0
-    if two.any():
-
-        def point_vals(phi, dt, elems, points):
-            val = np.zeros(len(elems))
-            dtan = np.zeros(len(elems))
-            if value_fn is not None:
-                val += np.asarray(value_fn(t, points[:, 0], points[:, 1]), float)
-                gx, gy = grad_fn(t, points[:, 0], points[:, 1])
-                dtan += np.asarray(gx, float)
-            if u_h is not None:
-                v_dg = np.einsum("el,el->e", phi, u_h[space.dofs[elems]])
-                d_dg = np.einsum("el,el->e", dt, u_h[space.dofs[elems]])
-                if value_fn is not None:
-                    val -= v_dg
-                    dtan -= d_dg
-                else:
-                    val, dtan = v_dg, d_dg
-            return val, dtan
-
-        vp_r, dp_r = point_vals(rt.phi_plus, rt.dt_plus, rt.elem_plus, r.point_plus[two])
-        vm_r, dm_r = point_vals(rt.phi_minus, rt.dt_minus, rt.elem_minus, r.point_minus[two])
-        jr = rt.sign_plus * vp_r + rt.sign_minus * vm_r
-        ar = 0.5 * (dp_r + dm_r)
-        rj2 += float((jr**2).sum())
-        ra2 += float((ar**2).sum())
-    if len(rt.corner_elem):
-        val = np.zeros(len(rt.corner_elem))
-        dtan = np.zeros(len(rt.corner_elem))
-        if value_fn is not None:
-            val += np.asarray(value_fn(t, rt.corner_x, rt.corner_y), float)
-            gx, _ = grad_fn(t, rt.corner_x, rt.corner_y)
-            dtan += np.asarray(gx, float)
-        if u_h is not None:
-            v_dg = np.einsum("el,el->e", rt.corner_phi, u_h[space.dofs[rt.corner_elem]])
-            d_dg = np.einsum("el,el->e", rt.corner_dt, u_h[space.dofs[rt.corner_elem]])
-            if value_fn is not None:
-                val -= v_dg
-                dtan -= d_dg
-            else:
-                val, dtan = v_dg, d_dg
-        rj2 += float(((rt.corner_sign * val) ** 2).sum())
-        ra2 += float((dtan**2).sum())
+    terms["beta_tangential"] = params.beta * float(np.einsum("eq,eq->", fg.wl, (gg @ RIDGE_TANGENT) ** 2))
     terms["ridge_jump"] = params.beta * sigma * rj2
     terms["ridge_average"] = params.beta / sigma * ra2
     return terms
@@ -216,6 +175,6 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     l2_dom = math.sqrt(float(np.einsum("q,e,eq->", vol.w, mesh.det_jacobians, diff**2)))
 
     fg = _gamma1_face_tables(mesh, edges, space, degree)
-    diffb = _side_values(fg.plus, space, u_h, value_fn, t)
+    diffb, _ = _trace(fg.plus, space, u_h, value_fn, None, t)
     l2_g1 = math.sqrt(float(np.einsum("eq,eq->", fg.wl, diffb**2)))
     return l2_dom, l2_g1, math.sqrt(l2_dom**2 + lam * l2_g1**2)

@@ -8,14 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (
-    FormParams,
-    _volume_tables,
-    assemble_Ah,
-    assemble_dirichlet_terms,
-    assemble_load,
-    assemble_mass,
-)
+from .assembly import FormParams, assemble_Ah, assemble_dirichlet_terms, assemble_load, assemble_mass
 from .config import ProblemConfig
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh, build_structured_mesh, classify_edges
 from .solver import SolverError, block_jacobi_preconditioner, cg_solve, element_blocks, two_level_preconditioner
@@ -29,23 +22,6 @@ from .space import DGSpace, conforming_p1_embedding
 TWO_LEVEL_STIFFNESS = 16.0
 
 
-def l2_project(mesh: Mesh, space: DGSpace, lam_unused, u0) -> np.ndarray:
-    """Plain L2(Omega) projection of the field u0(x, y) onto the DG space.
-
-    Lambda-independent; the block dof layout makes it an exact per-element
-    solve against the reference mass matrix.
-    """
-    vol = _volume_tables(mesh, space, 2 * space.p + 4)
-    ref_mass = np.einsum("q,ql,qm->lm", vol.w, vol.phi, vol.phi)
-    vals = np.asarray(u0(vol.x, vol.y), dtype=float)
-    rhs = np.einsum("q,eq,ql->el", vol.w, vals, vol.phi)  # det cancels below
-    try:
-        local = np.linalg.solve(ref_mass, rhs.T).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - valid geometry
-        raise SolverError("singular local mass block") from exc
-    return local.ravel()
-
-
 def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
     """Projection in the lambda-weighted norm (domain plus lam * gamma1).
 
@@ -53,6 +29,7 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     domain projection, its boundary trace is accurate to the same order as
     the interior, which the boundary-error convergence rates require.  The
     weighted mass matrix is still block diagonal, so the solve is exact.
+    With lam = 0 it is the plain L2(Omega) projection.
     """
     M = assemble_mass(mesh, edges, space, lam)
     rhs = assemble_load(

@@ -20,7 +20,7 @@ from dgdyn.errors import energy_norm, l2_errors, rate
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
-from dgdyn.timestepper import l2_project, run_backward_euler, solve_stationary
+from dgdyn.timestepper import l2_lambda_project, run_backward_euler, solve_stationary
 
 from test_assembly import oracle_operators, setup as assembly_setup
 from dgdyn.assembly import assemble_Bh, assemble_bh, assemble_boundary_mass, assemble_domain_mass
@@ -101,7 +101,7 @@ def test_criterion_3_error_magnitude_anchor():
     # The published value, 1.451833e-02, cannot be the expected value.  No
     # function of the discrete space gets closer to u(T) than its L2(Omega)
     # projection P_h u(T), and ||u(T) - P_h u(T)|| = 1.70470e-02 (the same to
-    # six digits with l2_project's degree-6 Lagrange rule and with an
+    # six digits with l2_lambda_project's degree-6 Lagrange rule and with an
     # element-local monomial projection under a degree-10 rule, neither of
     # which touches assembly or the solver).  The published value is 14.8%
     # below that floor.  A run within 25% of it would have to lie within 6.5%
@@ -122,8 +122,9 @@ def test_criterion_3_error_magnitude_anchor():
     t_final = 1e-3
     mesh = build_structured_mesh(4)
     space = DGSpace(mesh, 1)
-    best = l2_project(mesh, space, None, lambda x, y: case.u(t_final, x, y))
-    floor, _, _ = l2_errors(mesh, classify_edges(mesh), space, 10.0, best, case, t=t_final)
+    edges = classify_edges(mesh)
+    best = l2_lambda_project(mesh, space, edges, 0.0, lambda x, y: case.u(t_final, x, y))
+    floor, _, _ = l2_errors(mesh, edges, space, 10.0, best, case, t=t_final)
 
     err = transient_row("example1", 4, 1, 1e-5, t_final).l2_domain
     dev = abs(err - reference) / reference

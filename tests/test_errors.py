@@ -1,16 +1,19 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from dgdyn.assembly import FormParams
 from dgdyn.errors import ErrorRecord, energy_norm, energy_norm_terms, l2_errors, rate
-from dgdyn.manufactured import example1
-from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges
+from dgdyn.manufactured import example1, example3
+from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
 
 
-def setup(level, p, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0):
+def setup(level, p, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0, bc=PERIODIC):
     mesh = build_structured_mesh(level)
-    edges = classify_edges(mesh, PERIODIC)
+    edges = classify_edges(mesh, bc)
     space = DGSpace(mesh, p)
     params = FormParams.for_mesh(mesh, alpha=alpha, beta=beta, lam=lam, gamma=gamma)
     return mesh, edges, space, params
@@ -45,23 +48,47 @@ def test_energy_norm_of_constant_exact_field():
         assert np.isclose(val, c * np.sqrt(2.0 * params.alpha), rtol=1e-13)
 
 
-def test_energy_norm_single_element_indicator():
+@pytest.mark.parametrize("bc, n_corners", [(PERIODIC, 0), (DIRICHLET_LATERAL, 2)], ids=[PERIODIC, DIRICHLET_LATERAL])
+def test_energy_norm_single_element_indicator(bc, n_corners):
     # level 0, p=1, w = 1 on the lower triangle: hand evaluation of every
-    # term gives sigma * (sqrt(2) + 1) + alpha
-    mesh, edges, space, params = setup(0, 1)
+    # term gives sigma * (sqrt(2) + 1) + alpha, plus beta * sigma for each
+    # one-sided corner of its gamma1 edge; the periodic ridge joins that
+    # edge to itself and has no jump
+    mesh, edges, space, params = setup(0, 1, bc=bc)
     w = np.zeros(space.n_dofs)
     w[space.dofs[0]] = 1.0
     terms = energy_norm_terms(mesh, edges, space, params, u_h=w)
     sigma = params.sigma
+    ridge_jump = n_corners * params.beta * sigma
     assert np.isclose(terms["h1_broken"], 0.0, atol=1e-14)
     assert np.isclose(terms["jump_penalty"], sigma * (np.sqrt(2.0) + 1.0), rtol=1e-13)
     assert np.isclose(terms["grad_average"], 0.0, atol=1e-14)
     assert np.isclose(terms["alpha_boundary"], params.alpha, rtol=1e-13)
     assert terms["beta_tangential"] == 0.0
-    assert np.isclose(terms["ridge_jump"], 0.0, atol=1e-14)
+    assert np.isclose(terms["ridge_jump"], ridge_jump, rtol=1e-13, atol=1e-14)
     assert np.isclose(terms["ridge_average"], 0.0, atol=1e-14)
     total = energy_norm(mesh, edges, space, params, u_h=w)
-    assert np.isclose(total, np.sqrt(sigma * (np.sqrt(2.0) + 1.0) + params.alpha), rtol=1e-13)
+    assert np.isclose(total, np.sqrt(sigma * (np.sqrt(2.0) + 1.0) + params.alpha + ridge_jump), rtol=1e-13)
+
+
+@pytest.mark.parametrize("make_case, grad_calls, value_calls", [(example1, 4, 1), (example3, 6, 3)])
+def test_energy_norm_exact_field_calls(make_case, grad_calls, value_calls):
+    # exact fields have no jumps: on two-sided faces and ridges the norm
+    # evaluates the exact gradient once, on the plus side, and no exact value
+    case = make_case()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    case = dataclasses.replace(case, u=counted("u", case.u), grad_u=counted("grad_u", case.grad_u))
+    mesh, edges, space, params = setup(3, 1, bc=case.bc_mode)
+    energy_norm(mesh, edges, space, params, u_h=np.zeros(space.n_dofs), exact=case, t=0.1)
+    assert (calls["grad_u"], calls["u"]) == (grad_calls, value_calls)
 
 
 def test_l2_errors_of_interpolated_polynomial():

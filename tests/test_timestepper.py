@@ -9,7 +9,7 @@ from dgdyn.manufactured import get_case
 from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
 from dgdyn.space import DGSpace, interpolate
-from dgdyn.timestepper import build_operators, l2_project, run_backward_euler, solve_stationary
+from dgdyn.timestepper import build_operators, l2_lambda_project, run_backward_euler, solve_stationary
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,14 +27,14 @@ def setup(level, p, bc=PERIODIC, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0):
 
 def test_l2_project_constant():
     mesh, edges, space, _ = setup(2, 1)
-    coeffs = l2_project(mesh, space, None, lambda x, y: 3.0 * np.ones_like(x))
+    coeffs = l2_lambda_project(mesh, space, edges, 0.0, lambda x, y: 3.0 * np.ones_like(x))
     assert np.allclose(coeffs, 3.0, rtol=1e-13)
 
 
 def test_l2_project_reproduces_space_members():
     mesh, edges, space, _ = setup(2, 1)
     field = lambda t, x, y: x
-    coeffs = l2_project(mesh, space, None, lambda x, y: x)
+    coeffs = l2_lambda_project(mesh, space, edges, 0.0, lambda x, y: x)
     dom, g1, _ = l2_errors(mesh, edges, space, 1.0, coeffs, field)
     assert dom <= 1e-13 and g1 <= 1e-13
 
@@ -70,7 +70,7 @@ def best_approximation_error(mesh, u0, p):
 def test_l2_project_is_best_approximation():
     mesh, edges, space, _ = setup(2, 1)
     u0 = lambda x, y: np.sin(TWO_PI * x)
-    coeffs = l2_project(mesh, space, None, u0)
+    coeffs = l2_lambda_project(mesh, space, edges, 0.0, u0)
     dom, _, _ = l2_errors(mesh, edges, space, 1.0, coeffs, lambda t, x, y: u0(x, y))
     oracle = best_approximation_error(mesh, u0, p=1)
     # the two error values integrate a non-polynomial with different rules
