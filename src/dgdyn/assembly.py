@@ -3,9 +3,12 @@
 Assembles the bulk form (volume gradients plus jump/flux terms on interior
 and periodic edges), the surface form on the top/bottom boundary (tangential
 stiffness on the boundary edges plus point couplings at the ridges), the
-mass matrices and time-dependent load vectors.  Everything is built from
-batched per-face tables so repeated assembly (one load vector per time
-step) stays vectorized.
+mass matrices and time-dependent load vectors.  Every form is a sum of
+quadrature over point sets: the triangles, the edges and the ridges (the
+point faces of the surface mesh).  A point set is one type, built once per
+geometry and cached, and each job (a sparse matrix, a mass block, a vector
+of integrals) has one kernel that takes any point set, so repeated assembly
+(one load vector per time step) stays vectorized.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -20,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh
+from .mesh import DIRICHLET_LATERAL, BoundaryFaces, EdgeClassification, Mesh, TwoSidedFaces
 from .space import DGSpace, edge_quadrature, triangle_quadrature
 
 RIDGE_TANGENT = np.array([1.0, 0.0])  # gamma1 is horizontal
@@ -60,96 +63,65 @@ class FormParams:
 
 
 # ---------------------------------------------------------------------------
-# precomputed evaluation tables
+# quadrature point sets
 
 
 @dataclass(eq=False)
-class _VolumeTables:
-    w: np.ndarray  # (nq,)
-    phi: np.ndarray  # (nq, n_local)
-    gphi: np.ndarray  # (n_el, nq, n_local, 2) physical gradients
-    x: np.ndarray  # (n_el, nq)
-    y: np.ndarray
+class _Points:
+    """Quadrature points on one side of a batch of cells, edges or ridges."""
 
-
-@dataclass(eq=False)
-class _SideTables:
-    elem: np.ndarray  # (nE,)
+    elem: np.ndarray  # (nE,) element whose basis is evaluated
+    w: np.ndarray  # (nE, nq) rule weight times cell area or edge length; 1 at a ridge
     phi: np.ndarray  # (nE, nq, n_local)
-    gphi: np.ndarray  # (nE, nq, n_local, 2)
+    gphi: np.ndarray  # (nE, nq, n_local, 2) physical gradients
     x: np.ndarray  # (nE, nq) physical points on this side's realization
     y: np.ndarray
 
 
 @dataclass(eq=False)
 class _FaceTables:
-    plus: _SideTables
-    minus: _SideTables | None
+    plus: _Points
+    minus: _Points | None
     normal: np.ndarray  # (nE, 2)
-    wl: np.ndarray  # (nE, nq) quadrature weights times edge length
 
 
-def _side_tables(mesh, space, elems, points) -> _SideTables:
+def _points(mesh, space, elems, points, w) -> _Points:
+    """The side of ``elems`` at the physical ``points`` (nE, nq, 2)."""
     ref = mesh.to_reference(elems, points)
     phi = space.basis.eval(ref)
     gref = space.basis.grad(ref)
     gphi = np.einsum("eqli,eij->eqlj", gref, mesh.inv_jacobians[elems])
-    return _SideTables(elem=elems, phi=phi, gphi=gphi, x=points[..., 0], y=points[..., 1])
+    return _Points(elem=elems, w=w, phi=phi, gphi=gphi, x=points[..., 0], y=points[..., 1])
 
 
 @lru_cache(maxsize=16)
-def _volume_tables(mesh: Mesh, space: DGSpace, degree: int) -> _VolumeTables:
+def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
+    """Every triangle; the basis values are the reference ones, shared."""
     rule = triangle_quadrature(degree)
     phi = space.basis.eval(rule.points)
-    gref = space.basis.grad(rule.points)
-    gphi = np.einsum("qli,eij->eqlj", gref, mesh.inv_jacobians)
+    gphi = np.einsum("qli,eij->eqlj", space.basis.grad(rule.points), mesh.inv_jacobians)
     X = mesh.v0[:, None, :] + np.einsum("eij,qj->eqi", mesh.jacobians, rule.points)
-    return _VolumeTables(w=rule.weights, phi=phi, gphi=gphi, x=X[..., 0], y=X[..., 1])
-
-
-def _edge_points(p0, p1, srule):
-    return p0[:, None, :] + srule.points[None, :, None] * (p1 - p0)[:, None, :]
-
-
-@lru_cache(maxsize=16)
-def _interior_face_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace, degree: int) -> _FaceTables:
-    """Interior edges and periodic pairs combined (both are two-sided)."""
-    srule = edge_quadrature(degree)
-    groups = [edges.interior]
-    if edges.gamma2_pairs is not None and len(edges.gamma2_pairs):
-        groups.append(edges.gamma2_pairs)
-    p0 = np.concatenate([g.p0 for g in groups])
-    p1 = np.concatenate([g.p1 for g in groups])
-    ep = np.concatenate([g.elem_plus for g in groups])
-    em = np.concatenate([g.elem_minus for g in groups])
-    normal = np.concatenate([g.normal for g in groups])
-    length = np.concatenate([g.length for g in groups])
-    shift = np.concatenate([g.minus_shift for g in groups])
-    pts = _edge_points(p0, p1, srule)
-    plus = _side_tables(mesh, space, ep, pts)
-    minus = _side_tables(mesh, space, em, pts + shift[:, None, :])
-    wl = srule.weights[None, :] * length[:, None]
-    return _FaceTables(plus=plus, minus=minus, normal=normal, wl=wl)
+    return _Points(
+        elem=np.arange(mesh.n_triangles),
+        w=mesh.det_jacobians[:, None] * rule.weights,
+        phi=np.broadcast_to(phi, X.shape[:2] + phi.shape[1:]),
+        gphi=gphi,
+        x=X[..., 0],
+        y=X[..., 1],
+    )
 
 
 @lru_cache(maxsize=16)
-def _gamma1_face_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace, degree: int) -> _FaceTables:
-    srule = edge_quadrature(degree)
-    g1 = edges.gamma1
-    pts = _edge_points(g1.p0, g1.p1, srule)
-    plus = _side_tables(mesh, space, g1.elem, pts)
-    wl = srule.weights[None, :] * g1.length[:, None]
-    return _FaceTables(plus=plus, minus=None, normal=g1.normal, wl=wl)
-
-
-@lru_cache(maxsize=16)
-def _dirichlet_face_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace, degree: int) -> _FaceTables:
-    srule = edge_quadrature(degree)
-    de = edges.dirichlet
-    pts = _edge_points(de.p0, de.p1, srule)
-    plus = _side_tables(mesh, space, de.elem, pts)
-    wl = srule.weights[None, :] * de.length[:, None]
-    return _FaceTables(plus=plus, minus=None, normal=de.normal, wl=wl)
+def _face_tables(mesh: Mesh, space: DGSpace, faces: TwoSidedFaces | BoundaryFaces, degree: int) -> _FaceTables:
+    """Both sides of two-sided faces, the one side of boundary faces."""
+    rule = edge_quadrature(degree)
+    pts = faces.p0[:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[:, None, :]
+    w = rule.weights[None, :] * faces.length[:, None]
+    if isinstance(faces, TwoSidedFaces):
+        plus = _points(mesh, space, faces.elem_plus, pts, w)
+        minus = _points(mesh, space, faces.elem_minus, pts + faces.minus_shift[:, None, :], w)
+        return _FaceTables(plus=plus, minus=minus, normal=faces.normal)
+    return _FaceTables(plus=_points(mesh, space, faces.elem, pts, w), minus=None, normal=faces.normal)
 
 
 @lru_cache(maxsize=16)
@@ -160,46 +132,52 @@ def _ridge_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> tupl
     r = edges.ridges
 
     def faces(mask, two_sided):
+        w = np.ones((int(mask.sum()), 1))
+
         def side(elem, point):
-            return _side_tables(mesh, space, elem[mask], point[mask][:, None, :])
+            return _points(mesh, space, elem[mask], point[mask][:, None, :], w)
 
         return _FaceTables(
             plus=side(r.elem_plus, r.point_plus),
             minus=side(r.elem_minus, r.point_minus) if two_sided else None,
             normal=r.sign_plus[mask][:, None] * RIDGE_TANGENT,
-            wl=np.ones((int(mask.sum()), 1)),
         )
 
     return faces(r.two_sided, True), faces(~r.two_sided, False)
 
 
 # ---------------------------------------------------------------------------
-# scatter helpers
+# kernels
 
 
-class _CooBuilder:
-    def __init__(self, n):
-        self.n = n
-        self.rows = []
-        self.cols = []
-        self.data = []
+def _csr(space: DGSpace, triples) -> sp.csr_matrix:
+    """Sum (row elements, column elements, element blocks) triples into a
+    CSR matrix."""
+    rows, cols, data = [], [], []
+    for el_a, el_b, blocks in triples:
+        rows.append(np.broadcast_to(space.dofs[el_a][:, :, None], blocks.shape).ravel())
+        cols.append(np.broadcast_to(space.dofs[el_b][:, None, :], blocks.shape).ravel())
+        data.append(blocks.ravel())
+    n = space.n_dofs
+    A = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
 
-    def add_blocks(self, dofs_row, dofs_col, blocks):
-        shape = blocks.shape
-        self.rows.append(np.broadcast_to(dofs_row[:, :, None], shape).ravel())
-        self.cols.append(np.broadcast_to(dofs_col[:, None, :], shape).ravel())
-        self.data.append(blocks.ravel())
 
-    def tocsr(self) -> sp.csr_matrix:
-        if not self.data:
-            return sp.csr_matrix((self.n, self.n))
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        data = np.concatenate(self.data)
-        A = sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
-        A.sum_duplicates()
-        A.sort_indices()
-        return A
+def _mass_block(pts: _Points) -> np.ndarray:
+    """(v, w) over the points of each element or face, shape (nE, n_local, n_local)."""
+    return np.einsum("eq,eql,eqm->elm", pts.w, pts.phi, pts.phi)
+
+
+def _integrate(space: DGSpace, pts: _Points, values: np.ndarray) -> np.ndarray:
+    """The vector (values, v) over a point set, one entry per dof.  Values
+    of shape (nE, nq, 2) are tested against grad v instead of v."""
+    if values.ndim == 3:
+        local = np.einsum("eq,eqi,eqli->el", pts.w, values, pts.gphi)
+    else:
+        local = np.einsum("eq,eq,eql->el", pts.w, values, pts.phi)
+    return np.bincount(space.dofs[pts.elem].ravel(), weights=local.ravel(), minlength=space.n_dofs)
 
 
 def _two_sided_penalty_blocks(ft: _FaceTables, sigma: float):
@@ -209,14 +187,15 @@ def _two_sided_penalty_blocks(ft: _FaceTables, sigma: float):
 
     on a batch of two-sided faces."""
     sides = ((ft.plus, 1.0), (ft.minus, -1.0))
+    w = ft.plus.w
     gn = {id(st): np.einsum("eqli,ei->eql", st.gphi, ft.normal) for st, _ in sides}
     out = []
     for st_a, s_a in sides:
         for st_b, s_b in sides:
             block = (
-                -0.5 * s_a * np.einsum("eq,eql,eqm->elm", ft.wl, st_a.phi, gn[id(st_b)])
-                - 0.5 * s_b * np.einsum("eq,eql,eqm->elm", ft.wl, gn[id(st_a)], st_b.phi)
-                + sigma * s_a * s_b * np.einsum("eq,eql,eqm->elm", ft.wl, st_a.phi, st_b.phi)
+                -0.5 * s_a * np.einsum("eq,eql,eqm->elm", w, st_a.phi, gn[id(st_b)])
+                - 0.5 * s_b * np.einsum("eq,eql,eqm->elm", w, gn[id(st_a)], st_b.phi)
+                + sigma * s_a * s_b * np.einsum("eq,eql,eqm->elm", w, st_a.phi, st_b.phi)
             )
             out.append((st_a.elem, st_b.elem, block))
     return out
@@ -225,12 +204,10 @@ def _two_sided_penalty_blocks(ft: _FaceTables, sigma: float):
 def _one_sided_penalty_block(ft: _FaceTables, sigma: float) -> np.ndarray:
     """The Nitsche block -(v, grad w . n) - (w, grad v . n) + sigma (v, w) on
     a batch of one-sided faces."""
-    gn = np.einsum("eqli,ei->eql", ft.plus.gphi, ft.normal)
-    return (
-        -np.einsum("eq,eql,eqm->elm", ft.wl, ft.plus.phi, gn)
-        - np.einsum("eq,eql,eqm->elm", ft.wl, gn, ft.plus.phi)
-        + sigma * np.einsum("eq,eql,eqm->elm", ft.wl, ft.plus.phi, ft.plus.phi)
-    )
+    pts = ft.plus
+    gn = np.einsum("eqli,ei->eql", pts.gphi, ft.normal)
+    flux = np.einsum("eq,eql,eqm->elm", pts.w, pts.phi, gn)
+    return sigma * _mass_block(pts) - flux - flux.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +218,10 @@ def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     """Bulk bilinear form: broken gradients plus symmetric interior-penalty
     terms on interior edges and periodic pairs.  Constants lie in the
     kernel; the matrix is symmetric."""
-    builder = _CooBuilder(space.n_dofs)
-    vol = _volume_tables(mesh, space, 2 * space.p)
-    stiff = np.einsum("q,e,eqli,eqmi->elm", vol.w, mesh.det_jacobians, vol.gphi, vol.gphi)
-    builder.add_blocks(space.dofs, space.dofs, stiff)
-
-    ft = _interior_face_tables(mesh, edges, space, 2 * space.p)
-    for el_a, el_b, block in _two_sided_penalty_blocks(ft, params.sigma):
-        builder.add_blocks(space.dofs[el_a], space.dofs[el_b], block)
-    return builder.tocsr()
+    vol = _cell_points(mesh, space, 2 * space.p)
+    stiff = np.einsum("eq,eqli,eqmi->elm", vol.w, vol.gphi, vol.gphi)
+    ft = _face_tables(mesh, space, edges.two_sided_faces, 2 * space.p)
+    return _csr(space, [(vol.elem, vol.elem, stiff), *_two_sided_penalty_blocks(ft, params.sigma)])
 
 
 def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
@@ -259,37 +231,23 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 
     One-sided corner ridges of the Dirichlet variant are excluded here;
     they enter through assemble_dirichlet_terms."""
-    builder = _CooBuilder(space.n_dofs)
-    ft = _gamma1_face_tables(mesh, edges, space, 2 * space.p)
-    dt = np.einsum("eqli,i->eql", ft.plus.gphi, RIDGE_TANGENT)
-    builder.add_blocks(
-        space.dofs[ft.plus.elem],
-        space.dofs[ft.plus.elem],
-        np.einsum("eq,eql,eqm->elm", ft.wl, dt, dt),
-    )
-
+    g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
+    dt = np.einsum("eqli,i->eql", g1.gphi, RIDGE_TANGENT)
+    stiff = np.einsum("eq,eql,eqm->elm", g1.w, dt, dt)
     ridges, _ = _ridge_tables(mesh, edges, space)
-    for el_a, el_b, block in _two_sided_penalty_blocks(ridges, params.sigma):
-        builder.add_blocks(space.dofs[el_a], space.dofs[el_b], block)
-    return builder.tocsr()
+    return _csr(space, [(g1.elem, g1.elem, stiff), *_two_sided_penalty_blocks(ridges, params.sigma)])
 
 
 def assemble_boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> sp.csr_matrix:
     """L2(gamma1) mass matrix."""
-    builder = _CooBuilder(space.n_dofs)
-    ft = _gamma1_face_tables(mesh, edges, space, 2 * space.p)
-    block = np.einsum("eq,eql,eqm->elm", ft.wl, ft.plus.phi, ft.plus.phi)
-    builder.add_blocks(space.dofs[ft.plus.elem], space.dofs[ft.plus.elem], block)
-    return builder.tocsr()
+    g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
+    return _csr(space, [(g1.elem, g1.elem, _mass_block(g1))])
 
 
 def assemble_domain_mass(mesh: Mesh, space: DGSpace) -> sp.csr_matrix:
     """L2(Omega) mass matrix (block diagonal for the DG dof layout)."""
-    builder = _CooBuilder(space.n_dofs)
-    vol = _volume_tables(mesh, space, 2 * space.p)
-    ref = np.einsum("q,ql,qm->lm", vol.w, vol.phi, vol.phi)
-    builder.add_blocks(space.dofs, space.dofs, mesh.det_jacobians[:, None, None] * ref)
-    return builder.tocsr()
+    vol = _cell_points(mesh, space, 2 * space.p)
+    return _csr(space, [(vol.elem, vol.elem, _mass_block(vol))])
 
 
 def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.csr_matrix:
@@ -320,15 +278,11 @@ def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t
     source."""
     load = np.zeros(space.n_dofs)
     if f is not None:
-        vol = _volume_tables(mesh, space, 2 * space.p + 4)
-        fv = np.asarray(f(t, vol.x, vol.y), dtype=float)
-        local = np.einsum("q,e,eq,ql->el", vol.w, mesh.det_jacobians, fv, vol.phi)
-        load += local.ravel()  # dofs are contiguous per element
+        vol = _cell_points(mesh, space, 2 * space.p + 4)
+        load += _integrate(space, vol, np.asarray(f(t, vol.x, vol.y), dtype=float))
     if g is not None:
-        ft = _gamma1_face_tables(mesh, edges, space, 2 * space.p + 4)
-        gv = np.asarray(g(t, ft.plus.x, ft.plus.y), dtype=float)
-        local = np.einsum("eq,eq,eql->el", ft.wl, gv, ft.plus.phi)
-        np.add.at(load, space.dofs[ft.plus.elem], local)
+        g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).plus
+        load += _integrate(space, g1, np.asarray(g(t, g1.x, g1.y), dtype=float))
     return load
 
 
@@ -352,20 +306,19 @@ def assemble_dirichlet_terms(
     _, corners = _ridge_tables(mesh, edges, space)
 
     def faces(degree):  # (tables, weight); the corners are points, so degree-free
-        return ((_dirichlet_face_tables(mesh, edges, space, degree), 1.0), (corners, params.beta))
+        return ((_face_tables(mesh, space, edges.dirichlet, degree), 1.0), (corners, params.beta))
 
-    builder = _CooBuilder(space.n_dofs)
-    for ft, weight in faces(2 * space.p):
-        dofs = space.dofs[ft.plus.elem]
-        builder.add_blocks(dofs, dofs, weight * _one_sided_penalty_block(ft, params.sigma))
+    blocks = [
+        (ft.plus.elem, ft.plus.elem, weight * _one_sided_penalty_block(ft, params.sigma))
+        for ft, weight in faces(2 * space.p)
+    ]
     rhs = np.zeros(space.n_dofs)
     if u_D is not None:
         for ft, weight in faces(2 * space.p + 4):
-            gn = np.einsum("eqli,ei->eql", ft.plus.gphi, ft.normal)
             ud = np.asarray(u_D(t, ft.plus.x, ft.plus.y), dtype=float)
-            local = np.einsum("eq,eq,eql->el", ft.wl, ud, params.sigma * ft.plus.phi - gn)
-            np.add.at(rhs, space.dofs[ft.plus.elem], weight * local)
-    return builder.tocsr(), rhs
+            flux = _integrate(space, ft.plus, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
+            rhs += weight * (_integrate(space, ft.plus, params.sigma * ud) - flux)
+    return _csr(space, blocks), rhs
 
 
 def dump_matrix(A: sp.spmatrix, path) -> None:
@@ -375,7 +328,5 @@ def dump_matrix(A: sp.spmatrix, path) -> None:
     A.sum_duplicates()
     A.sort_indices()
     coo = A.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"{A.shape[0]} {A.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17e}\n")
+    table = np.column_stack([coo.row, coo.col, coo.data])
+    np.savetxt(path, table, fmt="%d %d %.17e", header=f"{A.shape[0]} {A.nnz}", comments="")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 from .mesh import BC_MODES, PERIODIC
 
@@ -65,7 +65,3 @@ class ProblemConfig:
 
     def with_(self, **kw) -> "ProblemConfig":
         return replace(self, **kw)
-
-
-def config_field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(ProblemConfig))

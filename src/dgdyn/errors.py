@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    RIDGE_TANGENT,
-    FormParams,
-    _dirichlet_face_tables,
-    _gamma1_face_tables,
-    _interior_face_tables,
-    _ridge_tables,
-    _volume_tables,
-)
+from .assembly import RIDGE_TANGENT, FormParams, _cell_points, _face_tables, _ridge_tables
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh
 from .space import DGSpace
 
@@ -60,32 +52,37 @@ def _as_field(exact):
     return exact, None
 
 
-def _trace(side, space, u_h, value_fn, grad_fn, t):
-    """Value and gradient of exact - u_h at the points of one face side; a
-    missing u_h or exact callable counts as zero."""
-    val = np.zeros(side.x.shape)
-    grad = np.zeros(side.x.shape + (2,))
-    if value_fn is not None:
-        val += value_fn(t, side.x, side.y)
-    if grad_fn is not None:
-        gx, gy = grad_fn(t, side.x, side.y)
-        grad[..., 0] += gx
-        grad[..., 1] += gy
+def _trace(pts, space, u_h, fn, t, grad=False):
+    """exact - u_h at a point set, or its gradient if ``grad``: ``fn`` is the
+    exact value or gradient callable.  A missing u_h or fn counts as zero."""
+    out = np.zeros(pts.x.shape + ((2,) if grad else ()))
+    if fn is not None:
+        exact = fn(t, pts.x, pts.y)
+        if grad:
+            out[..., 0] += exact[0]
+            out[..., 1] += exact[1]
+        else:
+            out += exact
     if u_h is not None:
-        coeffs = u_h[space.dofs[side.elem]]
-        val -= np.einsum("eql,el->eq", side.phi, coeffs)
-        grad -= np.einsum("eqli,el->eqi", side.gphi, coeffs)
-    return val, grad
+        coeffs = u_h[space.dofs[pts.elem]]
+        out -= np.einsum("eqli,el->eqi", pts.gphi, coeffs) if grad else np.einsum("eql,el->eq", pts.phi, coeffs)
+    return out
 
 
 def _two_sided(ft, space, u_h, grad_fn, t):
     """Jump and average gradient of exact - u_h on two-sided faces.  The
     exact field has no jumps, so the jump is that of u_h and the exact
     gradient is evaluated once, on the plus side."""
-    vp, gp = _trace(ft.plus, space, u_h, None, None, t)
-    vm, gm = _trace(ft.minus, space, u_h, None, None, t)
-    _, grad = _trace(ft.plus, space, None, None, grad_fn, t)
-    return vp - vm, grad + 0.5 * (gp + gm)
+    jump = _trace(ft.plus, space, u_h, None, t) - _trace(ft.minus, space, u_h, None, t)
+    gp = _trace(ft.plus, space, u_h, None, t, grad=True)
+    gm = _trace(ft.minus, space, u_h, None, t, grad=True)
+    return jump, _trace(ft.plus, space, None, grad_fn, t, grad=True) + 0.5 * (gp + gm)
+
+
+def _norm2(pts, a):
+    """Sum over the points of w |a|^2, for values (nE, nq) or vectors (nE, nq, 2)."""
+    a2 = a * a if a.ndim == 2 else np.einsum("eqi,eqi->eq", a, a)
+    return float(np.einsum("eq,eq->", pts.w, a2))
 
 
 def energy_norm_terms(
@@ -107,45 +104,32 @@ def energy_norm_terms(
     degree = 2 * space.p + 4
     terms: dict[str, float] = {}
 
-    vol = _volume_tables(mesh, space, degree)
-    grad_vol = np.zeros(vol.x.shape + (2,))
-    if grad_fn is not None:
-        gx, gy = grad_fn(t, vol.x, vol.y)
-        grad_vol += np.stack([np.asarray(gx, float), np.asarray(gy, float)], axis=-1)
-    if u_h is not None:
-        dg = np.einsum("eqli,el->eqi", vol.gphi, u_h[space.dofs])
-        grad_vol = grad_vol - dg if grad_fn is not None else dg
-    terms["h1_broken"] = float(
-        np.einsum("q,e,eqi,eqi->", vol.w, mesh.det_jacobians, grad_vol, grad_vol)
-    )
+    vol = _cell_points(mesh, space, degree)
+    terms["h1_broken"] = _norm2(vol, _trace(vol, space, u_h, grad_fn, t, grad=True))
 
     # interior and periodic edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2;
     # ridges, the faces of the surface mesh: beta sigma [w]^2 +
     # (beta/sigma) {d_t w}^2; Dirichlet edges and corners count w itself
-    ft = _interior_face_tables(mesh, edges, space, degree)
+    ft = _face_tables(mesh, space, edges.two_sided_faces, degree)
     jump, avg = _two_sided(ft, space, u_h, grad_fn, t)
-    jump2 = float(np.einsum("eq,eq->", ft.wl, jump**2))
-    avg2 = float(np.einsum("eq,eqi,eqi->", ft.wl, avg, avg))
+    jump2, avg2 = _norm2(ft.plus, jump), _norm2(ft.plus, avg)
     ridges, corners = _ridge_tables(mesh, edges, space)
     jump_r, avg_r = _two_sided(ridges, space, u_h, grad_fn, t)
-    rj2 = float((jump_r**2).sum())
-    ra2 = float(((avg_r @ RIDGE_TANGENT) ** 2).sum())
+    rj2, ra2 = _norm2(ridges.plus, jump_r), _norm2(ridges.plus, avg_r @ RIDGE_TANGENT)
     if edges.bc_mode == DIRICHLET_LATERAL:
-        fd = _dirichlet_face_tables(mesh, edges, space, degree)
-        vd, gd = _trace(fd.plus, space, u_h, value_fn, grad_fn, t)
-        jump2 += float(np.einsum("eq,eq->", fd.wl, vd**2))
-        avg2 += float(np.einsum("eq,eqi,eqi->", fd.wl, gd, gd))
-        vc, gc = _trace(corners.plus, space, u_h, value_fn, grad_fn, t)
-        rj2 += float((vc**2).sum())
-        ra2 += float(((gc @ RIDGE_TANGENT) ** 2).sum())
+        fd = _face_tables(mesh, space, edges.dirichlet, degree).plus
+        jump2 += _norm2(fd, _trace(fd, space, u_h, value_fn, t))
+        avg2 += _norm2(fd, _trace(fd, space, u_h, grad_fn, t, grad=True))
+        pc = corners.plus
+        rj2 += _norm2(pc, _trace(pc, space, u_h, value_fn, t))
+        ra2 += _norm2(pc, _trace(pc, space, u_h, grad_fn, t, grad=True) @ RIDGE_TANGENT)
     terms["jump_penalty"] = sigma * jump2
     terms["grad_average"] = avg2 / sigma
 
     # gamma1: alpha ||w||^2 + beta |w|_H1^2 along the boundary
-    fg = _gamma1_face_tables(mesh, edges, space, degree)
-    vg, gg = _trace(fg.plus, space, u_h, value_fn, grad_fn, t)
-    terms["alpha_boundary"] = params.alpha * float(np.einsum("eq,eq->", fg.wl, vg**2))
-    terms["beta_tangential"] = params.beta * float(np.einsum("eq,eq->", fg.wl, (gg @ RIDGE_TANGENT) ** 2))
+    g1 = _face_tables(mesh, space, edges.gamma1, degree).plus
+    terms["alpha_boundary"] = params.alpha * _norm2(g1, _trace(g1, space, u_h, value_fn, t))
+    terms["beta_tangential"] = params.beta * _norm2(g1, _trace(g1, space, u_h, grad_fn, t, grad=True) @ RIDGE_TANGENT)
     terms["ridge_jump"] = params.beta * sigma * rj2
     terms["ridge_average"] = params.beta / sigma * ra2
     return terms
@@ -165,16 +149,8 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     """
     value_fn, _ = _as_field(exact)
     degree = 2 * space.p + 4
-    vol = _volume_tables(mesh, space, degree)
-    diff = np.zeros_like(vol.x)
-    if value_fn is not None:
-        diff = diff + np.asarray(value_fn(t, vol.x, vol.y), float)
-    if u_h is not None:
-        dg = np.einsum("ql,el->eq", vol.phi, u_h[space.dofs])
-        diff = diff - dg if value_fn is not None else dg
-    l2_dom = math.sqrt(float(np.einsum("q,e,eq->", vol.w, mesh.det_jacobians, diff**2)))
-
-    fg = _gamma1_face_tables(mesh, edges, space, degree)
-    diffb, _ = _trace(fg.plus, space, u_h, value_fn, None, t)
-    l2_g1 = math.sqrt(float(np.einsum("eq,eq->", fg.wl, diffb**2)))
+    vol = _cell_points(mesh, space, degree)
+    l2_dom = math.sqrt(_norm2(vol, _trace(vol, space, u_h, value_fn, t)))
+    g1 = _face_tables(mesh, space, edges.gamma1, degree).plus
+    l2_g1 = math.sqrt(_norm2(g1, _trace(g1, space, u_h, value_fn, t)))
     return l2_dom, l2_g1, math.sqrt(l2_dom**2 + lam * l2_g1**2)

@@ -9,7 +9,7 @@ cell split along the lower-left to upper-right diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -204,7 +204,7 @@ class BoundaryFaces:
 
 @dataclass(eq=False)
 class Ridges:
-    """Vertices of the 1D surface mesh on gamma1.
+    """Vertices of the 1D surface mesh on gamma1, by component, then by x.
 
     Every ridge carries one or two (element, point, tangent sign) slots.
     Two-sided ridges join the two gamma1 edges that share the vertex
@@ -214,19 +214,16 @@ class Ridges:
     the adjacent edges, so sign_plus == -sign_minus on two-sided ridges.
     """
 
-    vertex: np.ndarray
-    edge_plus: np.ndarray
     elem_plus: np.ndarray
     point_plus: np.ndarray
     sign_plus: np.ndarray
-    edge_minus: np.ndarray  # -1 on one-sided ridges
-    elem_minus: np.ndarray
+    elem_minus: np.ndarray  # -1 on one-sided ridges
     point_minus: np.ndarray
     sign_minus: np.ndarray
     two_sided: np.ndarray  # bool mask
 
     def __len__(self) -> int:
-        return len(self.vertex)
+        return len(self.elem_plus)
 
     @property
     def n_two_sided(self) -> int:
@@ -263,6 +260,16 @@ class EdgeClassification:
     @property
     def n_ridges(self) -> int:
         return len(self.ridges)
+
+    @cached_property
+    def two_sided_faces(self) -> TwoSidedFaces:
+        """The interior edges and the periodic pairs together."""
+        if self.gamma2_pairs is None:
+            return self.interior
+        groups = (self.interior, self.gamma2_pairs)
+        return TwoSidedFaces(
+            **{f.name: np.concatenate([getattr(g, f.name) for g in groups]) for f in fields(TwoSidedFaces)}
+        )
 
 
 def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
@@ -329,7 +336,7 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     else:
         dirichlet = _build_dirichlet(mesh, bkeys[lorder], belem[lorder], bkeys[rorder], belem[rorder])
 
-    ridges = _build_ridges(mesh, gamma1, bc_mode)
+    ridges = _build_ridges(gamma1, bc_mode)
     return EdgeClassification(
         bc_mode=bc_mode,
         interior=interior,
@@ -393,51 +400,31 @@ def _build_dirichlet(mesh, left_keys, left_elem, right_keys, right_elem) -> Boun
     )
 
 
-def _build_ridges(mesh, gamma1: BoundaryFaces, bc_mode: str) -> Ridges:
-    n = mesh.n_cells_per_side
-    # slots[vertex_key] = list of (gamma1 edge index, physical point, sign)
-    slots: dict[tuple[int, float], list] = {}
-    for e in range(len(gamma1)):
-        comp = int(gamma1.component[e])
-        for point, sign in ((gamma1.p0[e], -1.0), (gamma1.p1[e], 1.0)):
-            x = float(point[0])
-            if bc_mode == PERIODIC and x == mesh.domain.b:
-                x = mesh.domain.a  # fuse the periodic corner
-            slots.setdefault((comp, x), []).append((e, point.copy(), sign))
-
-    vertex_ids, rows = [], []
-    for comp, x in sorted(slots):
-        entries = slots[(comp, x)]
-        j = 0 if comp == 0 else n
-        i = round((x - mesh.domain.a) / mesh.domain.width * n)
-        vid = j * (n + 1) + i
-        if len(entries) == 2:
-            (eA, pA, sA), (eB, pB, sB) = entries
-            if sA < sB:  # plus slot is the one with outward tangent +1
-                (eA, pA, sA), (eB, pB, sB) = (eB, pB, sB), (eA, pA, sA)
-            if sA != -sB:  # pragma: no cover
-                raise MeshError(f"inconsistent ridge tangents at {(comp, x)}")
-            rows.append((eA, pA, sA, eB, pB, sB, True))
-        elif len(entries) == 1 and bc_mode == DIRICHLET_LATERAL:
-            (eA, pA, sA) = entries[0]
-            rows.append((eA, pA, sA, -1, pA, 0.0, False))
-        else:  # pragma: no cover
-            raise MeshError(f"ridge at {(comp, x)} has {len(entries)} slots")
-        vertex_ids.append(vid)
-
+def _build_ridges(gamma1: BoundaryFaces, bc_mode: str) -> Ridges:
+    """The vertices of gamma1 as ridges.  gamma1 is sorted by component,
+    then by x, so row c of ``e`` lists the edges of component c from left
+    to right.  An interior vertex takes the edge on its left as plus (at
+    its right end, tangent sign +1) and the edge on its right as minus (at
+    its left end, sign -1)."""
+    e = np.arange(len(gamma1)).reshape(2, -1)
+    if bc_mode == PERIODIC:
+        # the corner vertex, listed first, fuses the last edge with the first
+        plus, minus = np.roll(e, 1, axis=1), e
+    else:
+        # one-sided corners: the first edge's left end, the last edge's right end
+        none = np.full((2, 1), -1)
+        plus, minus = np.hstack([e[:, :1], e]), np.hstack([none, e[:, 1:], none])
+    left_end = np.zeros(plus.shape, dtype=bool)
+    left_end[:, 0] = bc_mode != PERIODIC
+    plus, minus, left_end = plus.ravel(), minus.ravel(), left_end.ravel()
+    two = minus >= 0
+    point_plus = np.where(left_end[:, None], gamma1.p0[plus], gamma1.p1[plus])
     return Ridges(
-        vertex=np.array(vertex_ids, dtype=int),
-        edge_plus=np.array([r[0] for r in rows], dtype=int),
-        elem_plus=gamma1.elem[np.array([r[0] for r in rows], dtype=int)],
-        point_plus=np.array([r[1] for r in rows]),
-        sign_plus=np.array([r[2] for r in rows]),
-        edge_minus=np.array([r[3] for r in rows], dtype=int),
-        elem_minus=np.where(
-            np.array([r[3] for r in rows], dtype=int) >= 0,
-            gamma1.elem[np.array([max(r[3], 0) for r in rows], dtype=int)],
-            -1,
-        ),
-        point_minus=np.array([r[4] for r in rows]),
-        sign_minus=np.array([r[5] for r in rows]),
-        two_sided=np.array([r[6] for r in rows], dtype=bool),
+        elem_plus=gamma1.elem[plus],
+        point_plus=point_plus,
+        sign_plus=np.where(left_end, -1.0, 1.0),
+        elem_minus=np.where(two, gamma1.elem[minus], -1),
+        point_minus=np.where(two[:, None], gamma1.p0[minus], point_plus),
+        sign_minus=np.where(two, -1.0, 0.0),
+        two_sided=two,
     )

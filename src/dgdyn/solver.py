@@ -78,7 +78,6 @@ def cg_solve(
     tol: float = 1e-12,
     max_iter: int | None = None,
     preconditioner=None,
-    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = rhs for symmetric positive definite A.
 
@@ -101,7 +100,7 @@ def cg_solve(
 
     apply_prec = (lambda r: r) if preconditioner is None else preconditioner
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     history: list[float] = []
     iterations = 0
     previous_rel = np.inf
@@ -116,7 +115,7 @@ def cg_solve(
     # exceed tol: about 1.8e-12 for the level-7 backward Euler system, where
     # even a direct solve leaves 1.0e-12.
     for restart in itertools.count():
-        r = rhs - A @ x if (x0 is not None or restart) else rhs.copy()
+        r = rhs - A @ x if restart else rhs.copy()
         true_rel = float(np.linalg.norm(r) / rhs_norm)
         if true_rel <= tol:
             return x, SolveReport(iterations, true_rel, True, history)

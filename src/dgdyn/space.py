@@ -131,9 +131,6 @@ class DGSpace:
         offsets = np.arange(self.mesh.n_triangles) * self.n_local
         return offsets[:, None] + np.arange(self.n_local)
 
-    def element_dofs(self, t: int) -> np.ndarray:
-        return self.dofs[t]
-
 
 def conforming_p1_embedding(space: DGSpace) -> sp.csr_matrix:
     """Embedding of the conforming P1 vertex space into the DG space.

@@ -8,7 +8,17 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import FormParams, assemble_Ah, assemble_dirichlet_terms, assemble_load, assemble_mass
+from .assembly import (
+    FormParams,
+    _cell_points,
+    _face_tables,
+    _integrate,
+    _mass_block,
+    assemble_Ah,
+    assemble_dirichlet_terms,
+    assemble_load,
+    assemble_mass,
+)
 from .config import ProblemConfig
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh, build_structured_mesh, classify_edges
 from .solver import SolverError, block_jacobi_preconditioner, cg_solve, element_blocks, two_level_preconditioner
@@ -31,17 +41,15 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     weighted mass matrix is still block diagonal, so the solve is exact.
     With lam = 0 it is the plain L2(Omega) projection.
     """
-    M = assemble_mass(mesh, edges, space, lam)
-    rhs = assemble_load(
-        mesh,
-        edges,
-        space,
-        lambda t, x, y: u0(x, y),
-        lambda t, x, y: lam * np.asarray(u0(x, y)),
-        t=0.0,
-    )
-    n = space.n_local
-    return np.linalg.solve(element_blocks(M, n), rhs.reshape(-1, n, 1))[..., 0].ravel()
+    vol = _cell_points(mesh, space, 2 * space.p)
+    g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
+    blocks = _mass_block(vol)
+    np.add.at(blocks, g1.elem, lam * _mass_block(g1))
+    # the data, like every load, to degree 2p + 4
+    vol = _cell_points(mesh, space, 2 * space.p + 4)
+    g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).plus
+    rhs = _integrate(space, vol, u0(vol.x, vol.y)) + _integrate(space, g1, lam * np.asarray(u0(g1.x, g1.y)))
+    return np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))[..., 0].ravel()
 
 
 @dataclass(eq=False)
@@ -113,7 +121,6 @@ def solve_stationary(
     f,
     g,
     u_D=None,
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Solve the stationary problem A_h u = (f, v) + (g, v)_gamma1."""
     A = assemble_Ah(mesh, edges, space, params)
@@ -127,7 +134,7 @@ def solve_stationary(
     # no mass term: the stiff limit, where the coarse solve always pays
     P = conforming_p1_embedding(space)
     prec = two_level_preconditioner(block_jacobi_preconditioner(A, space.n_local), P, P.T @ A @ P)
-    x, report = cg_solve(A, rhs, tol=tol, preconditioner=prec)
+    x, report = cg_solve(A, rhs, preconditioner=prec)
     if not report.converged:
         raise SolverError(
             f"stationary solve failed: residual {report.final_relative_residual:.3e} "
@@ -143,7 +150,6 @@ class TransientResult:
     n_steps: int
     dt: float
     ops: Operators
-    trajectory: list | None = None
 
 
 def run_backward_euler(
@@ -153,18 +159,14 @@ def run_backward_euler(
     u0,
     u_D=None,
     on_step=None,
-    keep_trajectory: bool = False,
     ops: Operators | None = None,
-    tol: float = 1e-12,
-    warm_start: bool = False,
 ) -> TransientResult:
     """Backward Euler loop: (M + dt A) u^{k+1} = M u^k + dt load(t_{k+1}).
 
     Sources are evaluated at t_{k+1}.  ``on_step(k, t_k, u_h^k)`` is invoked
     for every state including the initial one; only the current state is
-    stored unless ``keep_trajectory`` is set.  ``warm_start`` seeds each
-    solve with the previous state instead of zero; it is off by default so
-    results do not depend on the step history through the solver.
+    stored.  Each solve starts from zero, so results do not depend on the
+    step history through the solver.
     """
     n_steps = config.num_steps()
     dt = config.dt
@@ -180,7 +182,6 @@ def run_backward_euler(
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
     norms = [float(np.sqrt(u @ (ops.M @ u)))]
-    trajectory = [u.copy()] if keep_trajectory else None
     if on_step is not None:
         on_step(0, 0.0, u)
 
@@ -189,17 +190,13 @@ def run_backward_euler(
         rhs = ops.M @ u + dt * assemble_load(mesh, edges, space, f, g, t=t_next)
         if ops.dirichlet_rhs is not None:
             rhs += dt * ops.dirichlet_rhs(t_next)
-        u, report = cg_solve(
-            system, rhs, tol=tol, preconditioner=prec, x0=u if warm_start else None
-        )
+        u, report = cg_solve(system, rhs, tol=1e-12, preconditioner=prec)
         if not report.converged:
             raise SolverError(
                 f"backward Euler step {k + 1} failed: residual "
                 f"{report.final_relative_residual:.3e} after {report.iterations} iterations"
             )
         norms.append(float(np.sqrt(u @ (ops.M @ u))))
-        if keep_trajectory:
-            trajectory.append(u.copy())
         if on_step is not None:
             on_step(k + 1, t_next, u)
 
@@ -209,5 +206,4 @@ def run_backward_euler(
         n_steps=n_steps,
         dt=dt,
         ops=ops,
-        trajectory=trajectory,
     )

@@ -154,6 +154,39 @@ def test_ridge_tangent_signs_opposite():
             assert edges.n_ridges == edges.n_gamma1
 
 
+# Level 1 by hand: gamma1 edges [0, 1/2] and [1/2, 1] on y = 0 belong to the
+# lower triangles 0 and 2, those on y = 1 to the upper triangles 5 and 7.
+# Rows: elem_plus, point_plus, sign_plus, elem_minus, point_minus, sign_minus.
+LEVEL1_RIDGES = {
+    PERIODIC: [
+        (2, (1.0, 0.0), 1.0, 0, (0.0, 0.0), -1.0),  # fused corner: last edge + first
+        (0, (0.5, 0.0), 1.0, 2, (0.5, 0.0), -1.0),
+        (7, (1.0, 1.0), 1.0, 5, (0.0, 1.0), -1.0),
+        (5, (0.5, 1.0), 1.0, 7, (0.5, 1.0), -1.0),
+    ],
+    DIRICHLET_LATERAL: [
+        (0, (0.0, 0.0), -1.0, -1, (0.0, 0.0), 0.0),  # one-sided corner
+        (0, (0.5, 0.0), 1.0, 2, (0.5, 0.0), -1.0),
+        (2, (1.0, 0.0), 1.0, -1, (1.0, 0.0), 0.0),
+        (5, (0.0, 1.0), -1.0, -1, (0.0, 1.0), 0.0),
+        (5, (0.5, 1.0), 1.0, 7, (0.5, 1.0), -1.0),
+        (7, (1.0, 1.0), 1.0, -1, (1.0, 1.0), 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_ridges_level1_by_hand(bc):
+    r = classify_edges(build_structured_mesh(1), bc).ridges
+    rows = LEVEL1_RIDGES[bc]
+    names = ("elem_plus", "point_plus", "sign_plus", "elem_minus", "point_minus", "sign_minus")
+    for k, name in enumerate(names):
+        expected = np.array([row[k] for row in rows])
+        got = getattr(r, name)
+        assert got.dtype.kind == expected.dtype.kind and np.array_equal(got, expected), name
+    assert np.array_equal(r.two_sided, [row[3] >= 0 for row in rows])
+
+
 def test_malformed_mesh_rejected():
     base = build_structured_mesh(0)
     tris = np.vstack([base.triangles, base.triangles[:1]])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import dgdyn.timestepper
-from dgdyn.assembly import FormParams
+from dgdyn.assembly import FormParams, assemble_load, assemble_mass
 from dgdyn.config import ProblemConfig
 from dgdyn.errors import energy_norm, l2_errors, rate
 from dgdyn.manufactured import get_case
-from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges
+from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
 from dgdyn.space import DGSpace, interpolate
 from dgdyn.timestepper import build_operators, l2_lambda_project, run_backward_euler, solve_stationary
@@ -76,6 +76,20 @@ def test_l2_project_is_best_approximation():
     # the two error values integrate a non-polynomial with different rules
     # (degree 6 vs 19), so they agree to measurement quadrature, not eps
     assert np.isclose(dom, oracle, rtol=1e-4)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+@pytest.mark.parametrize("p", [1, 2])
+def test_l2_lambda_project_solves_weighted_mass_system(p, bc):
+    # the projection's blocks must be those of assemble_mass: M u equals the
+    # load (u0, v)_Omega + lam (u0, v)_gamma1 at level 3
+    lam = 10.0
+    mesh, edges, space, _ = setup(3, p, bc=bc)
+    u0 = lambda x, y: np.cos(TWO_PI * x) * np.exp(y)
+    u = l2_lambda_project(mesh, space, edges, lam, u0)
+    load = assemble_load(mesh, edges, space, lambda t, x, y: u0(x, y), lambda t, x, y: lam * u0(x, y))
+    residual = assemble_mass(mesh, edges, space, lam) @ u - load
+    assert np.abs(residual).max() <= 1e-13 * np.abs(load).max()
 
 
 # --- stationary solve ------------------------------------------------------
@@ -191,11 +205,13 @@ def test_one_step_map_is_linear():
 
 
 def test_trajectory_matches_final_state():
+    # the trajectory is gathered through on_step; its last state is the result
     config = ProblemConfig(level=1, p=1, dt=1e-3, t_final=5e-3)
     u0 = lambda x, y: np.sin(TWO_PI * x)
-    res = run_backward_euler(config, None, None, u0, keep_trajectory=True)
-    assert len(res.trajectory) == res.n_steps + 1
-    assert np.array_equal(res.trajectory[-1], res.coeffs)
+    trajectory = []
+    res = run_backward_euler(config, None, None, u0, on_step=lambda k, t, u: trajectory.append(u.copy()))
+    assert len(trajectory) == res.n_steps + 1
+    assert np.array_equal(trajectory[-1], res.coeffs)
 
 
 def test_on_step_callback_sees_all_states():
@@ -204,15 +220,6 @@ def test_on_step_callback_sees_all_states():
     run_backward_euler(config, None, None, lambda x, y: np.ones_like(x), on_step=lambda k, t, u: seen.append((k, t)))
     assert [k for k, _ in seen] == [0, 1, 2, 3, 4]
     assert seen[-1][1] == pytest.approx(4e-3)
-
-
-def test_warm_start_matches_cold_start():
-    config = ProblemConfig(level=2, p=1, dt=1e-3, t_final=5e-3)
-    u0 = lambda x, y: np.sin(TWO_PI * x)
-    cold = run_backward_euler(config, None, None, u0)
-    warm = run_backward_euler(config, None, None, u0, warm_start=True)
-    scale = max(np.abs(cold.coeffs).max(), 1.0)
-    assert np.abs(cold.coeffs - warm.coeffs).max() <= 1e-10 * scale
 
 
 def test_dirichlet_mode_runs():
