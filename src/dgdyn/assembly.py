@@ -5,10 +5,14 @@ and periodic edges), the surface form on the top/bottom boundary (tangential
 stiffness on the boundary edges plus point couplings at the ridges), the
 mass matrices and time-dependent load vectors.  Every form is a sum of
 quadrature over point sets: the triangles, the edges and the ridges (the
-point faces of the surface mesh).  A point set is one type, built once per
-geometry and cached, and each job (a sparse matrix, a mass block, a vector
-of integrals) has one kernel that takes any point set, so repeated assembly
-(one load vector per time step) stays vectorized.
+point faces of the surface mesh).  A point set is built once per geometry
+and cached.  It keeps an inverse Jacobian per entry and the reference basis
+values and gradients once per point pattern, the entries whose points share
+reference positions (one for the cells, at most six per edge side).  One
+evaluator on it serves assembly, loads, projection and norms: ``field``
+maps coefficients to point values or physical gradients, ``test`` is its
+weighted transpose, and ``basis`` gives the per-entry arrays from which
+the operator blocks are built once.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -68,14 +72,43 @@ class FormParams:
 
 @dataclass(eq=False)
 class _Points:
-    """Quadrature points on one side of a batch of cells, edges or ridges."""
+    """Quadrature points on one side of a batch of cells, edges or ridges,
+    with the reference basis tables of each point pattern."""
 
     elem: np.ndarray  # (nE,) element whose basis is evaluated
     w: np.ndarray  # (nE, nq) rule weight times cell area or edge length; 1 at a ridge
-    phi: np.ndarray  # (nE, nq, n_local)
-    gphi: np.ndarray  # (nE, nq, n_local, 2) physical gradients
     x: np.ndarray  # (nE, nq) physical points on this side's realization
     y: np.ndarray
+    inv_j: np.ndarray  # (nE, 2, 2) inverse Jacobian of each entry's element
+    groups: tuple  # entries of each pattern: index arrays, or (slice(None),)
+    phi: np.ndarray  # (n_patterns, nq, n_local) reference basis values
+    grad: np.ndarray  # (n_patterns, nq, n_local, 2) reference gradients
+
+    def field(self, c: np.ndarray, grad: bool = False) -> np.ndarray:
+        """Values (nE, nq), or physical gradients (nE, nq, 2) if ``grad``, of
+        the functions with local coefficients ``c`` (nE, n_local)."""
+        out = np.empty(self.w.shape + ((2,) if grad else ()))
+        for idx, table in zip(self.groups, self.grad if grad else self.phi):
+            out[idx] = np.tensordot(c[idx], table, axes=(1, 1))
+        return out @ self.inv_j if grad else out
+
+    def test(self, values: np.ndarray) -> np.ndarray:
+        """The weighted transpose of ``field``: local vectors (nE, n_local) of
+        sum_q w values v, for values (nE, nq), or w values . grad v (nE, nq, 2)."""
+        grad = values.ndim == 3
+        wv = (self.w[..., None] * values) @ self.inv_j.transpose(0, 2, 1) if grad else self.w * values
+        out = np.empty((len(self.elem), self.phi.shape[2]))
+        for idx, table in zip(self.groups, self.grad if grad else self.phi):
+            out[idx] = np.tensordot(wv[idx], table, axes=([1, 2], [0, 2]) if grad else (1, 0))
+        return out
+
+    def basis(self, grad: bool = False) -> np.ndarray:
+        """Per-entry basis values (nE, nq, n_local), or physical gradients
+        (nE, nq, n_local, 2) if ``grad``, for blocks built once per operator."""
+        out = np.empty(self.w.shape + (self.grad if grad else self.phi).shape[2:])
+        for idx, table in zip(self.groups, self.grad if grad else self.phi):
+            out[idx] = table
+        return out @ self.inv_j[:, None] if grad else out
 
 
 @dataclass(eq=False)
@@ -86,29 +119,28 @@ class _FaceTables:
 
 
 def _points(mesh, space, elems, points, w) -> _Points:
-    """The side of ``elems`` at the physical ``points`` (nE, nq, 2)."""
-    ref = mesh.to_reference(elems, points)
-    phi = space.basis.eval(ref)
-    gref = space.basis.grad(ref)
-    gphi = np.einsum("eqli,eij->eqlj", gref, mesh.inv_jacobians[elems])
-    return _Points(elem=elems, w=w, phi=phi, gphi=gphi, x=points[..., 0], y=points[..., 1])
+    """The side of ``elems`` at the physical ``points`` (nE, nq, 2).  Entries
+    share a pattern when their reference positions agree within 1e-10, far
+    above the rounding of the affine maps and far below any rule's spacing."""
+    inv_j = mesh.inv_jacobians[elems]
+    ref = (points - mesh.v0[elems][:, None, :]) @ inv_j.transpose(0, 2, 1)
+    groups, rest = [], np.arange(len(ref))
+    while len(rest):
+        same = np.abs(ref[rest] - ref[rest[0]]).max(axis=(1, 2)) <= 1e-10
+        groups.append(rest[same])
+        rest = rest[~same]
+    first = ref[[g[0] for g in groups]]
+    groups = (slice(None),) if len(groups) == 1 else tuple(groups)
+    x, y = points[..., 0], points[..., 1]
+    return _Points(elems, w, x, y, inv_j, groups, space.basis.eval(first), space.basis.grad(first))
 
 
 @lru_cache(maxsize=16)
 def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
-    """Every triangle; the basis values are the reference ones, shared."""
+    """Every triangle."""
     rule = triangle_quadrature(degree)
-    phi = space.basis.eval(rule.points)
-    gphi = np.einsum("qli,eij->eqlj", space.basis.grad(rule.points), mesh.inv_jacobians)
-    X = mesh.v0[:, None, :] + np.einsum("eij,qj->eqi", mesh.jacobians, rule.points)
-    return _Points(
-        elem=np.arange(mesh.n_triangles),
-        w=mesh.det_jacobians[:, None] * rule.weights,
-        phi=np.broadcast_to(phi, X.shape[:2] + phi.shape[1:]),
-        gphi=gphi,
-        x=X[..., 0],
-        y=X[..., 1],
-    )
+    X = mesh.v0[:, None, :] + rule.points @ mesh.jacobians.transpose(0, 2, 1)
+    return _points(mesh, space, np.arange(mesh.n_triangles), X, mesh.det_jacobians[:, None] * rule.weights)
 
 
 @lru_cache(maxsize=16)
@@ -118,10 +150,9 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: TwoSidedFaces | BoundaryFace
     pts = faces.p0[:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[:, None, :]
     w = rule.weights[None, :] * faces.length[:, None]
     if isinstance(faces, TwoSidedFaces):
-        plus = _points(mesh, space, faces.elem_plus, pts, w)
         minus = _points(mesh, space, faces.elem_minus, pts + faces.minus_shift[:, None, :], w)
-        return _FaceTables(plus=plus, minus=minus, normal=faces.normal)
-    return _FaceTables(plus=_points(mesh, space, faces.elem, pts, w), minus=None, normal=faces.normal)
+        return _FaceTables(_points(mesh, space, faces.elem_plus, pts, w), minus, faces.normal)
+    return _FaceTables(_points(mesh, space, faces.elem, pts, w), None, faces.normal)
 
 
 @lru_cache(maxsize=16)
@@ -137,11 +168,8 @@ def _ridge_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> tupl
         def side(elem, point):
             return _points(mesh, space, elem[mask], point[mask][:, None, :], w)
 
-        return _FaceTables(
-            plus=side(r.elem_plus, r.point_plus),
-            minus=side(r.elem_minus, r.point_minus) if two_sided else None,
-            normal=r.sign_plus[mask][:, None] * RIDGE_TANGENT,
-        )
+        minus = side(r.elem_minus, r.point_minus) if two_sided else None
+        return _FaceTables(side(r.elem_plus, r.point_plus), minus, r.sign_plus[mask][:, None] * RIDGE_TANGENT)
 
     return faces(r.two_sided, True), faces(~r.two_sided, False)
 
@@ -167,47 +195,37 @@ def _csr(space: DGSpace, triples) -> sp.csr_matrix:
 
 def _mass_block(pts: _Points) -> np.ndarray:
     """(v, w) over the points of each element or face, shape (nE, n_local, n_local)."""
-    return np.einsum("eq,eql,eqm->elm", pts.w, pts.phi, pts.phi)
+    phi = pts.basis()
+    return np.einsum("eq,eql,eqm->elm", pts.w, phi, phi)
 
 
 def _integrate(space: DGSpace, pts: _Points, values: np.ndarray) -> np.ndarray:
     """The vector (values, v) over a point set, one entry per dof.  Values
     of shape (nE, nq, 2) are tested against grad v instead of v."""
-    if values.ndim == 3:
-        local = np.einsum("eq,eqi,eqli->el", pts.w, values, pts.gphi)
-    else:
-        local = np.einsum("eq,eq,eql->el", pts.w, values, pts.phi)
-    return np.bincount(space.dofs[pts.elem].ravel(), weights=local.ravel(), minlength=space.n_dofs)
+    return np.bincount(space.dofs[pts.elem].ravel(), weights=pts.test(values).ravel(), minlength=space.n_dofs)
 
 
-def _two_sided_penalty_blocks(ft: _FaceTables, sigma: float):
-    """The four (test side, trial side) blocks of the interior-penalty terms
+def _penalty_blocks(ft: _FaceTables, sigma: float):
+    """The (test side, trial side) blocks of the interior-penalty terms
 
-        -([v], {grad w}) - ([w], {grad v}) + sigma ([v], [w])
+        -([v], {grad w . n}) - ([w], {grad v . n}) + sigma ([v], [w])
 
-    on a batch of two-sided faces."""
-    sides = ((ft.plus, 1.0), (ft.minus, -1.0))
+    on a batch of faces.  The average weighs each side by one over the
+    number of sides, so on one-sided faces jump and average are the trace."""
+    sides = [(ft.plus, 1.0)] + ([] if ft.minus is None else [(ft.minus, -1.0)])
+    avg = 1.0 / len(sides)
     w = ft.plus.w
-    gn = {id(st): np.einsum("eqli,ei->eql", st.gphi, ft.normal) for st, _ in sides}
+    traces = [(st.elem, s, st.basis(), np.einsum("eqli,ei->eql", st.basis(grad=True), ft.normal)) for st, s in sides]
     out = []
-    for st_a, s_a in sides:
-        for st_b, s_b in sides:
+    for el_a, s_a, phi_a, gn_a in traces:
+        for el_b, s_b, phi_b, gn_b in traces:
             block = (
-                -0.5 * s_a * np.einsum("eq,eql,eqm->elm", w, st_a.phi, gn[id(st_b)])
-                - 0.5 * s_b * np.einsum("eq,eql,eqm->elm", w, gn[id(st_a)], st_b.phi)
-                + sigma * s_a * s_b * np.einsum("eq,eql,eqm->elm", w, st_a.phi, st_b.phi)
+                -avg * s_a * np.einsum("eq,eql,eqm->elm", w, phi_a, gn_b)
+                - avg * s_b * np.einsum("eq,eql,eqm->elm", w, gn_a, phi_b)
+                + sigma * s_a * s_b * np.einsum("eq,eql,eqm->elm", w, phi_a, phi_b)
             )
-            out.append((st_a.elem, st_b.elem, block))
+            out.append((el_a, el_b, block))
     return out
-
-
-def _one_sided_penalty_block(ft: _FaceTables, sigma: float) -> np.ndarray:
-    """The Nitsche block -(v, grad w . n) - (w, grad v . n) + sigma (v, w) on
-    a batch of one-sided faces."""
-    pts = ft.plus
-    gn = np.einsum("eqli,ei->eql", pts.gphi, ft.normal)
-    flux = np.einsum("eq,eql,eqm->elm", pts.w, pts.phi, gn)
-    return sigma * _mass_block(pts) - flux - flux.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +237,10 @@ def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     terms on interior edges and periodic pairs.  Constants lie in the
     kernel; the matrix is symmetric."""
     vol = _cell_points(mesh, space, 2 * space.p)
-    stiff = np.einsum("eq,eqli,eqmi->elm", vol.w, vol.gphi, vol.gphi)
+    grad = vol.basis(grad=True)
+    stiff = np.einsum("eq,eqli,eqmi->elm", vol.w, grad, grad)
     ft = _face_tables(mesh, space, edges.two_sided_faces, 2 * space.p)
-    return _csr(space, [(vol.elem, vol.elem, stiff), *_two_sided_penalty_blocks(ft, params.sigma)])
+    return _csr(space, [(vol.elem, vol.elem, stiff), *_penalty_blocks(ft, params.sigma)])
 
 
 def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
@@ -232,10 +251,10 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     One-sided corner ridges of the Dirichlet variant are excluded here;
     they enter through assemble_dirichlet_terms."""
     g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
-    dt = np.einsum("eqli,i->eql", g1.gphi, RIDGE_TANGENT)
+    dt = g1.basis(grad=True) @ RIDGE_TANGENT
     stiff = np.einsum("eq,eql,eqm->elm", g1.w, dt, dt)
     ridges, _ = _ridge_tables(mesh, edges, space)
-    return _csr(space, [(g1.elem, g1.elem, stiff), *_two_sided_penalty_blocks(ridges, params.sigma)])
+    return _csr(space, [(g1.elem, g1.elem, stiff), *_penalty_blocks(ridges, params.sigma)])
 
 
 def assemble_boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> sp.csr_matrix:
@@ -309,8 +328,9 @@ def assemble_dirichlet_terms(
         return ((_face_tables(mesh, space, edges.dirichlet, degree), 1.0), (corners, params.beta))
 
     blocks = [
-        (ft.plus.elem, ft.plus.elem, weight * _one_sided_penalty_block(ft, params.sigma))
+        (el_a, el_b, weight * block)
         for ft, weight in faces(2 * space.p)
+        for el_a, el_b, block in _penalty_blocks(ft, params.sigma)
     ]
     rhs = np.zeros(space.n_dofs)
     if u_D is not None:

@@ -64,8 +64,7 @@ def _trace(pts, space, u_h, fn, t, grad=False):
         else:
             out += exact
     if u_h is not None:
-        coeffs = u_h[space.dofs[pts.elem]]
-        out -= np.einsum("eqli,el->eqi", pts.gphi, coeffs) if grad else np.einsum("eql,el->eq", pts.phi, coeffs)
+        out -= pts.field(u_h[space.dofs[pts.elem]], grad)
     return out
 
 

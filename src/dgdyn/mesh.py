@@ -102,14 +102,7 @@ class Mesh:
 
     @cached_property
     def inv_jacobians(self) -> np.ndarray:
-        J = self.jacobians
-        det = self.det_jacobians
-        inv = np.empty_like(J)
-        inv[:, 0, 0] = J[:, 1, 1]
-        inv[:, 0, 1] = -J[:, 0, 1]
-        inv[:, 1, 0] = -J[:, 1, 0]
-        inv[:, 1, 1] = J[:, 0, 0]
-        return inv / det[:, None, None]
+        return np.linalg.inv(self.jacobians)
 
     @cached_property
     def areas(self) -> np.ndarray:
@@ -118,12 +111,6 @@ class Mesh:
     @cached_property
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
-
-    def to_reference(self, elems: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Map physical ``points`` (..., 2) into the reference coordinates of
-        the elements ``elems`` (broadcast along leading axes)."""
-        diff = points - self.v0[elems][..., None, :]
-        return np.einsum("...ij,...qj->...qi", self.inv_jacobians[elems], diff)
 
 
 def build_structured_mesh(level: int, domain: Rectangle = UNIT_SQUARE) -> Mesh:
@@ -185,18 +172,13 @@ class TwoSidedFaces:
 
 @dataclass(eq=False)
 class BoundaryFaces:
-    """One-sided boundary edges with outward unit normal.
-
-    ``component`` is 0/1 for bottom/top on gamma1 and 0/1 for left/right on
-    the lateral boundary.
-    """
+    """One-sided boundary edges with outward unit normal."""
 
     p0: np.ndarray
     p1: np.ndarray
     elem: np.ndarray
     normal: np.ndarray
     length: np.ndarray
-    component: np.ndarray
 
     def __len__(self) -> int:
         return len(self.elem)
@@ -381,7 +363,7 @@ def _build_gamma1(mesh, keys, elem, comp) -> BoundaryFaces:
     p0[swap], p1[swap] = p1[swap].copy(), p0[swap].copy()
     length = np.abs(p1[:, 0] - p0[:, 0])
     normal = np.where(comp[:, None] == 0, [0.0, -1.0], [0.0, 1.0])
-    return BoundaryFaces(p0=p0, p1=p1, elem=elem, normal=normal, length=length, component=comp)
+    return BoundaryFaces(p0=p0, p1=p1, elem=elem, normal=normal, length=length)
 
 
 def _build_dirichlet(mesh, left_keys, left_elem, right_keys, right_elem) -> BoundaryFaces:
@@ -396,7 +378,6 @@ def _build_dirichlet(mesh, left_keys, left_elem, right_keys, right_elem) -> Boun
         elem=np.concatenate([left_elem, right_elem]),
         normal=np.where(comp[:, None] == 0, [-1.0, 0.0], [1.0, 0.0]),
         length=length,
-        component=comp,
     )
 
 

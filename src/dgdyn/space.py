@@ -19,7 +19,6 @@ MAX_QUADRATURE_DEGREE = 10
 class QuadratureRule:
     points: np.ndarray  # (n, 2) on the reference triangle or (n,) on [0, 1]
     weights: np.ndarray
-    exact_degree: int
 
 
 def triangle_quadrature(exact_degree: int) -> QuadratureRule:
@@ -38,7 +37,7 @@ def triangle_quadrature(exact_degree: int) -> QuadratureRule:
     X = np.repeat(xi, n)
     Y = np.tile(eta, n) * (1.0 - X)
     W = np.repeat(wj / 4.0, n) * np.tile(wl / 2.0, n)
-    return QuadratureRule(points=np.column_stack([X, Y]), weights=W, exact_degree=exact_degree)
+    return QuadratureRule(points=np.column_stack([X, Y]), weights=W)
 
 
 def edge_quadrature(exact_degree: int) -> QuadratureRule:
@@ -47,7 +46,7 @@ def edge_quadrature(exact_degree: int) -> QuadratureRule:
         raise ValueError(f"unsupported edge quadrature degree {exact_degree}")
     n = ceil((exact_degree + 1) / 2)
     t, w = roots_legendre(n)
-    return QuadratureRule(points=0.5 * (t + 1.0), weights=0.5 * w, exact_degree=exact_degree)
+    return QuadratureRule(points=0.5 * (t + 1.0), weights=0.5 * w)
 
 
 def _lattice_nodes(p: int) -> np.ndarray:

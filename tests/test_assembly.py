@@ -367,12 +367,14 @@ def test_matrix_dump(tmp_path):
 
 def test_level0_volume_gradients_by_hand():
     # lower triangle (0,0),(1,0),(1,1): the vertex-0 basis is 1 - x, so its
-    # volume stiffness diagonal is |grad|^2 * area = 1 * 1/2
+    # broken H1 seminorm squared is |grad|^2 * area = 1 * 1/2
+    from dgdyn.errors import energy_norm_terms
+
     mesh, edges, space, params = setup(0, 1)
-    grads = np.einsum("qli,eij->eqlj", space.basis.grad(np.array([[1 / 3, 1 / 3]])), mesh.inv_jacobians)
-    assert np.allclose(grads[0, 0, 0], [-1.0, 0.0], atol=1e-14)
-    diag = mesh.areas[0] * grads[0, 0, 0] @ grads[0, 0, 0]
-    assert np.isclose(diag, 0.5, rtol=1e-14)
+    e0 = np.zeros(space.n_dofs)
+    e0[space.dofs[0, 0]] = 1.0
+    terms = energy_norm_terms(mesh, edges, space, params, u_h=e0)
+    assert np.isclose(terms["h1_broken"], 0.5, rtol=1e-14)
 
 
 def test_coercivity_surrogate_monotone_in_gamma():

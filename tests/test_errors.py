@@ -150,6 +150,30 @@ def test_continuous_periodic_interpolant_has_no_jumps():
     assert terms["ridge_jump"] <= 1e-20
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_linear_field_on_distorted_mesh(bc, p):
+    # interior vertices moved by up to 0.2 / N, the boundary fixed, so every
+    # triangle has its own shape; the interpolant reproduces a linear field
+    # (periodic in x in periodic mode), so every term of the difference
+    # vanishes, and its broken H1 seminorm is |grad|^2 times the area
+    mesh = build_structured_mesh(2)
+    v = mesh.vertices
+    inside = ((v > 0.0) & (v < 1.0)).all(axis=1)
+    jitter = np.random.default_rng(11).uniform(-0.2, 0.2, v.shape) / mesh.n_cells_per_side
+    mesh = dataclasses.replace(mesh, vertices=v + jitter * inside[:, None])
+    edges = classify_edges(mesh, bc)
+    space = DGSpace(mesh, p)
+    params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0)
+    a, b = (0.0 if bc == PERIODIC else 0.6), -1.3
+    field = (lambda t, x, y: a * x + b * y, lambda t, x, y: (np.full_like(x, a), np.full_like(x, b)))
+    u_h = interpolate(mesh, space, field[0])
+    terms = energy_norm_terms(mesh, edges, space, params, u_h=u_h, exact=field)
+    assert max(terms.values()) <= 1e-25, terms
+    h1 = energy_norm_terms(mesh, edges, space, params, u_h=u_h)["h1_broken"]
+    assert h1 == pytest.approx((a * a + b * b) * mesh.domain.area, rel=1e-13)
+
+
 def test_interpolant_energy_error_rate_p1():
     # the oscillatory datum is barely resolved at level 2, so the first pair
     # is preasymptotic; the converged rate (last pair) is the one to pin
