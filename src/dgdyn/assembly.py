@@ -12,7 +12,9 @@ reference positions (one for the cells, at most six per edge side).  One
 evaluator on it serves assembly, loads, projection and norms: ``field``
 maps coefficients to point values or physical gradients, ``test`` is its
 weighted transpose, and ``basis`` gives the per-entry arrays from which
-the operator blocks are built once.
+the operator blocks are built once.  Every operator is a sum of dense
+element blocks: they are keyed by element pair, summed into one block
+matrix and converted to CSR once.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -87,9 +89,13 @@ class _Points:
     def field(self, c: np.ndarray, grad: bool = False) -> np.ndarray:
         """Values (nE, nq), or physical gradients (nE, nq, 2) if ``grad``, of
         the functions with local coefficients ``c`` (nE, n_local)."""
-        out = np.empty(self.w.shape + ((2,) if grad else ()))
-        for idx, table in zip(self.groups, self.grad if grad else self.phi):
-            out[idx] = np.tensordot(c[idx], table, axes=(1, 1))
+        tables = self.grad if grad else self.phi
+        if len(tables) == 1:
+            out = np.tensordot(c, tables[0], axes=(1, 1))
+        else:
+            out = np.empty(self.w.shape + ((2,) if grad else ()))
+            for idx, table in zip(self.groups, tables):
+                out[idx] = np.tensordot(c[idx], table, axes=(1, 1))
         return out @ self.inv_j if grad else out
 
     def test(self, values: np.ndarray) -> np.ndarray:
@@ -180,17 +186,17 @@ def _ridge_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> tupl
 
 def _csr(space: DGSpace, triples) -> sp.csr_matrix:
     """Sum (row elements, column elements, element blocks) triples into a
-    CSR matrix."""
-    rows, cols, data = [], [], []
-    for el_a, el_b, blocks in triples:
-        rows.append(np.broadcast_to(space.dofs[el_a][:, :, None], blocks.shape).ravel())
-        cols.append(np.broadcast_to(space.dofs[el_b][:, None, :], blocks.shape).ravel())
-        data.append(blocks.ravel())
-    n = space.n_dofs
-    A = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+    canonical CSR matrix.  Each block is keyed by its element pair, the
+    blocks of equal keys are summed in place, triple by triple, and the
+    block matrix is converted to CSR once: no index is held per entry."""
+    n_el = space.mesh.n_triangles
+    keys = [np.asarray(el_a, dtype=np.int64) * n_el + el_b for el_a, el_b, _ in triples]
+    pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    data = np.zeros((len(pattern), space.n_local, space.n_local))
+    for part, (_, _, blocks) in zip(np.split(slot, np.cumsum([len(k) for k in keys])[:-1]), triples):
+        np.add.at(data, part, blocks)
+    indptr = np.searchsorted(pattern, np.arange(n_el + 1) * n_el)
+    return sp.bsr_matrix((data, pattern % n_el, indptr), shape=(space.n_dofs,) * 2).tocsr()
 
 
 def _mass_block(pts: _Points) -> np.ndarray:
@@ -271,23 +277,17 @@ def assemble_domain_mass(mesh: Mesh, space: DGSpace) -> sp.csr_matrix:
 
 def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.csr_matrix:
     """Weighted mass matrix (u, v)_Omega + lam (u, v)_gamma1."""
-    M = assemble_domain_mass(mesh, space) + lam * assemble_boundary_mass(mesh, edges, space)
-    M.sum_duplicates()
-    M.sort_indices()
-    return M
+    return assemble_domain_mass(mesh, space) + lam * assemble_boundary_mass(mesh, edges, space)
 
 
 def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
     """Full stationary operator: bulk form + alpha boundary mass + beta
     surface form.  Positive definite for gamma large enough when alpha > 0."""
-    A = (
+    return (
         assemble_Bh(mesh, edges, space, params)
         + params.alpha * assemble_boundary_mass(mesh, edges, space)
         + params.beta * assemble_bh(mesh, edges, space, params)
     )
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
 
 
 def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t: float = 0.0) -> np.ndarray:

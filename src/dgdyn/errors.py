@@ -55,7 +55,11 @@ def _as_field(exact):
 def _trace(pts, space, u_h, fn, t, grad=False):
     """exact - u_h at a point set, or its gradient if ``grad``: ``fn`` is the
     exact value or gradient callable.  A missing u_h or fn counts as zero."""
-    out = np.zeros(pts.x.shape + ((2,) if grad else ()))
+    if u_h is None:
+        out = np.zeros(pts.x.shape + ((2,) if grad else ()))
+    else:
+        out = pts.field(u_h[space.dofs[pts.elem]], grad)
+        np.negative(out, out=out)
     if fn is not None:
         exact = fn(t, pts.x, pts.y)
         if grad:
@@ -63,8 +67,6 @@ def _trace(pts, space, u_h, fn, t, grad=False):
             out[..., 1] += exact[1]
         else:
             out += exact
-    if u_h is not None:
-        out -= pts.field(u_h[space.dofs[pts.elem]], grad)
     return out
 
 

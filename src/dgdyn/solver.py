@@ -28,15 +28,12 @@ def element_blocks(A: sp.spmatrix, block_size: int) -> np.ndarray:
     n = A.shape[0]
     if n % block_size:
         raise SolverError("matrix size is not a multiple of the block size")
-    coo = A.tocoo()
-    row = coo.row.astype(np.int64)
-    col = coo.col.astype(np.int64)
-    mask = (row // block_size) == (col // block_size)
-    # entry (e, i, j) of the block stack sits at e*b*b + i*b + j = row*b + col % b
-    flat = np.bincount(
-        row[mask] * block_size + col[mask] % block_size, weights=coo.data[mask], minlength=n * block_size
-    )
-    return flat.reshape(n // block_size, block_size, block_size)
+    B = sp.bsr_matrix(A, blocksize=(block_size, block_size))  # sums duplicate entries
+    rows = np.repeat(np.arange(n // block_size), np.diff(B.indptr))
+    own = B.indices == rows
+    out = np.zeros((n // block_size, block_size, block_size))
+    out[rows[own]] = B.data[own]
+    return out
 
 
 def block_jacobi_preconditioner(A: sp.spmatrix, block_size: int):

@@ -105,7 +105,7 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
     )
     if config.bc_mode == DIRICHLET_LATERAL:
         delta, _ = assemble_dirichlet_terms(mesh, edges, space, params)
-        ops.A = (A + delta).tocsr()
+        ops.A = A + delta
         if u_D is not None:
             ops.dirichlet_rhs = lambda t: assemble_dirichlet_terms(
                 mesh, edges, space, params, u_D=u_D, t=t
@@ -127,7 +127,7 @@ def solve_stationary(
     rhs = assemble_load(mesh, edges, space, f, g, t=0.0)
     if edges.bc_mode == DIRICHLET_LATERAL:
         delta, drhs = assemble_dirichlet_terms(mesh, edges, space, params, u_D=u_D, t=0.0)
-        A = (A + delta).tocsr()
+        A = A + delta
         rhs = rhs + drhs
     elif params.alpha == 0.0:
         raise SolverError("stationary operator is singular: alpha = 0 leaves constants in the kernel")

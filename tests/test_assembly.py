@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -424,3 +426,17 @@ def test_csr_structure_invariants():
     for r in range(A.shape[0]):
         idx = A.indices[A.indptr[r] : A.indptr[r + 1]]
         assert (np.diff(idx) > 0).all()
+
+
+def test_assembly_memory_proportional_to_output():
+    # blocks are keyed per element pair, so no index is held per matrix
+    # entry: the peak stays a small multiple of the CSR that is returned
+    mesh, edges, space, params = setup(5, 2)
+    assemble_Bh(mesh, edges, space, params)  # builds and caches the point tables
+    tracemalloc.start()
+    try:
+        B = assemble_Bh(mesh, edges, space, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)

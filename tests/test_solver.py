@@ -6,7 +6,13 @@ import scipy.sparse.linalg as spla
 from dgdyn.assembly import FormParams, assemble_Ah, assemble_mass
 from dgdyn.config import ProblemConfig
 from dgdyn.mesh import build_structured_mesh, classify_edges
-from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
+from dgdyn.solver import (
+    SolverError,
+    block_jacobi_preconditioner,
+    cg_solve,
+    element_blocks,
+    two_level_preconditioner,
+)
 from dgdyn.space import DGSpace, conforming_p1_embedding
 from dgdyn.timestepper import build_operators
 
@@ -24,6 +30,28 @@ def be_system(level, p=1, dt=1e-3, lam=10.0):
 def two_level(S, space):
     P = conforming_p1_embedding(space)
     return two_level_preconditioner(block_jacobi_preconditioner(S, space.n_local), P, P.T @ S @ P)
+
+
+def test_element_blocks_match_dense_slicing():
+    b, n_el = 3, 4
+    dense = np.random.default_rng(5).integers(-9, 10, size=(b * n_el, b * n_el)).astype(float)
+    dense[b : 2 * b] = 0.0  # element 1's block row stores nothing
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols]
+    # element 0's own entries are each stored twice, as v - 0.5 and 0.5
+    dup = (rows < b) & (cols < b)
+    vals[dup] -= 0.5
+    rows, cols = np.concatenate([rows, rows[dup]]), np.concatenate([cols, cols[dup]])
+    vals = np.concatenate([vals, np.full(dup.sum(), 0.5)])
+    order = np.lexsort((-cols, rows))  # columns descending within each row
+    indptr = np.searchsorted(rows[order], np.arange(b * n_el + 1))
+    A = sp.csr_matrix((vals[order], cols[order], indptr), shape=dense.shape)
+    assert not A.has_canonical_format
+    expected = np.stack([dense[e * b : (e + 1) * b, e * b : (e + 1) * b] for e in range(n_el)])
+    assert not expected[1].any()
+    np.testing.assert_array_equal(element_blocks(A, b), expected)
+    with pytest.raises(SolverError, match="multiple of the block size"):
+        element_blocks(sp.identity(10, format="csr"), b)
 
 
 def test_identity_one_iteration():
