@@ -3,6 +3,7 @@
 Builds the structured triangulations used throughout, shows how edges are
 sorted into interior / top-bottom (gamma1) / lateral sets, how the lateral
 boundary is identified periodically (including the fused corner ridges),
+how the vertices of gamma1 become the point faces of its surface mesh,
 and checks the quadrature rules against closed-form integrals.
 """
 
@@ -27,8 +28,8 @@ for level in range(0, 4):
     mesh = build_structured_mesh(level)
     edges = classify_edges(mesh, "periodic")
     print(
-        f"{level:5d} {edges.n_interior:9d} {edges.n_gamma1:7d} "
-        f"{edges.n_periodic_pairs:6d} {edges.n_ridges:7d}"
+        f"{level:5d} {len(edges.interior):9d} {len(edges.gamma1):7d} "
+        f"{len(edges.gamma2_pairs):6d} {len(edges.ridges):7d}"
     )
 
 mesh = build_structured_mesh(3)
@@ -36,14 +37,15 @@ edges = classify_edges(mesh, "periodic")
 print("\ninvariants at level 3:")
 print(f"  sum of triangle areas      = {mesh.areas.sum():.15f} (domain area 1)")
 print(f"  sum of gamma1 edge lengths = {edges.gamma1.length.sum():.15f} (2 * width = 2)")
-two = edges.ridges.two_sided
-print(f"  ridge tangent signs opposite on all {two.sum()} two-sided ridges:",
-      bool((edges.ridges.sign_plus[two] == -edges.ridges.sign_minus[two]).all()))
+ridges = edges.ridges
+print(f"  all {len(ridges)} ridges are point faces of unit length with normal +x:",
+      bool((ridges.p0 == ridges.p1).all() and (ridges.length == 1.0).all() and (ridges.normal == [1.0, 0.0]).all()))
+print(f"  fused corner ridges reach the minus side at x = 0: {ridges.minus_shift[ridges.p0[:, 0] == 1.0].tolist()}")
 
 print("\ndirichlet_lateral mode separates the lateral edges and unfuses corners")
 edges_d = classify_edges(mesh, "dirichlet_lateral")
-print(f"  dirichlet edges: {edges_d.n_dirichlet}, ridges: {edges_d.n_ridges} "
-      f"({edges_d.ridges.n_two_sided} interior + {(~edges_d.ridges.two_sided).sum()} corner)")
+print(f"  dirichlet edges: {len(edges_d.dirichlet)}, ridges: {len(edges_d.ridges)}, "
+      f"one-sided corners: {len(edges_d.corners)} with normals {edges_d.corners.normal[:, 0].tolist()}")
 
 print("\ntriangle quadrature: integral of x^a y^b vs a! b! / (a+b+2)!")
 rule = triangle_quadrature(6)

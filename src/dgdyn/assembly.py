@@ -4,17 +4,19 @@ Assembles the bulk form (volume gradients plus jump/flux terms on interior
 and periodic edges), the surface form on the top/bottom boundary (tangential
 stiffness on the boundary edges plus point couplings at the ridges), the
 mass matrices and time-dependent load vectors.  Every form is a sum of
-quadrature over point sets: the triangles, the edges and the ridges (the
-point faces of the surface mesh).  A point set is built once per geometry
-and cached.  It keeps an inverse Jacobian per entry and the reference basis
-values and gradients once per point pattern, the entries whose points share
-reference positions (one for the cells, at most six per edge side).  One
-evaluator on it serves assembly, loads, projection and norms: ``field``
-maps coefficients to point values or physical gradients, ``test`` is its
-weighted transpose, and ``basis`` gives the per-entry arrays from which
-the operator blocks are built once.  Every operator is a sum of dense
-element blocks: they are keyed by element pair, summed into one block
-matrix and converted to CSR once.
+quadrature over point sets: the triangles and the faces.  Edges, ridges
+and corners are all faces from the mesh on; the edge rule on a ridge or a
+corner (a point face of unit length) puts every point at the vertex with
+weights summing to 1.  A point set is built once per geometry and cached.
+It keeps an inverse Jacobian per entry and the reference basis values and
+gradients once per point pattern, the entries whose points share reference
+positions (one for the cells, at most three per face side on the
+structured meshes).  One evaluator on it serves assembly, loads,
+projection and norms: ``field`` maps coefficients to point values or
+physical gradients, ``test`` is its weighted transpose, and ``basis``
+gives the per-entry arrays from which the operator blocks are built
+once.  Every operator is a sum of dense element blocks: they are keyed
+by element pair, summed into one block matrix and converted to CSR once.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -49,7 +51,6 @@ class FormParams:
     lam: float
     gamma: float
     sigma: float
-    penalty_mode: str = "gamma_over_h"
 
     def __post_init__(self):
         if self.gamma <= 0 or self.sigma <= 0:
@@ -65,7 +66,7 @@ class FormParams:
             sigma = gamma
         else:
             raise ValueError(f"unknown penalty_mode {penalty_mode!r}")
-        return cls(alpha=alpha, beta=beta, lam=lam, gamma=gamma, sigma=sigma, penalty_mode=penalty_mode)
+        return cls(alpha=alpha, beta=beta, lam=lam, gamma=gamma, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +75,11 @@ class FormParams:
 
 @dataclass(eq=False)
 class _Points:
-    """Quadrature points on one side of a batch of cells, edges or ridges,
-    with the reference basis tables of each point pattern."""
+    """Quadrature points on one side of a batch of cells or faces, with the
+    reference basis tables of each point pattern."""
 
     elem: np.ndarray  # (nE,) element whose basis is evaluated
-    w: np.ndarray  # (nE, nq) rule weight times cell area or edge length; 1 at a ridge
+    w: np.ndarray  # (nE, nq) rule weight times cell area or face length (1 at a point face)
     x: np.ndarray  # (nE, nq) physical points on this side's realization
     y: np.ndarray
     inv_j: np.ndarray  # (nE, 2, 2) inverse Jacobian of each entry's element
@@ -161,25 +162,6 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: TwoSidedFaces | BoundaryFace
     return _FaceTables(_points(mesh, space, faces.elem, pts, w), None, faces.normal)
 
 
-@lru_cache(maxsize=16)
-def _ridge_tables(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> tuple[_FaceTables, _FaceTables]:
-    """The ridges as the faces of the 1D mesh on gamma1: one point each, unit
-    weight, normal the outward tangent of the plus side.  Returns the
-    two-sided ridges and the one-sided Dirichlet corners (plus side only)."""
-    r = edges.ridges
-
-    def faces(mask, two_sided):
-        w = np.ones((int(mask.sum()), 1))
-
-        def side(elem, point):
-            return _points(mesh, space, elem[mask], point[mask][:, None, :], w)
-
-        minus = side(r.elem_minus, r.point_minus) if two_sided else None
-        return _FaceTables(side(r.elem_plus, r.point_plus), minus, r.sign_plus[mask][:, None] * RIDGE_TANGENT)
-
-    return faces(r.two_sided, True), faces(~r.two_sided, False)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -252,14 +234,14 @@ def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
     """Surface form on gamma1: tangential stiffness along the boundary edges
     plus the interior-penalty terms of the 1D surface mesh, whose faces are
-    the two-sided ridges.
+    the ridges.
 
-    One-sided corner ridges of the Dirichlet variant are excluded here;
-    they enter through assemble_dirichlet_terms."""
+    The one-sided corners of the Dirichlet variant are excluded here; they
+    enter through assemble_dirichlet_terms."""
     g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
     dt = g1.basis(grad=True) @ RIDGE_TANGENT
     stiff = np.einsum("eq,eql,eqm->elm", g1.w, dt, dt)
-    ridges, _ = _ridge_tables(mesh, edges, space)
+    ridges = _face_tables(mesh, space, edges.ridges, 2 * space.p)
     return _csr(space, [(g1.elem, g1.elem, stiff), *_penalty_blocks(ridges, params.sigma)])
 
 
@@ -319,22 +301,20 @@ def assemble_dirichlet_terms(
     matching right-hand-side contribution for the boundary datum u_D
     (zero vector for homogeneous data).  The matrix carries the Nitsche
     terms on the lateral edges and, scaled by beta, the one-sided endpoint
-    terms of the surface operator at the corner ridges."""
+    terms of the surface operator at the corners."""
     if edges.bc_mode != DIRICHLET_LATERAL:
         raise ValueError("Dirichlet terms require bc_mode='dirichlet_lateral'")
-    _, corners = _ridge_tables(mesh, edges, space)
 
-    def faces(degree):  # (tables, weight); the corners are points, so degree-free
-        return ((_face_tables(mesh, space, edges.dirichlet, degree), 1.0), (corners, params.beta))
-
+    weighted = ((edges.dirichlet, 1.0), (edges.corners, params.beta))
     blocks = [
         (el_a, el_b, weight * block)
-        for ft, weight in faces(2 * space.p)
-        for el_a, el_b, block in _penalty_blocks(ft, params.sigma)
+        for faces, weight in weighted
+        for el_a, el_b, block in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma)
     ]
     rhs = np.zeros(space.n_dofs)
     if u_D is not None:
-        for ft, weight in faces(2 * space.p + 4):
+        for faces, weight in weighted:
+            ft = _face_tables(mesh, space, faces, 2 * space.p + 4)
             ud = np.asarray(u_D(t, ft.plus.x, ft.plus.y), dtype=float)
             flux = _integrate(space, ft.plus, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
             rhs += weight * (_integrate(space, ft.plus, params.sigma * ud) - flux)

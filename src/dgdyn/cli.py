@@ -274,9 +274,19 @@ def build_config(args: argparse.Namespace) -> ProblemConfig:
         if flag_val is not None:
             values[key] = flag_val
     values["mode"] = _MODE_OF_COMMAND[args.command]
-    case = values.get("case", "example1")
-    values.setdefault("bc_mode", get_case(case).bc_mode)
-    return ProblemConfig(**values).validate()
+    case = get_case(values.get("case", "example1"))
+    values.setdefault("bc_mode", case.bc_mode)
+    config = ProblemConfig(**values).validate()
+    if args.command != "stability":  # stability runs without sources
+        for key, flag in (("alpha", "--alpha"), ("beta", "--beta"), ("lam", "--lambda")):
+            asked, built = getattr(config, key), getattr(case, key)
+            if asked != built:
+                raise ValueError(
+                    f"{key} = {asked:g} differs from {key} = {built:g} in the {config.case} sources, "
+                    f"so the run would not solve the manufactured problem; drop the {flag} / {key} setting, "
+                    f"or use the stability command, which runs without sources"
+                )
+    return config
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,10 @@
 The energy norm combines the broken H1 seminorm, the penalty-scaled jumps
 and averaged gradients on interior/periodic (or Dirichlet) edges, the
 weighted boundary terms on gamma1 and the point jump/average terms at the
-ridges.  Arguments may be a DG coefficient vector, an exact field (value
-and gradient callables) or both, in which case the norm of the difference
-``exact - u_h`` is computed; exact fields contribute no jumps.
+ridges (or corners), the faces of the surface mesh.  Arguments may be a DG
+coefficient vector, an exact field (value and gradient callables) or both,
+in which case the norm of the difference ``exact - u_h`` is computed;
+exact fields contribute no jumps.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import RIDGE_TANGENT, FormParams, _cell_points, _face_tables, _ridge_tables
-from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh
+from .assembly import RIDGE_TANGENT, FormParams, _cell_points, _face_tables
+from .mesh import EdgeClassification, Mesh
 from .space import DGSpace
 
 
@@ -108,22 +109,23 @@ def energy_norm_terms(
     vol = _cell_points(mesh, space, degree)
     terms["h1_broken"] = _norm2(vol, _trace(vol, space, u_h, grad_fn, t, grad=True))
 
+    def face_sums(two_sided, one_sided, tangential):
+        """Weighted sums of |[w]|^2 and |{grad w}|^2 over a two-sided face set
+        and an optional one-sided one, where w counts itself; ``tangential``
+        keeps only the gradient's component along gamma1."""
+        ft = _face_tables(mesh, space, two_sided, degree)
+        parts = [(ft.plus, *_two_sided(ft, space, u_h, grad_fn, t))]
+        if one_sided is not None:
+            pts = _face_tables(mesh, space, one_sided, degree).plus
+            parts.append((pts, _trace(pts, space, u_h, value_fn, t), _trace(pts, space, u_h, grad_fn, t, grad=True)))
+        jump2 = sum(_norm2(pts, jump) for pts, jump, _ in parts)
+        return jump2, sum(_norm2(pts, avg @ RIDGE_TANGENT if tangential else avg) for pts, _, avg in parts)
+
     # interior and periodic edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2;
     # ridges, the faces of the surface mesh: beta sigma [w]^2 +
     # (beta/sigma) {d_t w}^2; Dirichlet edges and corners count w itself
-    ft = _face_tables(mesh, space, edges.two_sided_faces, degree)
-    jump, avg = _two_sided(ft, space, u_h, grad_fn, t)
-    jump2, avg2 = _norm2(ft.plus, jump), _norm2(ft.plus, avg)
-    ridges, corners = _ridge_tables(mesh, edges, space)
-    jump_r, avg_r = _two_sided(ridges, space, u_h, grad_fn, t)
-    rj2, ra2 = _norm2(ridges.plus, jump_r), _norm2(ridges.plus, avg_r @ RIDGE_TANGENT)
-    if edges.bc_mode == DIRICHLET_LATERAL:
-        fd = _face_tables(mesh, space, edges.dirichlet, degree).plus
-        jump2 += _norm2(fd, _trace(fd, space, u_h, value_fn, t))
-        avg2 += _norm2(fd, _trace(fd, space, u_h, grad_fn, t, grad=True))
-        pc = corners.plus
-        rj2 += _norm2(pc, _trace(pc, space, u_h, value_fn, t))
-        ra2 += _norm2(pc, _trace(pc, space, u_h, grad_fn, t, grad=True) @ RIDGE_TANGENT)
+    jump2, avg2 = face_sums(edges.two_sided_faces, edges.dirichlet, tangential=False)
+    rj2, ra2 = face_sums(edges.ridges, edges.corners, tangential=True)
     terms["jump_penalty"] = sigma * jump2
     terms["grad_average"] = avg2 / sigma
 

@@ -5,6 +5,11 @@ boundary condition (``gamma1``) and whose left and right sides are either
 identified periodically or treated as a weak Dirichlet boundary
 (``gamma2``).  Meshes are uniform N x N grids of cells (N = 2**level), each
 cell split along the lower-left to upper-right diagonal.
+
+The vertices of gamma1 are the faces of the 1D surface mesh on it.  They
+use the face types of the edges as point faces, with unit weight and the
+outward tangent of gamma1 as normal: two-sided ridges, where two gamma1
+edges meet, and in dirichlet_lateral mode one-sided corners.
 """
 
 from __future__ import annotations
@@ -150,12 +155,15 @@ def build_structured_mesh(level: int, domain: Rectangle = UNIT_SQUARE) -> Mesh:
 
 @dataclass(eq=False)
 class TwoSidedFaces:
-    """Edges with two adjacent elements: interior edges and periodic pairs.
+    """Faces with two adjacent elements: interior edges, periodic pairs and
+    the ridges of the surface mesh on gamma1.
 
-    Endpoints ``p0``/``p1`` are on the plus-side realization of the edge;
+    Endpoints ``p0``/``p1`` are on the plus-side realization of the face;
     ``minus_shift`` translates plus-side points onto the minus-side
-    realization (zero for interior edges).  The normal is unit length and
-    points from the plus to the minus element.
+    realization (zero for interior edges and interior ridges).  The normal
+    is unit length and points from the plus to the minus element.  A ridge
+    is a point face: ``p0 == p1``, ``length`` 1 (its counting measure) and
+    normal the outward tangent of its plus edge.
     """
 
     p0: np.ndarray
@@ -172,7 +180,9 @@ class TwoSidedFaces:
 
 @dataclass(eq=False)
 class BoundaryFaces:
-    """One-sided boundary edges with outward unit normal."""
+    """One-sided boundary faces with outward unit normal: edges, or the
+    point faces (``p0 == p1``, ``length`` 1) at the Dirichlet corners of
+    gamma1, whose normal is their edge's outward tangent."""
 
     p0: np.ndarray
     p1: np.ndarray
@@ -185,63 +195,17 @@ class BoundaryFaces:
 
 
 @dataclass(eq=False)
-class Ridges:
-    """Vertices of the 1D surface mesh on gamma1, by component, then by x.
-
-    Every ridge carries one or two (element, point, tangent sign) slots.
-    Two-sided ridges join the two gamma1 edges that share the vertex
-    (periodic corner vertices are fused into a single ridge); one-sided
-    ridges are the Dirichlet endpoints of the surface operator in
-    dirichlet_lateral mode.  Signs are the outward tangent directions of
-    the adjacent edges, so sign_plus == -sign_minus on two-sided ridges.
-    """
-
-    elem_plus: np.ndarray
-    point_plus: np.ndarray
-    sign_plus: np.ndarray
-    elem_minus: np.ndarray  # -1 on one-sided ridges
-    point_minus: np.ndarray
-    sign_minus: np.ndarray
-    two_sided: np.ndarray  # bool mask
-
-    def __len__(self) -> int:
-        return len(self.elem_plus)
-
-    @property
-    def n_two_sided(self) -> int:
-        return int(self.two_sided.sum())
-
-
-@dataclass(eq=False)
 class EdgeClassification:
-    """All mesh edges, each in exactly one category."""
+    """All mesh edges, each in exactly one category, and the vertices of
+    gamma1 as point faces: the ridges and, if Dirichlet, the corners."""
 
     bc_mode: str
     interior: TwoSidedFaces
     gamma1: BoundaryFaces
     gamma2_pairs: TwoSidedFaces | None
     dirichlet: BoundaryFaces | None
-    ridges: Ridges
-
-    @property
-    def n_interior(self) -> int:
-        return len(self.interior)
-
-    @property
-    def n_gamma1(self) -> int:
-        return len(self.gamma1)
-
-    @property
-    def n_periodic_pairs(self) -> int:
-        return 0 if self.gamma2_pairs is None else len(self.gamma2_pairs)
-
-    @property
-    def n_dirichlet(self) -> int:
-        return 0 if self.dirichlet is None else len(self.dirichlet)
-
-    @property
-    def n_ridges(self) -> int:
-        return len(self.ridges)
+    ridges: TwoSidedFaces
+    corners: BoundaryFaces | None
 
     @cached_property
     def two_sided_faces(self) -> TwoSidedFaces:
@@ -260,7 +224,7 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     In periodic mode the lateral edges are matched into left/right pairs by
     identical y-interval and the four corner vertices fuse into one ridge
     per boundary component.  In dirichlet_lateral mode the lateral edges
-    form a separate Dirichlet set and the corners become one-sided ridges.
+    form a separate Dirichlet set and the corners become one-sided faces.
     """
     if bc_mode not in BC_MODES:
         raise ValueError(f"unknown bc_mode {bc_mode!r}")
@@ -318,7 +282,7 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     else:
         dirichlet = _build_dirichlet(mesh, bkeys[lorder], belem[lorder], bkeys[rorder], belem[rorder])
 
-    ridges = _build_ridges(gamma1, bc_mode)
+    ridges, corners = _build_point_faces(gamma1, bc_mode)
     return EdgeClassification(
         bc_mode=bc_mode,
         interior=interior,
@@ -326,6 +290,7 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
         gamma2_pairs=gamma2_pairs,
         dirichlet=dirichlet,
         ridges=ridges,
+        corners=corners,
     )
 
 
@@ -381,31 +346,32 @@ def _build_dirichlet(mesh, left_keys, left_elem, right_keys, right_elem) -> Boun
     )
 
 
-def _build_ridges(gamma1: BoundaryFaces, bc_mode: str) -> Ridges:
-    """The vertices of gamma1 as ridges.  gamma1 is sorted by component,
-    then by x, so row c of ``e`` lists the edges of component c from left
-    to right.  An interior vertex takes the edge on its left as plus (at
-    its right end, tangent sign +1) and the edge on its right as minus (at
-    its left end, sign -1)."""
+def _build_point_faces(gamma1: BoundaryFaces, bc_mode: str) -> tuple[TwoSidedFaces, BoundaryFaces | None]:
+    """The vertices of gamma1 as point faces: the ridges and the corners.
+    gamma1 is sorted by component, then by x, so row c of ``e`` lists the
+    edges of component c from left to right.  A ridge takes the edge on its
+    left as plus, at that edge's right end, and the edge on its right as
+    minus, so its normal is +x."""
     e = np.arange(len(gamma1)).reshape(2, -1)
+    corners = None
     if bc_mode == PERIODIC:
         # the corner vertex, listed first, fuses the last edge with the first
-        plus, minus = np.roll(e, 1, axis=1), e
+        plus, minus = np.roll(e, 1, axis=1).ravel(), e.ravel()
     else:
+        plus, minus = e[:, :-1].ravel(), e[:, 1:].ravel()
         # one-sided corners: the first edge's left end, the last edge's right end
-        none = np.full((2, 1), -1)
-        plus, minus = np.hstack([e[:, :1], e]), np.hstack([none, e[:, 1:], none])
-    left_end = np.zeros(plus.shape, dtype=bool)
-    left_end[:, 0] = bc_mode != PERIODIC
-    plus, minus, left_end = plus.ravel(), minus.ravel(), left_end.ravel()
-    two = minus >= 0
-    point_plus = np.where(left_end[:, None], gamma1.p0[plus], gamma1.p1[plus])
-    return Ridges(
+        ends, left = e[:, [0, -1]].ravel(), np.tile([True, False], 2)[:, None]
+        point = np.where(left, gamma1.p0[ends], gamma1.p1[ends])
+        normal = np.where(left, [-1.0, 0.0], [1.0, 0.0])
+        corners = BoundaryFaces(p0=point, p1=point, elem=gamma1.elem[ends], normal=normal, length=np.ones(len(ends)))
+    point = gamma1.p1[plus]
+    ridges = TwoSidedFaces(
+        p0=point,
+        p1=point,
         elem_plus=gamma1.elem[plus],
-        point_plus=point_plus,
-        sign_plus=np.where(left_end, -1.0, 1.0),
-        elem_minus=np.where(two, gamma1.elem[minus], -1),
-        point_minus=np.where(two[:, None], gamma1.p0[minus], point_plus),
-        sign_minus=np.where(two, -1.0, 0.0),
-        two_sided=two,
+        elem_minus=gamma1.elem[minus],
+        normal=np.tile([1.0, 0.0], (len(plus), 1)),
+        length=np.ones(len(plus)),
+        minus_shift=gamma1.p0[minus] - point,
     )
+    return ridges, corners

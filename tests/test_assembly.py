@@ -16,7 +16,7 @@ from dgdyn.assembly import (
     dump_matrix,
 )
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
-from dgdyn.space import DGSpace
+from dgdyn.space import DGSpace, interpolate
 
 
 def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, penalty_mode="gamma_over_h"):
@@ -350,6 +350,38 @@ def test_dirichlet_terms_contract():
     _, edges_per, _, _ = setup(2, 1, bc=PERIODIC)
     with pytest.raises(ValueError):
         assemble_dirichlet_terms(mesh, edges_per, space, params)
+
+
+# Beyond level 0, where Dirichlet mode has no interior ridge: an interpolant
+# continuous along gamma1 has no jump at any ridge, so every ridge term
+# vanishes and v' b_h v is its tangential seminorm on gamma1 (both
+# components).  The Dirichlet corners are not part of b_h.
+SURFACE_SEMINORMS = [
+    (DIRICHLET_LATERAL, 1, lambda t, x, y: x, 2.0),
+    (DIRICHLET_LATERAL, 2, lambda t, x, y: x**2 + y, 8.0 / 3.0),
+    (PERIODIC, 2, lambda t, x, y: x * (1.0 - x) + y, 2.0 / 3.0),
+]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("bc, p, u, seminorm", SURFACE_SEMINORMS, ids=["dirichlet-p1", "dirichlet-p2", "periodic-p2"])
+def test_bh_continuous_interpolant_is_tangential_seminorm(level, bc, p, u, seminorm):
+    mesh, edges, space, params = setup(level, p, bc)
+    v = interpolate(mesh, space, u)
+    b = assemble_bh(mesh, edges, space, params)
+    assert v @ (b @ v) == pytest.approx(seminorm, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("level", [0, 1, 3])
+def test_bh_fused_periodic_corner_by_hand(level, p):
+    # v = x jumps by 1 across the fused corner of each component (1 on the
+    # plus side at x = 1, 0 on the minus side at x = 0) with d_t v = 1, so
+    # each corner adds sigma - 2 to the tangential seminorm 2: 2 sigma - 2
+    mesh, edges, space, params = setup(level, p)
+    v = interpolate(mesh, space, lambda t, x, y: x)
+    b = assemble_bh(mesh, edges, space, params)
+    assert v @ (b @ v) == pytest.approx(2.0 * params.sigma - 2.0, rel=1e-12)
 
 
 def test_matrix_dump(tmp_path):

@@ -164,3 +164,42 @@ def test_main_entry_point(tmp_path, capsys):
     assert lines[0] == "h,dt,l2_domain,l2_gamma1,energy"
     vals = lines[1].split(",")
     assert float(vals[0]) == pytest.approx(np.sqrt(2.0) / 2.0)
+
+
+def coefficient_args(command, **overrides):
+    import argparse
+
+    values = dict(
+        command=command, config=None, case="example1", p=None, level=2, levels=None,
+        gamma=None, alpha=None, beta=None, lam=None, dt=1e-2, t_final=1e-1,
+        penalty_mode=None, dt_steps=None, out=None, fmt=None,
+    )
+    values.update(overrides)
+    return argparse.Namespace(**values)
+
+
+@pytest.mark.parametrize("command", ["solve", "converge-h", "converge-dt"])
+@pytest.mark.parametrize(
+    "key, flag, value", [("alpha", "--alpha", 20.0), ("beta", "--beta", 1.0), ("lam", "--lambda", 0.0)]
+)
+def test_coefficient_override_without_matching_sources_rejected(command, key, flag, value):
+    # the manufactured sources carry alpha = 2, beta = 5, lam = 10: any
+    # other value would solve a problem whose exact solution is unknown
+    with pytest.raises(ValueError) as info:
+        build_config(coefficient_args(command, **{key: value}))
+    message = str(info.value)
+    assert f"{key} = {value:g}" in message and flag in message and "example1" in message
+
+
+def test_coefficient_matching_sources_accepted():
+    config = build_config(coefficient_args("solve", alpha=2.0, beta=5.0, lam=10.0))
+    assert (config.alpha, config.beta, config.lam) == (2.0, 5.0, 10.0)
+
+
+def test_stability_accepts_any_coefficients(tmp_path):
+    # zero sources: every coefficient set is a consistent problem
+    out = tmp_path / "s.csv"
+    argv = ["stability", "--level", "1", "--dt", "1e-2", "--t-final", "5e-2", "--alpha", "20", "--lambda", "1"]
+    code = main(argv + ["--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().strip().splitlines()) == 7

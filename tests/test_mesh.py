@@ -77,35 +77,34 @@ def test_classify_level2_periodic_counts():
     mesh = build_structured_mesh(2)
     oracle = enumerate_edges(mesh)
     edges = classify_edges(mesh, PERIODIC)
-    assert edges.n_interior == oracle["interior"] == 40
-    assert edges.n_gamma1 == oracle["gamma1"] == 8
-    assert edges.n_periodic_pairs == oracle["left"] == oracle["right"] == 4
+    assert len(edges.interior) == oracle["interior"] == 40
+    assert len(edges.gamma1) == oracle["gamma1"] == 8
+    assert len(edges.gamma2_pairs) == oracle["left"] == oracle["right"] == 4
     # one ridge per gamma1 vertex, corners fused: 4 per component
-    assert edges.n_ridges == 8
-    assert edges.ridges.two_sided.all()
+    assert len(edges.ridges) == 8
+    assert edges.corners is None
 
 
 def test_classify_level0_periodic_counts():
     mesh = build_structured_mesh(0)
     edges = classify_edges(mesh, PERIODIC)
-    assert edges.n_interior == 1
-    assert edges.n_gamma1 == 2
-    assert edges.n_periodic_pairs == 1
-    assert edges.n_ridges == 2
+    assert len(edges.interior) == 1
+    assert len(edges.gamma1) == 2
+    assert len(edges.gamma2_pairs) == 1
+    assert len(edges.ridges) == 2
 
 
 def test_classify_level2_dirichlet_counts():
     mesh = build_structured_mesh(2)
     edges = classify_edges(mesh, DIRICHLET_LATERAL)
-    assert edges.n_interior == 40
-    assert edges.n_gamma1 == 8
+    assert len(edges.interior) == 40
+    assert len(edges.gamma1) == 8
     assert edges.gamma2_pairs is None
-    assert edges.n_dirichlet == 8
+    assert len(edges.dirichlet) == 8
     # 5 gamma1 vertices per component, corners not fused: 3 two-sided ridges
-    # and 2 one-sided corner ridges per component
-    assert edges.n_ridges == 10
-    assert edges.ridges.n_two_sided == 6
-    assert (~edges.ridges.two_sided).sum() == 4
+    # and 2 one-sided corners per component
+    assert len(edges.ridges) == 6
+    assert len(edges.corners) == 4
 
 
 def test_gamma1_total_length():
@@ -143,20 +142,27 @@ def test_periodic_pair_geometry():
 
 
 def test_ridge_tangent_signs_opposite():
+    # a ridge's normal is the outward tangent +x of its plus edge, so the
+    # minus edge's outward tangent -x is its opposite; corners point outward
     for bc in (PERIODIC, DIRICHLET_LATERAL):
         edges = classify_edges(build_structured_mesh(3), bc)
         r = edges.ridges
-        two = r.two_sided
-        assert np.all(r.sign_plus[two] == -r.sign_minus[two])
-        assert np.all(np.abs(r.sign_plus[two]) == 1.0)
+        assert np.array_equal(r.normal, np.tile([1.0, 0.0], (len(r), 1)))
+        assert np.array_equal(r.p0, r.p1) and np.all(r.length == 1.0)
         # each boundary component forms a closed cycle in periodic mode
         if bc == PERIODIC:
-            assert edges.n_ridges == edges.n_gamma1
+            assert len(r) == len(edges.gamma1)
+        else:
+            c = edges.corners
+            assert np.array_equal(c.normal[:, 0], np.sign(c.p0[:, 0] - 0.5)) and np.all(c.normal[:, 1] == 0.0)
+            assert np.array_equal(c.p0, c.p1) and np.all(c.length == 1.0)
 
 
 # Level 1 by hand: gamma1 edges [0, 1/2] and [1/2, 1] on y = 0 belong to the
 # lower triangles 0 and 2, those on y = 1 to the upper triangles 5 and 7.
-# Rows: elem_plus, point_plus, sign_plus, elem_minus, point_minus, sign_minus.
+# Rows: elem_plus, point_plus, sign_plus, elem_minus, point_minus, sign_minus;
+# elem_minus -1 marks a one-sided corner.  A two-sided row is a ridge with
+# normal sign_plus * (1, 0); a one-sided row is a corner.
 LEVEL1_RIDGES = {
     PERIODIC: [
         (2, (1.0, 0.0), 1.0, 0, (0.0, 0.0), -1.0),  # fused corner: last edge + first
@@ -177,14 +183,31 @@ LEVEL1_RIDGES = {
 
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
 def test_ridges_level1_by_hand(bc):
-    r = classify_edges(build_structured_mesh(1), bc).ridges
+    edges = classify_edges(build_structured_mesh(1), bc)
     rows = LEVEL1_RIDGES[bc]
-    names = ("elem_plus", "point_plus", "sign_plus", "elem_minus", "point_minus", "sign_minus")
-    for k, name in enumerate(names):
-        expected = np.array([row[k] for row in rows])
-        got = getattr(r, name)
-        assert got.dtype.kind == expected.dtype.kind and np.array_equal(got, expected), name
-    assert np.array_equal(r.two_sided, [row[3] >= 0 for row in rows])
+    two = [row for row in rows if row[3] >= 0]
+    one = [row for row in rows if row[3] < 0]
+
+    def column(rows, k):
+        return np.array([row[k] for row in rows])
+
+    r = edges.ridges
+    assert np.array_equal(r.elem_plus, column(two, 0)) and r.elem_plus.dtype.kind == "i"
+    assert np.array_equal(r.p0, column(two, 1)) and np.array_equal(r.p1, r.p0)
+    assert np.array_equal(r.normal, column(two, 2)[:, None] * [1.0, 0.0])
+    assert np.array_equal(r.elem_minus, column(two, 3)) and r.elem_minus.dtype.kind == "i"
+    assert np.array_equal(r.p0 + r.minus_shift, column(two, 4))
+    assert np.array_equal(column(two, 5), -column(two, 2))
+    assert np.all(r.length == 1.0)
+    if not one:
+        assert edges.corners is None
+        return
+    c = edges.corners
+    assert np.array_equal(c.elem, column(one, 0)) and c.elem.dtype.kind == "i"
+    assert np.array_equal(c.p0, column(one, 1)) and np.array_equal(c.p1, c.p0)
+    assert np.array_equal(c.normal, column(one, 2)[:, None] * [1.0, 0.0])
+    assert np.array_equal(column(one, 4), column(one, 1)) and np.all(column(one, 5) == 0.0)
+    assert np.all(c.length == 1.0)
 
 
 def test_malformed_mesh_rejected():
