@@ -15,8 +15,10 @@ structured meshes).  One evaluator on it serves assembly, loads,
 projection and norms: ``field`` maps coefficients to point values or
 physical gradients, ``test`` is its weighted transpose, and ``basis``
 gives the per-entry arrays from which the operator blocks are built
-once.  Every operator is a sum of dense element blocks: they are keyed
-by element pair, summed into one block matrix and converted to CSR once.
+once.  The point sets are cached on the space, which owns them, and the
+degree-2p ones are released once the operators are built.  Every
+operator is a sum of dense element blocks: they are keyed by element pair
+and summed into one block (BSR) matrix, which the operators stay in.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -26,7 +28,6 @@ norms use 2p + 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,7 +143,25 @@ def _points(mesh, space, elems, points, w) -> _Points:
     return _Points(elems, w, x, y, inv_j, groups, space.basis.eval(first), space.basis.grad(first))
 
 
-@lru_cache(maxsize=16)
+def _per_space(build):
+    """Cache ``build(mesh, space, *key, degree)`` in ``space.tables``."""
+
+    def cached(mesh, space, *key):
+        name = (build.__name__, *key)
+        if name not in space.tables:
+            space.tables[name] = build(mesh, space, *key)
+        return space.tables[name]
+
+    return cached
+
+
+def release_tables(space: DGSpace, degree: int) -> None:
+    """Drop the cached point sets of ``space`` built for ``degree``."""
+    for name in [name for name in space.tables if name[-1] == degree]:
+        del space.tables[name]
+
+
+@_per_space
 def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
     """Every triangle."""
     rule = triangle_quadrature(degree)
@@ -150,7 +169,7 @@ def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
     return _points(mesh, space, np.arange(mesh.n_triangles), X, mesh.det_jacobians[:, None] * rule.weights)
 
 
-@lru_cache(maxsize=16)
+@_per_space
 def _face_tables(mesh: Mesh, space: DGSpace, faces: TwoSidedFaces | BoundaryFaces, degree: int) -> _FaceTables:
     """Both sides of two-sided faces, the one side of boundary faces."""
     rule = edge_quadrature(degree)
@@ -166,11 +185,11 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: TwoSidedFaces | BoundaryFace
 # kernels
 
 
-def _csr(space: DGSpace, triples) -> sp.csr_matrix:
+def _bsr(space: DGSpace, triples) -> sp.bsr_matrix:
     """Sum (row elements, column elements, element blocks) triples into a
-    canonical CSR matrix.  Each block is keyed by its element pair, the
-    blocks of equal keys are summed in place, triple by triple, and the
-    block matrix is converted to CSR once: no index is held per entry."""
+    canonical block matrix, one n_local x n_local block per element pair.
+    Each block is keyed by its element pair and the blocks of equal keys
+    are summed in place, triple by triple: no index is held per entry."""
     n_el = space.mesh.n_triangles
     keys = [np.asarray(el_a, dtype=np.int64) * n_el + el_b for el_a, el_b, _ in triples]
     pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
@@ -178,13 +197,15 @@ def _csr(space: DGSpace, triples) -> sp.csr_matrix:
     for part, (_, _, blocks) in zip(np.split(slot, np.cumsum([len(k) for k in keys])[:-1]), triples):
         np.add.at(data, part, blocks)
     indptr = np.searchsorted(pattern, np.arange(n_el + 1) * n_el)
-    return sp.bsr_matrix((data, pattern % n_el, indptr), shape=(space.n_dofs,) * 2).tocsr()
+    return sp.bsr_matrix((data, pattern % n_el, indptr), shape=(space.n_dofs,) * 2)
 
 
 def _mass_block(pts: _Points) -> np.ndarray:
     """(v, w) over the points of each element or face, shape (nE, n_local, n_local)."""
-    phi = pts.basis()
-    return np.einsum("eq,eql,eqm->elm", pts.w, phi, phi)
+    out = np.empty((len(pts.elem),) + pts.phi.shape[2:] * 2)
+    for idx, table in zip(pts.groups, pts.phi):
+        out[idx] = np.einsum("eq,ql,qm->elm", pts.w[idx], table, table)
+    return out
 
 
 def _integrate(space: DGSpace, pts: _Points, values: np.ndarray) -> np.ndarray:
@@ -220,7 +241,7 @@ def _penalty_blocks(ft: _FaceTables, sigma: float):
 # public assembly entry points
 
 
-def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
+def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
     """Bulk bilinear form: broken gradients plus symmetric interior-penalty
     terms on interior edges and periodic pairs.  Constants lie in the
     kernel; the matrix is symmetric."""
@@ -228,10 +249,10 @@ def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     grad = vol.basis(grad=True)
     stiff = np.einsum("eq,eqli,eqmi->elm", vol.w, grad, grad)
     ft = _face_tables(mesh, space, edges.two_sided_faces, 2 * space.p)
-    return _csr(space, [(vol.elem, vol.elem, stiff), *_penalty_blocks(ft, params.sigma)])
+    return _bsr(space, [(vol.elem, vol.elem, stiff), *_penalty_blocks(ft, params.sigma)])
 
 
-def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
+def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
     """Surface form on gamma1: tangential stiffness along the boundary edges
     plus the interior-penalty terms of the 1D surface mesh, whose faces are
     the ridges.
@@ -242,27 +263,27 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     dt = g1.basis(grad=True) @ RIDGE_TANGENT
     stiff = np.einsum("eq,eql,eqm->elm", g1.w, dt, dt)
     ridges = _face_tables(mesh, space, edges.ridges, 2 * space.p)
-    return _csr(space, [(g1.elem, g1.elem, stiff), *_penalty_blocks(ridges, params.sigma)])
+    return _bsr(space, [(g1.elem, g1.elem, stiff), *_penalty_blocks(ridges, params.sigma)])
 
 
-def assemble_boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> sp.csr_matrix:
+def assemble_boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> sp.bsr_matrix:
     """L2(gamma1) mass matrix."""
     g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
-    return _csr(space, [(g1.elem, g1.elem, _mass_block(g1))])
+    return _bsr(space, [(g1.elem, g1.elem, _mass_block(g1))])
 
 
-def assemble_domain_mass(mesh: Mesh, space: DGSpace) -> sp.csr_matrix:
+def assemble_domain_mass(mesh: Mesh, space: DGSpace) -> sp.bsr_matrix:
     """L2(Omega) mass matrix (block diagonal for the DG dof layout)."""
     vol = _cell_points(mesh, space, 2 * space.p)
-    return _csr(space, [(vol.elem, vol.elem, _mass_block(vol))])
+    return _bsr(space, [(vol.elem, vol.elem, _mass_block(vol))])
 
 
-def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.csr_matrix:
+def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.bsr_matrix:
     """Weighted mass matrix (u, v)_Omega + lam (u, v)_gamma1."""
     return assemble_domain_mass(mesh, space) + lam * assemble_boundary_mass(mesh, edges, space)
 
 
-def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.csr_matrix:
+def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
     """Full stationary operator: bulk form + alpha boundary mass + beta
     surface form.  Positive definite for gamma large enough when alpha > 0."""
     return (
@@ -294,7 +315,7 @@ def assemble_dirichlet_terms(
     params: FormParams,
     u_D=None,
     t: float = 0.0,
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[sp.bsr_matrix, np.ndarray]:
     """Weak Dirichlet coupling for the lateral boundary (Example 3 variant).
 
     Returns the symmetric matrix delta to add to the full operator and the
@@ -318,7 +339,7 @@ def assemble_dirichlet_terms(
             ud = np.asarray(u_D(t, ft.plus.x, ft.plus.y), dtype=float)
             flux = _integrate(space, ft.plus, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
             rhs += weight * (_integrate(space, ft.plus, params.sigma * ud) - flux)
-    return _csr(space, blocks), rhs
+    return _bsr(space, blocks), rhs
 
 
 def dump_matrix(A: sp.spmatrix, path) -> None:

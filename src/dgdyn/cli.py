@@ -301,7 +301,10 @@ def main(argv=None) -> int:
         sub = subparsers.add_parser(name, help=help_text)
         _add_common_flags(sub)
     args = parser.parse_args(argv)
-    config = build_config(args)
+    try:
+        config = build_config(args)
+    except (OSError, ValueError) as exc:  # bad input: one line, exit status 2
+        parser.error(str(exc))
     runner = {
         "solve": run_solve,
         "converge-h": run_converge_h,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import ceil
 
@@ -113,11 +113,14 @@ class DGSpace:
     """Discontinuous space of element-wise degree-p polynomials.
 
     Dofs are laid out block-per-element, so the domain mass matrix is block
-    diagonal and the local L2 projection is an exact small solve.
+    diagonal and the local L2 projection is an exact small solve.  The
+    space owns the quadrature point sets built on it (``tables``, filled
+    by ``assembly``), so they are freed with it.
     """
 
     mesh: Mesh
     p: int
+    tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.basis = reference_basis(self.p)

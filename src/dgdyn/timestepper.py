@@ -18,6 +18,7 @@ from .assembly import (
     assemble_dirichlet_terms,
     assemble_load,
     assemble_mass,
+    release_tables,
 )
 from .config import ProblemConfig
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh, build_structured_mesh, classify_edges
@@ -25,11 +26,14 @@ from .solver import SolverError, block_jacobi_preconditioner, cg_solve, element_
 from .space import DGSpace, conforming_p1_embedding
 
 # Stiffness ratio rho = dt * max_e 1'A_e 1 / 1'M_e 1 above which backward
-# Euler adds the conforming-P1 coarse solve to block Jacobi.  Measured per
-# solve at level 7, p = 1: block Jacobi alone wins at rho = 8 (40 iterations,
-# 0.14 s, against 22 and 0.21 s), the two-level preconditioner at rho = 32
-# (23 iterations, 0.19 s, against 85 and 0.26 s); they tie near rho = 20.
-TWO_LEVEL_STIFFNESS = 16.0
+# Euler adds the conforming-P1 V-cycle to block Jacobi.  Measured per solve
+# on example1's first step at level 7, p = 1 (median of 15, one BLAS
+# thread): block Jacobi alone takes 34 / 40 / 58 / 85 iterations at
+# rho = 6 / 8 / 16 / 32, the two-level preconditioner 21 / 22 / 22 / 23 and
+# 0.03 s of set-up once per dt.  It is slower in 10 of 15 runs at rho = 6,
+# faster in 11 of 15 at rho = 8, and at rho = 32 takes 0.13 s against
+# 0.26 s.  With the exact coarse solve it replaces, the tie was near 20.
+TWO_LEVEL_STIFFNESS = 8.0
 
 
 def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
@@ -39,15 +43,14 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     domain projection, its boundary trace is accurate to the same order as
     the interior, which the boundary-error convergence rates require.  The
     weighted mass matrix is still block diagonal, so the solve is exact.
-    With lam = 0 it is the plain L2(Omega) projection.
+    With lam = 0 it is the plain L2(Omega) projection.  Blocks and data
+    both use the degree-2p + 4 tables of the loads and norms; the rule is
+    exact for the blocks, so they are those of M up to rounding.
     """
-    vol = _cell_points(mesh, space, 2 * space.p)
-    g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
-    blocks = _mass_block(vol)
-    np.add.at(blocks, g1.elem, lam * _mass_block(g1))
-    # the data, like every load, to degree 2p + 4
     vol = _cell_points(mesh, space, 2 * space.p + 4)
     g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).plus
+    blocks = _mass_block(vol)
+    np.add.at(blocks, g1.elem, lam * _mass_block(g1))
     rhs = _integrate(space, vol, u0(vol.x, vol.y)) + _integrate(space, g1, lam * np.asarray(u0(g1.x, g1.y)))
     return np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))[..., 0].ravel()
 
@@ -60,8 +63,8 @@ class Operators:
     edges: EdgeClassification
     space: DGSpace
     params: FormParams
-    A: sp.csr_matrix  # full stationary operator (Dirichlet terms included)
-    M: sp.csr_matrix  # domain mass + lam * boundary mass
+    A: sp.bsr_matrix  # full stationary operator (Dirichlet terms included)
+    M: sp.bsr_matrix  # domain mass + lam * boundary mass
     dirichlet_rhs: object = None  # callable t -> vector, or None
 
     @cached_property
@@ -72,14 +75,6 @@ class Operators:
         own_A = element_blocks(self.A, n).sum(axis=(1, 2))
         own_M = element_blocks(self.M, n).sum(axis=(1, 2))
         return float(np.max(own_A / own_M))
-
-    @cached_property
-    def coarse_p1(self) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-        """(P, P'MP, P'AP) for the conforming-P1 coarse space, so that a new
-        dt costs one sparse sum and one factorization."""
-        P = conforming_p1_embedding(self.space)
-        PT = P.T.tocsr()
-        return P, (PT @ self.M @ P).tocsr(), (PT @ self.A @ P).tocsr()
 
 
 def build_operators(config: ProblemConfig, u_D=None) -> Operators:
@@ -110,7 +105,23 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
             ops.dirichlet_rhs = lambda t: assemble_dirichlet_terms(
                 mesh, edges, space, params, u_D=u_D, t=t
             )[1]
+    release_tables(space, 2 * space.p)  # the loads and norms use 2p + 4
     return ops
+
+
+def p1_two_level(smoother, space: DGSpace, S: sp.csr_matrix):
+    """``two_level_preconditioner`` for S with the conforming-P1 coarse
+    space of ``space`` and the Galerkin matrix P' S P."""
+    P = conforming_p1_embedding(space)
+    return two_level_preconditioner(smoother, P, P.T.tocsr() @ S @ P)
+
+
+def cg_matrix(A: sp.spmatrix) -> sp.csr_matrix:
+    """A as CSR without the element blocks' structural zeros, which every
+    product would carry; scipy's CSR product beats its BSR one at p = 1."""
+    A = A.tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def solve_stationary(
@@ -131,9 +142,9 @@ def solve_stationary(
         rhs = rhs + drhs
     elif params.alpha == 0.0:
         raise SolverError("stationary operator is singular: alpha = 0 leaves constants in the kernel")
-    # no mass term: the stiff limit, where the coarse solve always pays
-    P = conforming_p1_embedding(space)
-    prec = two_level_preconditioner(block_jacobi_preconditioner(A, space.n_local), P, P.T @ A @ P)
+    A = cg_matrix(A)
+    # no mass term: the stiff limit, where the coarse correction always pays
+    prec = p1_two_level(block_jacobi_preconditioner(A, space.n_local), space, A)
     x, report = cg_solve(A, rhs, preconditioner=prec)
     if not report.converged:
         raise SolverError(
@@ -174,11 +185,10 @@ def run_backward_euler(
         ops = build_operators(config, u_D=u_D)
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
-    system = (ops.M + dt * ops.A).tocsr()
+    system = cg_matrix(ops.M + dt * ops.A)
     prec = block_jacobi_preconditioner(system, space.n_local)
     if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS:
-        P, PtMP, PtAP = ops.coarse_p1
-        prec = two_level_preconditioner(prec, P, PtMP + dt * PtAP)
+        prec = p1_two_level(prec, space, system)
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
     norms = [float(np.sqrt(u @ (ops.M @ u)))]

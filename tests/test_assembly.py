@@ -17,6 +17,7 @@ from dgdyn.assembly import (
 )
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
+from dgdyn.timestepper import cg_matrix
 
 
 def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, penalty_mode="gamma_over_h"):
@@ -249,7 +250,7 @@ def test_matrices_symmetric(p):
 
 def test_bh_couples_only_gamma1_elements():
     mesh, edges, space, params = setup(2, 1)
-    b = assemble_bh(mesh, edges, space, params)
+    b = assemble_bh(mesh, edges, space, params).tocsr()
     touching = set(edges.gamma1.elem.tolist())
     rows = np.repeat(np.arange(space.n_dofs), np.diff(b.indptr))
     nz_rows = rows[b.data != 0]
@@ -452,12 +453,18 @@ def test_continuity_surrogate_stable_across_levels():
 
 
 def test_csr_structure_invariants():
+    # the operators are canonical block matrices (one block per element
+    # pair), and the matrix CG multiplies is canonical CSR
     mesh, edges, space, params = setup(2, 1)
     A = assemble_Ah(mesh, edges, space, params)
-    assert A.has_sorted_indices
-    for r in range(A.shape[0]):
-        idx = A.indices[A.indptr[r] : A.indptr[r + 1]]
-        assert (np.diff(idx) > 0).all()
+    assert A.format == "bsr" and A.blocksize == (space.n_local,) * 2
+    S = cg_matrix(assemble_mass(mesh, edges, space, params.lam) + 1e-3 * A)
+    assert S.format == "csr" and (S.data != 0).all()
+    for X in (A, S):
+        assert X.has_sorted_indices
+        for r in range(len(X.indptr) - 1):
+            idx = X.indices[X.indptr[r] : X.indptr[r + 1]]
+            assert (np.diff(idx) > 0).all()
 
 
 def test_assembly_memory_proportional_to_output():

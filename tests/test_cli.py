@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import dgdyn
 
 from dgdyn.cli import (
     CONVERGE_H_HEADER,
@@ -203,3 +210,31 @@ def test_stability_accepts_any_coefficients(tmp_path):
     code = main(argv + ["--out", str(out)])
     assert code == 0
     assert len(out.read_text().strip().splitlines()) == 7
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["solve", "--alpha", "20"], "alpha = 20 differs from alpha = 2"),
+        (["solve", "--p", "3"], "p must be 1 or 2"),
+        (["solve", "--dt", "3e-4", "--t-final", "1e-3"], "is not an integer number of steps"),
+        (["solve", "--config", "{cfg}"], "unknown config key 'colour'"),
+        (["solve", "--config", "{missing}"], "No such file"),
+    ],
+)
+def test_bad_input_is_one_error_line(tmp_path, args, message):
+    # the dgdyn command as a user runs it: argparse's one-line error and
+    # exit status 2, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("colour = blue\n")
+    argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg") for a in args]
+    src = str(Path(dgdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dgdyn.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("dgdyn: error: ") and message in last, proc.stderr
+    assert proc.stdout == ""

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +13,9 @@ from dgdyn.solver import (
     block_jacobi_preconditioner,
     cg_solve,
     element_blocks,
+    p1_prolongation,
     two_level_preconditioner,
+    v_cycle,
 )
 from dgdyn.space import DGSpace, conforming_p1_embedding
 from dgdyn.timestepper import build_operators
@@ -191,3 +195,52 @@ def test_two_level_iterations_bounded_in_h():
         two_level_iters.append(report.iterations)
     assert all(a < b for a, b in zip(block_iters, block_iters[1:])), block_iters
     assert max(two_level_iters) < 60, two_level_iters
+
+
+@pytest.mark.parametrize("bc_mode", ["periodic", "dirichlet_lateral"])
+def test_p1_prolongation_is_nested_interpolation(bc_mode):
+    # level l - 1's P1 space lies in level l's: linear functions are
+    # reproduced, and the Galerkin product of the fine P1 mass (domain plus
+    # gamma1) is the coarse one, which bilinear interpolation or the other
+    # diagonal would not give
+    rng = np.random.default_rng(4)
+
+    def p1_mass(mesh):
+        space = DGSpace(mesh, 1)
+        P = conforming_p1_embedding(space)
+        return (P.T @ assemble_mass(mesh, classify_edges(mesh, bc_mode), space, 10.0) @ P).toarray()
+
+    for level in range(1, 6):
+        coarse, fine = build_structured_mesh(level - 1), build_structured_mesh(level)
+        R = p1_prolongation(2 ** (level - 1))
+        a, b, c = rng.standard_normal(3)
+        linear = lambda mesh: a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
+        np.testing.assert_allclose(R @ linear(coarse), linear(fine), rtol=0, atol=1e-14)
+        M_coarse = p1_mass(coarse)
+        np.testing.assert_allclose(R.T @ (R.T @ p1_mass(fine)).T, M_coarse, rtol=0, atol=1e-14 * np.abs(M_coarse).max())
+
+
+def test_v_cycle_without_coarser_levels_is_the_exact_solve():
+    S, space = be_system(3, dt=0.1)
+    P = conforming_p1_embedding(space)
+    C = P.T @ S @ P
+    r = np.random.default_rng(6).standard_normal(C.shape[0])
+    expected = np.linalg.solve(C.toarray(), r)
+    assert np.linalg.norm(v_cycle(C, [])(r) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_v_cycle_is_spd_and_contracts_on_the_periodic_seam():
+    # the Galerkin matrices of the coarser grids keep the finest grid's
+    # seam penalty, so lambda_max(D^-1 C_k) reaches 2.66 here; with the
+    # smoother's row scaling every eigenvalue of V C lies in (0, 1], so V
+    # is SPD and I - V C an energy-norm contraction
+    S, space = be_system(5, dt=0.1)
+    P = conforming_p1_embedding(space)
+    C = (P.T @ S @ P).toarray()
+    n = isqrt(len(C)) - 1
+    V = v_cycle(C, [p1_prolongation(n // 2), p1_prolongation(n // 4)])
+    V_matrix = np.column_stack([V(e) for e in np.eye(len(C))])
+    assert np.abs(V_matrix - V_matrix.T).max() <= 1e-12 * np.abs(V_matrix).max()
+    L = np.linalg.cholesky(C)
+    eig = np.linalg.eigvalsh(L.T @ V_matrix @ L)
+    assert eig.min() > 0.1 and eig.max() <= 1.0 + 1e-10, (eig.min(), eig.max())

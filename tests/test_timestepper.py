@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,16 @@ from dgdyn.config import ProblemConfig
 from dgdyn.errors import energy_norm, l2_errors, rate
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
-from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
+from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve
 from dgdyn.space import DGSpace, interpolate
-from dgdyn.timestepper import build_operators, l2_lambda_project, run_backward_euler, solve_stationary
+from dgdyn.timestepper import (
+    build_operators,
+    cg_matrix,
+    l2_lambda_project,
+    p1_two_level,
+    run_backward_euler,
+    solve_stationary,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -251,9 +260,39 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
     assert len(solves) == config.num_steps()
 
     n_local = ops.space.n_local
-    P, PtMP, PtAP = ops.coarse_p1
     for system, rhs, tol, iterations in solves:
         block = block_jacobi_preconditioner(system, n_local)
-        preconditioners = {False: block, True: two_level_preconditioner(block, P, PtMP + dt * PtAP)}
+        preconditioners = {False: block, True: p1_two_level(block, ops.space, system)}
         counts = {k: cg_solve(system, rhs, tol=tol, preconditioner=B)[1].iterations for k, B in preconditioners.items()}
         assert iterations == counts[two_level] != counts[not two_level]
+
+
+def test_step_memory_proportional_to_operator(monkeypatch):
+    # operators stay in block form, the degree-2p tables are released after
+    # assembly and the coarse correction is a V-cycle: building the
+    # operators and taking one two-level backward Euler step (rho = 49)
+    # peaks at 3.9 times the CSR bytes of A (5.0 with CSR operators, kept
+    # tables and an LU-factored coarse solve).  The system CG multiplies is
+    # CSR without the blocks' stored zeros.
+    case = get_case("example3")
+    config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=1e-3)
+    systems = []
+
+    def recording_cg_solve(system, rhs, **kwargs):
+        systems.append(system)
+        return cg_solve(system, rhs, **kwargs)
+
+    run_backward_euler(config.with_(level=1), case.f, case.g, case.u0)  # module-level caches
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
+    tracemalloc.start()
+    try:
+        ops = build_operators(config)
+        run_backward_euler(config, case.f, case.g, case.u0, ops=ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.dt * ops.stiffness_per_dt > dgdyn.timestepper.TWO_LEVEL_STIFFNESS
+    A = cg_matrix(ops.A)
+    assert peak <= 4.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    (system,) = systems
+    assert system.format == "csr" and system.nnz == np.count_nonzero(system.data)
