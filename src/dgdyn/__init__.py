@@ -12,7 +12,6 @@ from .assembly import (
     assemble_domain_mass,
     assemble_load,
     assemble_mass,
-    dump_matrix,
 )
 from .config import ProblemConfig
 from .errors import ErrorRecord, energy_norm, energy_norm_terms, l2_errors, rate
@@ -70,7 +69,6 @@ __all__ = [
     "build_structured_mesh",
     "cg_solve",
     "classify_edges",
-    "dump_matrix",
     "edge_quadrature",
     "energy_norm",
     "energy_norm_terms",

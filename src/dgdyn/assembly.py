@@ -3,7 +3,10 @@
 Assembles the bulk form (volume gradients plus jump/flux terms on interior
 and periodic edges), the surface form on the top/bottom boundary (tangential
 stiffness on the boundary edges plus point couplings at the ridges), the
-mass matrices and time-dependent load vectors.  Every form is a sum of
+mass matrices and time-dependent load vectors.  With Dirichlet walls the
+full operator A_h also holds the Nitsche terms of the lateral edges and,
+scaled by beta, the one-sided corner terms of the surface form; the wall
+datum enters through a vector alone.  Every form is a sum of
 quadrature over point sets: the triangles and the faces.  Edges, ridges
 and corners are all faces from the mesh on; the edge rule on a ridge or a
 corner (a point face of unit length) puts every point at the vertex with
@@ -257,8 +260,8 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     plus the interior-penalty terms of the 1D surface mesh, whose faces are
     the ridges.
 
-    The one-sided corners of the Dirichlet variant are excluded here; they
-    enter through assemble_dirichlet_terms."""
+    The one-sided corners of the Dirichlet variant are not part of b_h;
+    assemble_Ah adds them, scaled by beta, with the Nitsche wall terms."""
     g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
     dt = g1.basis(grad=True) @ RIDGE_TANGENT
     stiff = np.einsum("eq,eql,eqm->elm", g1.w, dt, dt)
@@ -283,14 +286,31 @@ def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: fl
     return assemble_domain_mass(mesh, space) + lam * assemble_boundary_mass(mesh, edges, space)
 
 
+def _walls(edges: EdgeClassification, params: FormParams):
+    """The one-sided faces of the Dirichlet variant with their weights: the
+    lateral edges, and the corners of the surface form scaled by beta."""
+    return ((edges.dirichlet, 1.0), (edges.corners, params.beta))
+
+
 def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
     """Full stationary operator: bulk form + alpha boundary mass + beta
-    surface form.  Positive definite for gamma large enough when alpha > 0."""
-    return (
+    surface form, and with Dirichlet walls their Nitsche terms plus beta
+    times the one-sided corner terms of the surface form.  Positive
+    definite for gamma large enough when alpha > 0 or the walls are
+    Dirichlet."""
+    A = (
         assemble_Bh(mesh, edges, space, params)
         + params.alpha * assemble_boundary_mass(mesh, edges, space)
         + params.beta * assemble_bh(mesh, edges, space, params)
     )
+    if edges.bc_mode == DIRICHLET_LATERAL:
+        walls = [
+            (el_a, el_b, weight * block)
+            for faces, weight in _walls(edges, params)
+            for el_a, el_b, block in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma)
+        ]
+        A = A + _bsr(space, walls)
+    return A
 
 
 def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t: float = 0.0) -> np.ndarray:
@@ -313,41 +333,20 @@ def assemble_dirichlet_terms(
     edges: EdgeClassification,
     space: DGSpace,
     params: FormParams,
-    u_D=None,
+    u_D,
     t: float = 0.0,
-) -> tuple[sp.bsr_matrix, np.ndarray]:
-    """Weak Dirichlet coupling for the lateral boundary (Example 3 variant).
-
-    Returns the symmetric matrix delta to add to the full operator and the
-    matching right-hand-side contribution for the boundary datum u_D
-    (zero vector for homogeneous data).  The matrix carries the Nitsche
-    terms on the lateral edges and, scaled by beta, the one-sided endpoint
-    terms of the surface operator at the corners."""
+) -> np.ndarray:
+    """Right-hand side of the weak Dirichlet walls (Example 3 variant) for
+    the datum u_D at time t: sigma (u_D, v) - (u_D, grad v . n) on the
+    lateral edges plus beta times the same one-sided terms at the corners
+    of the surface form.  The matching matrix terms are part of
+    assemble_Ah."""
     if edges.bc_mode != DIRICHLET_LATERAL:
         raise ValueError("Dirichlet terms require bc_mode='dirichlet_lateral'")
-
-    weighted = ((edges.dirichlet, 1.0), (edges.corners, params.beta))
-    blocks = [
-        (el_a, el_b, weight * block)
-        for faces, weight in weighted
-        for el_a, el_b, block in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma)
-    ]
     rhs = np.zeros(space.n_dofs)
-    if u_D is not None:
-        for faces, weight in weighted:
-            ft = _face_tables(mesh, space, faces, 2 * space.p + 4)
-            ud = np.asarray(u_D(t, ft.plus.x, ft.plus.y), dtype=float)
-            flux = _integrate(space, ft.plus, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
-            rhs += weight * (_integrate(space, ft.plus, params.sigma * ud) - flux)
-    return _bsr(space, blocks), rhs
-
-
-def dump_matrix(A: sp.spmatrix, path) -> None:
-    """Write a matrix as text: header line ``n nnz`` then one
-    ``row col value`` line per stored entry (0-based indices)."""
-    A = A.tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    coo = A.tocoo()
-    table = np.column_stack([coo.row, coo.col, coo.data])
-    np.savetxt(path, table, fmt="%d %d %.17e", header=f"{A.shape[0]} {A.nnz}", comments="")
+    for faces, weight in _walls(edges, params):
+        ft = _face_tables(mesh, space, faces, 2 * space.p + 4)
+        ud = np.asarray(u_D(t, ft.plus.x, ft.plus.y), dtype=float)
+        flux = _integrate(space, ft.plus, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
+        rhs += weight * (_integrate(space, ft.plus, params.sigma * ud) - flux)
+    return rhs

@@ -10,7 +10,6 @@ in increasing precedence.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 import numpy as np
@@ -33,20 +32,17 @@ def _fmt_rate(r) -> str:
     return "" if r is None else f"{r:.2f}"
 
 
-def _emit_table(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
-    if fmt == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
+def _write_table(header: list[str], rows: list[list[str]], config: ProblemConfig) -> None:
+    """Write a table as CSV or markdown to ``config.out``, or to standard output."""
+    if config.fmt == "csv":
+        lines = [",".join(header), *(",".join(row) for row in rows)]
     else:
-        cells = [h or "-" for h in header]
-        out.write("| " + " | ".join(cells) + " |\n")
-        out.write("|" + "|".join(["---"] * len(header)) + "|\n")
-        for row in rows:
-            out.write("| " + " | ".join(c if c else "-" for c in row) + " |\n")
-
-
-def _write_output(text: str, config: ProblemConfig) -> None:
+        lines = [
+            "| " + " | ".join(h or "-" for h in header) + " |",
+            "|" + "|".join(["---"] * len(header)) + "|",
+            *("| " + " | ".join(c or "-" for c in row) + " |" for row in rows),
+        ]
+    text = "".join(line + "\n" for line in lines)
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)
@@ -100,7 +96,6 @@ def run_converge_h(config: ProblemConfig) -> list[ErrorRecord]:
     levels = config.levels or (2, 3, 4, 5)
     records = [_transient_errors(config.with_(level=lv, levels=None), case) for lv in levels]
     _attach_rates(records)
-    buf = io.StringIO()
     rows = [
         [
             _fmt(r.h),
@@ -113,8 +108,7 @@ def run_converge_h(config: ProblemConfig) -> list[ErrorRecord]:
         ]
         for r in records
     ]
-    _emit_table(CONVERGE_H_HEADER, rows, config.fmt, buf)
-    _write_output(buf.getvalue(), config)
+    _write_table(CONVERGE_H_HEADER, rows, config)
     return records
 
 
@@ -136,7 +130,6 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
         )
         records.append(ErrorRecord(h=ops.mesh.h, dt=dt, l2_domain=dom, l2_gamma1=g1, energy=0.0))
     _attach_rates(records)
-    buf = io.StringIO()
     rows = [
         [
             _fmt(r.dt),
@@ -147,8 +140,7 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
         ]
         for r in records
     ]
-    _emit_table(CONVERGE_DT_HEADER, rows, config.fmt, buf)
-    _write_output(buf.getvalue(), config)
+    _write_table(CONVERGE_DT_HEADER, rows, config)
     return records
 
 
@@ -165,14 +157,7 @@ def run_stability(config: ProblemConfig) -> list[tuple[int, float, float]]:
             raise StabilityViolation(
                 f"energy increased at step {k}: {norms[k - 1]:.15e} -> {norms[k]:.15e}"
             )
-    buf = io.StringIO()
-    _emit_table(
-        ["k", "t", "l2_lambda_norm"],
-        [[str(k), _fmt(t), _fmt(n)] for k, t, n in rows],
-        config.fmt,
-        buf,
-    )
-    _write_output(buf.getvalue(), config)
+    _write_table(["k", "t", "l2_lambda_norm"], [[str(k), _fmt(t), _fmt(n)] for k, t, n in rows], config)
     return rows
 
 
@@ -180,14 +165,11 @@ def run_solve(config: ProblemConfig) -> ErrorRecord:
     """Single transient run; emits one row of final errors."""
     case = get_case(config.case)
     rec = _transient_errors(config, case)
-    buf = io.StringIO()
-    _emit_table(
+    _write_table(
         ["h", "dt", "l2_domain", "l2_gamma1", "energy"],
         [[_fmt(rec.h), _fmt(rec.dt), _fmt(rec.l2_domain), _fmt(rec.l2_gamma1), _fmt(rec.energy)]],
-        config.fmt,
-        buf,
+        config,
     )
-    _write_output(buf.getvalue(), config)
     return rec
 
 

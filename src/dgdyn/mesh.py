@@ -26,7 +26,7 @@ BC_MODES = (PERIODIC, DIRICHLET_LATERAL)
 
 
 class MeshError(Exception):
-    """Raised for malformed meshes (e.g. an edge shared by >2 triangles)."""
+    """Raised for a mesh whose triangles are not the structured ones of its level."""
 
 
 @dataclass(frozen=True)
@@ -132,25 +132,22 @@ def build_structured_mesh(level: int, domain: Rectangle = UNIT_SQUARE) -> Mesh:
     ys = np.linspace(domain.c, domain.d, n + 1)
     X, Y = np.meshgrid(xs, ys)  # row-major: index = j*(n+1) + i
     vertices = np.column_stack([X.ravel(), Y.ravel()])
+    h = float(np.hypot(domain.width / n, domain.height / n))
+    return Mesh(domain=domain, level=level, vertices=vertices, triangles=_structured_triangles(n), h=h)
 
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    i = i.ravel(order="F")
-    j = j.ravel(order="F")
+
+def _structured_triangles(n: int) -> np.ndarray:
+    """Cell (i, j) of the n x n grid owns triangles 2*(j*n+i) (lower) and
+    2*(j*n+i)+1 (upper)."""
+    j, i = np.divmod(np.arange(n * n), n)
     v00 = j * (n + 1) + i
     v10 = v00 + 1
     v01 = v00 + (n + 1)
     v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    # cell (i, j) owns triangles 2*(j*n+i) (lower) and 2*(j*n+i)+1 (upper)
     triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
-    dx = domain.width / n
-    dy = domain.height / n
-    h = float(np.hypot(dx, dy))
-    return Mesh(domain=domain, level=level, vertices=vertices, triangles=triangles, h=h)
+    triangles[0::2] = np.column_stack([v00, v10, v11])
+    triangles[1::2] = np.column_stack([v00, v11, v01])
+    return triangles
 
 
 @dataclass(eq=False)
@@ -221,66 +218,47 @@ class EdgeClassification:
 def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     """Classify every geometric edge of a structured mesh.
 
-    In periodic mode the lateral edges are matched into left/right pairs by
-    identical y-interval and the four corner vertices fuse into one ridge
-    per boundary component.  In dirichlet_lateral mode the lateral edges
-    form a separate Dirichlet set and the corners become one-sided faces.
+    The face sets follow from the cell indices.  Every edge runs from a
+    vertex lo to a vertex hi > lo; the interior edges are listed by (lo, hi),
+    gamma1 bottom then top and the lateral edges left then right, each from
+    left to right or bottom to top.  In periodic mode the lateral edges are
+    paired by grid row and the four corner vertices fuse into one ridge per
+    boundary component.  In dirichlet_lateral mode the lateral edges form a
+    separate Dirichlet set and the corners become one-sided faces.
     """
     if bc_mode not in BC_MODES:
         raise ValueError(f"unknown bc_mode {bc_mode!r}")
     n = mesh.n_cells_per_side
-    nv = mesh.n_vertices
-    tris = mesh.triangles
+    if not np.array_equal(mesh.triangles, _structured_triangles(n)):
+        raise MeshError(f"the triangles are not those of the structured level-{mesh.level} mesh")
 
-    # Edge -> incident triangles: every (triangle, local edge) as a sorted
-    # vertex pair encoded lo * n_vertices + hi; a stable sort keeps each
-    # edge's triangles in increasing order.
-    va = tris.ravel()
-    vb = tris[:, [1, 2, 0]].ravel()
-    codes = np.minimum(va, vb) * nv + np.maximum(va, vb)
-    order = np.argsort(codes, kind="stable")
-    owner = order // 3
-    keys, first, counts = np.unique(codes[order], return_index=True, return_counts=True)
-    if (counts > 2).any():
-        bad = int(np.argmax(counts > 2))
-        lo, hi = divmod(int(keys[bad]), nv)
-        raise MeshError(f"edge {(lo, hi)} shared by {counts[bad]} triangles")
-    pairs = np.column_stack([keys // nv, keys % nv])
+    # from vertex v = j*(n+1) + i, in key order: the horizontal, vertical and
+    # diagonal edge, with the triangles below/left as plus and above/right as minus
+    v = np.arange(mesh.n_vertices)
+    j, i = np.divmod(v, n + 1)
+    cell = 2 * (j * n + i)  # lower triangle of cell (i, j); the upper is cell + 1
+    hi = np.column_stack([v + 1, v + n + 1, v + n + 2])
+    plus = np.column_stack([cell - 2 * n + 1, cell - 2, cell])
+    minus = np.column_stack([cell, cell + 1, cell + 1])
+    inside = np.column_stack([(0 < j) & (j < n) & (i < n), (0 < i) & (i < n) & (j < n), (i < n) & (j < n)])
+    lo = np.broadcast_to(v[:, None], hi.shape)
+    interior = _build_two_sided(mesh, lo[inside], hi[inside], plus[inside], minus[inside])
 
-    two = counts == 2
-    interior = _build_two_sided(mesh, pairs[two], owner[first[two]], owner[first[two] + 1])
-
-    # one-sided edges, in edge-key order
-    bkeys, belem = pairs[~two], owner[first[~two]]
-    i, j = bkeys % (n + 1), bkeys // (n + 1)
-    bottom = (j == 0).all(axis=1)
-    top = (j == n).all(axis=1)
-    left = (i == 0).all(axis=1)
-    right = (i == n).all(axis=1)
-    if not (bottom | top | left | right).all():  # pragma: no cover - impossible for the structured construction
-        raise MeshError(f"boundary edge {tuple(bkeys[~(bottom | top | left | right)][0])} on no boundary")
-    g1 = bottom | top
-    gamma1 = _build_gamma1(mesh, bkeys[g1], belem[g1], top[g1].astype(int))
-
-    # lateral edges ordered by the grid row of their lower endpoint
-    lrow = j.min(axis=1)
-    lorder, rorder = (np.flatnonzero(side)[np.argsort(lrow[side], kind="stable")] for side in (left, right))
+    k = np.arange(n)
+    g1, g1_elem = np.concatenate([k, n * (n + 1) + k]), np.concatenate([2 * k, 2 * (n - 1) * n + 2 * k + 1])
+    gamma1 = _build_one_sided(mesh, g1, g1 + 1, g1_elem, [[0.0, -1.0], [0.0, 1.0]])
+    left, right = k * (n + 1), k * (n + 1) + n
+    left_elem, right_elem = 2 * k * n + 1, 2 * (k * n + n - 1)
 
     gamma2_pairs = None
     dirichlet = None
     if bc_mode == PERIODIC:
-        if not np.array_equal(lrow[lorder], lrow[rorder]):  # pragma: no cover
-            raise MeshError("unmatched periodic edges")
-        gamma2_pairs = _build_two_sided(
-            mesh,
-            bkeys[rorder],
-            belem[rorder],
-            belem[lorder],
-            shift=np.array([-mesh.domain.width, 0.0]),
-            normal=np.array([1.0, 0.0]),
-        )
+        shift = np.array([-mesh.domain.width, 0.0])
+        gamma2_pairs = _build_two_sided(mesh, right, right + n + 1, right_elem, left_elem, shift, np.array([1.0, 0.0]))
     else:
-        dirichlet = _build_dirichlet(mesh, bkeys[lorder], belem[lorder], bkeys[rorder], belem[rorder])
+        lateral = np.concatenate([left, right])
+        elem = np.concatenate([left_elem, right_elem])
+        dirichlet = _build_one_sided(mesh, lateral, lateral + n + 1, elem, [[-1.0, 0.0], [1.0, 0.0]])
 
     ridges, corners = _build_point_faces(gamma1, bc_mode)
     return EdgeClassification(
@@ -294,16 +272,12 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     )
 
 
-def _build_two_sided(mesh, keys, elem_a, elem_b, shift=None, normal=None) -> TwoSidedFaces:
-    """Faces on the vertex pairs ``keys``.  Interior edges (no ``shift``) take
-    the smaller element index as the plus side; periodic pairs take
-    ``elem_a``, the element on the right boundary."""
-    if shift is None:
-        ep, em = np.minimum(elem_a, elem_b), np.maximum(elem_a, elem_b)
-    else:
-        ep, em = elem_a, elem_b
-    p0 = mesh.vertices[keys[:, 0]]
-    p1 = mesh.vertices[keys[:, 1]]
+def _build_two_sided(mesh, lo, hi, ep, em, shift=None, normal=None) -> TwoSidedFaces:
+    """Faces on the edges lo-hi.  Interior edges (no ``shift``) take the
+    normal of the edge pointing away from the plus element; periodic pairs
+    put the right boundary's element on the plus side."""
+    p0 = mesh.vertices[lo]
+    p1 = mesh.vertices[hi]
     tang = p1 - p0
     length = np.linalg.norm(tang, axis=1)
     if normal is None:
@@ -313,37 +287,18 @@ def _build_two_sided(mesh, keys, elem_a, elem_b, shift=None, normal=None) -> Two
         flip = np.einsum("ei,ei->e", nrm, mid - mesh.centroids[ep]) < 0
         nrm[flip] *= -1.0
     else:
-        nrm = np.broadcast_to(normal, (len(keys), 2)).copy()
-    ms = np.zeros((len(keys), 2)) if shift is None else np.broadcast_to(shift, (len(keys), 2)).copy()
+        nrm = np.broadcast_to(normal, (len(lo), 2)).copy()
+    ms = np.zeros((len(lo), 2)) if shift is None else np.broadcast_to(shift, (len(lo), 2)).copy()
     return TwoSidedFaces(p0=p0, p1=p1, elem_plus=ep, elem_minus=em, normal=nrm, length=length, minus_shift=ms)
 
 
-def _build_gamma1(mesh, keys, elem, comp) -> BoundaryFaces:
-    order = np.lexsort((mesh.vertices[keys[:, 0], 0], comp))
-    keys, elem, comp = keys[order], elem[order], comp[order]
-    p0 = mesh.vertices[keys[:, 0]]
-    p1 = mesh.vertices[keys[:, 1]]
-    # ensure p0 is the left endpoint so the edge tangent is +x
-    swap = p0[:, 0] > p1[:, 0]
-    p0[swap], p1[swap] = p1[swap].copy(), p0[swap].copy()
-    length = np.abs(p1[:, 0] - p0[:, 0])
-    normal = np.where(comp[:, None] == 0, [0.0, -1.0], [0.0, 1.0])
-    return BoundaryFaces(p0=p0, p1=p1, elem=elem, normal=normal, length=length)
-
-
-def _build_dirichlet(mesh, left_keys, left_elem, right_keys, right_elem) -> BoundaryFaces:
-    keys = np.concatenate([left_keys, right_keys])
-    comp = np.repeat([0, 1], [len(left_keys), len(right_keys)])
-    p0 = mesh.vertices[keys[:, 0]]
-    p1 = mesh.vertices[keys[:, 1]]
-    length = np.linalg.norm(p1 - p0, axis=1)
-    return BoundaryFaces(
-        p0=p0,
-        p1=p1,
-        elem=np.concatenate([left_elem, right_elem]),
-        normal=np.where(comp[:, None] == 0, [-1.0, 0.0], [1.0, 0.0]),
-        length=length,
-    )
+def _build_one_sided(mesh, lo, hi, elem, normals) -> BoundaryFaces:
+    """Boundary faces on the edges lo-hi, two equal groups with the outward
+    normals ``normals[0]`` and ``normals[1]``."""
+    p0 = mesh.vertices[lo]
+    p1 = mesh.vertices[hi]
+    normal = np.repeat(normals, len(lo) // 2, axis=0)
+    return BoundaryFaces(p0=p0, p1=p1, elem=elem, normal=normal, length=np.linalg.norm(p1 - p0, axis=1))
 
 
 def _build_point_faces(gamma1: BoundaryFaces, bc_mode: str) -> tuple[TwoSidedFaces, BoundaryFaces | None]:

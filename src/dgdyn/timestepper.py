@@ -89,22 +89,16 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
         gamma=config.gamma,
         penalty_mode=config.penalty_mode,
     )
-    A = assemble_Ah(mesh, edges, space, params)
     ops = Operators(
         mesh=mesh,
         edges=edges,
         space=space,
         params=params,
-        A=A,
+        A=assemble_Ah(mesh, edges, space, params),
         M=assemble_mass(mesh, edges, space, config.lam),
     )
-    if config.bc_mode == DIRICHLET_LATERAL:
-        delta, _ = assemble_dirichlet_terms(mesh, edges, space, params)
-        ops.A = A + delta
-        if u_D is not None:
-            ops.dirichlet_rhs = lambda t: assemble_dirichlet_terms(
-                mesh, edges, space, params, u_D=u_D, t=t
-            )[1]
+    if u_D is not None:
+        ops.dirichlet_rhs = lambda t: assemble_dirichlet_terms(mesh, edges, space, params, u_D, t)
     release_tables(space, 2 * space.p)  # the loads and norms use 2p + 4
     return ops
 
@@ -133,16 +127,14 @@ def solve_stationary(
     g,
     u_D=None,
 ) -> np.ndarray:
-    """Solve the stationary problem A_h u = (f, v) + (g, v)_gamma1."""
-    A = assemble_Ah(mesh, edges, space, params)
-    rhs = assemble_load(mesh, edges, space, f, g, t=0.0)
-    if edges.bc_mode == DIRICHLET_LATERAL:
-        delta, drhs = assemble_dirichlet_terms(mesh, edges, space, params, u_D=u_D, t=0.0)
-        A = A + delta
-        rhs = rhs + drhs
-    elif params.alpha == 0.0:
+    """Solve the stationary problem A_h u = (f, v) + (g, v)_gamma1, plus
+    the wall-data vector of ``u_D(t, x, y)`` at t = 0 if it is given."""
+    if params.alpha == 0.0 and edges.bc_mode != DIRICHLET_LATERAL:
         raise SolverError("stationary operator is singular: alpha = 0 leaves constants in the kernel")
-    A = cg_matrix(A)
+    A = cg_matrix(assemble_Ah(mesh, edges, space, params))
+    rhs = assemble_load(mesh, edges, space, f, g, t=0.0)
+    if u_D is not None:
+        rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
     # no mass term: the stiff limit, where the coarse correction always pays
     prec = p1_two_level(block_jacobi_preconditioner(A, space.n_local), space, A)
     x, report = cg_solve(A, rhs, preconditioner=prec)

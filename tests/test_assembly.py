@@ -13,7 +13,6 @@ from dgdyn.assembly import (
     assemble_domain_mass,
     assemble_load,
     assemble_mass,
-    dump_matrix,
 )
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
@@ -235,9 +234,19 @@ def test_constants_in_kernel(p, bc):
     assert np.abs(b @ ones).max() <= 1e-12 * scale_b
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_matrices_symmetric(p):
-    mesh, edges, space, params = setup(2, p)
+def both_bc(*cases):
+    """Parameter tuples ``cases`` with each bc mode appended; periodic cases
+    keep the plain id, Dirichlet ones add '-dirichlet_lateral'."""
+    return [
+        pytest.param(*case, bc, id="-".join(map(str, case + (() if bc == PERIODIC else (bc,)))))
+        for bc in (PERIODIC, DIRICHLET_LATERAL)
+        for case in cases
+    ]
+
+
+@pytest.mark.parametrize("p, bc", both_bc((1,), (2,)))
+def test_matrices_symmetric(p, bc):
+    mesh, edges, space, params = setup(2, p, bc)
     for A in (
         assemble_Bh(mesh, edges, space, params),
         assemble_bh(mesh, edges, space, params),
@@ -288,10 +297,9 @@ def test_Ah_constants_leave_only_boundary_mass():
     assert np.allclose(A @ ones, params.alpha * (C @ ones), atol=1e-11)
 
 
-@pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("level", [0, 1, 2])
-def test_Ah_positive_definite_dense(p, level):
-    mesh, edges, space, params = setup(level, p)
+@pytest.mark.parametrize("level, p, bc", both_bc(*[(level, p) for level in (0, 1, 2) for p in (1, 2)]))
+def test_Ah_positive_definite_dense(level, p, bc):
+    mesh, edges, space, params = setup(level, p, bc)
     A = assemble_Ah(mesh, edges, space, params).toarray()
     eigs = np.linalg.eigvalsh(A)
     assert eigs.min() > 0
@@ -333,24 +341,24 @@ def test_brute_force_oracle_level0():
 def test_brute_force_oracle_level0_dirichlet():
     mesh, edges, space, params = setup(0, 1, bc=DIRICHLET_LATERAL, gamma=10.0, beta=5.0)
     u_D = lambda x, y: x + 2.0 * y
-    delta, rhs = assemble_dirichlet_terms(mesh, edges, space, params, u_D=lambda t, x, y: x + 2.0 * y)
+    A = assemble_Ah(mesh, edges, space, params)
+    without_walls = (
+        assemble_Bh(mesh, edges, space, params)
+        + params.alpha * assemble_boundary_mass(mesh, edges, space)
+        + params.beta * assemble_bh(mesh, edges, space, params)
+    )
+    rhs = assemble_dirichlet_terms(mesh, edges, space, params, lambda t, x, y: u_D(x, y))
     odelta, orhs = oracle_dirichlet(gamma=10.0, beta=5.0, u_D=u_D)
-    assert np.abs(delta.toarray() - odelta).max() < 1e-10
+    assert np.abs((A - without_walls).toarray() - odelta).max() < 1e-10
     assert np.abs(rhs - orhs).max() < 1e-10
 
 
 def test_dirichlet_terms_contract():
     mesh, edges, space, params = setup(2, 1, bc=DIRICHLET_LATERAL)
-    delta, rhs = assemble_dirichlet_terms(mesh, edges, space, params)
-    assert not rhs.any()
-    assert np.abs((delta - delta.T).toarray()).max() <= 1e-12 * np.abs(delta.data).max()
-    ones = np.ones(space.n_dofs)
-    A = assemble_Ah(mesh, edges, space, params)
-    assert ones @ ((A + delta) @ ones) > 0
-
+    assert not assemble_dirichlet_terms(mesh, edges, space, params, lambda t, x, y: np.zeros_like(x)).any()
     _, edges_per, _, _ = setup(2, 1, bc=PERIODIC)
     with pytest.raises(ValueError):
-        assemble_dirichlet_terms(mesh, edges_per, space, params)
+        assemble_dirichlet_terms(mesh, edges_per, space, params, lambda t, x, y: x)
 
 
 # Beyond level 0, where Dirichlet mode has no interior ridge: an interpolant
@@ -383,21 +391,6 @@ def test_bh_fused_periodic_corner_by_hand(level, p):
     v = interpolate(mesh, space, lambda t, x, y: x)
     b = assemble_bh(mesh, edges, space, params)
     assert v @ (b @ v) == pytest.approx(2.0 * params.sigma - 2.0, rel=1e-12)
-
-
-def test_matrix_dump(tmp_path):
-    mesh, edges, space, params = setup(1, 1)
-    A = assemble_Ah(mesh, edges, space, params)
-    path = tmp_path / "mat.txt"
-    dump_matrix(A, path)
-    lines = path.read_text().strip().splitlines()
-    n, nnz = map(int, lines[0].split())
-    assert n == space.n_dofs and nnz == A.nnz == len(lines) - 1
-    rebuilt = np.zeros((n, n))
-    for line in lines[1:]:
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.allclose(rebuilt, A.toarray(), rtol=0, atol=0)
 
 
 def test_level0_volume_gradients_by_hand():

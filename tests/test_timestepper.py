@@ -239,6 +239,31 @@ def test_dirichlet_mode_runs():
     assert np.allclose(res.coeffs, 0.0, atol=1e-12)
 
 
+def test_wall_data_patch_test():
+    # u = (1+t)(a x + b y) is in the p = 2 space and linear in t, so backward
+    # Euler with the wall datum u_D = u reproduces it to rounding; so does
+    # the stationary solve for u = a x + b y.  On gamma1 du/dn = (1+t) b (2y-1).
+    a, b = 0.7, -1.3
+    config = ProblemConfig(case="example3", bc_mode=DIRICHLET_LATERAL, level=2, p=2, dt=0.1, t_final=0.5)
+    alpha, lam = config.alpha, config.lam
+    u = lambda t, x, y: (1.0 + t) * (a * x + b * y)
+    f = lambda t, x, y: a * x + b * y
+    g = lambda t, x, y: lam * (a * x + b * y) + (1.0 + t) * b * (2.0 * y - 1.0) + alpha * u(t, x, y)
+    res = run_backward_euler(config, f, g, lambda x, y: u(0.0, x, y), u_D=u)
+    ops = res.ops
+    dom, _, _ = l2_errors(ops.mesh, ops.edges, ops.space, lam, res.coeffs, u, t=config.t_final)
+    assert dom <= 1e-10
+    # the per-step wall data reads the degree-2p + 4 tables only
+    assert not [name for name in ops.space.tables if name[-1] == 2 * config.p]
+
+    mesh, edges, space, params = setup(2, 2, DIRICHLET_LATERAL, alpha=alpha, lam=lam)
+    steady = lambda t, x, y: a * x + b * y
+    g0 = lambda t, x, y: b * (2.0 * y - 1.0) + alpha * steady(t, x, y)
+    uh = solve_stationary(mesh, edges, space, params, None, g0, u_D=steady)
+    dom, _, _ = l2_errors(mesh, edges, space, lam, uh, steady)
+    assert dom <= 1e-10
+
+
 @pytest.mark.parametrize("dt, t_final, two_level", [(1e-5, 5e-5, False), (0.1, 0.2, True)])
 def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_level):
     # rho = dt * max_e 1'A_e 1 / 1'M_e 1 is 0.12 at dt = 1e-5 and 1.2e3 at
