@@ -18,8 +18,12 @@ structured meshes).  One evaluator on it serves assembly, loads,
 projection and norms: ``field`` maps coefficients to point values or
 physical gradients, ``test`` is its weighted transpose, and ``basis``
 gives the per-entry arrays from which the operator blocks are built
-once.  The point sets are cached on the space, which owns them, and the
-degree-2p ones are released once the operators are built.  Every
+once.  ``exact`` gives a closed-form field at the points: a time-separable
+field's snapshots at its time nodes are evaluated once per point set and
+kept on it, so every later time is a weighted sum of them, and a load is a
+weighted sum of per-node vectors, each integrated once.  The point sets
+are cached on the space, which owns them, and the degree-2p ones are
+released once the operators are built.  Every
 operator is a sum of dense element blocks: they are keyed by element pair
 and summed into one block (BSR) matrix, which the operators stay in.
 
@@ -30,11 +34,12 @@ norms use 2p + 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from .manufactured import SeparableField
 from .mesh import DIRICHLET_LATERAL, BoundaryFaces, EdgeClassification, Mesh, TwoSidedFaces
 from .space import DGSpace, edge_quadrature, triangle_quadrature
 
@@ -90,6 +95,48 @@ class _Points:
     groups: tuple  # entries of each pattern: index arrays, or (slice(None),)
     phi: np.ndarray  # (n_patterns, nq, n_local) reference basis values
     grad: np.ndarray  # (n_patterns, nq, n_local, 2) reference gradients
+    kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields
+
+    def part(self, sl: slice) -> _Points:
+        """The entries ``sl``, a slice of step 1, as a point set sharing this
+        one's tables; it keeps nothing of its own."""
+        start, stop, _ = sl.indices(len(self.elem))
+        if start == 0 and stop == len(self.elem):
+            return self
+        groups = self.groups
+        if len(self.phi) > 1:  # index arrays, ascending
+            groups = tuple(idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)] - start for idx in groups)
+        return _Points(self.elem[sl], self.w[sl], self.x[sl], self.y[sl], self.inv_j[sl], groups, self.phi, self.grad)
+
+    def exact(self, fn, t: float) -> list:
+        """``fn`` at time t on the points, as (weight, values) terms that sum
+        to it: one term per time node of a ``SeparableField``, whose snapshot
+        is evaluated once and kept, ``(1, fn(t, x, y))`` for a plain
+        callable, and none for None.  Values are what ``fn`` returns: an
+        array, or a pair of arrays for a gradient."""
+        if fn is None:
+            return []
+        if not isinstance(fn, SeparableField):
+            return [(1.0, fn(t, self.x, self.y))]
+        snapshots = [self._keep((fn.fn, s), lambda s=s: fn.fn(s, self.x, self.y)) for s in fn.nodes]
+        return list(zip(fn.weights(t), snapshots))
+
+    def load(self, fn, t: float) -> np.ndarray:
+        """Local load vectors (nE, n_local) of sum_q w fn(t) v: for a
+        ``SeparableField``, the weighted sum of its per-node vectors, each
+        integrated once and kept without its point values."""
+        if not isinstance(fn, SeparableField):
+            return self.test(np.asarray(fn(t, self.x, self.y), dtype=float))
+        vectors = [
+            self._keep((fn.fn, s, "load"), lambda s=s: self.test(np.asarray(fn.fn(s, self.x, self.y), dtype=float)))
+            for s in fn.nodes
+        ]
+        return sum(w * v for w, v in zip(fn.weights(t), vectors))
+
+    def _keep(self, key, make):
+        if key not in self.kept:
+            self.kept[key] = make()
+        return self.kept[key]
 
     def field(self, c: np.ndarray, grad: bool = False) -> np.ndarray:
         """Values (nE, nq), or physical gradients (nE, nq, 2) if ``grad``, of
@@ -211,10 +258,15 @@ def _mass_block(pts: _Points) -> np.ndarray:
     return out
 
 
+def _scatter(space: DGSpace, pts: _Points, local: np.ndarray) -> np.ndarray:
+    """Local vectors (nE, n_local) of a point set summed into one entry per dof."""
+    return np.bincount(space.dofs[pts.elem].ravel(), weights=local.ravel(), minlength=space.n_dofs)
+
+
 def _integrate(space: DGSpace, pts: _Points, values: np.ndarray) -> np.ndarray:
     """The vector (values, v) over a point set, one entry per dof.  Values
     of shape (nE, nq, 2) are tested against grad v instead of v."""
-    return np.bincount(space.dofs[pts.elem].ravel(), weights=pts.test(values).ravel(), minlength=space.n_dofs)
+    return _scatter(space, pts, pts.test(values))
 
 
 def _penalty_blocks(ft: _FaceTables, sigma: float):
@@ -316,15 +368,16 @@ def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t: float = 0.0) -> np.ndarray:
     """Load vector (f, v)_Omega + (g, v)_gamma1 at time t.
 
-    f and g are callables (t, x, y) -> array; either may be None for a zero
-    source."""
+    f and g are callables (t, x, y) -> array or ``SeparableField``s, whose
+    per-node vectors are integrated once per space; either may be None for
+    a zero source."""
     load = np.zeros(space.n_dofs)
     if f is not None:
         vol = _cell_points(mesh, space, 2 * space.p + 4)
-        load += _integrate(space, vol, np.asarray(f(t, vol.x, vol.y), dtype=float))
+        load += _scatter(space, vol, vol.load(f, t))
     if g is not None:
         g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).plus
-        load += _integrate(space, g1, np.asarray(g(t, g1.x, g1.y), dtype=float))
+        load += _scatter(space, g1, g1.load(g, t))
     return load
 
 

@@ -61,7 +61,7 @@ def _transient_errors(config: ProblemConfig, case) -> ErrorRecord:
         e = energy_norm(ops.mesh, ops.edges, ops.space, ops.params, u_h=u, exact=case, t=t)
         acc[0] += config.dt * e * e
 
-    res = run_backward_euler(config, case.f, case.g, case.u0, on_step=on_step, ops=ops)
+    res = run_backward_euler(config, case.declared("f"), case.declared("g"), case.u0, on_step=on_step, ops=ops)
     dom, g1, _ = l2_errors(
         ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final
     )
@@ -124,7 +124,7 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
     for j in range(config.dt_steps):
         dt = config.dt * 0.5**j
         cfg = config.with_(dt=dt)
-        res = run_backward_euler(cfg, case.f, case.g, case.u0, ops=ops)
+        res = run_backward_euler(cfg, case.declared("f"), case.declared("g"), case.u0, ops=ops)
         dom, g1, _ = l2_errors(
             ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final
         )

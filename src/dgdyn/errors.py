@@ -4,9 +4,11 @@ The energy norm combines the broken H1 seminorm, the penalty-scaled jumps
 and averaged gradients on interior/periodic (or Dirichlet) edges, the
 weighted boundary terms on gamma1 and the point jump/average terms at the
 ridges (or corners), the faces of the surface mesh.  Arguments may be a DG
-coefficient vector, an exact field (value and gradient callables) or both,
-in which case the norm of the difference ``exact - u_h`` is computed;
-exact fields contribute no jumps.
+coefficient vector, an exact field (value and gradient callables, or a
+``ManufacturedCase``) or both, in which case the norm of the difference
+``exact - u_h`` is computed; exact fields contribute no jumps.  The energy
+norm, evaluated at every step, takes a case's declared time-separable
+fields, whose snapshots each point set evaluates once per time node.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import RIDGE_TANGENT, FormParams, _cell_points, _face_tables
+from .manufactured import ManufacturedCase
 from .mesh import EdgeClassification, Mesh
 from .space import DGSpace
 
@@ -45,46 +48,78 @@ def rate(err_coarse: float, err_fine: float, factor: float = 2.0) -> float:
 def _as_field(exact):
     if exact is None:
         return None, None
-    if hasattr(exact, "u"):
-        return exact.u, getattr(exact, "grad_u", None)
+    if isinstance(exact, ManufacturedCase):
+        return exact.declared("u"), exact.declared("grad_u")
     if isinstance(exact, tuple):
         value, grad = exact
         return value, grad
     return exact, None
 
 
-def _trace(pts, space, u_h, fn, t, grad=False):
-    """exact - u_h at a point set, or its gradient if ``grad``: ``fn`` is the
-    exact value or gradient callable.  A missing u_h or fn counts as zero."""
+# Points per block of a norm's sums over a point set: the temporaries of
+# one block (512 KB per gradient array) stay small next to the snapshots
+# kept on the point sets.
+BLOCK_POINTS = 2**15
+
+
+def _blocks(pts):
+    n, nq = pts.w.shape
+    size = max(1, BLOCK_POINTS // nq)
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def _trace(pts, sl, space, u_h, exact, grad=False):
+    """exact - u_h on the entries ``sl`` of a point set, or its gradient if
+    ``grad``: ``exact`` holds the terms of the exact value or gradient on
+    the whole set (``_Points.exact``).  A missing u_h or exact field counts as zero."""
+    part = pts.part(sl)
     if u_h is None:
-        out = np.zeros(pts.x.shape + ((2,) if grad else ()))
+        out = np.zeros(part.w.shape + ((2,) if grad else ()))
     else:
-        out = pts.field(u_h[space.dofs[pts.elem]], grad)
+        out = part.field(u_h[space.dofs[part.elem]], grad)
         np.negative(out, out=out)
-    if fn is not None:
-        exact = fn(t, pts.x, pts.y)
+    for weight, values in exact:
         if grad:
-            out[..., 0] += exact[0]
-            out[..., 1] += exact[1]
+            out[..., 0] += weight * values[0][sl]
+            out[..., 1] += weight * values[1][sl]
         else:
-            out += exact
+            out += weight * values[sl]
     return out
 
 
-def _two_sided(ft, space, u_h, grad_fn, t):
-    """Jump and average gradient of exact - u_h on two-sided faces.  The
-    exact field has no jumps, so the jump is that of u_h and the exact
-    gradient is evaluated once, on the plus side."""
-    jump = _trace(ft.plus, space, u_h, None, t) - _trace(ft.minus, space, u_h, None, t)
-    gp = _trace(ft.plus, space, u_h, None, t, grad=True)
-    gm = _trace(ft.minus, space, u_h, None, t, grad=True)
-    return jump, _trace(ft.plus, space, None, grad_fn, t, grad=True) + 0.5 * (gp + gm)
-
-
-def _norm2(pts, a):
-    """Sum over the points of w |a|^2, for values (nE, nq) or vectors (nE, nq, 2)."""
+def _norm2(pts, sl, a):
+    """Sum over the points of the entries ``sl`` of w |a|^2, for values
+    (nE, nq) or vectors (nE, nq, 2)."""
     a2 = a * a if a.ndim == 2 else np.einsum("eqi,eqi->eq", a, a)
-    return float(np.einsum("eq,eq->", pts.w, a2))
+    return float(np.einsum("eq,eq->", pts.w[sl], a2))
+
+
+def _sum_sq(pts, space, u_h, exact, grad=False, tangential=False):
+    """Sum over a point set of w |exact - u_h|^2, or of w |grad (exact - u_h)|^2
+    (its component along gamma1 alone if ``tangential``), one block of
+    entries at a time."""
+    total = 0.0
+    for sl in _blocks(pts):
+        a = _trace(pts, sl, space, u_h, exact, grad)
+        total += _norm2(pts, sl, a @ RIDGE_TANGENT if tangential else a)
+    return total
+
+
+def _two_sided_sums(ft, space, u_h, exact_grad, tangential):
+    """Sums of w |[w]|^2 and w |{grad w}|^2 (its component along gamma1 alone
+    if ``tangential``) over two-sided faces, w = exact - u_h.  The exact field
+    has no jumps, so the jump is that of u_h and the exact gradient is
+    evaluated once, on the plus side, whose entries match the minus side's."""
+    jump2 = avg2 = 0.0
+    for sl in _blocks(ft.plus):
+        jump = _trace(ft.plus, sl, space, u_h, [])
+        jump -= _trace(ft.minus, sl, space, u_h, [])
+        avg = _trace(ft.plus, sl, space, u_h, exact_grad, grad=True)
+        avg += _trace(ft.minus, sl, space, u_h, exact_grad, grad=True)
+        avg *= 0.5
+        jump2 += _norm2(ft.plus, sl, jump)
+        avg2 += _norm2(ft.plus, sl, avg @ RIDGE_TANGENT if tangential else avg)
+    return jump2, avg2
 
 
 def energy_norm_terms(
@@ -107,19 +142,19 @@ def energy_norm_terms(
     terms: dict[str, float] = {}
 
     vol = _cell_points(mesh, space, degree)
-    terms["h1_broken"] = _norm2(vol, _trace(vol, space, u_h, grad_fn, t, grad=True))
+    terms["h1_broken"] = _sum_sq(vol, space, u_h, vol.exact(grad_fn, t), grad=True)
 
     def face_sums(two_sided, one_sided, tangential):
         """Weighted sums of |[w]|^2 and |{grad w}|^2 over a two-sided face set
         and an optional one-sided one, where w counts itself; ``tangential``
         keeps only the gradient's component along gamma1."""
         ft = _face_tables(mesh, space, two_sided, degree)
-        parts = [(ft.plus, *_two_sided(ft, space, u_h, grad_fn, t))]
+        jump2, avg2 = _two_sided_sums(ft, space, u_h, ft.plus.exact(grad_fn, t), tangential)
         if one_sided is not None:
             pts = _face_tables(mesh, space, one_sided, degree).plus
-            parts.append((pts, _trace(pts, space, u_h, value_fn, t), _trace(pts, space, u_h, grad_fn, t, grad=True)))
-        jump2 = sum(_norm2(pts, jump) for pts, jump, _ in parts)
-        return jump2, sum(_norm2(pts, avg @ RIDGE_TANGENT if tangential else avg) for pts, _, avg in parts)
+            jump2 += _sum_sq(pts, space, u_h, pts.exact(value_fn, t))
+            avg2 += _sum_sq(pts, space, u_h, pts.exact(grad_fn, t), grad=True, tangential=tangential)
+        return jump2, avg2
 
     # interior and periodic edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2;
     # ridges, the faces of the surface mesh: beta sigma [w]^2 +
@@ -131,8 +166,8 @@ def energy_norm_terms(
 
     # gamma1: alpha ||w||^2 + beta |w|_H1^2 along the boundary
     g1 = _face_tables(mesh, space, edges.gamma1, degree).plus
-    terms["alpha_boundary"] = params.alpha * _norm2(g1, _trace(g1, space, u_h, value_fn, t))
-    terms["beta_tangential"] = params.beta * _norm2(g1, _trace(g1, space, u_h, grad_fn, t, grad=True) @ RIDGE_TANGENT)
+    terms["alpha_boundary"] = params.alpha * _sum_sq(g1, space, u_h, g1.exact(value_fn, t))
+    terms["beta_tangential"] = params.beta * _sum_sq(g1, space, u_h, g1.exact(grad_fn, t), grad=True, tangential=True)
     terms["ridge_jump"] = params.beta * sigma * rj2
     terms["ridge_average"] = params.beta / sigma * ra2
     return terms
@@ -150,10 +185,11 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     Either argument may be None to measure the other alone; the lambda-
     weighted norm satisfies l2_lambda^2 = l2_domain^2 + lam * l2_gamma1^2.
     """
-    value_fn, _ = _as_field(exact)
+    # a case's plain u: a run measures it at one time, so no snapshot is kept
+    value_fn = exact.u if isinstance(exact, ManufacturedCase) else _as_field(exact)[0]
     degree = 2 * space.p + 4
     vol = _cell_points(mesh, space, degree)
-    l2_dom = math.sqrt(_norm2(vol, _trace(vol, space, u_h, value_fn, t)))
+    l2_dom = math.sqrt(_sum_sq(vol, space, u_h, vol.exact(value_fn, t)))
     g1 = _face_tables(mesh, space, edges.gamma1, degree).plus
-    l2_g1 = math.sqrt(_norm2(g1, _trace(g1, space, u_h, value_fn, t)))
+    l2_g1 = math.sqrt(_sum_sq(g1, space, u_h, g1.exact(value_fn, t)))
     return l2_dom, l2_g1, math.sqrt(l2_dom**2 + lam * l2_g1**2)

@@ -8,17 +8,35 @@ f = du/dt - laplace(u), and the boundary source
 with du/dn = -du/dy on the bottom component and +du/dy on the top.  The
 sources are hand-derived closed forms; the test suite validates them
 against high-precision numerical differentiation of u.
+
+Every field of the shipped cases separates in time: it is a short sum of
+time weights times its own values at a few time nodes.  A case declares
+these nodes and weights per field, so that a point set evaluates each
+spatial factor once and every later time is a weighted sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mesh import DIRICHLET_LATERAL, PERIODIC
 
 TWO_PI = 2.0 * np.pi
+
+
+@dataclass(frozen=True)
+class SeparableField:
+    """A field whose value at time t is sum_k weights(t)[k] * fn(nodes[k], x, y).
+
+    Each snapshot ``fn(nodes[k], x, y)`` is an exact value of the field, so
+    no differencing is involved; a point set evaluates it once and keeps it.
+    """
+
+    fn: callable  # (t, x, y) -> values, or a (d/dx, d/dy) pair for a gradient
+    nodes: tuple[float, ...]
+    weights: callable  # t -> one weight per node
 
 
 @dataclass(frozen=True)
@@ -33,9 +51,19 @@ class ManufacturedCase:
     du_dt: callable
     f: callable
     g: callable  # valid on gamma1 only (y = 0 or y = 1)
+    # (time nodes, weights(t)) of the fields that separate in time, by field name
+    time_factors: dict = field(default_factory=dict, compare=False)
 
     def u0(self, x, y):
         return self.u(0.0, x, y)
+
+    def declared(self, name: str):
+        """The field ``name`` as a ``SeparableField`` if the case declares its
+        time factors, else its plain (t, x, y) callable."""
+        fn = getattr(self, name)
+        if name not in self.time_factors:
+            return fn
+        return SeparableField(fn, *self.time_factors[name])
 
 
 def example1(alpha: float = 2.0, beta: float = 5.0, lam: float = 10.0) -> ManufacturedCase:
@@ -67,9 +95,11 @@ def example1(alpha: float = 2.0, beta: float = 5.0, lam: float = 10.0) -> Manufa
         c = np.cos(TWO_PI * x)
         return np.cos(2.0 * TWO_PI * y) * e * ((alpha - 10.0 * lam) * (1.0 - c) - beta * TWO_PI**2 * c)
 
+    decay = ((0.0,), lambda t: (np.exp(-10.0 * t),))  # every field is exp(-10 t) times its value at 0
     return ManufacturedCase(
         name="example1", bc_mode=PERIODIC, alpha=alpha, beta=beta, lam=lam,
         u=u, grad_u=grad_u, du_dt=du_dt, f=f, g=g,
+        time_factors={name: decay for name in ("u", "grad_u", "f", "g")},
     )
 
 
@@ -99,9 +129,12 @@ def example3(alpha: float = 2.0, beta: float = 5.0, lam: float = 10.0) -> Manufa
         c = np.cos(TWO_PI * x)
         return np.cos(np.pi * y) * (lam * (1.0 - c) + alpha * t * (1.0 - c) - beta * TWO_PI**2 * t * c)
 
+    linear = ((1.0,), lambda t: (t,))  # t times the value at 1
+    affine = ((0.0, 1.0), lambda t: (1.0 - t, t))  # interpolates the values at 0 and 1
     return ManufacturedCase(
         name="example3", bc_mode=DIRICHLET_LATERAL, alpha=alpha, beta=beta, lam=lam,
         u=u, grad_u=grad_u, du_dt=du_dt, f=f, g=g,
+        time_factors={"u": linear, "grad_u": linear, "f": affine, "g": affine},
     )
 
 

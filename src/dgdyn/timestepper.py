@@ -78,8 +78,12 @@ class Operators:
 
 
 def build_operators(config: ProblemConfig, u_D=None) -> Operators:
+    """Assemble the operators of ``config``, with the wall-data vector of
+    ``u_D(t, x, y)`` as ``dirichlet_rhs`` if it is given."""
     mesh = build_structured_mesh(config.level)
     edges = classify_edges(mesh, config.bc_mode)
+    if u_D is not None and edges.bc_mode != DIRICHLET_LATERAL:
+        raise ValueError(f"wall data u_D requires bc_mode='{DIRICHLET_LATERAL}', not {edges.bc_mode!r}")
     space = DGSpace(mesh, config.p)
     params = FormParams.for_mesh(
         mesh,
@@ -169,12 +173,17 @@ def run_backward_euler(
     Sources are evaluated at t_{k+1}.  ``on_step(k, t_k, u_h^k)`` is invoked
     for every state including the initial one; only the current state is
     stored.  Each solve starts from zero, so results do not depend on the
-    step history through the solver.
+    step history through the solver.  f and g may be ``SeparableField``s
+    (see ``assemble_load``).  Wall data ``u_D`` enters through the
+    operators: it is given to ``build_operators``, here or before ``ops``
+    is passed.
     """
     n_steps = config.num_steps()
     dt = config.dt
     if ops is None:
         ops = build_operators(config, u_D=u_D)
+    elif u_D is not None and ops.dirichlet_rhs is None:
+        raise ValueError("u_D is given but ops were built without it; pass u_D to build_operators")
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
     system = cg_matrix(ops.M + dt * ops.A)

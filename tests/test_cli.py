@@ -1,12 +1,16 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dgdyn
+import dgdyn.cli
 
 from dgdyn.cli import (
     CONVERGE_H_HEADER,
@@ -19,6 +23,11 @@ from dgdyn.cli import (
     run_stability,
 )
 from dgdyn.config import ProblemConfig
+from dgdyn.manufactured import get_case
+from dgdyn.mesh import DIRICHLET_LATERAL
+from dgdyn.timestepper import cg_matrix
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_parse_levels():
@@ -238,3 +247,77 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("dgdyn: error: ") and message in last, proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ["converge-h", "--case", "example1", "--levels", "2..4", "--format", "csv", "--dt", "1e-4", "--t-final", "1e-3"],
+            "converge_h_example1.csv",
+        ),
+        (
+            ["converge-dt", "--case", "example2", "--level", "4", "--dt", "0.1", "--t-final", "0.1", "--dt-steps", "3"],
+            "converge_dt_example2.csv",
+        ),
+        (["solve", "--case", "example3", "--level", "3", "--p", "2", "--format", "markdown"], "solve_example3.md"),
+        (
+            ["stability", "--case", "example3", "--format", "markdown", "--dt", "1e-4", "--t-final", "1e-3"],
+            "stability_example3.md",
+        ),
+    ],
+)
+def test_printed_tables_match_golden(argv, golden, capsys):
+    # the stored tables fix every printed digit of these commands; they
+    # were printed when every step evaluated the manufactured fields afresh
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("name, nodes", [("example1", 1), ("example3", 2)])
+def test_sources_evaluated_once_per_node_and_space(monkeypatch, capsys, name, nodes):
+    # a level-2 run of 100 steps: each source is evaluated at its time nodes
+    # once (example1: exp(-10 t) times the field at 0; example3: the fields
+    # at 0 and 1), and every step's load is a weighted sum of the results
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    case = get_case(name)
+    case = dataclasses.replace(case, f=counted("f", case.f), g=counted("g", case.g))
+    monkeypatch.setattr(dgdyn.cli, "get_case", lambda _: case)
+    config = ProblemConfig(case=name, bc_mode=case.bc_mode, levels=(2,), dt=1e-5, t_final=1e-3).validate()
+    assert config.num_steps() == 100
+    run_converge_h(config)
+    assert calls == {"f": nodes, "g": nodes}
+
+
+def test_energy_norm_step_memory_proportional_to_operator(monkeypatch):
+    # the per-step energy norms keep the exact fields' snapshots on the
+    # point sets and sum each point set in blocks of 2^15 points: two
+    # steps, their norms and the final L2 errors peak at 4.25 times the CSR
+    # bytes of A, in the second norm.  When every norm evaluated the fields
+    # afresh, without blocks, the peak was 4.25 times as well.
+    case = get_case("example3")
+    config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=2e-3)
+    dgdyn.cli._transient_errors(config.with_(level=1), case)  # module-level caches
+    built = []
+
+    def recording_build_operators(*args, **kwargs):
+        built.append(dgdyn.timestepper.build_operators(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(dgdyn.cli, "build_operators", recording_build_operators)
+    tracemalloc.start()
+    try:
+        dgdyn.cli._transient_errors(config, case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    A = cg_matrix(built[0].A)
+    assert peak <= 4.3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)

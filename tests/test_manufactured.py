@@ -8,8 +8,11 @@ pointwise checks, float64 Richardson differences for the larger sweeps.
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
+from dgdyn.config import CASES
 from dgdyn.manufactured import ManufacturedCase, example1, example3, get_case
 
 mp.mp.dps = 40
@@ -138,3 +141,22 @@ def test_case_lookup():
     assert get_case("example3").bc_mode == "dirichlet_lateral"
     with pytest.raises(ValueError):
         get_case("example9")
+
+
+DECLARED = [(name, field) for name in CASES for field in get_case(name).time_factors]
+
+
+@pytest.mark.parametrize("name, field", DECLARED, ids=[f"{n}-{f}" for n, f in DECLARED])
+@settings(max_examples=60, deadline=None, database=None)
+@given(t=st.floats(0.0, 1.0), x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0))
+def test_declared_time_factors_reproduce_the_field(name, field, t, x, y):
+    # a declared field at t is the weighted sum of its values at the time
+    # nodes, to rounding relative to the field's largest value
+    case = get_case(name)
+    declared = case.declared(field)
+    value = np.atleast_1d(getattr(case, field)(t, x, y))
+    weighted = sum(w * np.atleast_1d(declared.fn(s, x, y)) for s, w in zip(declared.nodes, declared.weights(t)))
+    grid = np.linspace(0.0, 1.0, 41)
+    X, Y = np.meshgrid(grid, grid)
+    scale = max(np.abs(getattr(case, field)(s, X, Y)).max() for s in (0.0, 0.5, 1.0))
+    assert np.allclose(weighted, value, rtol=0.0, atol=1e-13 * scale)

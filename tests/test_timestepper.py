@@ -264,6 +264,24 @@ def test_wall_data_patch_test():
     assert dom <= 1e-10
 
 
+@pytest.mark.parametrize("bc, prebuilt", [(PERIODIC, False), (DIRICHLET_LATERAL, True)], ids=["periodic", "ops_without_u_D"])
+def test_wall_data_rejected_before_set_up(monkeypatch, bc, prebuilt):
+    # wall data on periodic walls, or with operators built without it, is
+    # refused before anything is assembled or stepped
+    config = ProblemConfig(case="example3", bc_mode=bc, level=2, p=1, dt=1e-2, t_final=2e-2)
+    u = lambda t, x, y: t * x * (1.0 - x)
+    ops = build_operators(config) if prebuilt else None
+
+    def no_assembly(*args):
+        raise AssertionError("assembled before the wall data was checked")
+
+    monkeypatch.setattr(dgdyn.timestepper, "assemble_Ah", no_assembly)
+    steps = []
+    with pytest.raises(ValueError, match="u_D"):
+        run_backward_euler(config, None, None, lambda x, y: 0.0 * x, u_D=u, ops=ops, on_step=lambda *a: steps.append(a))
+    assert steps == []
+
+
 @pytest.mark.parametrize("dt, t_final, two_level", [(1e-5, 5e-5, False), (0.1, 0.2, True)])
 def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_level):
     # rho = dt * max_e 1'A_e 1 / 1'M_e 1 is 0.12 at dt = 1e-5 and 1.2e3 at
