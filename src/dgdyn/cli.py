@@ -24,6 +24,10 @@ class StabilityViolation(RuntimeError):
     pass
 
 
+class InputError(ValueError):
+    """Bad input that shows only once the run has started."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6e}"
 
@@ -48,6 +52,12 @@ def _write_table(header: list[str], rows: list[list[str]], config: ProblemConfig
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_records(columns: list[str], records: list[ErrorRecord], config: ProblemConfig) -> None:
+    """Write the ``columns`` of ``records``, which are ErrorRecord field names, as a table."""
+    rows = [[(_fmt_rate if c.startswith("rate_") else _fmt)(getattr(r, c)) for c in columns] for r in records]
+    _write_table(columns, rows, config)
 
 
 def _transient_errors(config: ProblemConfig, case) -> ErrorRecord:
@@ -78,15 +88,7 @@ def _attach_rates(records: list[ErrorRecord], factor: float = 2.0) -> None:
             rec.rate_energy = rate(prev.energy, rec.energy, factor)
 
 
-CONVERGE_H_HEADER = [
-    "h",
-    "l2_domain",
-    "rate_l2_domain",
-    "l2_gamma1",
-    "rate_l2_gamma1",
-    "energy",
-    "rate_energy",
-]
+CONVERGE_H_HEADER = ["h", "l2_domain", "rate_l2_domain", "l2_gamma1", "rate_l2_gamma1", "energy", "rate_energy"]
 
 
 def run_converge_h(config: ProblemConfig) -> list[ErrorRecord]:
@@ -96,19 +98,7 @@ def run_converge_h(config: ProblemConfig) -> list[ErrorRecord]:
     levels = config.levels or (2, 3, 4, 5)
     records = [_transient_errors(config.with_(level=lv, levels=None), case) for lv in levels]
     _attach_rates(records)
-    rows = [
-        [
-            _fmt(r.h),
-            _fmt(r.l2_domain),
-            _fmt_rate(r.rate_l2_domain),
-            _fmt(r.l2_gamma1),
-            _fmt_rate(r.rate_l2_gamma1),
-            _fmt(r.energy),
-            _fmt_rate(r.rate_energy),
-        ]
-        for r in records
-    ]
-    _write_table(CONVERGE_H_HEADER, rows, config)
+    _write_records(CONVERGE_H_HEADER, records, config)
     return records
 
 
@@ -130,25 +120,24 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
         )
         records.append(ErrorRecord(h=ops.mesh.h, dt=dt, l2_domain=dom, l2_gamma1=g1, energy=0.0))
     _attach_rates(records)
-    rows = [
-        [
-            _fmt(r.dt),
-            _fmt(r.l2_domain),
-            _fmt_rate(r.rate_l2_domain),
-            _fmt(r.l2_gamma1),
-            _fmt_rate(r.rate_l2_gamma1),
-        ]
-        for r in records
-    ]
-    _write_table(CONVERGE_DT_HEADER, rows, config)
+    _write_records(CONVERGE_DT_HEADER, records, config)
     return records
 
 
 def run_stability(config: ProblemConfig) -> list[tuple[int, float, float]]:
     """Zero-source run; logs k, t_k, the lambda-weighted L2 norm, and checks
-    the step-wise energy decay."""
+    the step-wise energy decay.  An initial datum that projects to zero is
+    an InputError, raised before the first step: its log would be zeros."""
     case = get_case(config.case)
-    res = run_backward_euler(config, None, None, case.u0)
+
+    def refuse_zero_datum(k, t, u):
+        if k == 0 and not u.any():
+            raise InputError(
+                f"the initial datum of {config.case} projects to zero, so every norm of the log would be 0; "
+                "use a case whose u(0) is not zero, such as example1"
+            )
+
+    res = run_backward_euler(config, None, None, case.u0, on_step=refuse_zero_datum)
     norms = res.l2lambda_norms
     rows = [(k, k * config.dt, norms[k]) for k in range(len(norms))]
     slack = 1e-12 * max(norms[0], 1.0)
@@ -165,11 +154,7 @@ def run_solve(config: ProblemConfig) -> ErrorRecord:
     """Single transient run; emits one row of final errors."""
     case = get_case(config.case)
     rec = _transient_errors(config, case)
-    _write_table(
-        ["h", "dt", "l2_domain", "l2_gamma1", "energy"],
-        [[_fmt(rec.h), _fmt(rec.dt), _fmt(rec.l2_domain), _fmt(rec.l2_gamma1), _fmt(rec.energy)]],
-        config,
-    )
+    _write_records(["h", "dt", "l2_domain", "l2_gamma1", "energy"], [rec], config)
     return rec
 
 
@@ -293,7 +278,10 @@ def main(argv=None) -> int:
         "converge-dt": run_converge_dt,
         "stability": run_stability,
     }[args.command]
-    runner(config)
+    try:
+        runner(config)
+    except InputError as exc:
+        parser.error(str(exc))
     return 0
 
 

@@ -18,11 +18,15 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 PERIODIC = "periodic"
 DIRICHLET_LATERAL = "dirichlet_lateral"
 
 BC_MODES = (PERIODIC, DIRICHLET_LATERAL)
+
+# The nested conforming-P1 grids of a mesh go down to this level's 8 x 8 cells.
+COARSEST_LEVEL = 3
 
 
 class MeshError(Exception):
@@ -148,6 +152,43 @@ def _structured_triangles(n: int) -> np.ndarray:
     triangles[0::2] = np.column_stack([v00, v10, v11])
     triangles[1::2] = np.column_stack([v00, v11, v01])
     return triangles
+
+
+def _p1_number(i, j, n: int, periodic: bool):
+    """The conforming-P1 unknown of vertex (i, j) of the n x n cell grid:
+    row-major, with the right seam vertex (n, j) being (0, j) if periodic."""
+    m = n if periodic else n + 1
+    return j * m + i % m
+
+
+def p1_vertices(mesh: Mesh, bc_mode: str) -> np.ndarray:
+    """The conforming-P1 unknown of each mesh vertex: its own number, or in
+    periodic mode the folded one, which leaves n (n + 1) unknowns."""
+    n = mesh.n_cells_per_side
+    j, i = np.divmod(np.arange(mesh.n_vertices), n + 1)
+    return _p1_number(i, j, n, bc_mode == PERIODIC)
+
+
+def p1_prolongation(n: int, bc_mode: str) -> sp.csr_matrix:
+    """Interpolation of conforming P1 functions from the n x n cell grid
+    onto the 2n x 2n grid of its refinement, on the unknowns of
+    ``p1_vertices``.  A fine vertex is a coarse vertex or the midpoint of a
+    coarse edge: horizontal, vertical, or the lower-left to upper-right
+    diagonal of a cell.  It takes the mean of that edge's two ends, which
+    for a coarse vertex are itself twice."""
+    periodic = bc_mode == PERIODIC
+    m = 2 * n + (not periodic)  # fine unknowns per grid row
+    j, i = np.divmod(np.arange(m * (2 * n + 1)), m)
+    ends = _p1_number(np.stack([i // 2, (i + 1) // 2]), np.stack([j // 2, (j + 1) // 2]), n, periodic)
+    shape = (len(i), (n + (not periodic)) * (n + 1))
+    return sp.csr_matrix((np.full(ends.size, 0.5), (np.tile(np.arange(len(i)), 2), ends.ravel())), shape=shape)
+
+
+def p1_prolongations(mesh: Mesh, bc_mode: str) -> list[sp.csr_matrix]:
+    """The prolongations of the nested conforming-P1 spaces below the
+    mesh's, finest first: entry k maps level mesh.level - k - 1 onto level
+    mesh.level - k, down to COARSEST_LEVEL."""
+    return [p1_prolongation(2 ** (level - 1), bc_mode) for level in range(mesh.level, COARSEST_LEVEL, -1)]
 
 
 @dataclass(eq=False)

@@ -4,22 +4,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import isqrt
 
 import numpy as np
 import scipy.sparse as sp
 
-# The V-cycle solves its coarsest grid, at most 9 x 9 vertices (level 3),
-# exactly.  Its smoother is damped Jacobi, z_i = r_i / d_i with
-# d_i = max(a_ii / 0.8, sum_j |a_ij| / 1.9): weight 0.8 wherever
-# sum_j |a_ij| / a_ii <= 2.375 (2 for the P1 stiffness), less on the
-# periodic seam of the coarser grids, whose Galerkin matrices keep the
-# finest grid's penalty (ratio 2.95, lambda_max(D^-1 A) 2.86 from level 7,
-# dt = 0.1).  By Gershgorin lambda_max(R A) <= 1.9 < 2, so every sweep
-# contracts in the energy norm and the symmetric cycle is positive definite.
-COARSEST_VERTICES = 81
+# The V-cycle's smoother is damped Jacobi, z_i = JACOBI_WEIGHT r_i / a_ii.
+# On the conforming-P1 Galerkin matrices of the SPD systems measured,
+# sum_j |a_ij| / a_ii <= 2 < 2 / JACOBI_WEIGHT, so by Gershgorin every
+# sweep contracts in the energy norm and the symmetric cycle is SPD.
 JACOBI_WEIGHT = 0.8
-GERSHGORIN_BOUND = 1.9
 JACOBI_SWEEPS = 2
 
 
@@ -65,20 +58,6 @@ def block_jacobi_preconditioner(A: sp.spmatrix, block_size: int):
     return apply
 
 
-def p1_prolongation(n: int) -> sp.csr_matrix:
-    """Interpolation of conforming P1 functions from the row-major (n+1)^2
-    vertex grid of a structured mesh onto the (2n+1)^2 grid of its
-    refinement.  A fine vertex is a coarse vertex or the midpoint of a
-    coarse edge: horizontal, vertical, or the lower-left to upper-right
-    diagonal of a cell.  It takes the mean of that edge's two ends, which
-    for a coarse vertex are itself twice."""
-    m = 2 * n + 1
-    j, i = np.divmod(np.arange(m * m), m)
-    ends = np.column_stack([(j // 2) * (n + 1) + i // 2, ((j + 1) // 2) * (n + 1) + (i + 1) // 2])
-    rows = np.repeat(np.arange(m * m), 2)
-    return sp.csr_matrix((np.full(2 * m * m, 0.5), (rows, ends.ravel())), shape=(m * m, (n + 1) ** 2))
-
-
 def v_cycle(A: sp.spmatrix, prolongations):
     """One symmetric V-cycle for the SPD matrix A, as a callable r -> z.
 
@@ -86,16 +65,17 @@ def v_cycle(A: sp.spmatrix, prolongations):
     Each level below takes the Galerkin matrix P' A_k P; each level above
     the coarsest smooths with damped Jacobi before and after its coarse
     correction, and the coarsest is solved exactly.  With no prolongation
-    the cycle is the exact solve.
+    the cycle is the exact solve.  A non-positive diagonal entry on any
+    level proves A is not SPD and raises SolverError.
     """
     mats = [sp.csr_matrix(A)]
     for P in prolongations:
         mats.append((P.T @ mats[-1] @ P).tocsr())
+    diagonals = [M.diagonal() for M in mats]
+    if any((d <= 0.0).any() for d in diagonals):
+        raise SolverError("coarse matrix not positive definite; penalty too small?")
     restrictions = [P.T.tocsr() for P in prolongations]
-    weights = [
-        1.0 / np.maximum(M.diagonal() / JACOBI_WEIGHT, abs(M) @ np.ones(M.shape[0]) / GERSHGORIN_BOUND)
-        for M in mats[:-1]
-    ]
+    weights = [JACOBI_WEIGHT / d for d in diagonals[:-1]]
     coarsest = np.linalg.inv(mats[-1].toarray())
 
     def cycle(k, r):
@@ -113,27 +93,19 @@ def v_cycle(A: sp.spmatrix, prolongations):
     return lambda r: cycle(0, r)
 
 
-def two_level_preconditioner(smoother, P: sp.spmatrix, coarse: sp.spmatrix):
-    """Additive two-level preconditioner B r = smoother(r) + P V P' r.
+def two_level_preconditioner(smoother, S: sp.spmatrix, P: sp.spmatrix, prolongations):
+    """Additive two-level preconditioner B r = smoother(r) + P V P' r for S.
 
-    ``P`` embeds the conforming-P1 space of a structured mesh, its
-    row-major (N+1)^2 vertex grid, into the unknowns and ``coarse`` is the
-    Galerkin matrix P' A P.  V is one V-cycle for ``coarse`` on the nested
-    P1 grids, down to at most COARSEST_VERTICES (Gopalakrishnan & Kanschat,
-    Numer. Math. 95, 2003).  The block-Jacobi smoother alone needs a
-    number of iterations growing like 1/h when the system is stiffness
-    dominated; the coarse correction removes the smooth error it cannot
-    reach (Dobrev, Lazarov, Vassilevski & Zikatanov, Numer. Linear Algebra
-    Appl. 13, 2006).  The additive form is SPD whenever the smoother, V and
-    A are, so it preconditions CG as it is.
+    ``P`` embeds a coarse space into the unknowns, and V is one V-cycle for
+    P' S P over ``prolongations``.  With a structured mesh's conforming P1
+    space and its nested grids, the coarse correction removes the smooth
+    error that block Jacobi alone needs O(1/h) iterations for once the
+    system is stiffness dominated (Gopalakrishnan & Kanschat, Numer. Math.
+    95, 2003; Dobrev, Lazarov, Vassilevski & Zikatanov, Numer. Linear
+    Algebra Appl. 13, 2006).  B is SPD whenever the smoother, V and S are.
     """
-    n = isqrt(coarse.shape[0]) - 1
-    prolongations = []
-    while (n + 1) ** 2 > COARSEST_VERTICES:
-        n //= 2
-        prolongations.append(p1_prolongation(n))
-    V = v_cycle(coarse, prolongations)
     PT = P.T.tocsr()
+    V = v_cycle(PT @ S @ P, prolongations)
     return lambda r: smoother(r) + P @ V(PT @ r)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import Mesh
+from .mesh import EdgeClassification, Mesh, p1_vertices
 
 MAX_QUADRATURE_DEGREE = 10
 
@@ -134,20 +134,22 @@ class DGSpace:
         return offsets[:, None] + np.arange(self.n_local)
 
 
-def conforming_p1_embedding(space: DGSpace) -> sp.csr_matrix:
+def conforming_p1_embedding(space: DGSpace, edges: EdgeClassification) -> sp.csr_matrix:
     """Embedding of the conforming P1 vertex space into the DG space.
 
-    Column v holds the hat function of mesh vertex v at every element's
-    Lagrange nodes (its barycentric coordinates there), shape
-    (n_dofs, n_vertices).  Periodic seam vertices stay distinct columns.
+    Column v holds the hat function of P1 unknown v (see ``p1_vertices``)
+    at every element's Lagrange nodes (its barycentric coordinates there),
+    shape (n_dofs, number of P1 unknowns).  On a periodic mesh the seam
+    vertices are one unknown, so its hat function spans the seam.
     """
     mesh = space.mesh
     bary = reference_basis(1).eval(space.basis.nodes)  # (n_local, 3)
     shape = (mesh.n_triangles, space.n_local, 3)
     rows = np.broadcast_to(space.dofs[:, :, None], shape)
-    cols = np.broadcast_to(mesh.triangles[:, None, :], shape)
+    vertices = p1_vertices(mesh, edges.bc_mode)
+    cols = np.broadcast_to(vertices[mesh.triangles][:, None, :], shape)
     vals = np.broadcast_to(bary, shape)
-    P = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(space.n_dofs, mesh.n_vertices))
+    P = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(space.n_dofs, vertices.max() + 1))
     P.eliminate_zeros()  # P2 edge nodes are off the opposite vertex's support
     return P
 

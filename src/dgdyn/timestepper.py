@@ -21,7 +21,7 @@ from .assembly import (
     release_tables,
 )
 from .config import ProblemConfig
-from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh, build_structured_mesh, classify_edges
+from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh, build_structured_mesh, classify_edges, p1_prolongations
 from .solver import SolverError, block_jacobi_preconditioner, cg_solve, element_blocks, two_level_preconditioner
 from .space import DGSpace, conforming_p1_embedding
 
@@ -29,10 +29,10 @@ from .space import DGSpace, conforming_p1_embedding
 # Euler adds the conforming-P1 V-cycle to block Jacobi.  Measured per solve
 # on example1's first step at level 7, p = 1 (median of 15, one BLAS
 # thread): block Jacobi alone takes 34 / 40 / 58 / 85 iterations at
-# rho = 6 / 8 / 16 / 32, the two-level preconditioner 21 / 22 / 22 / 23 and
-# 0.03 s of set-up once per dt.  It is slower in 10 of 15 runs at rho = 6,
-# faster in 11 of 15 at rho = 8, and at rho = 32 takes 0.13 s against
-# 0.26 s.  With the exact coarse solve it replaces, the tie was near 20.
+# rho = 6 / 8 / 16 / 32, the two-level preconditioner 20 / 20 / 20 / 22 and
+# 0.04 s of set-up once per dt.  It is faster in 11 of 15 runs at rho = 6,
+# by 3% of the median (less than its set-up), in 14 of 15 at rho = 8, and
+# at rho = 32 takes 0.17 s against 0.40 s.
 TWO_LEVEL_STIFFNESS = 8.0
 
 
@@ -107,13 +107,6 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
     return ops
 
 
-def p1_two_level(smoother, space: DGSpace, S: sp.csr_matrix):
-    """``two_level_preconditioner`` for S with the conforming-P1 coarse
-    space of ``space`` and the Galerkin matrix P' S P."""
-    P = conforming_p1_embedding(space)
-    return two_level_preconditioner(smoother, P, P.T.tocsr() @ S @ P)
-
-
 def cg_matrix(A: sp.spmatrix) -> sp.csr_matrix:
     """A as CSR without the element blocks' structural zeros, which every
     product would carry; scipy's CSR product beats its BSR one at p = 1."""
@@ -140,7 +133,8 @@ def solve_stationary(
     if u_D is not None:
         rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
     # no mass term: the stiff limit, where the coarse correction always pays
-    prec = p1_two_level(block_jacobi_preconditioner(A, space.n_local), space, A)
+    P, prolongations = conforming_p1_embedding(space, edges), p1_prolongations(mesh, edges.bc_mode)
+    prec = two_level_preconditioner(block_jacobi_preconditioner(A, space.n_local), A, P, prolongations)
     x, report = cg_solve(A, rhs, preconditioner=prec)
     if not report.converged:
         raise SolverError(
@@ -189,7 +183,8 @@ def run_backward_euler(
     system = cg_matrix(ops.M + dt * ops.A)
     prec = block_jacobi_preconditioner(system, space.n_local)
     if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS:
-        prec = p1_two_level(prec, space, system)
+        P = conforming_p1_embedding(space, edges)
+        prec = two_level_preconditioner(prec, system, P, p1_prolongations(mesh, edges.bc_mode))
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
     norms = [float(np.sqrt(u @ (ops.M @ u)))]

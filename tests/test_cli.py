@@ -229,6 +229,7 @@ def test_stability_accepts_any_coefficients(tmp_path):
         (["solve", "--dt", "3e-4", "--t-final", "1e-3"], "is not an integer number of steps"),
         (["solve", "--config", "{cfg}"], "unknown config key 'colour'"),
         (["solve", "--config", "{missing}"], "No such file"),
+        (["stability", "--case", "example3", "--dt", "1e-4", "--t-final", "1e-3"], "projects to zero"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, args, message):
@@ -262,8 +263,8 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
         ),
         (["solve", "--case", "example3", "--level", "3", "--p", "2", "--format", "markdown"], "solve_example3.md"),
         (
-            ["stability", "--case", "example3", "--format", "markdown", "--dt", "1e-4", "--t-final", "1e-3"],
-            "stability_example3.md",
+            ["stability", "--case", "example1", "--format", "markdown", "--dt", "1e-4", "--t-final", "1e-3"],
+            "stability_example1.md",
         ),
     ],
 )

@@ -1,5 +1,3 @@
-from math import isqrt
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,23 +5,25 @@ import scipy.sparse.linalg as spla
 
 from dgdyn.assembly import FormParams, assemble_Ah, assemble_mass
 from dgdyn.config import ProblemConfig
-from dgdyn.mesh import build_structured_mesh, classify_edges
+from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges, p1_prolongation, p1_prolongations, p1_vertices
 from dgdyn.solver import (
+    JACOBI_WEIGHT,
     SolverError,
     block_jacobi_preconditioner,
     cg_solve,
     element_blocks,
-    p1_prolongation,
     two_level_preconditioner,
     v_cycle,
 )
 from dgdyn.space import DGSpace, conforming_p1_embedding
 from dgdyn.timestepper import build_operators
 
+BC_MODES = ("periodic", "dirichlet_lateral")
 
-def be_system(level, p=1, dt=1e-3, lam=10.0):
+
+def be_system(level, p=1, dt=1e-3, lam=10.0, bc_mode=PERIODIC):
     mesh = build_structured_mesh(level)
-    edges = classify_edges(mesh)
+    edges = classify_edges(mesh, bc_mode)
     space = DGSpace(mesh, p)
     params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=lam, gamma=10.0)
     A = assemble_Ah(mesh, edges, space, params)
@@ -31,9 +31,10 @@ def be_system(level, p=1, dt=1e-3, lam=10.0):
     return (M + dt * A).tocsr(), space
 
 
-def two_level(S, space):
-    P = conforming_p1_embedding(space)
-    return two_level_preconditioner(block_jacobi_preconditioner(S, space.n_local), P, P.T @ S @ P)
+def two_level(S, space, bc_mode=PERIODIC):
+    P = conforming_p1_embedding(space, classify_edges(space.mesh, bc_mode))
+    smoother = block_jacobi_preconditioner(S, space.n_local)
+    return two_level_preconditioner(smoother, S, P, p1_prolongations(space.mesh, bc_mode))
 
 
 def test_element_blocks_match_dense_slicing():
@@ -170,7 +171,7 @@ def test_attainable_accuracy_below_tol_is_converged():
 def test_two_level_preconditioner_spd(p, bc_mode, penalty_mode, dt):
     ops = build_operators(ProblemConfig(level=4, p=p, bc_mode=bc_mode, penalty_mode=penalty_mode, dt=dt))
     S = (ops.M + dt * ops.A).tocsr()
-    B = two_level(S, ops.space)
+    B = two_level(S, ops.space, bc_mode)
     rng = np.random.default_rng(p)
     for _ in range(5):
         x, y = rng.standard_normal((2, S.shape[0]))
@@ -181,40 +182,57 @@ def test_two_level_preconditioner_spd(p, bc_mode, penalty_mode, dt):
 
 def test_two_level_iterations_bounded_in_h():
     # at dt = 0.1 the system is stiffness dominated: block-Jacobi CG needs
-    # more iterations on every refinement, the coarse solve keeps them flat
-    block_iters, two_level_iters = [], []
-    for level in (3, 4, 5, 6):
-        S, space = be_system(level, dt=0.1)
-        rhs = np.random.default_rng(level).standard_normal(S.shape[0])
-        _, block = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, space.n_local))
-        x, report = cg_solve(S, rhs, preconditioner=two_level(S, space))
-        x_direct = spla.splu(S.tocsc()).solve(rhs)
-        assert block.converged and report.converged
-        assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) < 1e-8
-        block_iters.append(block.iterations)
-        two_level_iters.append(report.iterations)
-    assert all(a < b for a, b in zip(block_iters, block_iters[1:])), block_iters
-    assert max(two_level_iters) < 60, two_level_iters
+    # more iterations on every refinement, the coarse solve keeps them flat.
+    # The periodic P1 space folds the seam, so no coarse grid carries the
+    # finest grid's seam penalty: its counts (31 to 32 here) are flat and
+    # within 2 of the walls' (32 to 34).
+    two_level_iters = {}
+    for bc_mode in BC_MODES:
+        block_iters, two_level_iters[bc_mode] = [], []
+        for level in (3, 4, 5, 6):
+            S, space = be_system(level, dt=0.1, bc_mode=bc_mode)
+            rhs = np.random.default_rng(level).standard_normal(S.shape[0])
+            _, block = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, space.n_local))
+            x, report = cg_solve(S, rhs, preconditioner=two_level(S, space, bc_mode))
+            x_direct = spla.splu(S.tocsc()).solve(rhs)
+            assert block.converged and report.converged
+            assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) < 1e-8
+            block_iters.append(block.iterations)
+            two_level_iters[bc_mode].append(report.iterations)
+        assert all(a < b for a, b in zip(block_iters, block_iters[1:])), block_iters
+        assert max(two_level_iters[bc_mode]) < 60, two_level_iters
+    periodic, walls = two_level_iters["periodic"], two_level_iters["dirichlet_lateral"]
+    assert max(periodic) - min(periodic) <= 2, two_level_iters
+    assert all(abs(a - b) <= 2 for a, b in zip(periodic, walls)), two_level_iters
 
 
-@pytest.mark.parametrize("bc_mode", ["periodic", "dirichlet_lateral"])
+@pytest.mark.parametrize("bc_mode", BC_MODES)
 def test_p1_prolongation_is_nested_interpolation(bc_mode):
-    # level l - 1's P1 space lies in level l's: linear functions are
-    # reproduced, and the Galerkin product of the fine P1 mass (domain plus
-    # gamma1) is the coarse one, which bilinear interpolation or the other
-    # diagonal would not give
+    # level l - 1's P1 space lies in level l's: linear functions (periodic
+    # ones, linear in y, if the seam is folded) are reproduced, and the
+    # Galerkin product of the fine P1 mass (domain plus gamma1) is the
+    # coarse one, which bilinear interpolation, the other diagonal or an
+    # unfolded seam would not give
     rng = np.random.default_rng(4)
 
     def p1_mass(mesh):
         space = DGSpace(mesh, 1)
-        P = conforming_p1_embedding(space)
-        return (P.T @ assemble_mass(mesh, classify_edges(mesh, bc_mode), space, 10.0) @ P).toarray()
+        edges = classify_edges(mesh, bc_mode)
+        P = conforming_p1_embedding(space, edges)
+        return (P.T @ assemble_mass(mesh, edges, space, 10.0) @ P).toarray()
+
+    def linear(mesh):
+        numbers = p1_vertices(mesh, bc_mode)
+        values = np.empty(numbers.max() + 1)
+        values[numbers] = a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
+        return values
 
     for level in range(1, 6):
         coarse, fine = build_structured_mesh(level - 1), build_structured_mesh(level)
-        R = p1_prolongation(2 ** (level - 1))
+        R = p1_prolongation(2 ** (level - 1), bc_mode)
         a, b, c = rng.standard_normal(3)
-        linear = lambda mesh: a + b * mesh.vertices[:, 0] + c * mesh.vertices[:, 1]
+        if bc_mode == PERIODIC:
+            b = 0.0
         np.testing.assert_allclose(R @ linear(coarse), linear(fine), rtol=0, atol=1e-14)
         M_coarse = p1_mass(coarse)
         np.testing.assert_allclose(R.T @ (R.T @ p1_mass(fine)).T, M_coarse, rtol=0, atol=1e-14 * np.abs(M_coarse).max())
@@ -222,7 +240,7 @@ def test_p1_prolongation_is_nested_interpolation(bc_mode):
 
 def test_v_cycle_without_coarser_levels_is_the_exact_solve():
     S, space = be_system(3, dt=0.1)
-    P = conforming_p1_embedding(space)
+    P = conforming_p1_embedding(space, classify_edges(space.mesh))
     C = P.T @ S @ P
     r = np.random.default_rng(6).standard_normal(C.shape[0])
     expected = np.linalg.solve(C.toarray(), r)
@@ -230,17 +248,36 @@ def test_v_cycle_without_coarser_levels_is_the_exact_solve():
 
 
 def test_v_cycle_is_spd_and_contracts_on_the_periodic_seam():
-    # the Galerkin matrices of the coarser grids keep the finest grid's
-    # seam penalty, so lambda_max(D^-1 C_k) reaches 2.66 here; with the
-    # smoother's row scaling every eigenvalue of V C lies in (0, 1], so V
-    # is SPD and I - V C an energy-norm contraction
-    S, space = be_system(5, dt=0.1)
-    P = conforming_p1_embedding(space)
-    C = (P.T @ S @ P).toarray()
-    n = isqrt(len(C)) - 1
-    V = v_cycle(C, [p1_prolongation(n // 2), p1_prolongation(n // 4)])
-    V_matrix = np.column_stack([V(e) for e in np.eye(len(C))])
-    assert np.abs(V_matrix - V_matrix.T).max() <= 1e-12 * np.abs(V_matrix).max()
-    L = np.linalg.cholesky(C)
-    eig = np.linalg.eigvalsh(L.T @ V_matrix @ L)
-    assert eig.min() > 0.1 and eig.max() <= 1.0 + 1e-10, (eig.min(), eig.max())
+    # with the seam folded every level's Galerkin matrix has row ratio
+    # sum_j |a_ij| / a_ii <= 2 / JACOBI_WEIGHT, so by Gershgorin each
+    # smoothing sweep contracts and every eigenvalue of V C lies in (0, 1]:
+    # V is SPD and I - V C an energy-norm contraction
+    for bc_mode in BC_MODES:
+        S, space = be_system(5, dt=0.1, bc_mode=bc_mode)
+        P = conforming_p1_embedding(space, classify_edges(space.mesh, bc_mode))
+        prolongations = p1_prolongations(space.mesh, bc_mode)
+        C = (P.T @ S @ P).toarray()
+        levels = [C]
+        for R in prolongations:
+            levels.append(R.T @ levels[-1] @ R)
+        for C_k in levels:
+            assert (np.abs(C_k).sum(axis=1) / np.diag(C_k)).max() <= 2.0 / JACOBI_WEIGHT, bc_mode
+        V = v_cycle(C, prolongations)
+        V_matrix = np.column_stack([V(e) for e in np.eye(len(C))])
+        assert np.abs(V_matrix - V_matrix.T).max() <= 1e-12 * np.abs(V_matrix).max()
+        L = np.linalg.cholesky(C)
+        eig = np.linalg.eigvalsh(L.T @ V_matrix @ L)
+        assert eig.min() > 0.1 and eig.max() <= 1.0 + 1e-10, (bc_mode, eig.min(), eig.max())
+
+
+def test_non_positive_galerkin_diagonal_is_a_solver_error():
+    # gamma = 0.5 is not coercive with Dirichlet walls: the P1 hat function
+    # of each corner vertex has p' A p < 0, a proof that A is not SPD, which
+    # the V-cycle reports instead of dividing by it
+    config = ProblemConfig(level=3, p=1, bc_mode="dirichlet_lateral", gamma=0.5)
+    ops = build_operators(config)
+    A = ops.A.tocsr()
+    P = conforming_p1_embedding(ops.space, ops.edges)
+    assert (P.T @ A @ P).diagonal().min() <= 0.0
+    with pytest.raises(SolverError, match="coarse matrix not positive definite"):
+        two_level(A, ops.space, "dirichlet_lateral")

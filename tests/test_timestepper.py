@@ -8,14 +8,13 @@ from dgdyn.assembly import FormParams, assemble_load, assemble_mass
 from dgdyn.config import ProblemConfig
 from dgdyn.errors import energy_norm, l2_errors, rate
 from dgdyn.manufactured import get_case
-from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
-from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve
-from dgdyn.space import DGSpace, interpolate
+from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges, p1_prolongations
+from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
+from dgdyn.space import DGSpace, conforming_p1_embedding, interpolate
 from dgdyn.timestepper import (
     build_operators,
     cg_matrix,
     l2_lambda_project,
-    p1_two_level,
     run_backward_euler,
     solve_stationary,
 )
@@ -303,9 +302,11 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
     assert len(solves) == config.num_steps()
 
     n_local = ops.space.n_local
+    P = conforming_p1_embedding(ops.space, ops.edges)
+    prolongations = p1_prolongations(ops.mesh, ops.edges.bc_mode)
     for system, rhs, tol, iterations in solves:
         block = block_jacobi_preconditioner(system, n_local)
-        preconditioners = {False: block, True: p1_two_level(block, ops.space, system)}
+        preconditioners = {False: block, True: two_level_preconditioner(block, system, P, prolongations)}
         counts = {k: cg_solve(system, rhs, tol=tol, preconditioner=B)[1].iterations for k, B in preconditioners.items()}
         assert iterations == counts[two_level] != counts[not two_level]
 
