@@ -1,13 +1,16 @@
 """Meshes, edge classification and quadrature.
 
 Builds the structured triangulations used throughout, shows how edges are
-sorted into interior / top-bottom (gamma1) / lateral sets, how the lateral
-boundary is identified periodically (including the fused corner ridges),
+sorted into two-sided (interior, then periodic pairs) / top-bottom (gamma1)
+/ lateral sets, how the lateral boundary is identified periodically
+(including the fused corner ridges),
 how the vertices of gamma1 become the point faces of its surface mesh,
 and checks the quadrature rules against closed-form integrals.
 """
 
 import math
+
+import numpy as np
 
 from dgdyn import (
     build_structured_mesh,
@@ -27,9 +30,11 @@ print(f"{'level':>5} {'interior':>9} {'gamma1':>7} {'pairs':>6} {'ridges':>7}")
 for level in range(0, 4):
     mesh = build_structured_mesh(level)
     edges = classify_edges(mesh, "periodic")
+    # the pairs are the two-sided edges whose second side is across the seam
+    pairs = int(np.any(edges.two_sided.shift != 0.0, axis=1).sum())
     print(
-        f"{level:5d} {len(edges.interior):9d} {len(edges.gamma1):7d} "
-        f"{len(edges.gamma2_pairs):6d} {len(edges.ridges):7d}"
+        f"{level:5d} {len(edges.two_sided) - pairs:9d} {len(edges.gamma1):7d} "
+        f"{pairs:6d} {len(edges.ridges):7d}"
     )
 
 mesh = build_structured_mesh(3)
@@ -40,7 +45,7 @@ print(f"  sum of gamma1 edge lengths = {edges.gamma1.length.sum():.15f} (2 * wid
 ridges = edges.ridges
 print(f"  all {len(ridges)} ridges are point faces of unit length with normal +x:",
       bool((ridges.p0 == ridges.p1).all() and (ridges.length == 1.0).all() and (ridges.normal == [1.0, 0.0]).all()))
-print(f"  fused corner ridges reach the minus side at x = 0: {ridges.minus_shift[ridges.p0[:, 0] == 1.0].tolist()}")
+print(f"  fused corner ridges reach the second side at x = 0: {ridges.shift[ridges.p0[:, 0] == 1.0].tolist()}")
 
 print("\ndirichlet_lateral mode separates the lateral edges and unfuses corners")
 edges_d = classify_edges(mesh, "dirichlet_lateral")

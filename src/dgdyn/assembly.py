@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .manufactured import SeparableField
-from .mesh import DIRICHLET_LATERAL, BoundaryFaces, EdgeClassification, Mesh, TwoSidedFaces
+from .mesh import DIRICHLET_LATERAL, EdgeClassification, Faces, Mesh
 from .space import DGSpace, edge_quadrature, triangle_quadrature
 
 RIDGE_TANGENT = np.array([1.0, 0.0])  # gamma1 is horizontal
@@ -171,8 +171,7 @@ class _Points:
 
 @dataclass(eq=False)
 class _FaceTables:
-    plus: _Points
-    minus: _Points | None
+    sides: list  # the _Points of each side
     normal: np.ndarray  # (nE, 2)
 
 
@@ -220,15 +219,13 @@ def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
 
 
 @_per_space
-def _face_tables(mesh: Mesh, space: DGSpace, faces: TwoSidedFaces | BoundaryFaces, degree: int) -> _FaceTables:
-    """Both sides of two-sided faces, the one side of boundary faces."""
+def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _FaceTables:
+    """Each side of a batch of faces, the second at the points moved by ``shift``."""
     rule = edge_quadrature(degree)
     pts = faces.p0[:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[:, None, :]
     w = rule.weights[None, :] * faces.length[:, None]
-    if isinstance(faces, TwoSidedFaces):
-        minus = _points(mesh, space, faces.elem_minus, pts + faces.minus_shift[:, None, :], w)
-        return _FaceTables(_points(mesh, space, faces.elem_plus, pts, w), minus, faces.normal)
-    return _FaceTables(_points(mesh, space, faces.elem, pts, w), None, faces.normal)
+    points = [pts] if faces.shift is None else [pts, pts + faces.shift[:, None, :]]
+    return _FaceTables([_points(mesh, space, el, x, w) for el, x in zip(faces.elem.T, points)], faces.normal)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +273,9 @@ def _penalty_blocks(ft: _FaceTables, sigma: float):
 
     on a batch of faces.  The average weighs each side by one over the
     number of sides, so on one-sided faces jump and average are the trace."""
-    sides = [(ft.plus, 1.0)] + ([] if ft.minus is None else [(ft.minus, -1.0)])
+    sides = list(zip(ft.sides, (1.0, -1.0)))
     avg = 1.0 / len(sides)
-    w = ft.plus.w
+    w = ft.sides[0].w
     traces = [(st.elem, s, st.basis(), np.einsum("eqli,ei->eql", st.basis(grad=True), ft.normal)) for st, s in sides]
     out = []
     for el_a, s_a, phi_a, gn_a in traces:
@@ -303,7 +300,7 @@ def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     vol = _cell_points(mesh, space, 2 * space.p)
     grad = vol.basis(grad=True)
     stiff = np.einsum("eq,eqli,eqmi->elm", vol.w, grad, grad)
-    ft = _face_tables(mesh, space, edges.two_sided_faces, 2 * space.p)
+    ft = _face_tables(mesh, space, edges.two_sided, 2 * space.p)
     return _bsr(space, [(vol.elem, vol.elem, stiff), *_penalty_blocks(ft, params.sigma)])
 
 
@@ -314,7 +311,7 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 
     The one-sided corners of the Dirichlet variant are not part of b_h;
     assemble_Ah adds them, scaled by beta, with the Nitsche wall terms."""
-    g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
+    (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
     dt = g1.basis(grad=True) @ RIDGE_TANGENT
     stiff = np.einsum("eq,eql,eqm->elm", g1.w, dt, dt)
     ridges = _face_tables(mesh, space, edges.ridges, 2 * space.p)
@@ -323,7 +320,7 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 
 def assemble_boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> sp.bsr_matrix:
     """L2(gamma1) mass matrix."""
-    g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p).plus
+    (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
     return _bsr(space, [(g1.elem, g1.elem, _mass_block(g1))])
 
 
@@ -376,7 +373,7 @@ def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t
         vol = _cell_points(mesh, space, 2 * space.p + 4)
         load += _scatter(space, vol, vol.load(f, t))
     if g is not None:
-        g1 = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).plus
+        (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).sides
         load += _scatter(space, g1, g1.load(g, t))
     return load
 
@@ -399,7 +396,8 @@ def assemble_dirichlet_terms(
     rhs = np.zeros(space.n_dofs)
     for faces, weight in _walls(edges, params):
         ft = _face_tables(mesh, space, faces, 2 * space.p + 4)
-        ud = np.asarray(u_D(t, ft.plus.x, ft.plus.y), dtype=float)
-        flux = _integrate(space, ft.plus, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
-        rhs += weight * (_integrate(space, ft.plus, params.sigma * ud) - flux)
+        (pts,) = ft.sides
+        ud = np.asarray(u_D(t, pts.x, pts.y), dtype=float)
+        flux = _integrate(space, pts, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
+        rhs += weight * (_integrate(space, pts, params.sigma * ud) - flux)
     return rhs

@@ -10,6 +10,7 @@ in increasing precedence.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .config import CASES, FORMATS, PENALTY_MODES, ProblemConfig
 from .errors import ErrorRecord, energy_norm, l2_errors, rate
 from .manufactured import get_case
+from .solver import SolverError
 from .timestepper import build_operators, run_backward_euler
 
 
@@ -185,7 +187,6 @@ def read_config_file(path: str) -> dict:
 
 _FIELD_PARSERS = {
     "case": str,
-    "mode": str,
     "p": int,
     "level": int,
     "levels": parse_levels,
@@ -244,6 +245,8 @@ def build_config(args: argparse.Namespace) -> ProblemConfig:
     case = get_case(values.get("case", "example1"))
     values.setdefault("bc_mode", case.bc_mode)
     config = ProblemConfig(**values).validate()
+    if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ValueError(f"out = {config.out}: its directory does not exist; create it or write elsewhere")
     if args.command != "stability":  # stability runs without sources
         for key, flag in (("alpha", "--alpha"), ("beta", "--beta"), ("lam", "--lambda")):
             asked, built = getattr(config, key), getattr(case, key)
@@ -280,7 +283,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         runner(config)
-    except InputError as exc:
+    except (InputError, SolverError) as exc:
         parser.error(str(exc))
     return 0
 

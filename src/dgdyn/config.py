@@ -51,6 +51,15 @@ class ProblemConfig:
         if self.levels is not None:
             if len(self.levels) == 0 or any(b <= a for a, b in zip(self.levels, self.levels[1:])):
                 raise ValueError("levels must be a nonempty increasing sequence")
+        if min((self.level, *(self.levels or ()))) < 0:
+            raise ValueError("mesh levels must be >= 0; level 0 is one cell split in two triangles")
+        if self.gamma <= 0:
+            raise ValueError(f"gamma = {self.gamma:g}: the penalty gamma must be positive")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("lambda", self.lam)):
+            if value < 0:
+                raise ValueError(f"{name} = {value:g}: alpha, beta and lambda must be >= 0")
+        if self.dt_steps < 1:
+            raise ValueError(f"dt_steps = {self.dt_steps}: the dt table needs at least one row")
         self.num_steps()  # raises if t_final / dt is not integral
         return self
 

@@ -1,10 +1,11 @@
 """Error norms and convergence rates.
 
 The energy norm combines the broken H1 seminorm, the penalty-scaled jumps
-and averaged gradients on interior/periodic (or Dirichlet) edges, the
+and averaged gradients on the two-sided (and Dirichlet) edges, the
 weighted boundary terms on gamma1 and the point jump/average terms at the
-ridges (or corners), the faces of the surface mesh.  Arguments may be a DG
-coefficient vector, an exact field (value and gradient callables, or a
+ridges (and corners), the faces of the surface mesh.  One face sum serves
+every face set, one-sided or two-sided.  Arguments may be a DG coefficient
+vector, an exact field (value and gradient callables, or a
 ``ManufacturedCase``) or both, in which case the norm of the difference
 ``exact - u_h`` is computed; exact fields contribute no jumps.  The energy
 norm, evaluated at every step, takes a case's declared time-separable
@@ -94,31 +95,32 @@ def _norm2(pts, sl, a):
     return float(np.einsum("eq,eq->", pts.w[sl], a2))
 
 
-def _sum_sq(pts, space, u_h, exact, grad=False, tangential=False):
-    """Sum over a point set of w |exact - u_h|^2, or of w |grad (exact - u_h)|^2
-    (its component along gamma1 alone if ``tangential``), one block of
-    entries at a time."""
-    total = 0.0
-    for sl in _blocks(pts):
-        a = _trace(pts, sl, space, u_h, exact, grad)
-        total += _norm2(pts, sl, a @ RIDGE_TANGENT if tangential else a)
-    return total
+def _sum_sq(pts, space, u_h, exact, grad=False):
+    """Sum over a point set of w |exact - u_h|^2, or of w |grad (exact - u_h)|^2,
+    one block of entries at a time."""
+    return sum(_norm2(pts, sl, _trace(pts, sl, space, u_h, exact, grad)) for sl in _blocks(pts))
 
 
-def _two_sided_sums(ft, space, u_h, exact_grad, tangential):
+def _face_sums(ft, space, u_h, value_fn, grad_fn, t, tangential):
     """Sums of w |[w]|^2 and w |{grad w}|^2 (its component along gamma1 alone
-    if ``tangential``) over two-sided faces, w = exact - u_h.  The exact field
-    has no jumps, so the jump is that of u_h and the exact gradient is
-    evaluated once, on the plus side, whose entries match the minus side's."""
+    if ``tangential``) over a batch of faces, w = exact - u_h.  As in
+    ``_penalty_blocks``, the sides enter the jump with signs 1 and -1 and
+    the average with one over their number: on one side, both are the trace.
+    The exact value cancels in a jump of two sides; the exact gradient,
+    evaluated on the first side, serves each side, whose entries match."""
+    first, *others = ft.sides
+    value = [] if others else first.exact(value_fn, t)
+    grad = first.exact(grad_fn, t)
     jump2 = avg2 = 0.0
-    for sl in _blocks(ft.plus):
-        jump = _trace(ft.plus, sl, space, u_h, [])
-        jump -= _trace(ft.minus, sl, space, u_h, [])
-        avg = _trace(ft.plus, sl, space, u_h, exact_grad, grad=True)
-        avg += _trace(ft.minus, sl, space, u_h, exact_grad, grad=True)
-        avg *= 0.5
-        jump2 += _norm2(ft.plus, sl, jump)
-        avg2 += _norm2(ft.plus, sl, avg @ RIDGE_TANGENT if tangential else avg)
+    for sl in _blocks(first):
+        jump = _trace(first, sl, space, u_h, value)
+        avg = _trace(first, sl, space, u_h, grad, grad=True)
+        for side in others:
+            jump -= _trace(side, sl, space, u_h, [])
+            avg += _trace(side, sl, space, u_h, grad, grad=True)
+        avg *= 1.0 / len(ft.sides)
+        jump2 += _norm2(first, sl, jump)
+        avg2 += _norm2(first, sl, avg @ RIDGE_TANGENT if tangential else avg)
     return jump2, avg2
 
 
@@ -144,30 +146,24 @@ def energy_norm_terms(
     vol = _cell_points(mesh, space, degree)
     terms["h1_broken"] = _sum_sq(vol, space, u_h, vol.exact(grad_fn, t), grad=True)
 
-    def face_sums(two_sided, one_sided, tangential):
-        """Weighted sums of |[w]|^2 and |{grad w}|^2 over a two-sided face set
-        and an optional one-sided one, where w counts itself; ``tangential``
-        keeps only the gradient's component along gamma1."""
-        ft = _face_tables(mesh, space, two_sided, degree)
-        jump2, avg2 = _two_sided_sums(ft, space, u_h, ft.plus.exact(grad_fn, t), tangential)
-        if one_sided is not None:
-            pts = _face_tables(mesh, space, one_sided, degree).plus
-            jump2 += _sum_sq(pts, space, u_h, pts.exact(value_fn, t))
-            avg2 += _sum_sq(pts, space, u_h, pts.exact(grad_fn, t), grad=True, tangential=tangential)
-        return jump2, avg2
+    def face_sums(*face_sets, tangential=False):
+        """The sums of ``_face_sums`` over the face sets that are not None."""
+        tables = [_face_tables(mesh, space, faces, degree) for faces in face_sets if faces is not None]
+        sums = [_face_sums(ft, space, u_h, value_fn, grad_fn, t, tangential) for ft in tables]
+        return [sum(s) for s in zip(*sums)]
 
-    # interior and periodic edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2;
-    # ridges, the faces of the surface mesh: beta sigma [w]^2 +
-    # (beta/sigma) {d_t w}^2; Dirichlet edges and corners count w itself
-    jump2, avg2 = face_sums(edges.two_sided_faces, edges.dirichlet, tangential=False)
-    rj2, ra2 = face_sums(edges.ridges, edges.corners, tangential=True)
+    # two-sided edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2; ridges, the
+    # faces of the surface mesh: beta sigma [w]^2 + (beta/sigma) {d_t w}^2;
+    # on Dirichlet edges and corners, one-sided, both count w itself
+    jump2, avg2 = face_sums(edges.two_sided, edges.dirichlet)
     terms["jump_penalty"] = sigma * jump2
     terms["grad_average"] = avg2 / sigma
 
-    # gamma1: alpha ||w||^2 + beta |w|_H1^2 along the boundary
-    g1 = _face_tables(mesh, space, edges.gamma1, degree).plus
-    terms["alpha_boundary"] = params.alpha * _sum_sq(g1, space, u_h, g1.exact(value_fn, t))
-    terms["beta_tangential"] = params.beta * _sum_sq(g1, space, u_h, g1.exact(grad_fn, t), grad=True, tangential=True)
+    # gamma1, one-sided: alpha ||w||^2 + beta |w|_H1^2 along the boundary
+    g2, gt2 = face_sums(edges.gamma1, tangential=True)
+    terms["alpha_boundary"] = params.alpha * g2
+    terms["beta_tangential"] = params.beta * gt2
+    rj2, ra2 = face_sums(edges.ridges, edges.corners, tangential=True)
     terms["ridge_jump"] = params.beta * sigma * rj2
     terms["ridge_average"] = params.beta / sigma * ra2
     return terms
@@ -190,6 +186,6 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     degree = 2 * space.p + 4
     vol = _cell_points(mesh, space, degree)
     l2_dom = math.sqrt(_sum_sq(vol, space, u_h, vol.exact(value_fn, t)))
-    g1 = _face_tables(mesh, space, edges.gamma1, degree).plus
+    (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
     l2_g1 = math.sqrt(_sum_sq(g1, space, u_h, g1.exact(value_fn, t)))
     return l2_dom, l2_g1, math.sqrt(l2_dom**2 + lam * l2_g1**2)

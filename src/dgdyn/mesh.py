@@ -6,15 +6,18 @@ identified periodically or treated as a weak Dirichlet boundary
 (``gamma2``).  Meshes are uniform N x N grids of cells (N = 2**level), each
 cell split along the lower-left to upper-right diagonal.
 
-The vertices of gamma1 are the faces of the 1D surface mesh on it.  They
-use the face types of the edges as point faces, with unit weight and the
-outward tangent of gamma1 as normal: two-sided ridges, where two gamma1
-edges meet, and in dirichlet_lateral mode one-sided corners.
+Every face set is one ``Faces`` type: a face has one side (gamma1, the
+Dirichlet walls, the corners) or two (``two_sided``: the interior edges,
+then the periodic pairs; the ridges).  On a one-sided face jump and
+average are the trace.  The vertices of gamma1 are the faces of the 1D
+surface mesh on it: point faces with unit weight and the outward tangent
+of gamma1 as normal, two-sided ridges where two gamma1 edges meet and, in
+dirichlet_lateral mode, one-sided corners.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -192,41 +195,25 @@ def p1_prolongations(mesh: Mesh, bc_mode: str) -> list[sp.csr_matrix]:
 
 
 @dataclass(eq=False)
-class TwoSidedFaces:
-    """Faces with two adjacent elements: interior edges, periodic pairs and
-    the ridges of the surface mesh on gamma1.
+class Faces:
+    """A batch of faces with one or two sides each: edges, or point faces
+    (``p0 == p1``, ``length`` 1, their counting measure).
 
-    Endpoints ``p0``/``p1`` are on the plus-side realization of the face;
-    ``minus_shift`` translates plus-side points onto the minus-side
-    realization (zero for interior edges and interior ridges).  The normal
-    is unit length and points from the plus to the minus element.  A ridge
-    is a point face: ``p0 == p1``, ``length`` 1 (its counting measure) and
-    normal the outward tangent of its plus edge.
+    Column k of ``elem`` (n, sides) is the element of side k.  The
+    endpoints ``p0``/``p1`` lie on the first side's realization of the
+    face; ``shift``, set on two-sided faces only, moves them onto the
+    second side's (zero unless the face is across a periodic seam).  The
+    normal is unit length and points out of the first side: on an edge
+    away from its element, on a point face along the outward tangent of
+    the first side's edge.
     """
-
-    p0: np.ndarray
-    p1: np.ndarray
-    elem_plus: np.ndarray
-    elem_minus: np.ndarray
-    normal: np.ndarray
-    length: np.ndarray
-    minus_shift: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.elem_plus)
-
-
-@dataclass(eq=False)
-class BoundaryFaces:
-    """One-sided boundary faces with outward unit normal: edges, or the
-    point faces (``p0 == p1``, ``length`` 1) at the Dirichlet corners of
-    gamma1, whose normal is their edge's outward tangent."""
 
     p0: np.ndarray
     p1: np.ndarray
     elem: np.ndarray
     normal: np.ndarray
     length: np.ndarray
+    shift: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.elem)
@@ -234,26 +221,17 @@ class BoundaryFaces:
 
 @dataclass(eq=False)
 class EdgeClassification:
-    """All mesh edges, each in exactly one category, and the vertices of
-    gamma1 as point faces: the ridges and, if Dirichlet, the corners."""
+    """All mesh edges, each in exactly one face set, and the vertices of
+    gamma1 as point faces: the ridges and, if Dirichlet, the corners.
+    ``two_sided`` holds the interior edges, then in periodic mode the
+    pairs of lateral edges."""
 
     bc_mode: str
-    interior: TwoSidedFaces
-    gamma1: BoundaryFaces
-    gamma2_pairs: TwoSidedFaces | None
-    dirichlet: BoundaryFaces | None
-    ridges: TwoSidedFaces
-    corners: BoundaryFaces | None
-
-    @cached_property
-    def two_sided_faces(self) -> TwoSidedFaces:
-        """The interior edges and the periodic pairs together."""
-        if self.gamma2_pairs is None:
-            return self.interior
-        groups = (self.interior, self.gamma2_pairs)
-        return TwoSidedFaces(
-            **{f.name: np.concatenate([getattr(g, f.name) for g in groups]) for f in fields(TwoSidedFaces)}
-        )
+    two_sided: Faces
+    gamma1: Faces
+    dirichlet: Faces | None
+    ridges: Faces
+    corners: Faces | None
 
 
 def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
@@ -263,9 +241,11 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     vertex lo to a vertex hi > lo; the interior edges are listed by (lo, hi),
     gamma1 bottom then top and the lateral edges left then right, each from
     left to right or bottom to top.  In periodic mode the lateral edges are
-    paired by grid row and the four corner vertices fuse into one ridge per
-    boundary component.  In dirichlet_lateral mode the lateral edges form a
-    separate Dirichlet set and the corners become one-sided faces.
+    paired by grid row, the right edge's element first, and follow the
+    interior edges in ``two_sided``; the four corner vertices fuse into one
+    ridge per boundary component.  In dirichlet_lateral mode the lateral
+    edges form a separate Dirichlet set and the corners become one-sided
+    faces.
     """
     if bc_mode not in BC_MODES:
         raise ValueError(f"unknown bc_mode {bc_mode!r}")
@@ -274,100 +254,70 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
         raise MeshError(f"the triangles are not those of the structured level-{mesh.level} mesh")
 
     # from vertex v = j*(n+1) + i, in key order: the horizontal, vertical and
-    # diagonal edge, with the triangles below/left as plus and above/right as minus
+    # diagonal edge, with the triangle below/left as first side and the one
+    # above/right as second
     v = np.arange(mesh.n_vertices)
     j, i = np.divmod(v, n + 1)
     cell = 2 * (j * n + i)  # lower triangle of cell (i, j); the upper is cell + 1
     hi = np.column_stack([v + 1, v + n + 1, v + n + 2])
-    plus = np.column_stack([cell - 2 * n + 1, cell - 2, cell])
-    minus = np.column_stack([cell, cell + 1, cell + 1])
+    first = np.column_stack([cell - 2 * n + 1, cell - 2, cell])
+    second = np.column_stack([cell, cell + 1, cell + 1])
+    sides = np.stack([first, second], axis=-1)
     inside = np.column_stack([(0 < j) & (j < n) & (i < n), (0 < i) & (i < n) & (j < n), (i < n) & (j < n)])
-    lo = np.broadcast_to(v[:, None], hi.shape)
-    interior = _build_two_sided(mesh, lo[inside], hi[inside], plus[inside], minus[inside])
+    lo, hi, sides = np.broadcast_to(v[:, None], hi.shape)[inside], hi[inside], sides[inside]
 
     k = np.arange(n)
     g1, g1_elem = np.concatenate([k, n * (n + 1) + k]), np.concatenate([2 * k, 2 * (n - 1) * n + 2 * k + 1])
-    gamma1 = _build_one_sided(mesh, g1, g1 + 1, g1_elem, [[0.0, -1.0], [0.0, 1.0]])
+    gamma1 = _build_faces(mesh, g1, g1 + 1, g1_elem[:, None])
     left, right = k * (n + 1), k * (n + 1) + n
     left_elem, right_elem = 2 * k * n + 1, 2 * (k * n + n - 1)
 
-    gamma2_pairs = None
+    shift = np.zeros((len(lo), 2))
     dirichlet = None
     if bc_mode == PERIODIC:
-        shift = np.array([-mesh.domain.width, 0.0])
-        gamma2_pairs = _build_two_sided(mesh, right, right + n + 1, right_elem, left_elem, shift, np.array([1.0, 0.0]))
+        lo, hi = np.concatenate([lo, right]), np.concatenate([hi, right + n + 1])
+        sides = np.concatenate([sides, np.column_stack([right_elem, left_elem])])
+        shift = np.concatenate([shift, np.tile([-mesh.domain.width, 0.0], (n, 1))])
     else:
         lateral = np.concatenate([left, right])
-        elem = np.concatenate([left_elem, right_elem])
-        dirichlet = _build_one_sided(mesh, lateral, lateral + n + 1, elem, [[-1.0, 0.0], [1.0, 0.0]])
+        dirichlet = _build_faces(mesh, lateral, lateral + n + 1, np.concatenate([left_elem, right_elem])[:, None])
 
-    ridges, corners = _build_point_faces(gamma1, bc_mode)
-    return EdgeClassification(
-        bc_mode=bc_mode,
-        interior=interior,
-        gamma1=gamma1,
-        gamma2_pairs=gamma2_pairs,
-        dirichlet=dirichlet,
-        ridges=ridges,
-        corners=corners,
-    )
+    two_sided = _build_faces(mesh, lo, hi, sides, shift)
+    return EdgeClassification(bc_mode, two_sided, gamma1, dirichlet, *_build_point_faces(gamma1, bc_mode))
 
 
-def _build_two_sided(mesh, lo, hi, ep, em, shift=None, normal=None) -> TwoSidedFaces:
-    """Faces on the edges lo-hi.  Interior edges (no ``shift``) take the
-    normal of the edge pointing away from the plus element; periodic pairs
-    put the right boundary's element on the plus side."""
+def _build_faces(mesh, lo, hi, elem, shift=None) -> Faces:
+    """Faces on the edges lo-hi with the sides ``elem`` (n, sides), their
+    normal pointing away from the first side's element."""
     p0 = mesh.vertices[lo]
     p1 = mesh.vertices[hi]
     tang = p1 - p0
     length = np.linalg.norm(tang, axis=1)
-    if normal is None:
-        nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
-        # orient outward from the plus element
-        mid = 0.5 * (p0 + p1)
-        flip = np.einsum("ei,ei->e", nrm, mid - mesh.centroids[ep]) < 0
-        nrm[flip] *= -1.0
-    else:
-        nrm = np.broadcast_to(normal, (len(lo), 2)).copy()
-    ms = np.zeros((len(lo), 2)) if shift is None else np.broadcast_to(shift, (len(lo), 2)).copy()
-    return TwoSidedFaces(p0=p0, p1=p1, elem_plus=ep, elem_minus=em, normal=nrm, length=length, minus_shift=ms)
+    normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
+    flip = np.einsum("ei,ei->e", normal, 0.5 * (p0 + p1) - mesh.centroids[elem[:, 0]]) < 0
+    normal[flip] *= -1.0
+    return Faces(p0=p0, p1=p1, elem=elem, normal=normal, length=length, shift=shift)
 
 
-def _build_one_sided(mesh, lo, hi, elem, normals) -> BoundaryFaces:
-    """Boundary faces on the edges lo-hi, two equal groups with the outward
-    normals ``normals[0]`` and ``normals[1]``."""
-    p0 = mesh.vertices[lo]
-    p1 = mesh.vertices[hi]
-    normal = np.repeat(normals, len(lo) // 2, axis=0)
-    return BoundaryFaces(p0=p0, p1=p1, elem=elem, normal=normal, length=np.linalg.norm(p1 - p0, axis=1))
-
-
-def _build_point_faces(gamma1: BoundaryFaces, bc_mode: str) -> tuple[TwoSidedFaces, BoundaryFaces | None]:
+def _build_point_faces(gamma1: Faces, bc_mode: str) -> tuple[Faces, Faces | None]:
     """The vertices of gamma1 as point faces: the ridges and the corners.
     gamma1 is sorted by component, then by x, so row c of ``e`` lists the
     edges of component c from left to right.  A ridge takes the edge on its
-    left as plus, at that edge's right end, and the edge on its right as
-    minus, so its normal is +x."""
+    left as first side, at that edge's right end, and the edge on its right
+    as second, so its normal is +x."""
     e = np.arange(len(gamma1)).reshape(2, -1)
     corners = None
     if bc_mode == PERIODIC:
         # the corner vertex, listed first, fuses the last edge with the first
-        plus, minus = np.roll(e, 1, axis=1).ravel(), e.ravel()
+        first, second = np.roll(e, 1, axis=1).ravel(), e.ravel()
     else:
-        plus, minus = e[:, :-1].ravel(), e[:, 1:].ravel()
+        first, second = e[:, :-1].ravel(), e[:, 1:].ravel()
         # one-sided corners: the first edge's left end, the last edge's right end
         ends, left = e[:, [0, -1]].ravel(), np.tile([True, False], 2)[:, None]
         point = np.where(left, gamma1.p0[ends], gamma1.p1[ends])
         normal = np.where(left, [-1.0, 0.0], [1.0, 0.0])
-        corners = BoundaryFaces(p0=point, p1=point, elem=gamma1.elem[ends], normal=normal, length=np.ones(len(ends)))
-    point = gamma1.p1[plus]
-    ridges = TwoSidedFaces(
-        p0=point,
-        p1=point,
-        elem_plus=gamma1.elem[plus],
-        elem_minus=gamma1.elem[minus],
-        normal=np.tile([1.0, 0.0], (len(plus), 1)),
-        length=np.ones(len(plus)),
-        minus_shift=gamma1.p0[minus] - point,
-    )
+        corners = Faces(p0=point, p1=point, elem=gamma1.elem[ends], normal=normal, length=np.ones(len(ends)))
+    point, elem = gamma1.p1[first], gamma1.elem[np.column_stack([first, second]), 0]
+    normal = np.tile([1.0, 0.0], (len(first), 1))
+    ridges = Faces(p0=point, p1=point, elem=elem, normal=normal, length=np.ones(len(first)), shift=gamma1.p0[second] - point)
     return ridges, corners

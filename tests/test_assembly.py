@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from dgdyn.assembly import (
     assemble_load,
     assemble_mass,
 )
+from dgdyn.errors import energy_norm_terms
+from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
 from dgdyn.timestepper import cg_matrix
@@ -260,7 +263,7 @@ def test_matrices_symmetric(p, bc):
 def test_bh_couples_only_gamma1_elements():
     mesh, edges, space, params = setup(2, 1)
     b = assemble_bh(mesh, edges, space, params).tocsr()
-    touching = set(edges.gamma1.elem.tolist())
+    touching = set(edges.gamma1.elem.ravel().tolist())
     rows = np.repeat(np.arange(space.n_dofs), np.diff(b.indptr))
     nz_rows = rows[b.data != 0]
     assert set((nz_rows // space.n_local).tolist()) <= touching
@@ -472,3 +475,41 @@ def test_assembly_memory_proportional_to_output():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
+
+
+def with_given_normals(edges):
+    """The classification with the normals that enter the operators and
+    the norm set as they were given before every edge normal came from the
+    one orientation rule: (1, 0) on the periodic pairs, (-1, 0) and (1, 0)
+    on the left and right walls."""
+    two_sided = replace(edges.two_sided, normal=edges.two_sided.normal.copy())
+    two_sided.normal[np.any(two_sided.shift != 0.0, axis=1)] = [1.0, 0.0]
+    dirichlet = edges.dirichlet
+    if dirichlet is not None:
+        dirichlet = replace(dirichlet, normal=np.repeat([[-1.0, 0.0], [1.0, 0.0]], len(dirichlet) // 2, axis=0))
+    return replace(edges, two_sided=two_sided, dirichlet=dirichlet)
+
+
+def same_bits(a, b):
+    """Equal sparse structure and bit-identical values."""
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip((a.indptr, a.indices, a.data), (b.indptr, b.indices, b.data))
+    )
+
+
+@pytest.mark.parametrize("penalty_mode", ["gamma_over_h", "fixed_sigma"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc, case", [(PERIODIC, "example1"), (DIRICHLET_LATERAL, "example3")])
+def test_computed_normals_give_the_operators_and_norms_of_given_ones(bc, case, p, penalty_mode):
+    # A_h, M and every energy-norm term are bitwise those of the exact
+    # normals, so computing the normals changes no operator and no norm
+    for level in range(4):
+        mesh, edges, space, params = setup(level, p, bc, penalty_mode=penalty_mode)
+        given = with_given_normals(edges)
+        assert same_bits(assemble_Ah(mesh, edges, space, params), assemble_Ah(mesh, given, space, params))
+        assert same_bits(assemble_mass(mesh, edges, space, 10.0), assemble_mass(mesh, given, space, 10.0))
+        u = np.random.default_rng(level).standard_normal(space.n_dofs)
+        for exact in (None, get_case(case)):
+            terms = [energy_norm_terms(mesh, e, space, params, u_h=u, exact=exact, t=0.3) for e in (edges, given)]
+            assert [v.hex() for v in terms[0].values()] == [v.hex() for v in terms[1].values()]

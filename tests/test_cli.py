@@ -36,6 +36,20 @@ def test_parse_levels():
     assert parse_levels("3") == (3,)
 
 
+# the range rules of ProblemConfig.validate: a config breaking one, and its message
+RANGE_RULES = [
+    (dict(level=-1), "mesh levels must be >= 0"),
+    (dict(levels=(-1, 2)), "mesh levels must be >= 0"),
+    (dict(gamma=0.0), "gamma = 0: the penalty gamma must be positive"),
+    (dict(gamma=-1.0), "gamma = -1: the penalty gamma must be positive"),
+    (dict(alpha=-1.0), "alpha = -1"),
+    (dict(beta=-0.5), "beta = -0.5"),
+    (dict(lam=-1.0), "lambda = -1"),
+    (dict(dt_steps=0), "dt_steps = 0"),
+    (dict(dt_steps=-2), "dt_steps = -2"),
+]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ProblemConfig(p=3).validate()
@@ -45,6 +59,11 @@ def test_config_validation():
         ProblemConfig(levels=(3, 2)).validate()
     with pytest.raises(ValueError):
         ProblemConfig(case="nope").validate()
+    for values, message in RANGE_RULES:
+        with pytest.raises(ValueError, match=message):
+            ProblemConfig(**values).validate()
+    # the edges of each range are valid
+    ProblemConfig(level=0, levels=(0, 1), gamma=1e-3, alpha=0.0, beta=0.0, lam=0.0, dt_steps=1).validate()
     assert ProblemConfig(dt=1e-3, t_final=1e-2).num_steps() == 10
 
 
@@ -230,6 +249,26 @@ def test_stability_accepts_any_coefficients(tmp_path):
         (["solve", "--config", "{cfg}"], "unknown config key 'colour'"),
         (["solve", "--config", "{missing}"], "No such file"),
         (["stability", "--case", "example3", "--dt", "1e-4", "--t-final", "1e-3"], "projects to zero"),
+        (["solve", "--level", "-1"], "mesh levels must be >= 0"),
+        (["solve", "--gamma", "0"], "gamma = 0: the penalty gamma must be positive"),
+        (["solve", "--gamma", "-1"], "gamma = -1: the penalty gamma must be positive"),
+        (["stability", "--lambda", "-1", "--level", "2"], "lambda = -1"),
+        (["converge-dt", "--dt-steps", "0"], "dt_steps = 0"),
+        (["converge-dt", "--dt-steps", "-2"], "dt_steps = -2"),
+        # refused before the run, not after the whole table
+        (["solve", "--level", "2", "--out", "{missing}/x.csv"], "does not exist"),
+        # solver failures of a non-coercive penalty: the walls' coarse
+        # V-cycle matrix, and CG on an indefinite periodic system
+        (
+            ["solve", "--case", "example3", "--level", "3", "--gamma", "0.5", "--dt", "0.1", "--t-final", "0.1"],
+            "coarse matrix not positive definite; penalty too small?",
+        ),
+        (
+            ["stability", "--level", "4", "--gamma", "0.5", "--dt", "1e-3", "--t-final", "1e-2"],
+            "non-positive curvature in CG",
+        ),
+        # the subcommand sets the mode: a file's mode would be overwritten
+        (["solve", "--config", "{mode_cfg}"], "unknown config key 'mode'"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, args, message):
@@ -237,7 +276,9 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
     # exit status 2, not a traceback
     cfg = tmp_path / "run.cfg"
     cfg.write_text("colour = blue\n")
-    argv = [a.format(cfg=cfg, missing=tmp_path / "missing.cfg") for a in args]
+    mode_cfg = tmp_path / "mode.cfg"
+    mode_cfg.write_text("mode = steady\n")
+    argv = [a.format(cfg=cfg, mode_cfg=mode_cfg, missing=tmp_path / "missing.cfg") for a in args]
     src = str(Path(dgdyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -73,13 +73,21 @@ def test_refinement_halves_h():
         h_prev = h
 
 
+def periodic_pairs(edges):
+    """The rows of ``two_sided`` that cross the periodic seam."""
+    return np.flatnonzero(np.any(edges.two_sided.shift != 0.0, axis=1))
+
+
 def test_classify_level2_periodic_counts():
     mesh = build_structured_mesh(2)
     oracle = enumerate_edges(mesh)
     edges = classify_edges(mesh, PERIODIC)
-    assert len(edges.interior) == oracle["interior"] == 40
+    pairs = periodic_pairs(edges)
+    assert len(edges.two_sided) - len(pairs) == oracle["interior"] == 40
     assert len(edges.gamma1) == oracle["gamma1"] == 8
-    assert len(edges.gamma2_pairs) == oracle["left"] == oracle["right"] == 4
+    assert len(pairs) == oracle["left"] == oracle["right"] == 4
+    # the interior edges first, then the pairs
+    assert np.array_equal(pairs, np.arange(40, 44))
     # one ridge per gamma1 vertex, corners fused: 4 per component
     assert len(edges.ridges) == 8
     assert edges.corners is None
@@ -88,18 +96,18 @@ def test_classify_level2_periodic_counts():
 def test_classify_level0_periodic_counts():
     mesh = build_structured_mesh(0)
     edges = classify_edges(mesh, PERIODIC)
-    assert len(edges.interior) == 1
+    assert len(edges.two_sided) == 2
     assert len(edges.gamma1) == 2
-    assert len(edges.gamma2_pairs) == 1
+    assert len(periodic_pairs(edges)) == 1
     assert len(edges.ridges) == 2
 
 
 def test_classify_level2_dirichlet_counts():
     mesh = build_structured_mesh(2)
     edges = classify_edges(mesh, DIRICHLET_LATERAL)
-    assert len(edges.interior) == 40
+    assert len(edges.two_sided) == 40
     assert len(edges.gamma1) == 8
-    assert edges.gamma2_pairs is None
+    assert len(periodic_pairs(edges)) == 0
     assert len(edges.dirichlet) == 8
     # 5 gamma1 vertices per component, corners not fused: 3 two-sided ridges
     # and 2 one-sided corners per component
@@ -117,28 +125,31 @@ def test_gamma1_total_length():
 def test_interior_normals_unit_and_oriented():
     mesh = build_structured_mesh(2)
     edges = classify_edges(mesh)
-    nrm = edges.interior.normal
+    inner = np.setdiff1d(np.arange(len(edges.two_sided)), periodic_pairs(edges))
+    nrm = edges.two_sided.normal[inner]
+    first, second = edges.two_sided.elem[inner].T
     assert np.allclose(np.linalg.norm(nrm, axis=1), 1.0, rtol=1e-14)
-    mid = 0.5 * (edges.interior.p0 + edges.interior.p1)
-    toward_minus = mesh.centroids[edges.interior.elem_minus] - mesh.centroids[edges.interior.elem_plus]
-    assert (np.einsum("ei,ei->e", nrm, toward_minus) > 0).all()
-    # plus element has the smaller index
-    assert (edges.interior.elem_plus < edges.interior.elem_minus).all()
-    # normal points outward of the plus element across the edge midpoint
-    assert (np.einsum("ei,ei->e", nrm, mid - mesh.centroids[edges.interior.elem_plus]) > 0).all()
+    mid = 0.5 * (edges.two_sided.p0 + edges.two_sided.p1)[inner]
+    toward_second = mesh.centroids[second] - mesh.centroids[first]
+    assert (np.einsum("ei,ei->e", nrm, toward_second) > 0).all()
+    # the first side has the smaller index
+    assert (first < second).all()
+    # normal points outward of the first side across the edge midpoint
+    assert (np.einsum("ei,ei->e", nrm, mid - mesh.centroids[first]) > 0).all()
 
 
 def test_periodic_pair_geometry():
     mesh = build_structured_mesh(2)
     edges = classify_edges(mesh)
-    pairs = edges.gamma2_pairs
-    assert np.allclose(pairs.normal, [1.0, 0.0])
-    assert np.allclose(pairs.p0[:, 0], 1.0)  # plus realization on the right
-    assert np.allclose(pairs.minus_shift, [-1.0, 0.0])
+    pairs = periodic_pairs(edges)
+    faces = edges.two_sided
+    assert np.allclose(faces.normal[pairs], [1.0, 0.0])
+    assert np.allclose(faces.p0[pairs, 0], 1.0)  # first side's realization on the right
+    assert np.allclose(faces.shift[pairs], [-1.0, 0.0])
     # paired edges share the y-interval
-    shifted = pairs.p0 + pairs.minus_shift
+    shifted = faces.p0[pairs] + faces.shift[pairs]
     assert np.allclose(shifted[:, 0], 0.0)
-    assert (pairs.length > 0).all()
+    assert (faces.length[pairs] > 0).all()
 
 
 def test_ridge_tangent_signs_opposite():
@@ -160,9 +171,9 @@ def test_ridge_tangent_signs_opposite():
 
 # Level 1 by hand: gamma1 edges [0, 1/2] and [1/2, 1] on y = 0 belong to the
 # lower triangles 0 and 2, those on y = 1 to the upper triangles 5 and 7.
-# Rows: elem_plus, point_plus, sign_plus, elem_minus, point_minus, sign_minus;
-# elem_minus -1 marks a one-sided corner.  A two-sided row is a ridge with
-# normal sign_plus * (1, 0); a one-sided row is a corner.
+# Rows: first side's element, point and sign, second side's element, point
+# and sign; a second element -1 marks a one-sided corner.  A two-sided row
+# is a ridge with normal sign_first * (1, 0); a one-sided row is a corner.
 LEVEL1_RIDGES = {
     PERIODIC: [
         (2, (1.0, 0.0), 1.0, 0, (0.0, 0.0), -1.0),  # fused corner: last edge + first
@@ -192,22 +203,73 @@ def test_ridges_level1_by_hand(bc):
         return np.array([row[k] for row in rows])
 
     r = edges.ridges
-    assert np.array_equal(r.elem_plus, column(two, 0)) and r.elem_plus.dtype.kind == "i"
+    assert r.elem.shape == (len(two), 2) and r.elem.dtype.kind == "i"
+    assert np.array_equal(r.elem[:, 0], column(two, 0))
     assert np.array_equal(r.p0, column(two, 1)) and np.array_equal(r.p1, r.p0)
     assert np.array_equal(r.normal, column(two, 2)[:, None] * [1.0, 0.0])
-    assert np.array_equal(r.elem_minus, column(two, 3)) and r.elem_minus.dtype.kind == "i"
-    assert np.array_equal(r.p0 + r.minus_shift, column(two, 4))
+    assert np.array_equal(r.elem[:, 1], column(two, 3))
+    assert np.array_equal(r.p0 + r.shift, column(two, 4))
     assert np.array_equal(column(two, 5), -column(two, 2))
     assert np.all(r.length == 1.0)
     if not one:
         assert edges.corners is None
         return
     c = edges.corners
-    assert np.array_equal(c.elem, column(one, 0)) and c.elem.dtype.kind == "i"
+    assert np.array_equal(c.elem, column(one, 0)[:, None]) and c.elem.dtype.kind == "i"
+    assert c.shift is None
     assert np.array_equal(c.p0, column(one, 1)) and np.array_equal(c.p1, c.p0)
     assert np.array_equal(c.normal, column(one, 2)[:, None] * [1.0, 0.0])
     assert np.array_equal(column(one, 4), column(one, 1)) and np.all(column(one, 5) == 0.0)
     assert np.all(c.length == 1.0)
+
+
+# The exact normals of the unit square's edge sets, computed by the one
+# orientation rule: gamma1 bottom then top, the walls left then right, and
+# the periodic pairs, the rows of ``two_sided`` with a nonzero shift.
+UNIT_SQUARE_NORMALS = {
+    "gamma1": ([0.0, -1.0], [0.0, 1.0]),
+    "dirichlet": ([-1.0, 0.0], [1.0, 0.0]),
+    "two_sided": ([1.0, 0.0],),
+}
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+@pytest.mark.parametrize("name", ["two_sided", "gamma1", "dirichlet", "ridges", "corners"])
+def test_every_face_set_has_sides(name, bc, level):
+    mesh = build_structured_mesh(level)
+    edges = classify_edges(mesh, bc)
+    faces = getattr(edges, name)
+    if faces is None:
+        assert bc == PERIODIC and name in ("dirichlet", "corners")
+        return
+    n, sides = faces.elem.shape
+    assert faces.elem.dtype.kind == "i" and sides in (1, 2)
+    assert faces.p0.shape == faces.p1.shape == faces.normal.shape == (n, 2) and faces.length.shape == (n,)
+    corners = mesh.vertices[mesh.triangles[faces.elem]]  # (n, sides, 3, 2)
+
+    def on_element(points, side):
+        return np.all(np.isclose(corners[:, side], points[:, None, :], rtol=0.0, atol=1e-14).all(-1).any(-1))
+
+    # unit normals out of the first side, whose element has the face's points
+    assert np.allclose(np.linalg.norm(faces.normal, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    away = 0.5 * (faces.p0 + faces.p1) - mesh.centroids[faces.elem[:, 0]]
+    assert (np.einsum("ei,ei->e", faces.normal, away) > 0).all()
+    assert on_element(faces.p0, 0) and on_element(faces.p1, 0)
+    # the shift moves the first side's points onto the second element's edge
+    assert (faces.shift is None) == (sides == 1)
+    if sides == 2:
+        assert faces.shift.shape == (n, 2)
+        assert on_element(faces.p0 + faces.shift, 1) and on_element(faces.p1 + faces.shift, 1)
+    if name in ("ridges", "corners"):
+        assert np.array_equal(faces.p0, faces.p1) and np.all(faces.length == 1.0)
+    else:
+        assert np.all(faces.length > 0) and np.allclose(faces.length, np.linalg.norm(faces.p1 - faces.p0, axis=1))
+    if name in UNIT_SQUARE_NORMALS:
+        rows = periodic_pairs(edges) if name == "two_sided" else np.arange(n)
+        normals = UNIT_SQUARE_NORMALS[name]
+        assert len(rows) % len(normals) == 0 and (len(rows) > 0) == (bc == PERIODIC or name != "two_sided")
+        assert np.array_equal(faces.normal[rows], np.repeat(normals, len(rows) // len(normals), axis=0))
 
 
 def test_malformed_mesh_rejected():
