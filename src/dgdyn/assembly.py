@@ -58,11 +58,10 @@ class FormParams:
     alpha: float
     beta: float
     lam: float
-    gamma: float
     sigma: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.sigma <= 0:
+        if self.sigma <= 0:
             raise ValueError("penalty parameters must be positive")
         if min(self.alpha, self.beta, self.lam) < 0:
             raise ValueError("alpha, beta, lambda must be non-negative")
@@ -75,7 +74,7 @@ class FormParams:
             sigma = gamma
         else:
             raise ValueError(f"unknown penalty_mode {penalty_mode!r}")
-        return cls(alpha=alpha, beta=beta, lam=lam, gamma=gamma, sigma=sigma)
+        return cls(alpha=alpha, beta=beta, lam=lam, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

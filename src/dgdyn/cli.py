@@ -2,9 +2,10 @@
 
 Subcommands: ``solve`` (one transient run), ``converge-h`` (spatial
 refinement study), ``converge-dt`` (time-step study at fixed level) and
-``stability`` (zero-source energy decay log).  Configuration comes from
-defaults, an optional ``key = value`` config file and command-line flags,
-in increasing precedence.
+``stability`` (zero-source energy decay log).  Each reads only its own
+keys, from defaults, an optional ``key = value`` config file and
+command-line flags, in increasing precedence; any other key or flag is an
+error.
 """
 
 from __future__ import annotations
@@ -74,12 +75,8 @@ def _transient_errors(config: ProblemConfig, case) -> ErrorRecord:
         acc[0] += config.dt * e * e
 
     res = run_backward_euler(config, case.declared("f"), case.declared("g"), case.u0, on_step=on_step, ops=ops)
-    dom, g1, _ = l2_errors(
-        ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final
-    )
-    return ErrorRecord(
-        h=ops.mesh.h, dt=config.dt, l2_domain=dom, l2_gamma1=g1, energy=float(np.sqrt(acc[0]))
-    )
+    dom, g1, _ = l2_errors(ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final)
+    return ErrorRecord(h=ops.mesh.h, dt=config.dt, l2_domain=dom, l2_gamma1=g1, energy=float(np.sqrt(acc[0])))
 
 
 def _attach_rates(records: list[ErrorRecord], factor: float = 2.0) -> None:
@@ -115,11 +112,8 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
     records = []
     for j in range(config.dt_steps):
         dt = config.dt * 0.5**j
-        cfg = config.with_(dt=dt)
-        res = run_backward_euler(cfg, case.declared("f"), case.declared("g"), case.u0, ops=ops)
-        dom, g1, _ = l2_errors(
-            ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final
-        )
+        res = run_backward_euler(config.with_(dt=dt), case.declared("f"), case.declared("g"), case.u0, ops=ops)
+        dom, g1, _ = l2_errors(ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final)
         records.append(ErrorRecord(h=ops.mesh.h, dt=dt, l2_domain=dom, l2_gamma1=g1, energy=0.0))
     _attach_rates(records)
     _write_records(CONVERGE_DT_HEADER, records, config)
@@ -145,9 +139,7 @@ def run_stability(config: ProblemConfig) -> list[tuple[int, float, float]]:
     slack = 1e-12 * max(norms[0], 1.0)
     for k in range(1, len(norms)):
         if norms[k] > norms[k - 1] + slack:
-            raise StabilityViolation(
-                f"energy increased at step {k}: {norms[k - 1]:.15e} -> {norms[k]:.15e}"
-            )
+            raise StabilityViolation(f"energy increased at step {k}: {norms[k - 1]:.15e} -> {norms[k]:.15e}")
     _write_table(["k", "t", "l2_lambda_norm"], [[str(k), _fmt(t), _fmt(n)] for k, t, n in rows], config)
     return rows
 
@@ -185,104 +177,86 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-_FIELD_PARSERS = {
-    "case": str,
-    "p": int,
-    "level": int,
-    "levels": parse_levels,
-    "gamma": float,
-    "alpha": float,
-    "beta": float,
-    "lam": float,
-    "dt": float,
-    "t_final": float,
-    "penalty_mode": str,
-    "bc_mode": str,
-    "dt_steps": int,
-    "out": str,
-    "fmt": str,
+# key -> (its flag, or None for a key only a config file sets; the flag's
+# argparse keywords).  A config file's value is parsed with the flag's type.
+KEYS = {
+    "case": ("--case", dict(choices=CASES)),
+    "p": ("--p", dict(type=int)),
+    "level": ("--level", dict(type=int)),
+    "levels": ("--levels", dict(type=parse_levels, help="range like 2..5 or list 2,3,4; default 2..5")),
+    "gamma": ("--gamma", dict(type=float)),
+    "alpha": ("--alpha", dict(type=float)),
+    "beta": ("--beta", dict(type=float)),
+    "lam": ("--lambda", dict(type=float)),
+    "dt": ("--dt", dict(type=float)),
+    "t_final": ("--t-final", dict(type=float)),
+    "penalty_mode": ("--penalty-mode", dict(choices=PENALTY_MODES)),
+    "bc_mode": (None, {}),
+    "dt_steps": ("--dt-steps", dict(type=int)),
+    "out": ("--out", {}),
+    "fmt": ("--format", dict(choices=FORMATS)),
 }
 
-_MODE_OF_COMMAND = {
-    "solve": "transient",
-    "converge-h": "converge_h",
-    "converge-dt": "converge_dt",
-    "stability": "stability",
+_COMMON_KEYS = ("case", "p", "gamma", "dt", "t_final", "penalty_mode", "bc_mode", "out", "fmt")
+
+# command -> (help, runner, its ProblemConfig.mode, the keys it reads): the
+# common keys and its own.  Only stability, which runs without sources,
+# reads the coefficients; the other commands take them from the case, like
+# bc_mode.
+COMMANDS = {
+    name: (help_text, runner, mode, (*_COMMON_KEYS, *own))
+    for name, help_text, runner, mode, own in (
+        ("solve", "single transient run, report final errors", run_solve, "transient", ("level",)),
+        ("converge-h", "spatial convergence study over a level range", run_converge_h, "converge_h", ("levels",)),
+        ("converge-dt", "temporal convergence study at a fixed level", run_converge_dt, "converge_dt", ("level", "dt_steps")),
+        ("stability", "zero-source energy decay log", run_stability, "stability", ("level", "alpha", "beta", "lam")),
+    )
 }
-
-
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--case", choices=CASES)
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--level", type=int)
-    sub.add_argument("--levels", type=parse_levels, help="range like 2..5 or list 2,3,4")
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--lambda", dest="lam", type=float)
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--t-final", dest="t_final", type=float)
-    sub.add_argument("--penalty-mode", dest="penalty_mode", choices=PENALTY_MODES)
-    sub.add_argument("--dt-steps", dest="dt_steps", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--format", dest="fmt", choices=FORMATS)
 
 
 def build_config(args: argparse.Namespace) -> ProblemConfig:
+    """The run of ``args.command``: defaults, then the config file, then the
+    flags, each setting only the keys the command reads."""
+    _, _, mode, keys = COMMANDS[args.command]
     values: dict = {}
     if args.config:
-        raw = read_config_file(args.config)
-        for key, text in raw.items():
-            if key not in _FIELD_PARSERS:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = _FIELD_PARSERS[key](text)
-    for key in _FIELD_PARSERS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            values[key] = flag_val
-    values["mode"] = _MODE_OF_COMMAND[args.command]
+        for key, text in read_config_file(args.config).items():
+            if key not in keys:
+                raise ValueError(f"unknown config key {key!r}; {args.command} reads {', '.join(keys)}")
+            values[key] = KEYS[key][1].get("type", str)(text)
+    values.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     case = get_case(values.get("case", "example1"))
-    values.setdefault("bc_mode", case.bc_mode)
-    config = ProblemConfig(**values).validate()
+    for key in ("bc_mode", "alpha", "beta", "lam"):
+        values.setdefault(key, getattr(case, key))
+    config = ProblemConfig(mode=mode, **values).validate()
     if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
         raise ValueError(f"out = {config.out}: its directory does not exist; create it or write elsewhere")
-    if args.command != "stability":  # stability runs without sources
-        for key, flag in (("alpha", "--alpha"), ("beta", "--beta"), ("lam", "--lambda")):
-            asked, built = getattr(config, key), getattr(case, key)
-            if asked != built:
-                raise ValueError(
-                    f"{key} = {asked:g} differs from {key} = {built:g} in the {config.case} sources, "
-                    f"so the run would not solve the manufactured problem; drop the {flag} / {key} setting, "
-                    f"or use the stability command, which runs without sources"
-                )
     return config
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with the flags of the keys it reads; no
+    abbreviations, so ``--level`` is not taken for ``--levels``."""
     parser = argparse.ArgumentParser(prog="dgdyn", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "single transient run, report final errors"),
-        ("converge-h", "spatial convergence study over a level range"),
-        ("converge-dt", "temporal convergence study at a fixed level"),
-        ("stability", "zero-source energy decay log"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        _add_common_flags(sub)
+    for name, (help_text, _, _, keys) in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
+        sub.add_argument("--config", help="key = value configuration file")
+        for key, (flag, kwargs) in KEYS.items():
+            if flag and key in keys:
+                sub.add_argument(flag, dest=key, **kwargs)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
     except (OSError, ValueError) as exc:  # bad input: one line, exit status 2
         parser.error(str(exc))
-    runner = {
-        "solve": run_solve,
-        "converge-h": run_converge_h,
-        "converge-dt": run_converge_dt,
-        "stability": run_stability,
-    }[args.command]
     try:
-        runner(config)
+        COMMANDS[args.command][1](config)
     except (InputError, SolverError) as exc:
         parser.error(str(exc))
     return 0

@@ -31,7 +31,7 @@ class ProblemConfig:
     t_final: float = 1e-3
     penalty_mode: str = "gamma_over_h"
     bc_mode: str = PERIODIC
-    dt_steps: int = 5  # number of dt halvings (+1) in converge_dt mode
+    dt_steps: int = 5  # rows of the converge_dt table: dt, dt/2, ..., dt/2^(dt_steps-1)
     out: str | None = None
     fmt: str = "csv"
 

@@ -82,16 +82,10 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
     ``u_D(t, x, y)`` as ``dirichlet_rhs`` if it is given."""
     mesh = build_structured_mesh(config.level)
     edges = classify_edges(mesh, config.bc_mode)
-    if u_D is not None and edges.bc_mode != DIRICHLET_LATERAL:
-        raise ValueError(f"wall data u_D requires bc_mode='{DIRICHLET_LATERAL}', not {edges.bc_mode!r}")
+    _refuse_wall_data(edges, u_D)
     space = DGSpace(mesh, config.p)
     params = FormParams.for_mesh(
-        mesh,
-        alpha=config.alpha,
-        beta=config.beta,
-        lam=config.lam,
-        gamma=config.gamma,
-        penalty_mode=config.penalty_mode,
+        mesh, alpha=config.alpha, beta=config.beta, lam=config.lam, gamma=config.gamma, penalty_mode=config.penalty_mode
     )
     ops = Operators(
         mesh=mesh,
@@ -107,12 +101,36 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
     return ops
 
 
+def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
+    if u_D is not None and edges.bc_mode != DIRICHLET_LATERAL:
+        raise ValueError(f"wall data u_D requires bc_mode='{DIRICHLET_LATERAL}', not {edges.bc_mode!r}")
+
+
 def cg_matrix(A: sp.spmatrix) -> sp.csr_matrix:
     """A as CSR without the element blocks' structural zeros, which every
     product would carry; scipy's CSR product beats its BSR one at p = 1."""
     A = A.tocsr()
     A.eliminate_zeros()
     return A
+
+
+def _cg_solver(system: sp.csr_matrix, mesh: Mesh, edges: EdgeClassification, space: DGSpace, two_level: bool):
+    """``solve(rhs, what)``: CG on ``system`` under block Jacobi, with the
+    conforming-P1 V-cycle if ``two_level``; a SolverError names ``what``."""
+    prec = block_jacobi_preconditioner(system, space.n_local)
+    if two_level:
+        P = conforming_p1_embedding(space, edges)
+        prec = two_level_preconditioner(prec, system, P, p1_prolongations(mesh, edges.bc_mode))
+
+    def solve(rhs: np.ndarray, what: str) -> np.ndarray:
+        x, report = cg_solve(system, rhs, preconditioner=prec)
+        if not report.converged:
+            raise SolverError(
+                f"{what} failed: residual {report.final_relative_residual:.3e} after {report.iterations} iterations"
+            )
+        return x
+
+    return solve
 
 
 def solve_stationary(
@@ -126,6 +144,7 @@ def solve_stationary(
 ) -> np.ndarray:
     """Solve the stationary problem A_h u = (f, v) + (g, v)_gamma1, plus
     the wall-data vector of ``u_D(t, x, y)`` at t = 0 if it is given."""
+    _refuse_wall_data(edges, u_D)
     if params.alpha == 0.0 and edges.bc_mode != DIRICHLET_LATERAL:
         raise SolverError("stationary operator is singular: alpha = 0 leaves constants in the kernel")
     A = cg_matrix(assemble_Ah(mesh, edges, space, params))
@@ -133,15 +152,7 @@ def solve_stationary(
     if u_D is not None:
         rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
     # no mass term: the stiff limit, where the coarse correction always pays
-    P, prolongations = conforming_p1_embedding(space, edges), p1_prolongations(mesh, edges.bc_mode)
-    prec = two_level_preconditioner(block_jacobi_preconditioner(A, space.n_local), A, P, prolongations)
-    x, report = cg_solve(A, rhs, preconditioner=prec)
-    if not report.converged:
-        raise SolverError(
-            f"stationary solve failed: residual {report.final_relative_residual:.3e} "
-            f"after {report.iterations} iterations (gamma too small?)"
-        )
-    return x
+    return _cg_solver(A, mesh, edges, space, two_level=True)(rhs, "stationary solve")
 
 
 @dataclass(eq=False)
@@ -169,22 +180,19 @@ def run_backward_euler(
     stored.  Each solve starts from zero, so results do not depend on the
     step history through the solver.  f and g may be ``SeparableField``s
     (see ``assemble_load``).  Wall data ``u_D`` enters through the
-    operators: it is given to ``build_operators``, here or before ``ops``
-    is passed.
+    operators: it is given here only if ``ops`` is not, and otherwise to
+    the ``build_operators`` call that made them.
     """
     n_steps = config.num_steps()
     dt = config.dt
     if ops is None:
         ops = build_operators(config, u_D=u_D)
-    elif u_D is not None and ops.dirichlet_rhs is None:
-        raise ValueError("u_D is given but ops were built without it; pass u_D to build_operators")
+    elif u_D is not None:
+        raise ValueError("u_D is given with ops, which keep the wall data they were built with: pass it to build_operators")
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
     system = cg_matrix(ops.M + dt * ops.A)
-    prec = block_jacobi_preconditioner(system, space.n_local)
-    if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS:
-        P = conforming_p1_embedding(space, edges)
-        prec = two_level_preconditioner(prec, system, P, p1_prolongations(mesh, edges.bc_mode))
+    solve = _cg_solver(system, mesh, edges, space, two_level=dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS)
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
     Mu = ops.M @ u  # the norm of u and the next step's right-hand side
@@ -198,21 +206,10 @@ def run_backward_euler(
         rhs += dt * assemble_load(mesh, edges, space, f, g, t=t_next)
         if ops.dirichlet_rhs is not None:
             rhs += dt * ops.dirichlet_rhs(t_next)
-        u, report = cg_solve(system, rhs, tol=1e-12, preconditioner=prec)
-        if not report.converged:
-            raise SolverError(
-                f"backward Euler step {k + 1} failed: residual "
-                f"{report.final_relative_residual:.3e} after {report.iterations} iterations"
-            )
+        u = solve(rhs, f"backward Euler step {k + 1}")
         Mu = ops.M @ u
         norms.append(float(np.sqrt(u @ Mu)))
         if on_step is not None:
             on_step(k + 1, t_next, u)
 
-    return TransientResult(
-        coeffs=u,
-        l2lambda_norms=np.array(norms),
-        n_steps=n_steps,
-        dt=dt,
-        ops=ops,
-    )
+    return TransientResult(coeffs=u, l2lambda_norms=np.array(norms), n_steps=n_steps, dt=dt, ops=ops)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -13,9 +14,12 @@ import dgdyn
 import dgdyn.cli
 
 from dgdyn.cli import (
+    COMMANDS,
     CONVERGE_H_HEADER,
+    KEYS,
     StabilityViolation,
     build_config,
+    build_parser,
     main,
     parse_levels,
     read_config_file,
@@ -28,6 +32,22 @@ from dgdyn.mesh import DIRICHLET_LATERAL
 from dgdyn.timestepper import cg_matrix
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def config_of(argv):
+    """The ProblemConfig of a dgdyn command line, through the parser of ``main``."""
+    return build_config(build_parser().parse_args(argv))
+
+
+def error_line(argv, capsys):
+    """The last stderr line of a command line that ``main`` refuses with exit status 2."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.strip().splitlines()[-1]
 
 
 def test_parse_levels():
@@ -82,14 +102,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     values = read_config_file(cfg)
     assert values["t_final"] == "1e-2"
 
-    import argparse
-
-    args = argparse.Namespace(
-        command="solve", config=str(cfg), case=None, p=None, level=None, levels=None,
-        gamma=20.0, alpha=None, beta=None, lam=None, dt=None, t_final=None,
-        penalty_mode=None, dt_steps=None, out=None, fmt=None,
-    )
-    config = build_config(args)
+    config = config_of(["solve", "--config", str(cfg), "--gamma", "20"])
     assert config.p == 2  # from file
     assert config.gamma == 20.0  # flag overrides file
     assert config.t_final == 1e-2
@@ -97,15 +110,71 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 
 def test_case_sets_bc_mode():
-    import argparse
-
-    args = argparse.Namespace(
-        command="solve", config=None, case="example3", p=None, level=2, levels=None,
-        gamma=None, alpha=None, beta=None, lam=None, dt=1e-2, t_final=1e-1,
-        penalty_mode=None, dt_steps=None, out=None, fmt=None,
-    )
-    config = build_config(args)
+    config = config_of(["solve", "--case", "example3", "--level", "2", "--dt", "1e-2", "--t-final", "1e-1"])
     assert config.bc_mode == "dirichlet_lateral"
+
+
+# a valid value of each key other than its default, as given and as parsed
+KEY_VALUES = {
+    "case": ("example2", "example2"),
+    "p": ("2", 2),
+    "level": ("3", 3),
+    "levels": ("3..4", (3, 4)),
+    "gamma": ("12.5", 12.5),
+    "alpha": ("3", 3.0),
+    "beta": ("4", 4.0),
+    "lam": ("7", 7.0),
+    "dt": ("1e-4", 1e-4),
+    "t_final": ("2e-3", 2e-3),
+    "penalty_mode": ("fixed_sigma", "fixed_sigma"),
+    "bc_mode": ("dirichlet_lateral", "dirichlet_lateral"),
+    "dt_steps": ("3", 3),
+    "out": ("{tmp}/t.csv", "{tmp}/t.csv"),
+    "fmt": ("markdown", "markdown"),
+}
+READ = [(command, key) for command, (*_, keys) in COMMANDS.items() for key in keys]
+UNREAD = [(command, key) for command, (*_, keys) in COMMANDS.items() for key in KEYS if key not in keys]
+
+
+def test_key_tables():
+    # 44 settable keys, none of them twice; solve, converge-h and
+    # converge-dt take the coefficients from the case
+    assert set(KEY_VALUES) == set(KEYS)
+    assert len(READ) == 44 and len(UNREAD) == 16
+    assert all(len(set(keys)) == len(keys) for *_, keys in COMMANDS.values())
+    assert {command for command, key in READ if key == "alpha"} == {"stability"}
+
+
+@pytest.mark.parametrize("command, key", READ)
+def test_every_key_read_reaches_the_config(tmp_path, command, key):
+    text, value = (v.format(tmp=tmp_path) if isinstance(v, str) else v for v in KEY_VALUES[key])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    assert getattr(config_of([command, "--config", str(cfg)]), key) == value
+    flag = KEYS[key][0]
+    if flag is not None:
+        assert getattr(config_of([command, flag, text]), key) == value
+
+
+@pytest.mark.parametrize("command, key", UNREAD)
+def test_every_key_not_read_is_refused(tmp_path, capsys, command, key):
+    # a flag or config-file key the command does not read is an error, not
+    # a setting silently dropped
+    text = KEY_VALUES[key][0].format(tmp=tmp_path)
+    flag = KEYS[key][0]
+    assert error_line([command, flag, text], capsys) == f"dgdyn: error: unrecognized arguments: {flag} {text}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    assert error_line([command, "--config", str(cfg)], capsys).startswith(f"dgdyn: error: unknown config key {key!r}")
+
+
+def test_readme_command_lines_parse():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("dgdyn ")]
+    assert len(lines) == 4
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert config_of(argv).mode == COMMANDS[argv[0]][2]
 
 
 def small_converge_config(tmp_path, fmt="csv"):
@@ -201,34 +270,25 @@ def test_main_entry_point(tmp_path, capsys):
     assert float(vals[0]) == pytest.approx(np.sqrt(2.0) / 2.0)
 
 
-def coefficient_args(command, **overrides):
-    import argparse
-
-    values = dict(
-        command=command, config=None, case="example1", p=None, level=2, levels=None,
-        gamma=None, alpha=None, beta=None, lam=None, dt=1e-2, t_final=1e-1,
-        penalty_mode=None, dt_steps=None, out=None, fmt=None,
-    )
-    values.update(overrides)
-    return argparse.Namespace(**values)
-
-
-@pytest.mark.parametrize("command", ["solve", "converge-h", "converge-dt"])
-@pytest.mark.parametrize(
-    "key, flag, value", [("alpha", "--alpha", 20.0), ("beta", "--beta", 1.0), ("lam", "--lambda", 0.0)]
-)
-def test_coefficient_override_without_matching_sources_rejected(command, key, flag, value):
+@pytest.mark.parametrize("command", ["solve", "converge-h", "converge-dt", "stability"])
+@pytest.mark.parametrize("key, flag, value", [("alpha", "--alpha", "20"), ("beta", "--beta", "1"), ("lam", "--lambda", "0")])
+def test_coefficient_flags_only_on_stability(capsys, command, key, flag, value):
     # the manufactured sources carry alpha = 2, beta = 5, lam = 10: any
-    # other value would solve a problem whose exact solution is unknown
-    with pytest.raises(ValueError) as info:
-        build_config(coefficient_args(command, **{key: value}))
-    message = str(info.value)
-    assert f"{key} = {value:g}" in message and flag in message and "example1" in message
+    # other value would solve a problem whose exact solution is unknown, so
+    # only stability, which runs without sources, has the flags
+    argv = [command, "--case", "example3", flag, value]
+    if command == "stability":
+        assert getattr(config_of(argv), key) == float(value)
+    else:
+        assert error_line(argv, capsys) == f"dgdyn: error: unrecognized arguments: {flag} {value}"
 
 
-def test_coefficient_matching_sources_accepted():
-    config = build_config(coefficient_args("solve", alpha=2.0, beta=5.0, lam=10.0))
-    assert (config.alpha, config.beta, config.lam) == (2.0, 5.0, 10.0)
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_coefficients_come_from_the_case(command, name):
+    case = get_case(name)
+    config = config_of([command, "--case", name])
+    assert (config.alpha, config.beta, config.lam, config.bc_mode) == (case.alpha, case.beta, case.lam, case.bc_mode)
 
 
 def test_stability_accepts_any_coefficients(tmp_path):
@@ -243,7 +303,7 @@ def test_stability_accepts_any_coefficients(tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["solve", "--alpha", "20"], "alpha = 20 differs from alpha = 2"),
+        (["solve", "--alpha", "20"], "unrecognized arguments: --alpha 20"),
         (["solve", "--p", "3"], "p must be 1 or 2"),
         (["solve", "--dt", "3e-4", "--t-final", "1e-3"], "is not an integer number of steps"),
         (["solve", "--config", "{cfg}"], "unknown config key 'colour'"),
@@ -269,6 +329,14 @@ def test_stability_accepts_any_coefficients(tmp_path):
         ),
         # the subcommand sets the mode: a file's mode would be overwritten
         (["solve", "--config", "{mode_cfg}"], "unknown config key 'mode'"),
+        # keys a command does not read, as flags and in a file: once
+        # dropped without a word, or (--level for --levels) taken for another
+        (["converge-h", "--level", "6", "--levels", "2..3", "--dt-steps", "9"], "unrecognized arguments: --level 6 --dt-steps 9"),
+        (["converge-dt", "--levels", "5..6"], "unrecognized arguments: --levels 5..6"),
+        (["solve", "--levels", "9..10"], "unrecognized arguments: --levels 9..10"),
+        (["stability", "--level", "2", "--dt-steps", "7", "--levels", "3..4"], "unrecognized arguments: --dt-steps 7 --levels 3..4"),
+        (["converge-h", "--level", "6", "--dt", "1e-5", "--t-final", "2e-5"], "unrecognized arguments: --level 6"),
+        (["solve", "--config", "{levels_cfg}"], "unknown config key 'levels'; solve reads"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, args, message):
@@ -278,7 +346,10 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
     cfg.write_text("colour = blue\n")
     mode_cfg = tmp_path / "mode.cfg"
     mode_cfg.write_text("mode = steady\n")
-    argv = [a.format(cfg=cfg, mode_cfg=mode_cfg, missing=tmp_path / "missing.cfg") for a in args]
+    levels_cfg = tmp_path / "levels.cfg"
+    levels_cfg.write_text("levels = 9..10\n")
+    names = dict(cfg=cfg, mode_cfg=mode_cfg, levels_cfg=levels_cfg, missing=tmp_path / "missing.cfg")
+    argv = [a.format(**names) for a in args]
     src = str(Path(dgdyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -263,13 +263,19 @@ def test_wall_data_patch_test():
     assert dom <= 1e-10
 
 
-@pytest.mark.parametrize("bc, prebuilt", [(PERIODIC, False), (DIRICHLET_LATERAL, True)], ids=["periodic", "ops_without_u_D"])
-def test_wall_data_rejected_before_set_up(monkeypatch, bc, prebuilt):
-    # wall data on periodic walls, or with operators built without it, is
-    # refused before anything is assembled or stepped
+@pytest.mark.parametrize(
+    "bc, prebuilt, built_with_u_D",
+    [(PERIODIC, False, False), (DIRICHLET_LATERAL, True, False), (DIRICHLET_LATERAL, True, True)],
+    ids=["periodic", "ops_without_u_D", "ops_with_u_D"],
+)
+def test_wall_data_rejected_before_set_up(monkeypatch, bc, prebuilt, built_with_u_D):
+    # wall data on periodic walls, or next to operators, which hold their
+    # own, is refused before anything is assembled or stepped: operators
+    # built with u_D = 1 would otherwise solve with 1, not the u_D given
     config = ProblemConfig(case="example3", bc_mode=bc, level=2, p=1, dt=1e-2, t_final=2e-2)
     u = lambda t, x, y: t * x * (1.0 - x)
-    ops = build_operators(config) if prebuilt else None
+    one = lambda t, x, y: 1.0 + 0.0 * x
+    ops = build_operators(config, u_D=one if built_with_u_D else None) if prebuilt else None
 
     def no_assembly(*args):
         raise AssertionError("assembled before the wall data was checked")
@@ -279,6 +285,17 @@ def test_wall_data_rejected_before_set_up(monkeypatch, bc, prebuilt):
     with pytest.raises(ValueError, match="u_D"):
         run_backward_euler(config, None, None, lambda x, y: 0.0 * x, u_D=u, ops=ops, on_step=lambda *a: steps.append(a))
     assert steps == []
+
+
+def test_stationary_wall_data_rejected_before_assembly(monkeypatch):
+    mesh, edges, space, params = setup(2, 1, PERIODIC)
+
+    def no_assembly(*args):
+        raise AssertionError("assembled before the wall data was checked")
+
+    monkeypatch.setattr(dgdyn.timestepper, "assemble_Ah", no_assembly)
+    with pytest.raises(ValueError, match="u_D requires bc_mode='dirichlet_lateral'"):
+        solve_stationary(mesh, edges, space, params, None, None, u_D=lambda t, x, y: 0.0 * x)
 
 
 @pytest.mark.parametrize("dt, t_final, two_level", [(1e-5, 5e-5, False), (0.1, 0.2, True)])
@@ -291,7 +308,7 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
 
     def recording_cg_solve(system, rhs, **kwargs):
         x, report = cg_solve(system, rhs, **kwargs)
-        solves.append((system, rhs, kwargs["tol"], report.iterations))
+        solves.append((system, rhs, report.iterations))
         return x, report
 
     monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
@@ -304,10 +321,10 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
     n_local = ops.space.n_local
     P = conforming_p1_embedding(ops.space, ops.edges)
     prolongations = p1_prolongations(ops.mesh, ops.edges.bc_mode)
-    for system, rhs, tol, iterations in solves:
+    for system, rhs, iterations in solves:
         block = block_jacobi_preconditioner(system, n_local)
         preconditioners = {False: block, True: two_level_preconditioner(block, system, P, prolongations)}
-        counts = {k: cg_solve(system, rhs, tol=tol, preconditioner=B)[1].iterations for k, B in preconditioners.items()}
+        counts = {k: cg_solve(system, rhs, preconditioner=B)[1].iterations for k, B in preconditioners.items()}
         assert iterations == counts[two_level] != counts[not two_level]
 
 
