@@ -6,26 +6,22 @@ stiffness on the boundary edges plus point couplings at the ridges), the
 mass matrices and time-dependent load vectors.  With Dirichlet walls the
 full operator A_h also holds the Nitsche terms of the lateral edges and,
 scaled by beta, the one-sided corner terms of the surface form; the wall
-datum enters through a vector alone.  Every form is a sum of
-quadrature over point sets: the triangles and the faces.  Edges, ridges
-and corners are all faces from the mesh on; the edge rule on a ridge or a
-corner (a point face of unit length) puts every point at the vertex with
-weights summing to 1.  A point set is built once per geometry and cached.
-It keeps an inverse Jacobian per entry and the reference basis values and
-gradients once per point pattern, the entries whose points share reference
-positions (one for the cells, at most three per face side on the
-structured meshes).  One evaluator on it serves assembly, loads,
-projection and norms: ``field`` maps coefficients to point values or
-physical gradients, ``test`` is its weighted transpose, and ``basis``
-gives the per-entry arrays from which the operator blocks are built
-once.  ``exact`` gives a closed-form field at the points: a time-separable
-field's snapshots at its time nodes are evaluated once per point set and
-kept on it, so every later time is a weighted sum of them, and a load is a
-weighted sum of per-node vectors, each integrated once.  The point sets
-are cached on the space, which owns them, and the degree-2p ones are
-released once the operators are built.  Every
-operator is a sum of dense element blocks: they are keyed by element pair
-and summed into one block (BSR) matrix, which the operators stay in.
+datum enters through a vector alone.  Every form is a sum of quadrature
+over point sets: the triangles and the faces (edges, ridges and corners; a
+ridge or corner is a point face of unit length).  A point set is built once
+per geometry and cached on the space, which releases the degree-2p ones
+once the operators are built.  It keeps an inverse Jacobian per entry and
+the reference basis once per point pattern.  One evaluator on it serves
+loads, projection and norms: ``field`` maps coefficients to point values or
+physical gradients and ``test`` is its weighted transpose.  ``exact``
+evaluates a time-separable field once per time node and keeps the
+snapshots, so a later time or load is a weighted sum of them.
+
+Element blocks are built once per geometry class: the entries whose
+pattern, inverse Jacobian, weight scale and (on faces) normal are bitwise
+equal, a handful on the structured meshes.  Entries map to their classes
+and keep no blocks of their own; one sparse product sums the class blocks
+into a block (BSR) matrix per element pair, which the operators stay in.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -35,6 +31,7 @@ norms use 2p + 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,7 +88,7 @@ class _Points:
     x: np.ndarray  # (nE, nq) physical points on this side's realization
     y: np.ndarray
     inv_j: np.ndarray  # (nE, 2, 2) inverse Jacobian of each entry's element
-    groups: tuple  # entries of each pattern: index arrays, or (slice(None),)
+    pattern: np.ndarray  # (nE,) point pattern of each entry
     phi: np.ndarray  # (n_patterns, nq, n_local) reference basis values
     grad: np.ndarray  # (n_patterns, nq, n_local, 2) reference gradients
     kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields
@@ -102,10 +99,7 @@ class _Points:
         start, stop, _ = sl.indices(len(self.elem))
         if start == 0 and stop == len(self.elem):
             return self
-        groups = self.groups
-        if len(self.phi) > 1:  # index arrays, ascending
-            groups = tuple(idx[np.searchsorted(idx, start) : np.searchsorted(idx, stop)] - start for idx in groups)
-        return _Points(self.elem[sl], self.w[sl], self.x[sl], self.y[sl], self.inv_j[sl], groups, self.phi, self.grad)
+        return _Points(*(a[sl] for a in (self.elem, self.w, self.x, self.y, self.inv_j, self.pattern)), self.phi, self.grad)
 
     def exact(self, fn, t: float) -> list:
         """``fn`` at time t on the points, as (weight, values) terms that sum
@@ -159,19 +153,50 @@ class _Points:
             out[idx] = np.tensordot(wv[idx], table, axes=([1, 2], [0, 2]) if grad else (1, 0))
         return out
 
-    def basis(self, grad: bool = False) -> np.ndarray:
-        """Per-entry basis values (nE, nq, n_local), or physical gradients
-        (nE, nq, n_local, 2) if ``grad``, for blocks built once per operator."""
-        out = np.empty(self.w.shape + (self.grad if grad else self.phi).shape[2:])
-        for idx, table in zip(self.groups, self.grad if grad else self.phi):
-            out[idx] = table
-        return out @ self.inv_j[:, None] if grad else out
+    @cached_property
+    def groups(self) -> tuple:
+        """The entries of each pattern: index arrays, or (slice(None),)."""
+        if len(self.phi) == 1:
+            return (slice(None),)
+        return tuple(np.flatnonzero(self.pattern == i) for i in range(len(self.phi)))
+
+    @cached_property
+    def classes(self) -> tuple:
+        """(class of each entry, a representative entry of each class): the
+        entries whose pattern, inverse Jacobian and weight scale are bitwise
+        equal share every element block."""
+        return _classes(self.pattern, self.inv_j.reshape(-1, 4), self.w[:, 0])
+
+    def basis(self, entries: np.ndarray, grad: bool = False) -> np.ndarray:
+        """Basis values (n, nq, n_local), or physical gradients (n, nq,
+        n_local, 2) if ``grad``, of the ``entries``: the representatives of
+        classes, whose blocks are built once for each class."""
+        tables = (self.grad if grad else self.phi)[self.pattern[entries]]
+        return tables @ self.inv_j[entries][:, None] if grad else tables
 
 
 @dataclass(eq=False)
 class _FaceTables:
     sides: list  # the _Points of each side
     normal: np.ndarray  # (nE, 2)
+
+    @cached_property
+    def classes(self) -> tuple:
+        """As ``_Points.classes``, for faces with equal side classes and normals."""
+        return _classes(*[side.classes[0] for side in self.sides], self.normal)
+
+
+def _classes(*keys) -> tuple:
+    """(class of each row, first row of each class) of the key columns
+    ``keys``, rows whose keys are all equal sharing a class.  One lexsort
+    over the columns: far faster than ``np.unique(axis=0)`` on the rows."""
+    keys = np.column_stack(keys)
+    order = np.lexsort(keys.T)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    cls = np.empty(len(order), dtype=np.intp)
+    cls[order] = np.cumsum(first) - 1
+    return cls, order[first]
 
 
 def _points(mesh, space, elems, points, w) -> _Points:
@@ -180,15 +205,14 @@ def _points(mesh, space, elems, points, w) -> _Points:
     above the rounding of the affine maps and far below any rule's spacing."""
     inv_j = mesh.inv_jacobians[elems]
     ref = (points - mesh.v0[elems][:, None, :]) @ inv_j.transpose(0, 2, 1)
-    groups, rest = [], np.arange(len(ref))
+    pattern, first, rest = np.zeros(len(ref), dtype=np.intp), [], np.arange(len(ref))
     while len(rest):
         same = np.abs(ref[rest] - ref[rest[0]]).max(axis=(1, 2)) <= 1e-10
-        groups.append(rest[same])
+        pattern[rest[same]] = len(first)
+        first.append(rest[0])
         rest = rest[~same]
-    first = ref[[g[0] for g in groups]]
-    groups = (slice(None),) if len(groups) == 1 else tuple(groups)
     x, y = points[..., 0], points[..., 1]
-    return _Points(elems, w, x, y, inv_j, groups, space.basis.eval(first), space.basis.grad(first))
+    return _Points(elems, w, x, y, inv_j, pattern, space.basis.eval(ref[first]), space.basis.grad(ref[first]))
 
 
 def _per_space(build):
@@ -231,27 +255,30 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _Face
 # kernels
 
 
-def _bsr(space: DGSpace, triples) -> sp.bsr_matrix:
-    """Sum (row elements, column elements, element blocks) triples into a
-    canonical block matrix, one n_local x n_local block per element pair.
-    Each block is keyed by its element pair and the blocks of equal keys
-    are summed in place, triple by triple: no index is held per entry."""
-    n_el = space.mesh.n_triangles
-    keys = [np.asarray(el_a, dtype=np.int64) * n_el + el_b for el_a, el_b, _ in triples]
-    pattern, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    data = np.zeros((len(pattern), space.n_local, space.n_local))
-    for part, (_, _, blocks) in zip(np.split(slot, np.cumsum([len(k) for k in keys])[:-1]), triples):
-        np.add.at(data, part, blocks)
+def _bsr(space: DGSpace, terms) -> sp.bsr_matrix:
+    """Sum (row elements, column elements, class of each entry, class
+    blocks) terms into a canonical block matrix, one n_local x n_local block
+    per element pair.  One sparse product sums them: the matrix of element
+    pairs by classes, counting each pair's entries of each class, times the
+    class blocks.  No block is held per entry."""
+    n_el, n = space.mesh.n_triangles, space.n_local
+    keys = np.concatenate([np.asarray(el_a, dtype=np.int64) * n_el + el_b for el_a, el_b, _, _ in terms])
+    pattern, slot = np.unique(keys, return_inverse=True)
+    offsets = np.cumsum([0] + [len(blocks) for *_, blocks in terms])
+    cls = np.concatenate([c + offset for (_, _, c, _), offset in zip(terms, offsets)])
+    counts = sp.csr_matrix((np.ones(len(cls)), (slot, cls)), shape=(len(pattern), offsets[-1]))
+    data = counts @ np.concatenate([blocks for *_, blocks in terms]).reshape(offsets[-1], n * n)
     indptr = np.searchsorted(pattern, np.arange(n_el + 1) * n_el)
-    return sp.bsr_matrix((data, pattern % n_el, indptr), shape=(space.n_dofs,) * 2)
+    return sp.bsr_matrix((data.reshape(-1, n, n), pattern % n_el, indptr), shape=(space.n_dofs,) * 2)
 
 
-def _mass_block(pts: _Points) -> np.ndarray:
-    """(v, w) over the points of each element or face, shape (nE, n_local, n_local)."""
-    out = np.empty((len(pts.elem),) + pts.phi.shape[2:] * 2)
-    for idx, table in zip(pts.groups, pts.phi):
-        out[idx] = np.einsum("eq,ql,qm->elm", pts.w[idx], table, table)
-    return out
+def _gram_blocks(pts: _Points, d: np.ndarray | None = None, scale: float = 1.0) -> tuple:
+    """The term scale (D v, D w) over the points of each element or face,
+    D v the value if ``d`` is None and the gradient times ``d`` (2, k)
+    otherwise: the mass or a stiffness, its blocks once per class."""
+    cls, rep = pts.classes
+    dv = pts.basis(rep)[..., None] if d is None else pts.basis(rep, grad=True) @ d
+    return pts.elem, pts.elem, cls, scale * np.einsum("cq,cqlk,cqmk->clm", pts.w[rep], dv, dv)
 
 
 def _scatter(space: DGSpace, pts: _Points, local: np.ndarray) -> np.ndarray:
@@ -265,26 +292,31 @@ def _integrate(space: DGSpace, pts: _Points, values: np.ndarray) -> np.ndarray:
     return _scatter(space, pts, pts.test(values))
 
 
-def _penalty_blocks(ft: _FaceTables, sigma: float):
-    """The (test side, trial side) blocks of the interior-penalty terms
+def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
+    """The (test side, trial side) terms of weight times the interior-penalty
+    terms
 
         -([v], {grad w . n}) - ([w], {grad v . n}) + sigma ([v], [w])
 
-    on a batch of faces.  The average weighs each side by one over the
-    number of sides, so on one-sided faces jump and average are the trace."""
-    sides = list(zip(ft.sides, (1.0, -1.0)))
-    avg = 1.0 / len(sides)
-    w = ft.sides[0].w
-    traces = [(st.elem, s, st.basis(), np.einsum("eqli,ei->eql", st.basis(grad=True), ft.normal)) for st, s in sides]
+    on a batch of faces, blocks once per class.  The average weighs each
+    side by one over the number of sides, so on one-sided faces jump and
+    average are the trace."""
+    cls, rep = ft.classes
+    avg = 1.0 / len(ft.sides)
+    w = ft.sides[0].w[rep]
+    traces = [
+        (st.elem, s, st.basis(rep), np.einsum("cqli,ci->cql", st.basis(rep, grad=True), ft.normal[rep]))
+        for st, s in zip(ft.sides, (1.0, -1.0))
+    ]
     out = []
     for el_a, s_a, phi_a, gn_a in traces:
         for el_b, s_b, phi_b, gn_b in traces:
             block = (
-                -avg * s_a * np.einsum("eq,eql,eqm->elm", w, phi_a, gn_b)
-                - avg * s_b * np.einsum("eq,eql,eqm->elm", w, gn_a, phi_b)
-                + sigma * s_a * s_b * np.einsum("eq,eql,eqm->elm", w, phi_a, phi_b)
+                -avg * s_a * np.einsum("cq,cql,cqm->clm", w, phi_a, gn_b)
+                - avg * s_b * np.einsum("cq,cql,cqm->clm", w, gn_a, phi_b)
+                + sigma * s_a * s_b * np.einsum("cq,cql,cqm->clm", w, phi_a, phi_b)
             )
-            out.append((el_a, el_b, block))
+            out.append((el_a, el_b, cls, weight * block))
     return out
 
 
@@ -297,10 +329,8 @@ def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     terms on interior edges and periodic pairs.  Constants lie in the
     kernel; the matrix is symmetric."""
     vol = _cell_points(mesh, space, 2 * space.p)
-    grad = vol.basis(grad=True)
-    stiff = np.einsum("eq,eqli,eqmi->elm", vol.w, grad, grad)
     ft = _face_tables(mesh, space, edges.two_sided, 2 * space.p)
-    return _bsr(space, [(vol.elem, vol.elem, stiff), *_penalty_blocks(ft, params.sigma)])
+    return _bsr(space, [_gram_blocks(vol, np.eye(2)), *_penalty_blocks(ft, params.sigma)])
 
 
 def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
@@ -311,22 +341,20 @@ def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     The one-sided corners of the Dirichlet variant are not part of b_h;
     assemble_Ah adds them, scaled by beta, with the Nitsche wall terms."""
     (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
-    dt = g1.basis(grad=True) @ RIDGE_TANGENT
-    stiff = np.einsum("eq,eql,eqm->elm", g1.w, dt, dt)
     ridges = _face_tables(mesh, space, edges.ridges, 2 * space.p)
-    return _bsr(space, [(g1.elem, g1.elem, stiff), *_penalty_blocks(ridges, params.sigma)])
+    return _bsr(space, [_gram_blocks(g1, RIDGE_TANGENT[:, None]), *_penalty_blocks(ridges, params.sigma)])
 
 
 def assemble_boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> sp.bsr_matrix:
     """L2(gamma1) mass matrix."""
     (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
-    return _bsr(space, [(g1.elem, g1.elem, _mass_block(g1))])
+    return _bsr(space, [_gram_blocks(g1)])
 
 
 def assemble_domain_mass(mesh: Mesh, space: DGSpace) -> sp.bsr_matrix:
     """L2(Omega) mass matrix (block diagonal for the DG dof layout)."""
     vol = _cell_points(mesh, space, 2 * space.p)
-    return _bsr(space, [(vol.elem, vol.elem, _mass_block(vol))])
+    return _bsr(space, [_gram_blocks(vol)])
 
 
 def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.bsr_matrix:
@@ -353,9 +381,9 @@ def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
     )
     if edges.bc_mode == DIRICHLET_LATERAL:
         walls = [
-            (el_a, el_b, weight * block)
+            term
             for faces, weight in _walls(edges, params)
-            for el_a, el_b, block in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma)
+            for term in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma, weight)
         ]
         A = A + _bsr(space, walls)
     return A

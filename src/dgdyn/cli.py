@@ -223,7 +223,10 @@ def build_config(args: argparse.Namespace) -> ProblemConfig:
         for key, text in read_config_file(args.config).items():
             if key not in keys:
                 raise ValueError(f"unknown config key {key!r}; {args.command} reads {', '.join(keys)}")
-            values[key] = KEYS[key][1].get("type", str)(text)
+            try:
+                values[key] = KEYS[key][1].get("type", str)(text)
+            except ValueError:
+                raise ValueError(f"{args.config}: invalid value for {key}: {text!r}") from None
     values.update((key, getattr(args, key)) for key in keys if getattr(args, key, None) is not None)
     case = get_case(values.get("case", "example1"))
     for key in ("bc_mode", "alpha", "beta", "lam"):

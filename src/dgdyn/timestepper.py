@@ -10,10 +10,11 @@ import scipy.sparse as sp
 
 from .assembly import (
     FormParams,
+    _bsr,
     _cell_points,
     _face_tables,
+    _gram_blocks,
     _integrate,
-    _mass_block,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
@@ -49,8 +50,7 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     """
     vol = _cell_points(mesh, space, 2 * space.p + 4)
     (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).sides
-    blocks = _mass_block(vol)
-    np.add.at(blocks, g1.elem, lam * _mass_block(g1))
+    blocks = element_blocks(_bsr(space, [_gram_blocks(vol), _gram_blocks(g1, scale=lam)]), space.n_local)
     rhs = _integrate(space, vol, u0(vol.x, vol.y)) + _integrate(space, g1, lam * np.asarray(u0(g1.x, g1.y)))
     return np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))[..., 0].ravel()
 
@@ -160,7 +160,6 @@ class TransientResult:
     coeffs: np.ndarray  # final state u_h^K
     l2lambda_norms: np.ndarray  # ||u_h^k||_{L2_lambda}, k = 0..K
     n_steps: int
-    dt: float
     ops: Operators
 
 
@@ -212,4 +211,4 @@ def run_backward_euler(
         if on_step is not None:
             on_step(k + 1, t_next, u)
 
-    return TransientResult(coeffs=u, l2lambda_norms=np.array(norms), n_steps=n_steps, dt=dt, ops=ops)
+    return TransientResult(coeffs=u, l2lambda_norms=np.array(norms), n_steps=n_steps, ops=ops)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from dgdyn.assembly import (
+    RIDGE_TANGENT,
     FormParams,
+    _cell_points,
+    _face_tables,
+    _gram_blocks,
+    _penalty_blocks,
     assemble_Ah,
     assemble_Bh,
     assemble_bh,
@@ -19,7 +24,7 @@ from dgdyn.errors import energy_norm_terms
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
-from dgdyn.timestepper import cg_matrix
+from dgdyn.timestepper import cg_matrix, l2_lambda_project
 
 
 def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, penalty_mode="gamma_over_h"):
@@ -513,3 +518,104 @@ def test_computed_normals_give_the_operators_and_norms_of_given_ones(bc, case, p
         for exact in (None, get_case(case)):
             terms = [energy_norm_terms(mesh, e, space, params, u_h=u, exact=exact, t=0.3) for e in (edges, given)]
             assert [v.hex() for v in terms[0].values()] == [v.hex() for v in terms[1].values()]
+
+
+# ---------------------------------------------------------------------------
+# blocks once per geometry class against blocks once per entry
+
+
+def jittered(level, bc, p):
+    """The mesh of ``level`` with its interior vertices moved by up to
+    0.2 / N, so almost every triangle and face has its own geometry."""
+    mesh = build_structured_mesh(level)
+    v = mesh.vertices
+    inside = ((v > 0.0) & (v < 1.0)).all(axis=1)
+    jitter = np.random.default_rng(11).uniform(-0.2, 0.2, v.shape) / mesh.n_cells_per_side
+    mesh = replace(mesh, vertices=v + jitter * inside[:, None])
+    return mesh, classify_edges(mesh, bc), DGSpace(mesh, p)
+
+
+def per_entry_operators(mesh, edges, space, params, lam):
+    """A_h and M as dense matrices, every block computed for its own entry
+    from the point sets' per-entry geometry and summed into place."""
+    degree = 2 * space.p
+    dense = [np.zeros((space.n_dofs, space.n_dofs)) for _ in range(2)]
+
+    def add(which, el_a, el_b, blocks):
+        np.add.at(dense[which], (space.dofs[el_a][:, :, None], space.dofs[el_b][:, None, :]), blocks)
+
+    def tables(pts):
+        return pts.phi[pts.pattern], pts.grad[pts.pattern] @ pts.inv_j[:, None]
+
+    def penalty(faces, weight):
+        ft = _face_tables(mesh, space, faces, degree)
+        avg = 1.0 / len(ft.sides)
+        w = ft.sides[0].w
+        traces = []
+        for side, sign in zip(ft.sides, (1.0, -1.0)):
+            phi, grad = tables(side)
+            traces.append((side.elem, sign, phi, np.einsum("eqli,ei->eql", grad, ft.normal)))
+        for el_a, s_a, phi_a, gn_a in traces:
+            for el_b, s_b, phi_b, gn_b in traces:
+                block = (
+                    -avg * s_a * np.einsum("eq,eql,eqm->elm", w, phi_a, gn_b)
+                    - avg * s_b * np.einsum("eq,eql,eqm->elm", w, gn_a, phi_b)
+                    + params.sigma * s_a * s_b * np.einsum("eq,eql,eqm->elm", w, phi_a, phi_b)
+                )
+                add(0, el_a, el_b, weight * block)
+
+    vol = _cell_points(mesh, space, degree)
+    phi, grad = tables(vol)
+    add(0, vol.elem, vol.elem, np.einsum("eq,eqli,eqmi->elm", vol.w, grad, grad))
+    add(1, vol.elem, vol.elem, np.einsum("eq,eql,eqm->elm", vol.w, phi, phi))
+    penalty(edges.two_sided, 1.0)
+    (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
+    phi, grad = tables(g1)
+    tangential = grad @ RIDGE_TANGENT
+    add(0, g1.elem, g1.elem, params.beta * np.einsum("eq,eql,eqm->elm", g1.w, tangential, tangential))
+    g1_mass = np.einsum("eq,eql,eqm->elm", g1.w, phi, phi)
+    add(0, g1.elem, g1.elem, params.alpha * g1_mass)
+    add(1, g1.elem, g1.elem, lam * g1_mass)
+    penalty(edges.ridges, params.beta)
+    if edges.bc_mode == DIRICHLET_LATERAL:
+        penalty(edges.dirichlet, 1.0)
+        penalty(edges.corners, params.beta)
+    return dense
+
+
+@pytest.mark.parametrize("penalty_mode", ["gamma_over_h", "fixed_sigma"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, penalty_mode):
+    mesh, edges, space = jittered(2, bc, p)
+    params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0, penalty_mode=penalty_mode)
+    A = assemble_Ah(mesh, edges, space, params).toarray()
+    M = assemble_mass(mesh, edges, space, 10.0).toarray()
+    # the jitter leaves few entries sharing a class
+    vol = _cell_points(mesh, space, 2 * p)
+    faces = _face_tables(mesh, space, edges.two_sided, 2 * p)
+    assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(faces.classes[1]) >= 0.9 * len(faces.normal)
+    A_ref, M_ref = per_entry_operators(mesh, edges, space, params, 10.0)
+    assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
+    assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_structured_point_sets_hold_at_most_four_classes(bc, p):
+    # every point set the operators and the initial projection use: the
+    # cells, each face set and each of its sides, at degree 2p and 2p + 4
+    mesh, edges, space, params = setup(5, p, bc)
+    assemble_Ah(mesh, edges, space, params)
+    assemble_mass(mesh, edges, space, params.lam)
+    l2_lambda_project(mesh, space, edges, params.lam, lambda x, y: x * y)
+    point_sets = list(space.tables.values())
+    assert len(point_sets) == (8 if bc == DIRICHLET_LATERAL else 6)
+    for pts in point_sets:
+        for each in [pts, *getattr(pts, "sides", [])]:
+            cls, rep = each.classes
+            assert len(rep) <= 4
+            assert np.array_equal(cls[rep], np.arange(len(rep)))
+        # and the blocks are built once per class, not once per entry
+        terms = _penalty_blocks(pts, params.sigma) if hasattr(pts, "sides") else [_gram_blocks(pts)]
+        assert all(len(blocks) <= 4 for *_, blocks in terms)

@@ -168,6 +168,14 @@ def test_every_key_not_read_is_refused(tmp_path, capsys, command, key):
     assert error_line([command, "--config", str(cfg)], capsys).startswith(f"dgdyn: error: unknown config key {key!r}")
 
 
+@pytest.mark.parametrize("key, text", [("p", "two"), ("gamma", "ten"), ("levels", "2..x"), ("dt_steps", "3.5")])
+def test_unparsable_config_value_names_the_key_and_the_file(tmp_path, capsys, key, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    command = "converge-dt" if key == "dt_steps" else "converge-h" if key == "levels" else "solve"
+    assert error_line([command, "--config", str(cfg)], capsys) == f"dgdyn: error: {cfg}: invalid value for {key}: {text!r}"
+
+
 def test_readme_command_lines_parse():
     section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
     lines = [line for line in section.splitlines() if line.startswith("dgdyn ")]
