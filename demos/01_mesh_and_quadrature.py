@@ -40,7 +40,7 @@ for level in range(0, 4):
 mesh = build_structured_mesh(3)
 edges = classify_edges(mesh, "periodic")
 print("\ninvariants at level 3:")
-print(f"  sum of triangle areas      = {mesh.areas.sum():.15f} (domain area 1)")
+print(f"  sum of triangle areas      = {0.5 * mesh.det_jacobians.sum():.15f} (domain area 1)")
 print(f"  sum of gamma1 edge lengths = {edges.gamma1.length.sum():.15f} (2 * width = 2)")
 ridges = edges.ridges
 print(f"  all {len(ridges)} ridges are point faces of unit length with normal +x:",

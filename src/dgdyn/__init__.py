@@ -22,7 +22,6 @@ from .mesh import (
     EdgeClassification,
     Mesh,
     MeshError,
-    Rectangle,
     build_structured_mesh,
     classify_edges,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "PERIODIC",
     "ProblemConfig",
     "QuadratureRule",
-    "Rectangle",
     "SolveReport",
     "SolverError",
     "TransientResult",

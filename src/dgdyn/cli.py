@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -79,12 +80,12 @@ def _transient_errors(config: ProblemConfig, case) -> ErrorRecord:
     return ErrorRecord(h=ops.mesh.h, dt=config.dt, l2_domain=dom, l2_gamma1=g1, energy=float(np.sqrt(acc[0])))
 
 
-def _attach_rates(records: list[ErrorRecord], factor: float = 2.0) -> None:
+def _attach_rates(records: list[ErrorRecord]) -> None:
     for prev, rec in zip(records, records[1:]):
-        rec.rate_l2_domain = rate(prev.l2_domain, rec.l2_domain, factor)
-        rec.rate_l2_gamma1 = rate(prev.l2_gamma1, rec.l2_gamma1, factor)
+        rec.rate_l2_domain = rate(prev.l2_domain, rec.l2_domain)
+        rec.rate_l2_gamma1 = rate(prev.l2_gamma1, rec.l2_gamma1)
         if prev.energy > 0 and rec.energy > 0:
-            rec.rate_energy = rate(prev.energy, rec.energy, factor)
+            rec.rate_energy = rate(prev.energy, rec.energy)
 
 
 CONVERGE_H_HEADER = ["h", "l2_domain", "rate_l2_domain", "l2_gamma1", "rate_l2_gamma1", "energy", "rate_energy"]
@@ -95,7 +96,7 @@ def run_converge_h(config: ProblemConfig) -> list[ErrorRecord]:
     (h, L2 domain error, rate, L2 boundary error, rate, energy error, rate)."""
     case = get_case(config.case)
     levels = config.levels or (2, 3, 4, 5)
-    records = [_transient_errors(config.with_(level=lv, levels=None), case) for lv in levels]
+    records = [_transient_errors(replace(config, level=lv, levels=None), case) for lv in levels]
     _attach_rates(records)
     _write_records(CONVERGE_H_HEADER, records, config)
     return records
@@ -112,7 +113,7 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
     records = []
     for j in range(config.dt_steps):
         dt = config.dt * 0.5**j
-        res = run_backward_euler(config.with_(dt=dt), case.declared("f"), case.declared("g"), case.u0, ops=ops)
+        res = run_backward_euler(replace(config, dt=dt), case.declared("f"), case.declared("g"), case.u0, ops=ops)
         dom, g1, _ = l2_errors(ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final)
         records.append(ErrorRecord(h=ops.mesh.h, dt=dt, l2_domain=dom, l2_gamma1=g1, energy=0.0))
     _attach_rates(records)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .mesh import BC_MODES, PERIODIC
 
@@ -71,6 +71,3 @@ class ProblemConfig:
         if k < 1 or abs(ratio - k) > REL_STEP_TOL * max(1.0, k):
             raise ValueError(f"t_final/dt = {ratio} is not an integer number of steps")
         return k
-
-    def with_(self, **kw) -> "ProblemConfig":
-        return replace(self, **kw)

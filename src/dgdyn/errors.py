@@ -39,11 +39,11 @@ class ErrorRecord:
     rate_energy: float | None = None
 
 
-def rate(err_coarse: float, err_fine: float, factor: float = 2.0) -> float:
-    """log(err_coarse / err_fine) / log(factor)."""
+def rate(err_coarse: float, err_fine: float) -> float:
+    """log(err_coarse / err_fine) / log(2), the order over one halving of h or dt."""
     if err_coarse <= 0 or err_fine <= 0:
         raise ValueError("errors must be positive to compute a rate")
-    return math.log(err_coarse / err_fine) / math.log(factor)
+    return math.log(err_coarse / err_fine) / math.log(2.0)
 
 
 def _as_field(exact):

@@ -1,6 +1,6 @@
 """Closed-form test cases with sources derived from the exact solution.
 
-Each case provides u, its gradient and time derivative, the bulk source
+Each case provides u, its gradient, the bulk source
 f = du/dt - laplace(u), and the boundary source
 
     g = lam * du/dt + du/dn + alpha * u - beta * d2u/dx2   on gamma1,
@@ -12,7 +12,7 @@ against high-precision numerical differentiation of u.
 Every field of the shipped cases separates in time: it is a short sum of
 time weights times its own values at a few time nodes.  A case declares
 these nodes and weights per field, so that a point set evaluates each
-spatial factor once and every later time is a weighted sum.
+spatial part once and every later time is a weighted sum.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ManufacturedCase:
     lam: float
     u: callable  # u(t, x, y)
     grad_u: callable  # (t, x, y) -> (du/dx, du/dy)
-    du_dt: callable
     f: callable
     g: callable  # valid on gamma1 only (y = 0 or y = 1)
     # (time nodes, weights(t)) of the fields that separate in time, by field name
@@ -98,7 +97,7 @@ def example1(alpha: float = 2.0, beta: float = 5.0, lam: float = 10.0) -> Manufa
     decay = ((0.0,), lambda t: (np.exp(-10.0 * t),))  # every field is exp(-10 t) times its value at 0
     return ManufacturedCase(
         name="example1", bc_mode=PERIODIC, alpha=alpha, beta=beta, lam=lam,
-        u=u, grad_u=grad_u, du_dt=du_dt, f=f, g=g,
+        u=u, grad_u=grad_u, f=f, g=g,
         time_factors={name: decay for name in ("u", "grad_u", "f", "g")},
     )
 
@@ -133,7 +132,7 @@ def example3(alpha: float = 2.0, beta: float = 5.0, lam: float = 10.0) -> Manufa
     affine = ((0.0, 1.0), lambda t: (1.0 - t, t))  # interpolates the values at 0 and 1
     return ManufacturedCase(
         name="example3", bc_mode=DIRICHLET_LATERAL, alpha=alpha, beta=beta, lam=lam,
-        u=u, grad_u=grad_u, du_dt=du_dt, f=f, g=g,
+        u=u, grad_u=grad_u, f=f, g=g,
         time_factors={"u": linear, "grad_u": linear, "f": affine, "g": affine},
     )
 

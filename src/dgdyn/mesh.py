@@ -1,10 +1,11 @@
-"""Structured triangulations of a rectangle with classified edges and ridges.
+"""Structured triangulations of the unit square with classified edges and ridges.
 
-The domain is a rectangle whose top and bottom sides carry the dynamic
-boundary condition (``gamma1``) and whose left and right sides are either
-identified periodically or treated as a weak Dirichlet boundary
-(``gamma2``).  Meshes are uniform N x N grids of cells (N = 2**level), each
-cell split along the lower-left to upper-right diagonal.
+The domain is the unit square (0, 1) x (0, 1), the only domain of the
+paper's experiments.  Its top and bottom sides carry the dynamic boundary
+condition (``gamma1``) and its left and right sides are either identified
+periodically or treated as a weak Dirichlet boundary (``gamma2``).  Meshes
+are uniform N x N grids of cells (N = 2**level), each cell split along the
+lower-left to upper-right diagonal.
 
 Every face set is one ``Faces`` type: a face has one side (gamma1, the
 Dirichlet walls, the corners) or two (``two_sided``: the interior edges,
@@ -36,35 +37,6 @@ class MeshError(Exception):
     """Raised for a mesh whose triangles are not the structured ones of its level."""
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned rectangle (a, b) x (c, d)."""
-
-    a: float = 0.0
-    b: float = 1.0
-    c: float = 0.0
-    d: float = 1.0
-
-    def __post_init__(self):
-        if not (self.a < self.b and self.c < self.d):
-            raise ValueError(f"degenerate rectangle: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
-
-    @property
-    def height(self) -> float:
-        return self.d - self.c
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-
-UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
-
-
 @dataclass(eq=False)
 class Mesh:
     """Immutable triangulation.
@@ -74,7 +46,6 @@ class Mesh:
     mesh size (the cell diagonal, i.e. the longest edge).
     """
 
-    domain: Rectangle
     level: int
     vertices: np.ndarray  # (n_vertices, 2)
     triangles: np.ndarray  # (n_triangles, 3) int
@@ -117,16 +88,12 @@ class Mesh:
         return np.linalg.inv(self.jacobians)
 
     @cached_property
-    def areas(self) -> np.ndarray:
-        return 0.5 * self.det_jacobians
-
-    @cached_property
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
 
 
-def build_structured_mesh(level: int, domain: Rectangle = UNIT_SQUARE) -> Mesh:
-    """Uniformly refined structured triangular grid.
+def build_structured_mesh(level: int) -> Mesh:
+    """Uniformly refined structured triangular grid of the unit square.
 
     N = 2**level cells per side; each cell is split by its lower-left to
     upper-right diagonal into a lower triangle (v00, v10, v11) and an upper
@@ -135,12 +102,11 @@ def build_structured_mesh(level: int, domain: Rectangle = UNIT_SQUARE) -> Mesh:
     if level < 0:
         raise ValueError("level must be >= 0")
     n = 2**level
-    xs = np.linspace(domain.a, domain.b, n + 1)
-    ys = np.linspace(domain.c, domain.d, n + 1)
-    X, Y = np.meshgrid(xs, ys)  # row-major: index = j*(n+1) + i
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs)  # row-major: index = j*(n+1) + i
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-    h = float(np.hypot(domain.width / n, domain.height / n))
-    return Mesh(domain=domain, level=level, vertices=vertices, triangles=_structured_triangles(n), h=h)
+    h = float(np.hypot(1.0 / n, 1.0 / n))
+    return Mesh(level=level, vertices=vertices, triangles=_structured_triangles(n), h=h)
 
 
 def _structured_triangles(n: int) -> np.ndarray:
@@ -277,7 +243,7 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
     if bc_mode == PERIODIC:
         lo, hi = np.concatenate([lo, right]), np.concatenate([hi, right + n + 1])
         sides = np.concatenate([sides, np.column_stack([right_elem, left_elem])])
-        shift = np.concatenate([shift, np.tile([-mesh.domain.width, 0.0], (n, 1))])
+        shift = np.concatenate([shift, np.tile([-1.0, 0.0], (n, 1))])
     else:
         lateral = np.concatenate([left, right])
         dirichlet = _build_faces(mesh, lateral, lateral + n + 1, np.concatenate([left_elem, right_elem])[:, None])

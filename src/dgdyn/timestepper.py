@@ -159,8 +159,6 @@ def solve_stationary(
 class TransientResult:
     coeffs: np.ndarray  # final state u_h^K
     l2lambda_norms: np.ndarray  # ||u_h^k||_{L2_lambda}, k = 0..K
-    n_steps: int
-    ops: Operators
 
 
 def run_backward_euler(
@@ -211,4 +209,4 @@ def run_backward_euler(
         if on_step is not None:
             on_step(k + 1, t_next, u)
 
-    return TransientResult(coeffs=u, l2lambda_norms=np.array(norms), n_steps=n_steps, ops=ops)
+    return TransientResult(coeffs=u, l2lambda_norms=np.array(norms))

@@ -222,7 +222,7 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_csv_and_markdown_agree(tmp_path):
     csv_cfg = small_converge_config(tmp_path, "csv")
     run_converge_h(csv_cfg)
-    md_cfg = csv_cfg.with_(fmt="markdown", out=str(tmp_path / "table.markdown"))
+    md_cfg = dataclasses.replace(csv_cfg, fmt="markdown", out=str(tmp_path / "table.markdown"))
     run_converge_h(md_cfg)
     csv_rows = [
         line.split(",") for line in (tmp_path / "table.csv").read_text().strip().splitlines()[1:]
@@ -421,12 +421,12 @@ def test_sources_evaluated_once_per_node_and_space(monkeypatch, capsys, name, no
 def test_energy_norm_step_memory_proportional_to_operator(monkeypatch):
     # the per-step energy norms keep the exact fields' snapshots on the
     # point sets and sum each point set in blocks of 2^15 points: two
-    # steps, their norms and the final L2 errors peak at 4.25 times the CSR
-    # bytes of A, in the second norm.  When every norm evaluated the fields
-    # afresh, without blocks, the peak was 4.25 times as well.
+    # steps, their norms and the final L2 errors peak at 4.29 times the CSR
+    # bytes of A (4.290 to 4.293, run alone or in the full suite), in the
+    # second norm.  The 4.3 bound leaves that peak under 0.3% of headroom.
     case = get_case("example3")
     config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=2e-3)
-    dgdyn.cli._transient_errors(config.with_(level=1), case)  # module-level caches
+    dgdyn.cli._transient_errors(dataclasses.replace(config, level=1), case)  # module-level caches
     built = []
 
     def recording_build_operators(*args, **kwargs):

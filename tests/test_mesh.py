@@ -6,7 +6,6 @@ from dgdyn.mesh import (
     PERIODIC,
     Mesh,
     MeshError,
-    Rectangle,
     build_structured_mesh,
     classify_edges,
 )
@@ -36,13 +35,6 @@ def enumerate_edges(mesh):
     return buckets
 
 
-def test_rectangle_validation():
-    with pytest.raises(ValueError):
-        Rectangle(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        Rectangle(0.0, 1.0, 2.0, 2.0)
-
-
 @pytest.mark.parametrize(
     "level,n_tris,n_verts,h",
     [
@@ -59,10 +51,10 @@ def test_structured_mesh_counts(level, n_tris, n_verts, h):
 
 
 def test_positive_areas_and_total_area():
-    for level, dom in [(2, Rectangle()), (3, Rectangle(-1.0, 2.0, 0.5, 1.5))]:
-        mesh = build_structured_mesh(level, dom)
-        assert (mesh.areas > 0).all()
-        assert np.isclose(mesh.areas.sum(), dom.area, rtol=1e-12)
+    for level in (2, 3):
+        areas = 0.5 * build_structured_mesh(level).det_jacobians
+        assert (areas > 0).all()
+        assert np.isclose(areas.sum(), 1.0, rtol=1e-12)
 
 
 def test_refinement_halves_h():
@@ -116,10 +108,8 @@ def test_classify_level2_dirichlet_counts():
 
 
 def test_gamma1_total_length():
-    for dom in [Rectangle(), Rectangle(-1.0, 3.0, 0.0, 2.0)]:
-        mesh = build_structured_mesh(3, dom)
-        edges = classify_edges(mesh)
-        assert np.isclose(edges.gamma1.length.sum(), 2 * dom.width, rtol=1e-12)
+    edges = classify_edges(build_structured_mesh(3))
+    assert np.isclose(edges.gamma1.length.sum(), 2.0, rtol=1e-12)
 
 
 def test_interior_normals_unit_and_oriented():
@@ -226,7 +216,7 @@ def test_ridges_level1_by_hand(bc):
 # The exact normals of the unit square's edge sets, computed by the one
 # orientation rule: gamma1 bottom then top, the walls left then right, and
 # the periodic pairs, the rows of ``two_sided`` with a nonzero shift.
-UNIT_SQUARE_NORMALS = {
+SIDE_NORMALS = {
     "gamma1": ([0.0, -1.0], [0.0, 1.0]),
     "dirichlet": ([-1.0, 0.0], [1.0, 0.0]),
     "two_sided": ([1.0, 0.0],),
@@ -265,9 +255,9 @@ def test_every_face_set_has_sides(name, bc, level):
         assert np.array_equal(faces.p0, faces.p1) and np.all(faces.length == 1.0)
     else:
         assert np.all(faces.length > 0) and np.allclose(faces.length, np.linalg.norm(faces.p1 - faces.p0, axis=1))
-    if name in UNIT_SQUARE_NORMALS:
+    if name in SIDE_NORMALS:
         rows = periodic_pairs(edges) if name == "two_sided" else np.arange(n)
-        normals = UNIT_SQUARE_NORMALS[name]
+        normals = SIDE_NORMALS[name]
         assert len(rows) % len(normals) == 0 and (len(rows) > 0) == (bc == PERIODIC or name != "two_sided")
         assert np.array_equal(faces.normal[rows], np.repeat(normals, len(rows) // len(normals), axis=0))
 
@@ -275,6 +265,6 @@ def test_every_face_set_has_sides(name, bc, level):
 def test_malformed_mesh_rejected():
     base = build_structured_mesh(0)
     tris = np.vstack([base.triangles, base.triangles[:1]])
-    bad = Mesh(domain=base.domain, level=0, vertices=base.vertices, triangles=tris, h=base.h)
+    bad = Mesh(level=0, vertices=base.vertices, triangles=tris, h=base.h)
     with pytest.raises(MeshError):
         classify_edges(bad)

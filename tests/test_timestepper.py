@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,8 +190,8 @@ def test_constant_steady_state():
     c = 2.5
     config = ProblemConfig(level=2, p=1, dt=1e-3, t_final=1e-2)
     g = lambda t, x, y: config.alpha * c * np.ones_like(x)
-    res = run_backward_euler(config, None, g, lambda x, y: c * np.ones_like(x))
-    ops = res.ops
+    ops = build_operators(config)
+    res = run_backward_euler(config, None, g, lambda x, y: c * np.ones_like(x), ops=ops)
     _, _, lamn = l2_errors(
         ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, lambda t, x, y: c * np.ones_like(x)
     )
@@ -218,7 +219,7 @@ def test_trajectory_matches_final_state():
     u0 = lambda x, y: np.sin(TWO_PI * x)
     trajectory = []
     res = run_backward_euler(config, None, None, u0, on_step=lambda k, t, u: trajectory.append(u.copy()))
-    assert len(trajectory) == res.n_steps + 1
+    assert len(trajectory) == config.num_steps() + 1
     assert np.array_equal(trajectory[-1], res.coeffs)
 
 
@@ -248,8 +249,10 @@ def test_wall_data_patch_test():
     u = lambda t, x, y: (1.0 + t) * (a * x + b * y)
     f = lambda t, x, y: a * x + b * y
     g = lambda t, x, y: lam * (a * x + b * y) + (1.0 + t) * b * (2.0 * y - 1.0) + alpha * u(t, x, y)
-    res = run_backward_euler(config, f, g, lambda x, y: u(0.0, x, y), u_D=u)
-    ops = res.ops
+    ops = build_operators(config, u_D=u)
+    res = run_backward_euler(config, f, g, lambda x, y: u(0.0, x, y), ops=ops)
+    # given u_D and no operators, the run builds the same ones
+    assert np.array_equal(run_backward_euler(config, f, g, lambda x, y: u(0.0, x, y), u_D=u).coeffs, res.coeffs)
     dom, _, _ = l2_errors(ops.mesh, ops.edges, ops.space, lam, res.coeffs, u, t=config.t_final)
     assert dom <= 1e-10
     # the per-step wall data reads the degree-2p + 4 tables only
@@ -343,7 +346,7 @@ def test_step_memory_proportional_to_operator(monkeypatch):
         systems.append(system)
         return cg_solve(system, rhs, **kwargs)
 
-    run_backward_euler(config.with_(level=1), case.f, case.g, case.u0)  # module-level caches
+    run_backward_euler(replace(config, level=1), case.f, case.g, case.u0)  # module-level caches
     monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
     tracemalloc.start()
     try:
