@@ -27,13 +27,13 @@ from .solver import SolverError, block_jacobi_preconditioner, cg_solve, element_
 from .space import DGSpace, conforming_p1_embedding
 
 # Stiffness ratio rho = dt * max_e 1'A_e 1 / 1'M_e 1 above which backward
-# Euler adds the conforming-P1 V-cycle to block Jacobi.  Measured per solve
-# on example1's first step at level 7, p = 1 (median of 15, one BLAS
-# thread): block Jacobi alone takes 34 / 40 / 58 / 85 iterations at
-# rho = 6 / 8 / 16 / 32, the two-level preconditioner 20 / 20 / 20 / 22 and
-# 0.04 s of set-up once per dt.  It is faster in 11 of 15 runs at rho = 6,
-# by 3% of the median (less than its set-up), in 14 of 15 at rho = 8, and
-# at rho = 32 takes 0.17 s against 0.40 s.
+# Euler adds the conforming-P1 V-cycle to block Jacobi.  Measured per solve,
+# started from zero, on example1's first step at level 7, p = 1 (median of
+# 15, one BLAS thread): block Jacobi alone takes 34 / 40 / 58 / 85
+# iterations at rho = 6 / 8 / 16 / 32, the two-level preconditioner
+# 20 / 20 / 20 / 22 and 0.04 s of set-up once per dt.  It is faster in 11
+# of 15 runs at rho = 6, by 3% of the median (less than its set-up), in 14
+# of 15 at rho = 8, and at rho = 32 takes 0.17 s against 0.40 s.
 TWO_LEVEL_STIFFNESS = 8.0
 
 
@@ -115,15 +115,16 @@ def cg_matrix(A: sp.spmatrix) -> sp.csr_matrix:
 
 
 def _cg_solver(system: sp.csr_matrix, mesh: Mesh, edges: EdgeClassification, space: DGSpace, two_level: bool):
-    """``solve(rhs, what)``: CG on ``system`` under block Jacobi, with the
-    conforming-P1 V-cycle if ``two_level``; a SolverError names ``what``."""
+    """``solve(rhs, what, x0=None)``: CG on ``system`` from ``x0`` under block
+    Jacobi, with the conforming-P1 V-cycle if ``two_level``; a SolverError
+    names ``what``."""
     prec = block_jacobi_preconditioner(system, space.n_local)
     if two_level:
         P = conforming_p1_embedding(space, edges)
         prec = two_level_preconditioner(prec, system, P, p1_prolongations(mesh, edges.bc_mode))
 
-    def solve(rhs: np.ndarray, what: str) -> np.ndarray:
-        x, report = cg_solve(system, rhs, preconditioner=prec)
+    def solve(rhs: np.ndarray, what: str, x0: np.ndarray | None = None) -> np.ndarray:
+        x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0)
         if not report.converged:
             raise SolverError(
                 f"{what} failed: residual {report.final_relative_residual:.3e} after {report.iterations} iterations"
@@ -174,11 +175,12 @@ def run_backward_euler(
 
     Sources are evaluated at t_{k+1}.  ``on_step(k, t_k, u_h^k)`` is invoked
     for every state including the initial one; only the current state is
-    stored.  Each solve starts from zero, so results do not depend on the
-    step history through the solver.  f and g may be ``SeparableField``s
-    (see ``assemble_load``).  Wall data ``u_D`` enters through the
-    operators: it is given here only if ``ops`` is not, and otherwise to
-    the ``build_operators`` call that made them.
+    stored.  Each solve starts from the extrapolated state 2 u^k - u^(k-1),
+    or u^0 at the first step, formed in a buffer of the loop's own: arrays
+    given to ``on_step`` are never written.  f and g may be
+    ``SeparableField``s (see ``assemble_load``).  Wall data ``u_D`` enters
+    through the operators: it is given here only if ``ops`` is not, and
+    otherwise to the ``build_operators`` call that made them.
     """
     n_steps = config.num_steps()
     dt = config.dt
@@ -192,21 +194,25 @@ def run_backward_euler(
     solve = _cg_solver(system, mesh, edges, space, two_level=dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS)
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
-    Mu = ops.M @ u  # the norm of u and the next step's right-hand side
-    norms = [float(np.sqrt(u @ Mu))]
+    guess = u.copy()
+    norms = []
     if on_step is not None:
         on_step(0, 0.0, u)
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        rhs = Mu  # taken over as the right-hand side: one vector less during the solve
+        rhs = ops.M @ u  # the norm of u^k, then the right-hand side
+        norms.append(float(np.sqrt(u @ rhs)))
         rhs += dt * assemble_load(mesh, edges, space, f, g, t=t_next)
         if ops.dirichlet_rhs is not None:
             rhs += dt * ops.dirichlet_rhs(t_next)
-        u = solve(rhs, f"backward Euler step {k + 1}")
-        Mu = ops.M @ u
-        norms.append(float(np.sqrt(u @ Mu)))
+        u_next = solve(rhs, f"backward Euler step {k + 1}", guess)
+        del rhs  # during on_step the loop holds u^(k+1) and the guess only
+        np.subtract(u_next, u, out=guess)  # the next start, 2 u^(k+1) - u^k
+        guess += u_next
+        u = u_next
         if on_step is not None:
             on_step(k + 1, t_next, u)
+    norms.append(float(np.sqrt(u @ (ops.M @ u))))
 
     return TransientResult(coeffs=u, l2lambda_norms=np.array(norms))

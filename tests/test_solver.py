@@ -77,10 +77,11 @@ def test_2x2_exact():
 
 def test_zero_rhs():
     A = sp.identity(4, format="csr")
-    x, report = cg_solve(A, np.zeros(4))
-    assert not x.any()
-    assert report.iterations == 0
-    assert report.converged
+    for x0 in (None, np.ones(4)):  # the start is ignored
+        x, report = cg_solve(A, np.zeros(4), x0=x0)
+        assert not x.any()
+        assert report.iterations == 0
+        assert report.converged
 
 
 def test_dimension_mismatch():
@@ -122,6 +123,35 @@ def test_unpreconditioned_cg_converges():
     rhs = rng.standard_normal(S.shape[0])
     _, report = cg_solve(S, rhs, tol=1e-12)
     assert report.converged
+
+
+def test_exact_start_converges_in_no_iterations():
+    S, space = be_system(2, dt=1e-2)
+    rhs = np.random.default_rng(4).standard_normal(S.shape[0])
+    x0 = spla.spsolve(S.tocsc(), rhs)
+    kept = x0.copy()
+    x, report = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, space.n_local), x0=x0)
+    assert report.converged and report.iterations == 0
+    assert np.array_equal(x, x0) and x is not x0
+    assert np.array_equal(x0, kept)
+
+
+def test_perturbed_start_meets_the_rhs_relative_bound():
+    # the stopping rule stays relative to ||rhs||, not to the first residual
+    S, space = be_system(2, dt=1e-2)
+    rng = np.random.default_rng(6)
+    rhs = rng.standard_normal(S.shape[0])
+    x0 = spla.spsolve(S.tocsc(), rhs) + 1e-3 * rng.standard_normal(S.shape[0])
+    kept = x0.copy()
+    x, report = cg_solve(S, rhs, tol=1e-12, preconditioner=block_jacobi_preconditioner(S, space.n_local), x0=x0)
+    assert report.converged and report.iterations > 0
+    assert np.linalg.norm(rhs - S @ x) <= 1e-12 * np.linalg.norm(rhs)
+    assert np.array_equal(x0, kept)
+
+
+def test_start_dimension_mismatch():
+    with pytest.raises(SolverError):
+        cg_solve(sp.identity(4, format="csr"), np.ones(4), x0=np.ones(3))
 
 
 @pytest.mark.parametrize("level", [1, 2])

@@ -231,6 +231,39 @@ def test_on_step_callback_sees_all_states():
     assert seen[-1][1] == pytest.approx(4e-3)
 
 
+def test_states_given_to_on_step_are_never_written():
+    # the next solve's start is formed in a buffer of the loop's own: no
+    # state handed to on_step changes after the call, and none aliases another
+    case = get_case("example1")
+    config = ProblemConfig(case="example1", level=2, p=1, dt=1e-3, t_final=5e-3)
+    seen = []
+    run_backward_euler(config, case.f, case.g, case.u0, on_step=lambda k, t, u: seen.append((u, u.copy())))
+    assert len(seen) == config.num_steps() + 1
+    for u, at_call in seen:
+        assert np.array_equal(u, at_call)
+    assert len({id(u) for u, _ in seen}) == len(seen)
+
+
+def test_warm_start_takes_no_more_iterations_than_zero_start(monkeypatch):
+    # each step's solve from 2 u^k - u^(k-1) against the same system and
+    # right-hand side from zero: measured 7/6/6/6/6 iterations against 9 each
+    solves = []
+
+    def recording_cg_solve(system, rhs, **kwargs):
+        x, report = cg_solve(system, rhs, **kwargs)
+        zero_start = cg_solve(system, rhs, preconditioner=kwargs["preconditioner"])[1]
+        solves.append((report.iterations, zero_start.iterations))
+        return x, report
+
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
+    case = get_case("example1")
+    config = ProblemConfig(case="example1", level=4, p=1, dt=1e-5, t_final=5e-5)
+    run_backward_euler(config, case.f, case.g, case.u0)
+    assert len(solves) == 5
+    assert all(warm <= zero for warm, zero in solves)
+    assert sum(warm for warm, _ in solves) < sum(zero for _, zero in solves)
+
+
 def test_dirichlet_mode_runs():
     # example-3 style configuration with homogeneous lateral data
     config = ProblemConfig(case="example3", bc_mode="dirichlet_lateral", level=2, p=1, dt=1e-2, t_final=5e-2)
@@ -304,14 +337,15 @@ def test_stationary_wall_data_rejected_before_assembly(monkeypatch):
 @pytest.mark.parametrize("dt, t_final, two_level", [(1e-5, 5e-5, False), (0.1, 0.2, True)])
 def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_level):
     # rho = dt * max_e 1'A_e 1 / 1'M_e 1 is 0.12 at dt = 1e-5 and 1.2e3 at
-    # dt = 0.1 on level 4: every step must make the iteration count of block
-    # Jacobi alone in the first case, of the two-level one in the second (the
-    # two counts differ in both: 9 against 11, and about 120 against 30)
+    # dt = 0.1 on level 4: every step, re-solved from its own warm start,
+    # must make the iteration count of block Jacobi alone in the first case,
+    # of the two-level one in the second (the two counts differ in both:
+    # 7/6/6/6/6 against 10/9/9/8/8, and 28 against 123/127)
     solves = []
 
     def recording_cg_solve(system, rhs, **kwargs):
         x, report = cg_solve(system, rhs, **kwargs)
-        solves.append((system, rhs, report.iterations))
+        solves.append((system, rhs, kwargs["x0"].copy(), report.iterations))
         return x, report
 
     monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
@@ -324,10 +358,10 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
     n_local = ops.space.n_local
     P = conforming_p1_embedding(ops.space, ops.edges)
     prolongations = p1_prolongations(ops.mesh, ops.edges.bc_mode)
-    for system, rhs, iterations in solves:
+    for system, rhs, x0, iterations in solves:
         block = block_jacobi_preconditioner(system, n_local)
         preconditioners = {False: block, True: two_level_preconditioner(block, system, P, prolongations)}
-        counts = {k: cg_solve(system, rhs, preconditioner=B)[1].iterations for k, B in preconditioners.items()}
+        counts = {k: cg_solve(system, rhs, preconditioner=B, x0=x0)[1].iterations for k, B in preconditioners.items()}
         assert iterations == counts[two_level] != counts[not two_level]
 
 
