@@ -5,11 +5,7 @@ diffusion term, with periodic or weakly-imposed Dirichlet lateral walls."""
 from .assembly import (
     FormParams,
     assemble_Ah,
-    assemble_Bh,
-    assemble_bh,
-    assemble_boundary_mass,
     assemble_dirichlet_terms,
-    assemble_domain_mass,
     assemble_load,
     assemble_mass,
 )
@@ -55,11 +51,7 @@ __all__ = [
     "SolverError",
     "TransientResult",
     "assemble_Ah",
-    "assemble_Bh",
-    "assemble_bh",
-    "assemble_boundary_mass",
     "assemble_dirichlet_terms",
-    "assemble_domain_mass",
     "assemble_load",
     "assemble_mass",
     "block_jacobi_preconditioner",

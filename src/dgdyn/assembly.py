@@ -1,18 +1,21 @@
 """Sparse operators of the interior-penalty discretization.
 
-Assembles the bulk form (volume gradients plus jump/flux terms on interior
-and periodic edges), the surface form on the top/bottom boundary (tangential
-stiffness on the boundary edges plus point couplings at the ridges), the
-mass matrices and time-dependent load vectors.  With Dirichlet walls the
-full operator A_h also holds the Nitsche terms of the lateral edges and,
-scaled by beta, the one-sided corner terms of the surface form; the wall
-datum enters through a vector alone.  Every form is a sum of quadrature
-over point sets: the triangles and the faces (edges, ridges and corners; a
-ridge or corner is a point face of unit length).  A point set is built once
-per geometry and cached on the space, which releases the degree-2p ones
-once the operators are built.  It keeps an inverse Jacobian per entry and
-the reference basis once per point pattern.  One evaluator on it serves
-loads, projection and norms: ``field`` maps coefficients to point values or
+Assembles the full operator A_h, the weighted mass M and time-dependent
+load vectors.  A_h is the bulk form (volume gradients plus jump/flux terms
+on interior and periodic edges) plus alpha times the boundary mass and beta
+times the surface form on the top/bottom boundary (tangential stiffness on
+the boundary edges plus point couplings at the ridges).  With Dirichlet
+walls it also holds the Nitsche terms of the lateral edges and, scaled by
+beta, the one-sided corner terms of the surface form; the wall datum enters
+through a vector alone.  Each form is a private builder of class-block
+terms, and A_h and M are each one sparse product of their forms' terms: no
+sparse matrix is added.  Every form is a sum of quadrature over point sets:
+the triangles and the faces (edges, ridges and corners; a ridge or corner
+is a point face of unit length).  A point set is built once per geometry
+and cached on the space, which releases the degree-2p ones once the
+operators are built.  It keeps an inverse Jacobian per entry and the
+reference basis once per point pattern.  One evaluator on it serves loads,
+projection and norms: ``field`` maps coefficients to point values or
 physical gradients and ``test`` is its weighted transpose.  ``exact``
 evaluates a time-separable field once per time node and keeps the
 snapshots, so a later time or load is a weighted sum of them.
@@ -20,7 +23,7 @@ snapshots, so a later time or load is a weighted sum of them.
 Element blocks are built once per geometry class: the entries whose
 pattern, inverse Jacobian, weight scale and (on faces) normal are bitwise
 equal, a handful on the structured meshes.  Entries map to their classes
-and keep no blocks of their own; one sparse product sums the class blocks
+and keep no blocks of their own; the sparse product sums the class blocks
 into a block (BSR) matrix per element pair, which the operators stay in.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
@@ -321,45 +324,37 @@ def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
 
 
 # ---------------------------------------------------------------------------
-# public assembly entry points
+# the forms, each as terms of the one sparse product of an operator
 
 
-def assemble_Bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
-    """Bulk bilinear form: broken gradients plus symmetric interior-penalty
-    terms on interior edges and periodic pairs.  Constants lie in the
-    kernel; the matrix is symmetric."""
+def _bulk_form(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> list:
+    """B_h: broken gradients plus symmetric interior-penalty terms on
+    interior edges and periodic pairs.  Constants lie in its kernel; it is
+    symmetric."""
     vol = _cell_points(mesh, space, 2 * space.p)
     ft = _face_tables(mesh, space, edges.two_sided, 2 * space.p)
-    return _bsr(space, [_gram_blocks(vol, np.eye(2)), *_penalty_blocks(ft, params.sigma)])
+    return [_gram_blocks(vol, np.eye(2)), *_penalty_blocks(ft, params.sigma)]
 
 
-def assemble_bh(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
-    """Surface form on gamma1: tangential stiffness along the boundary edges
-    plus the interior-penalty terms of the 1D surface mesh, whose faces are
-    the ridges.
-
-    The one-sided corners of the Dirichlet variant are not part of b_h;
-    assemble_Ah adds them, scaled by beta, with the Nitsche wall terms."""
+def _surface_form(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams, scale: float) -> list:
+    """scale times b_h on gamma1: tangential stiffness along the boundary
+    edges plus the interior-penalty terms of the 1D surface mesh, whose
+    faces are the ridges.  The one-sided corners of the Dirichlet variant
+    are not part of b_h but of the wall terms."""
     (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
     ridges = _face_tables(mesh, space, edges.ridges, 2 * space.p)
-    return _bsr(space, [_gram_blocks(g1, RIDGE_TANGENT[:, None]), *_penalty_blocks(ridges, params.sigma)])
+    return [_gram_blocks(g1, RIDGE_TANGENT[:, None], scale), *_penalty_blocks(ridges, params.sigma, scale)]
 
 
-def assemble_boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace) -> sp.bsr_matrix:
-    """L2(gamma1) mass matrix."""
+def _boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, scale: float) -> list:
+    """scale times the L2(gamma1) mass C."""
     (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
-    return _bsr(space, [_gram_blocks(g1)])
+    return [_gram_blocks(g1, scale=scale)]
 
 
-def assemble_domain_mass(mesh: Mesh, space: DGSpace) -> sp.bsr_matrix:
-    """L2(Omega) mass matrix (block diagonal for the DG dof layout)."""
-    vol = _cell_points(mesh, space, 2 * space.p)
-    return _bsr(space, [_gram_blocks(vol)])
-
-
-def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.bsr_matrix:
-    """Weighted mass matrix (u, v)_Omega + lam (u, v)_gamma1."""
-    return assemble_domain_mass(mesh, space) + lam * assemble_boundary_mass(mesh, edges, space)
+def _domain_mass(mesh: Mesh, space: DGSpace) -> list:
+    """The L2(Omega) mass, block diagonal in the DG dof layout."""
+    return [_gram_blocks(_cell_points(mesh, space, 2 * space.p))]
 
 
 def _walls(edges: EdgeClassification, params: FormParams):
@@ -368,25 +363,40 @@ def _walls(edges: EdgeClassification, params: FormParams):
     return ((edges.dirichlet, 1.0), (edges.corners, params.beta))
 
 
+def _wall_terms(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> list:
+    """With Dirichlet walls, the Nitsche terms of the lateral edges plus beta
+    times the one-sided corner terms of the surface form; none otherwise."""
+    if edges.bc_mode != DIRICHLET_LATERAL:
+        return []
+    return [
+        term
+        for faces, weight in _walls(edges, params)
+        for term in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma, weight)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# public assembly entry points
+
+
+def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.bsr_matrix:
+    """Weighted mass matrix (u, v)_Omega + lam (u, v)_gamma1."""
+    return _bsr(space, _domain_mass(mesh, space) + _boundary_mass(mesh, edges, space, lam))
+
+
 def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
     """Full stationary operator: bulk form + alpha boundary mass + beta
     surface form, and with Dirichlet walls their Nitsche terms plus beta
     times the one-sided corner terms of the surface form.  Positive
     definite for gamma large enough when alpha > 0 or the walls are
     Dirichlet."""
-    A = (
-        assemble_Bh(mesh, edges, space, params)
-        + params.alpha * assemble_boundary_mass(mesh, edges, space)
-        + params.beta * assemble_bh(mesh, edges, space, params)
+    return _bsr(
+        space,
+        _bulk_form(mesh, edges, space, params)
+        + _boundary_mass(mesh, edges, space, params.alpha)
+        + _surface_form(mesh, edges, space, params, params.beta)
+        + _wall_terms(mesh, edges, space, params),
     )
-    if edges.bc_mode == DIRICHLET_LATERAL:
-        walls = [
-            term
-            for faces, weight in _walls(edges, params)
-            for term in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma, weight)
-        ]
-        A = A + _bsr(space, walls)
-    return A
 
 
 def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t: float = 0.0) -> np.ndarray:

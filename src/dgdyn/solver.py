@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +24,6 @@ class SolveReport:
     iterations: int
     final_relative_residual: float
     converged: bool
-    residual_history: list = field(default_factory=list)
 
 
 def element_blocks(A: sp.spmatrix, block_size: int) -> np.ndarray:
@@ -139,8 +138,6 @@ def cg_solve(
         return np.zeros(n), SolveReport(0, 0.0, True)
 
     apply_prec = (lambda r: r) if preconditioner is None else preconditioner
-
-    history: list[float] = []
     iterations = 0
     previous_rel = np.inf
 
@@ -157,15 +154,14 @@ def cg_solve(
         r = rhs - A @ x
         true_rel = float(np.linalg.norm(r) / rhs_norm)
         if true_rel <= tol:
-            return x, SolveReport(iterations, true_rel, True, history)
+            return x, SolveReport(iterations, true_rel, True)
         if true_rel >= previous_rel:
             floor = np.finfo(float).eps * np.linalg.norm(np.abs(rhs) + abs(A) @ np.abs(x)) / rhs_norm
-            return x, SolveReport(iterations, true_rel, bool(true_rel <= floor), history)
+            return x, SolveReport(iterations, true_rel, bool(true_rel <= floor))
         previous_rel = true_rel
         z = apply_prec(r)
         p = z.copy()
         rz = r @ z
-        history.append(np.sqrt(abs(rz)))
         while iterations < max_iter:
             Ap = A @ p
             pAp = p @ Ap
@@ -178,7 +174,6 @@ def cg_solve(
             r -= alpha * Ap
             z = apply_prec(r)
             rz_new = r @ z
-            history.append(np.sqrt(abs(rz_new)))
             p = z + (rz_new / rz) * p
             rz = rz_new
             iterations += 1
@@ -188,4 +183,4 @@ def cg_solve(
             break  # max_iter exhausted
 
     true_rel = float(np.linalg.norm(rhs - A @ x) / rhs_norm)
-    return x, SolveReport(iterations, true_rel, bool(true_rel <= tol), history)
+    return x, SolveReport(iterations, true_rel, bool(true_rel <= tol))

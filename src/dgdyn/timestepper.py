@@ -167,7 +167,6 @@ def run_backward_euler(
     f,
     g,
     u0,
-    u_D=None,
     on_step=None,
     ops: Operators | None = None,
 ) -> TransientResult:
@@ -178,16 +177,13 @@ def run_backward_euler(
     stored.  Each solve starts from the extrapolated state 2 u^k - u^(k-1),
     or u^0 at the first step, formed in a buffer of the loop's own: arrays
     given to ``on_step`` are never written.  f and g may be
-    ``SeparableField``s (see ``assemble_load``).  Wall data ``u_D`` enters
-    through the operators: it is given here only if ``ops`` is not, and
-    otherwise to the ``build_operators`` call that made them.
+    ``SeparableField``s (see ``assemble_load``).  Wall data enters through
+    the operators, as ``build_operators(config, u_D=)`` gave it to them.
     """
     n_steps = config.num_steps()
     dt = config.dt
     if ops is None:
-        ops = build_operators(config, u_D=u_D)
-    elif u_D is not None:
-        raise ValueError("u_D is given with ops, which keep the wall data they were built with: pass it to build_operators")
+        ops = build_operators(config)
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
     system = cg_matrix(ops.M + dt * ops.A)

@@ -23,8 +23,7 @@ from dgdyn.mesh import build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
 from dgdyn.timestepper import build_operators, l2_lambda_project, run_backward_euler, solve_stationary
 
-from test_assembly import oracle_operators, setup as assembly_setup
-from dgdyn.assembly import assemble_Bh, assemble_bh, assemble_boundary_mass, assemble_domain_mass
+from test_assembly import form, oracle_operators, setup as assembly_setup
 
 
 def report(criterion, ok, detail):
@@ -222,15 +221,15 @@ def test_criterion_8_algebraic_properties():
 
     mesh, edges, space, params = assembly_setup(2, 1)
     for name, A in (
-        ("B", assemble_Bh(mesh, edges, space, params)),
-        ("b", assemble_bh(mesh, edges, space, params)),
+        ("B", form("B", mesh, edges, space, params)),
+        ("b", form("b", mesh, edges, space, params)),
         ("A", assemble_Ah(mesh, edges, space, params)),
     ):
         asym = np.abs((A - A.T).toarray()).max() / np.abs(A.data).max()
         checks.append((f"{name} symmetric", asym <= 1e-12))
     ones = np.ones(space.n_dofs)
-    B = assemble_Bh(mesh, edges, space, params)
-    b = assemble_bh(mesh, edges, space, params)
+    B = form("B", mesh, edges, space, params)
+    b = form("b", mesh, edges, space, params)
     checks.append(("constants in ker(B)", np.abs(B @ ones).max() <= 1e-12 * np.abs(B.data).max()))
     checks.append(("constants in ker(b)", np.abs(b @ ones).max() <= 1e-12 * np.abs(b.data).max()))
 
@@ -242,13 +241,8 @@ def test_criterion_8_algebraic_properties():
 
     mesh0, edges0, space0, params0 = assembly_setup(0, 1)
     oracle = oracle_operators(gamma=10.0, alpha=2.0, beta=5.0)
-    computed = {
-        "B": assemble_Bh(mesh0, edges0, space0, params0),
-        "C": assemble_boundary_mass(mesh0, edges0, space0),
-        "b": assemble_bh(mesh0, edges0, space0, params0),
-        "M": assemble_domain_mass(mesh0, space0),
-        "A": assemble_Ah(mesh0, edges0, space0, params0),
-    }
+    computed = {name: form(name, mesh0, edges0, space0, params0) for name in "BCbM"}
+    computed["A"] = assemble_Ah(mesh0, edges0, space0, params0)
     worst = max(np.abs(A.toarray() - oracle[n]).max() for n, A in computed.items())
     checks.append((f"level-0 brute-force oracle (max dev {worst:.1e})", worst < 1e-10))
 

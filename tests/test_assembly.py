@@ -7,16 +7,18 @@ import pytest
 from dgdyn.assembly import (
     RIDGE_TANGENT,
     FormParams,
+    _boundary_mass,
+    _bsr,
+    _bulk_form,
     _cell_points,
+    _domain_mass,
     _face_tables,
     _gram_blocks,
     _penalty_blocks,
+    _surface_form,
+    _wall_terms,
     assemble_Ah,
-    assemble_Bh,
-    assemble_bh,
-    assemble_boundary_mass,
     assemble_dirichlet_terms,
-    assemble_domain_mass,
     assemble_load,
     assemble_mass,
 )
@@ -33,6 +35,18 @@ def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, pena
     space = DGSpace(mesh, p)
     params = FormParams.for_mesh(mesh, alpha=alpha, beta=beta, lam=lam, gamma=gamma, penalty_mode=penalty_mode)
     return mesh, edges, space, params
+
+
+def form(name, mesh, edges, space, params):
+    """One form's matrix on its own, from its terms alone: the bulk form B,
+    the surface form b, the boundary mass C or the domain mass M."""
+    terms = {
+        "B": lambda: _bulk_form(mesh, edges, space, params),
+        "b": lambda: _surface_form(mesh, edges, space, params, 1.0),
+        "C": lambda: _boundary_mass(mesh, edges, space, 1.0),
+        "M": lambda: _domain_mass(mesh, space),
+    }[name]()
+    return _bsr(space, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +248,8 @@ def test_form_params():
 def test_constants_in_kernel(p, bc):
     mesh, edges, space, params = setup(2, p, bc)
     ones = np.ones(space.n_dofs)
-    B = assemble_Bh(mesh, edges, space, params)
-    b = assemble_bh(mesh, edges, space, params)
+    B = form("B", mesh, edges, space, params)
+    b = form("b", mesh, edges, space, params)
     scale_B = np.abs(B.data).max()
     scale_b = np.abs(b.data).max()
     assert np.abs(B @ ones).max() <= 1e-12 * scale_B
@@ -255,19 +269,14 @@ def both_bc(*cases):
 @pytest.mark.parametrize("p, bc", both_bc((1,), (2,)))
 def test_matrices_symmetric(p, bc):
     mesh, edges, space, params = setup(2, p, bc)
-    for A in (
-        assemble_Bh(mesh, edges, space, params),
-        assemble_bh(mesh, edges, space, params),
-        assemble_boundary_mass(mesh, edges, space),
-        assemble_Ah(mesh, edges, space, params),
-    ):
+    for A in (*(form(name, mesh, edges, space, params) for name in "BbC"), assemble_Ah(mesh, edges, space, params)):
         diff = (A - A.T).toarray()
         assert np.abs(diff).max() <= 1e-12 * max(np.abs(A.data).max(), 1.0)
 
 
 def test_bh_couples_only_gamma1_elements():
     mesh, edges, space, params = setup(2, 1)
-    b = assemble_bh(mesh, edges, space, params).tocsr()
+    b = form("b", mesh, edges, space, params).tocsr()
     touching = set(edges.gamma1.elem.ravel().tolist())
     rows = np.repeat(np.arange(space.n_dofs), np.diff(b.indptr))
     nz_rows = rows[b.data != 0]
@@ -275,17 +284,17 @@ def test_bh_couples_only_gamma1_elements():
 
 
 def test_mass_totals():
-    mesh, edges, space, _ = setup(2, 1)
+    mesh, edges, space, params = setup(2, 1)
     ones = np.ones(space.n_dofs)
-    C = assemble_boundary_mass(mesh, edges, space)
+    C = form("C", mesh, edges, space, params)
     assert np.isclose(ones @ (C @ ones), 2.0, rtol=1e-12)
     M = assemble_mass(mesh, edges, space, lam=10.0)
     assert np.isclose(ones @ (M @ ones), 21.0, rtol=1e-12)
 
 
 def test_domain_mass_block_diagonal():
-    mesh, edges, space, _ = setup(2, 2)
-    M = assemble_domain_mass(mesh, space).tocoo()
+    mesh, edges, space, params = setup(2, 2)
+    M = form("M", mesh, edges, space, params).tocoo()
     assert np.array_equal(M.row // space.n_local, M.col // space.n_local)
 
 
@@ -293,7 +302,7 @@ def test_Ah_degenerate_parameters():
     mesh, edges, space, _ = setup(1, 1)
     params0 = FormParams.for_mesh(mesh, alpha=0.0, beta=0.0, lam=0.0, gamma=10.0)
     A = assemble_Ah(mesh, edges, space, params0)
-    B = assemble_Bh(mesh, edges, space, params0)
+    B = form("B", mesh, edges, space, params0)
     assert np.allclose(A.toarray(), B.toarray(), atol=1e-14)
 
 
@@ -301,7 +310,7 @@ def test_Ah_constants_leave_only_boundary_mass():
     mesh, edges, space, params = setup(2, 1)
     ones = np.ones(space.n_dofs)
     A = assemble_Ah(mesh, edges, space, params)
-    C = assemble_boundary_mass(mesh, edges, space)
+    C = form("C", mesh, edges, space, params)
     assert np.allclose(A @ ones, params.alpha * (C @ ones), atol=1e-11)
 
 
@@ -335,13 +344,8 @@ def test_load_totals():
 def test_brute_force_oracle_level0():
     mesh, edges, space, params = setup(0, 1, gamma=10.0, alpha=2.0, beta=5.0)
     oracle = oracle_operators(gamma=10.0, alpha=2.0, beta=5.0)
-    computed = {
-        "B": assemble_Bh(mesh, edges, space, params),
-        "C": assemble_boundary_mass(mesh, edges, space),
-        "b": assemble_bh(mesh, edges, space, params),
-        "M": assemble_domain_mass(mesh, space),
-        "A": assemble_Ah(mesh, edges, space, params),
-    }
+    computed = {name: form(name, mesh, edges, space, params) for name in "BCbM"}
+    computed["A"] = assemble_Ah(mesh, edges, space, params)
     for name, A in computed.items():
         assert np.abs(A.toarray() - oracle[name]).max() < 1e-10, name
 
@@ -351,14 +355,34 @@ def test_brute_force_oracle_level0_dirichlet():
     u_D = lambda x, y: x + 2.0 * y
     A = assemble_Ah(mesh, edges, space, params)
     without_walls = (
-        assemble_Bh(mesh, edges, space, params)
-        + params.alpha * assemble_boundary_mass(mesh, edges, space)
-        + params.beta * assemble_bh(mesh, edges, space, params)
+        form("B", mesh, edges, space, params)
+        + params.alpha * form("C", mesh, edges, space, params)
+        + params.beta * form("b", mesh, edges, space, params)
     )
     rhs = assemble_dirichlet_terms(mesh, edges, space, params, lambda t, x, y: u_D(x, y))
     odelta, orhs = oracle_dirichlet(gamma=10.0, beta=5.0, u_D=u_D)
     assert np.abs((A - without_walls).toarray() - odelta).max() < 1e-10
     assert np.abs(rhs - orhs).max() < 1e-10
+
+
+@pytest.mark.parametrize("penalty_mode", ["gamma_over_h", "fixed_sigma"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_operators_are_the_sums_of_their_forms(bc, p, penalty_mode):
+    # A_h and M, each one sparse product of all their forms' terms, are the
+    # scipy sums of the forms' separately built matrices, the way they were
+    # once assembled, up to the rounding of the sums' order
+    for level in range(4):
+        mesh, edges, space, params = setup(level, p, bc, penalty_mode=penalty_mode)
+        B, b, C, M = (form(name, mesh, edges, space, params) for name in "BbCM")
+        A = B + params.alpha * C + params.beta * b
+        if bc == DIRICHLET_LATERAL:
+            A = A + _bsr(space, _wall_terms(mesh, edges, space, params))
+        for got, expected in (
+            (assemble_Ah(mesh, edges, space, params), A),
+            (assemble_mass(mesh, edges, space, params.lam), M + params.lam * C),
+        ):
+            assert np.abs((got - expected).toarray()).max() <= 1e-15 * np.abs(expected.data).max()
 
 
 def test_dirichlet_terms_contract():
@@ -385,7 +409,7 @@ SURFACE_SEMINORMS = [
 def test_bh_continuous_interpolant_is_tangential_seminorm(level, bc, p, u, seminorm):
     mesh, edges, space, params = setup(level, p, bc)
     v = interpolate(mesh, space, u)
-    b = assemble_bh(mesh, edges, space, params)
+    b = form("b", mesh, edges, space, params)
     assert v @ (b @ v) == pytest.approx(seminorm, rel=1e-12)
 
 
@@ -397,7 +421,7 @@ def test_bh_fused_periodic_corner_by_hand(level, p):
     # each corner adds sigma - 2 to the tangential seminorm 2: 2 sigma - 2
     mesh, edges, space, params = setup(level, p)
     v = interpolate(mesh, space, lambda t, x, y: x)
-    b = assemble_bh(mesh, edges, space, params)
+    b = form("b", mesh, edges, space, params)
     assert v @ (b @ v) == pytest.approx(2.0 * params.sigma - 2.0, rel=1e-12)
 
 
@@ -470,16 +494,19 @@ def test_csr_structure_invariants():
 
 def test_assembly_memory_proportional_to_output():
     # blocks are keyed per element pair, so no index is held per matrix
-    # entry: the peak stays a small multiple of the CSR that is returned
+    # entry, and A_h is one sparse product of every form's terms, so no
+    # form is held as a matrix of its own: the peak stays a small multiple
+    # of the BSR matrix returned (1.30 times it; 2.03 when the forms were
+    # built as matrices and added pairwise)
     mesh, edges, space, params = setup(5, 2)
-    assemble_Bh(mesh, edges, space, params)  # builds and caches the point tables
+    assemble_Ah(mesh, edges, space, params)  # builds and caches the point tables
     tracemalloc.start()
     try:
-        B = assemble_Bh(mesh, edges, space, params)
+        A = assemble_Ah(mesh, edges, space, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
+    assert peak <= 1.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def with_given_normals(edges):

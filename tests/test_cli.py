@@ -421,10 +421,11 @@ def test_sources_evaluated_once_per_node_and_space(monkeypatch, capsys, name, no
 def test_energy_norm_step_memory_proportional_to_operator(monkeypatch):
     # the per-step energy norms keep the exact fields' snapshots on the
     # point sets and sum each point set in blocks of 2^15 points: two
-    # steps, their norms and the final L2 errors peak at 4.26 times the CSR
-    # bytes of A (4.260 to 4.263, run alone or in the full suite), in the
-    # second norm; the step loop holds u^k and the next solve's start there,
-    # not M u^k.  The 4.3 bound leaves that peak about 1% of headroom.
+    # steps, their norms and the final L2 errors peak at 4.25 times the CSR
+    # bytes of A (4.251 run alone; 4.263 while A_h's forms were added
+    # pairwise), in the second norm; the step loop holds u^k and the next
+    # solve's start there, not M u^k.  The 4.3 bound leaves that peak about
+    # 1% of headroom.
     case = get_case("example3")
     config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=2e-3)
     dgdyn.cli._transient_errors(dataclasses.replace(config, level=1), case)  # module-level caches

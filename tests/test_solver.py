@@ -102,21 +102,6 @@ def test_non_finite_detected():
         cg_solve(A, np.array([1.0, 1.0]))
 
 
-@pytest.mark.parametrize("prec", ["two_level", "block"])
-def test_backward_euler_system_monotone_preconditioned_residual(prec):
-    # the preconditioned residual norm sqrt(r' z) decreases monotonically on
-    # these systems; without preconditioning plain CG oscillates (only the
-    # A-norm of the error is guaranteed monotone), so the identity is excluded
-    S, space = be_system(3)
-    rng = np.random.default_rng(5)
-    rhs = rng.standard_normal(S.shape[0])
-    preconditioner = block_jacobi_preconditioner(S, space.n_local) if prec == "block" else two_level(S, space)
-    x, report = cg_solve(S, rhs, tol=1e-12, preconditioner=preconditioner)
-    assert report.converged
-    hist = np.asarray(report.residual_history)
-    assert (np.diff(hist) <= 1e-10 * hist[0]).all()
-
-
 def test_unpreconditioned_cg_converges():
     S, _ = be_system(3)
     rng = np.random.default_rng(5)
@@ -200,14 +185,15 @@ def test_attainable_accuracy_below_tol_is_converged():
 )
 def test_two_level_preconditioner_spd(p, bc_mode, penalty_mode, dt):
     ops = build_operators(ProblemConfig(level=4, p=p, bc_mode=bc_mode, penalty_mode=penalty_mode, dt=dt))
+    # block Jacobi alone and with the coarse correction: both are SPD
     S = (ops.M + dt * ops.A).tocsr()
-    B = two_level(S, ops.space, bc_mode)
     rng = np.random.default_rng(p)
-    for _ in range(5):
-        x, y = rng.standard_normal((2, S.shape[0]))
-        Bx, By = B(x), B(y)
-        assert abs(x @ By - y @ Bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
-        assert x @ Bx > 0.0
+    for B in (block_jacobi_preconditioner(S, ops.space.n_local), two_level(S, ops.space, bc_mode)):
+        for _ in range(5):
+            x, y = rng.standard_normal((2, S.shape[0]))
+            Bx, By = B(x), B(y)
+            assert abs(x @ By - y @ Bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(By)
+            assert x @ Bx > 0.0
 
 
 def test_two_level_iterations_bounded_in_h():
