@@ -13,16 +13,22 @@ sparse matrix is added.  Every form is a sum of quadrature over point sets:
 the triangles and the faces (edges, ridges and corners; a ridge or corner
 is a point face of unit length).  A point set is built once per geometry
 and cached on the space, which releases the degree-2p ones once the
-operators are built.  It keeps an inverse Jacobian per entry and the
-reference basis once per point pattern.  One evaluator on it serves loads,
-projection and norms: ``field`` maps coefficients to point values or
-physical gradients and ``test`` is its weighted transpose.  ``exact``
-evaluates a time-separable field once per time node and keeps the
-snapshots, so a later time or load is a weighted sum of them.
+operators are built.
 
-Element blocks are built once per geometry class: the entries whose
-pattern, inverse Jacobian, weight scale and (on faces) normal are bitwise
-equal, a handful on the structured meshes.  Entries map to their classes
+A point set is stored in geometry-class order.  A class is the entries
+whose point pattern (the reference positions of their points), inverse
+Jacobian, weight scale and (on faces) normal are bitwise equal, a handful
+on the structured meshes; the order is found from per-element and
+per-face data, before the points are built in it, and each class is one
+run of entries.  Each class keeps its basis values and physical
+gradients, the reference gradients folded with its inverse Jacobian.  One
+evaluator on it serves loads, projection and norms: ``field`` maps the
+coefficients of a run of entries to point values or one derivative with
+one small product per class run, and ``test`` is its weighted transpose.
+``exact`` evaluates a time-separable field once per time node and keeps
+the snapshots, so a later time or load is a weighted sum of them.
+
+Element blocks are built once per class.  Entries map to their classes
 and keep no blocks of their own; the sparse product sums the class blocks
 into a block (BSR) matrix per element pair, which the operators stay in.
 
@@ -33,6 +39,7 @@ norms use 2p + 4.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,26 +90,18 @@ class FormParams:
 
 @dataclass(eq=False)
 class _Points:
-    """Quadrature points on one side of a batch of cells or faces, with the
-    reference basis tables of each point pattern."""
+    """Quadrature points on one side of a batch of cells or faces, stored in
+    geometry-class order: the entries of class k are the run bounds[k] to
+    bounds[k + 1], and each class keeps its basis tables."""
 
     elem: np.ndarray  # (nE,) element whose basis is evaluated
     w: np.ndarray  # (nE, nq) rule weight times cell area or face length (1 at a point face)
     x: np.ndarray  # (nE, nq) physical points on this side's realization
     y: np.ndarray
-    inv_j: np.ndarray  # (nE, 2, 2) inverse Jacobian of each entry's element
-    pattern: np.ndarray  # (nE,) point pattern of each entry
-    phi: np.ndarray  # (n_patterns, nq, n_local) reference basis values
-    grad: np.ndarray  # (n_patterns, nq, n_local, 2) reference gradients
+    bounds: np.ndarray  # (n_classes + 1,) first entry of each class, then nE
+    phi: np.ndarray  # (n_classes, nq, n_local) basis values
+    grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
     kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields
-
-    def part(self, sl: slice) -> _Points:
-        """The entries ``sl``, a slice of step 1, as a point set sharing this
-        one's tables; it keeps nothing of its own."""
-        start, stop, _ = sl.indices(len(self.elem))
-        if start == 0 and stop == len(self.elem):
-            return self
-        return _Points(*(a[sl] for a in (self.elem, self.w, self.x, self.y, self.inv_j, self.pattern)), self.phi, self.grad)
 
     def exact(self, fn, t: float) -> list:
         """``fn`` at time t on the points, as (weight, values) terms that sum
@@ -134,88 +133,94 @@ class _Points:
             self.kept[key] = make()
         return self.kept[key]
 
-    def field(self, c: np.ndarray, grad: bool = False) -> np.ndarray:
-        """Values (nE, nq), or physical gradients (nE, nq, 2) if ``grad``, of
-        the functions with local coefficients ``c`` (nE, n_local)."""
-        tables = self.grad if grad else self.phi
-        if len(tables) == 1:
-            out = np.tensordot(c, tables[0], axes=(1, 1))
-        else:
-            out = np.empty(self.w.shape + ((2,) if grad else ()))
-            for idx, table in zip(self.groups, tables):
-                out[idx] = np.tensordot(c[idx], table, axes=(1, 1))
-        return out @ self.inv_j if grad else out
+    def runs(self, sl: slice):
+        """(class, start, stop) of each class's run among the entries ``sl``,
+        a slice of step 1, with start and stop counted from ``sl.start``."""
+        b = self.bounds.tolist()
+        k = bisect_right(b, sl.start) - 1
+        while b[k] < sl.stop:
+            yield k, max(b[k], sl.start) - sl.start, min(b[k + 1], sl.stop) - sl.start
+            k += 1
+
+    def field(self, c: np.ndarray, sl: slice, d: np.ndarray | None = None) -> np.ndarray:
+        """Values (m, nq) at the entries ``sl`` of the functions with local
+        coefficients ``c`` (m, n_local), or their derivatives along ``d``
+        (2,): one product with its class's table per run."""
+        runs = list(self.runs(sl))
+        first, last = runs[0][0], runs[-1][0] + 1
+        # the tables of these classes, (n_local, nq) each and contiguous: BLAS's fast layout here
+        tables = np.swapaxes(self.phi[first:last] if d is None else self.grad[first:last] @ d, 1, 2).copy()
+        out = np.empty((len(c), self.w.shape[1]))
+        for k, a, b in runs:
+            np.matmul(c[a:b], tables[k - first], out=out[a:b])
+        return out
 
     def test(self, values: np.ndarray) -> np.ndarray:
-        """The weighted transpose of ``field``: local vectors (nE, n_local) of
-        sum_q w values v, for values (nE, nq), or w values . grad v (nE, nq, 2)."""
+        """The weighted transpose of ``field`` over every entry: local vectors
+        (nE, n_local) of sum_q w values v, for values (nE, nq), or of
+        w values . grad v, for values (nE, nq, 2)."""
         grad = values.ndim == 3
-        wv = (self.w[..., None] * values) @ self.inv_j.transpose(0, 2, 1) if grad else self.w * values
-        out = np.empty((len(self.elem), self.phi.shape[2]))
-        for idx, table in zip(self.groups, self.grad if grad else self.phi):
-            out[idx] = np.tensordot(wv[idx], table, axes=([1, 2], [0, 2]) if grad else (1, 0))
+        wv = (self.w[..., None] if grad else self.w) * values
+        n = self.phi.shape[2]
+        out = np.empty((len(self.elem), n))
+        for k, a, b in self.runs(slice(0, len(self.elem))):
+            table = self.grad[k].transpose(0, 2, 1).reshape(-1, n) if grad else self.phi[k]
+            out[a:b] = wv[a:b].reshape(b - a, -1) @ table
         return out
 
     @cached_property
-    def groups(self) -> tuple:
-        """The entries of each pattern: index arrays, or (slice(None),)."""
-        if len(self.phi) == 1:
-            return (slice(None),)
-        return tuple(np.flatnonzero(self.pattern == i) for i in range(len(self.phi)))
-
-    @cached_property
     def classes(self) -> tuple:
-        """(class of each entry, a representative entry of each class): the
-        entries whose pattern, inverse Jacobian and weight scale are bitwise
-        equal share every element block."""
-        return _classes(self.pattern, self.inv_j.reshape(-1, 4), self.w[:, 0])
-
-    def basis(self, entries: np.ndarray, grad: bool = False) -> np.ndarray:
-        """Basis values (n, nq, n_local), or physical gradients (n, nq,
-        n_local, 2) if ``grad``, of the ``entries``: the representatives of
-        classes, whose blocks are built once for each class."""
-        tables = (self.grad if grad else self.phi)[self.pattern[entries]]
-        return tables @ self.inv_j[entries][:, None] if grad else tables
+        """(class of each entry, first entry of each class): the entries of a
+        class share every element block."""
+        return np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds)), self.bounds[:-1]
 
 
 @dataclass(eq=False)
 class _FaceTables:
-    sides: list  # the _Points of each side
+    sides: list  # the _Points of each side, all with the same class runs
     normal: np.ndarray  # (nE, 2)
 
-    @cached_property
+    @property
     def classes(self) -> tuple:
-        """As ``_Points.classes``, for faces with equal side classes and normals."""
-        return _classes(*[side.classes[0] for side in self.sides], self.normal)
+        """As ``_Points.classes``: a face's class fixes each side's and the normal."""
+        return self.sides[0].classes
 
 
-def _classes(*keys) -> tuple:
-    """(class of each row, first row of each class) of the key columns
-    ``keys``, rows whose keys are all equal sharing a class.  One lexsort
-    over the columns: far faster than ``np.unique(axis=0)`` on the rows."""
+def _class_order(*keys) -> tuple:
+    """(order, bounds): the order of the rows of the key columns ``keys``
+    that makes each class, the rows whose keys are all bitwise equal, one
+    run, and the first row of each run followed by the number of rows.  One
+    lexsort over the columns: far faster than ``np.unique(axis=0)``."""
     keys = np.column_stack(keys)
     order = np.lexsort(keys.T)
     first = np.ones(len(order), dtype=bool)
     first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-    cls = np.empty(len(order), dtype=np.intp)
-    cls[order] = np.cumsum(first) - 1
-    return cls, order[first]
+    return order, np.append(np.flatnonzero(first), len(order))
 
 
-def _points(mesh, space, elems, points, w) -> _Points:
-    """The side of ``elems`` at the physical ``points`` (nE, nq, 2).  Entries
-    share a pattern when their reference positions agree within 1e-10, far
-    above the rounding of the affine maps and far below any rule's spacing."""
-    inv_j = mesh.inv_jacobians[elems]
-    ref = (points - mesh.v0[elems][:, None, :]) @ inv_j.transpose(0, 2, 1)
+def _patterns(ref: np.ndarray) -> tuple:
+    """(pattern of each row, first row of each pattern) of the reference
+    positions ``ref`` (n, k, 2): rows share a pattern when they agree within
+    1e-10, far above the rounding of the affine maps and far below any
+    rule's spacing."""
     pattern, first, rest = np.zeros(len(ref), dtype=np.intp), [], np.arange(len(ref))
     while len(rest):
         same = np.abs(ref[rest] - ref[rest[0]]).max(axis=(1, 2)) <= 1e-10
         pattern[rest[same]] = len(first)
         first.append(rest[0])
         rest = rest[~same]
-    x, y = points[..., 0], points[..., 1]
-    return _Points(elems, w, x, y, inv_j, pattern, space.basis.eval(ref[first]), space.basis.grad(ref[first]))
+    return pattern, np.array(first, dtype=np.intp)
+
+
+def _points(mesh, space, elems, points, w, bounds, ref) -> _Points:
+    """The side of ``elems`` at the physical ``points`` (nE, nq, 2), in class
+    order with the runs ``bounds``.  ``ref`` (n_classes, nq, 2) holds the
+    reference positions of each class's points: those of its pattern's
+    first entry in input order, so the classes of a pattern share their
+    reference tables to the bit."""
+    inv_j = mesh.inv_jacobians[elems[bounds[:-1]]]
+    phi, grad = space.basis.eval(ref), space.basis.grad(ref) @ inv_j[:, None]
+    return _Points(elems, w, points[..., 0], points[..., 1], bounds, phi, grad)
 
 
 def _per_space(build):
@@ -238,20 +243,44 @@ def release_tables(space: DGSpace, degree: int) -> None:
 
 @_per_space
 def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
-    """Every triangle."""
+    """Every triangle, ordered by class: its inverse Jacobian and determinant."""
     rule = triangle_quadrature(degree)
-    X = mesh.v0[:, None, :] + rule.points @ mesh.jacobians.transpose(0, 2, 1)
-    return _points(mesh, space, np.arange(mesh.n_triangles), X, mesh.det_jacobians[:, None] * rule.weights)
+    elems, bounds = _class_order(mesh.inv_jacobians.reshape(-1, 4), mesh.det_jacobians)
+    X = mesh.v0[elems][:, None, :] + rule.points @ mesh.jacobians[elems].transpose(0, 2, 1)
+    # the one pattern's reference positions: element 0's points mapped back
+    first = np.argmin(elems)
+    ref = np.broadcast_to((X[first] - mesh.v0[0]) @ mesh.inv_jacobians[0].T, (len(bounds) - 1, *rule.points.shape))
+    return _points(mesh, space, elems, X, mesh.det_jacobians[elems][:, None] * rule.weights, bounds, ref)
 
 
 @_per_space
 def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _FaceTables:
-    """Each side of a batch of faces, the second at the points moved by ``shift``."""
+    """Each side of a batch of faces, the second at the points moved by
+    ``shift``, ordered by class: the normal and, on each side, the pattern of
+    the face's endpoints in its element's reference triangle, the element's
+    inverse Jacobian and the face's length.  The order is found from the
+    endpoints, so the points are built in it."""
+    shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
+    ends = np.stack([faces.p0, faces.p1], axis=1)
+    keys, patterns = [], []
+    for el, shift in zip(faces.elem.T, shifts):
+        inv_j = mesh.inv_jacobians[el]
+        ref_ends = (ends + shift - mesh.v0[el][:, None, :]) @ inv_j.transpose(0, 2, 1)
+        pattern, first = _patterns(ref_ends)
+        keys += [pattern, inv_j.reshape(-1, 4), faces.length]
+        patterns.append((pattern, ref_ends[first]))  # each pattern's endpoints: its first face's
+    order, bounds = _class_order(*keys, faces.normal)
     rule = edge_quadrature(degree)
-    pts = faces.p0[:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[:, None, :]
-    w = rule.weights[None, :] * faces.length[:, None]
-    points = [pts] if faces.shift is None else [pts, pts + faces.shift[:, None, :]]
-    return _FaceTables([_points(mesh, space, el, x, w) for el, x in zip(faces.elem.T, points)], faces.normal)
+    p0 = faces.p0[order]
+    pts = p0[:, None, :] + rule.points[None, :, None] * (faces.p1[order] - p0)[:, None, :]
+    w = rule.weights[None, :] * faces.length[order][:, None]
+    points = [pts] if faces.shift is None else [pts, pts + faces.shift[order][:, None, :]]
+    sides = []
+    for el, x, (pattern, pattern_ends) in zip(faces.elem.T, points, patterns):
+        e = pattern_ends[pattern[order[bounds[:-1]]]]  # (n_classes, 2, 2)
+        ref = e[:, :1] + rule.points[:, None] * (e[:, 1:] - e[:, :1])
+        sides.append(_points(mesh, space, el[order], x, w, bounds, ref))
+    return _FaceTables(sides, faces.normal[order])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +309,7 @@ def _gram_blocks(pts: _Points, d: np.ndarray | None = None, scale: float = 1.0) 
     D v the value if ``d`` is None and the gradient times ``d`` (2, k)
     otherwise: the mass or a stiffness, its blocks once per class."""
     cls, rep = pts.classes
-    dv = pts.basis(rep)[..., None] if d is None else pts.basis(rep, grad=True) @ d
+    dv = pts.phi[..., None] if d is None else pts.grad @ d
     return pts.elem, pts.elem, cls, scale * np.einsum("cq,cqlk,cqmk->clm", pts.w[rep], dv, dv)
 
 
@@ -308,7 +337,7 @@ def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
     avg = 1.0 / len(ft.sides)
     w = ft.sides[0].w[rep]
     traces = [
-        (st.elem, s, st.basis(rep), np.einsum("cqli,ci->cql", st.basis(rep, grad=True), ft.normal[rep]))
+        (st.elem, s, st.phi, np.einsum("cqli,ci->cql", st.grad, ft.normal[rep]))
         for st, s in zip(ft.sides, (1.0, -1.0))
     ]
     out = []

@@ -10,6 +10,13 @@ vector, an exact field (value and gradient callables, or a
 ``exact - u_h`` is computed; exact fields contribute no jumps.  The energy
 norm, evaluated at every step, takes a case's declared time-separable
 fields, whose snapshots each point set evaluates once per time node.
+
+The norms run on the point sets' one evaluator.  A point set is stored in
+geometry-class order, so in each block of entries a class is one run, and
+u_h's values or one derivative on the run are one small product of its
+local coefficients with the class's table, whose gradients are already
+folded with the class's inverse Jacobian.  A gradient norm sums its
+squared derivatives along the axes, a tangential one along gamma1 alone.
 """
 
 from __future__ import annotations
@@ -58,9 +65,11 @@ def _as_field(exact):
 
 
 # Points per block of a norm's sums over a point set: the temporaries of
-# one block (512 KB per gradient array) stay small next to the snapshots
-# kept on the point sets.
+# one block (256 KB per array of values) stay small next to the snapshots
+# kept on the point sets.  Within a block, each class's run of entries is
+# one product of u_h's local coefficients with the class's table.
 BLOCK_POINTS = 2**15
+AXES = np.eye(2)  # the derivatives whose squares sum to |grad w|^2
 
 
 def _blocks(pts):
@@ -69,58 +78,73 @@ def _blocks(pts):
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _trace(pts, sl, space, u_h, exact, grad=False):
-    """exact - u_h on the entries ``sl`` of a point set, or its gradient if
-    ``grad``: ``exact`` holds the terms of the exact value or gradient on
-    the whole set (``_Points.exact``).  A missing u_h or exact field counts as zero."""
-    part = pts.part(sl)
+def _local(space, u_h):
+    """u_h as local coefficients, one row per element, or None."""
     if u_h is None:
-        out = np.zeros(part.w.shape + ((2,) if grad else ()))
-    else:
-        out = part.field(u_h[space.dofs[part.elem]], grad)
-        np.negative(out, out=out)
+        return None
+    u_h = np.asarray(u_h)
+    if u_h.shape != (space.n_dofs,):
+        raise ValueError(f"u_h has shape {u_h.shape}; a coefficient vector has shape (space.n_dofs,) = ({space.n_dofs},)")
+    return u_h.reshape(-1, space.n_local)
+
+
+def _trace(pts, sl, c, exact, d=None):
+    """u_h - exact, the error up to a sign no norm sees, on the entries
+    ``sl`` of a point set, or its derivative along ``d`` (2,): ``c`` holds
+    u_h's local coefficients on those entries and ``exact`` the terms of the
+    exact value or gradient on the whole set (``_Points.exact``).  A missing
+    u_h or exact field counts as zero."""
+    out = np.zeros((sl.stop - sl.start, pts.w.shape[1])) if c is None else pts.field(c, sl, d)
     for weight, values in exact:
-        if grad:
-            out[..., 0] += weight * values[0][sl]
-            out[..., 1] += weight * values[1][sl]
+        if d is None:
+            out -= weight * values[sl]
         else:
-            out += weight * values[sl]
+            for i in d.nonzero()[0]:
+                out -= (weight * d[i]) * values[i][sl]
     return out
 
 
-def _norm2(pts, sl, a):
-    """Sum over the points of the entries ``sl`` of w |a|^2, for values
-    (nE, nq) or vectors (nE, nq, 2)."""
-    a2 = a * a if a.ndim == 2 else np.einsum("eqi,eqi->eq", a, a)
-    return float(np.einsum("eq,eq->", pts.w[sl], a2))
+def _norm2(w, a):
+    """Sum of w a^2; overwrites a."""
+    return float(np.vdot(w, np.square(a, out=a)))
 
 
-def _sum_sq(pts, space, u_h, exact, grad=False):
-    """Sum over a point set of w |exact - u_h|^2, or of w |grad (exact - u_h)|^2,
-    one block of entries at a time."""
-    return sum(_norm2(pts, sl, _trace(pts, sl, space, u_h, exact, grad)) for sl in _blocks(pts))
+def _sum_sq(pts, u, exact, dirs=(None,)):
+    """Sum over a point set of w |exact - u_h|^2, or with ``dirs`` the axes
+    of w |grad (exact - u_h)|^2, one block of entries at a time; ``u`` is
+    u_h's local coefficients."""
+    total = 0.0
+    for sl in _blocks(pts):
+        c = None if u is None else u.take(pts.elem[sl], axis=0)
+        total += sum(_norm2(pts.w[sl], _trace(pts, sl, c, exact, d)) for d in dirs)
+    return total
 
 
-def _face_sums(ft, space, u_h, value_fn, grad_fn, t, tangential):
-    """Sums of w |[w]|^2 and w |{grad w}|^2 (its component along gamma1 alone
-    if ``tangential``) over a batch of faces, w = exact - u_h.  As in
-    ``_penalty_blocks``, the sides enter the jump with signs 1 and -1 and
-    the average with one over their number: on one side, both are the trace.
-    The exact value cancels in a jump of two sides; the exact gradient,
-    evaluated on the first side, serves each side, whose entries match."""
+def _face_sums(ft, u, value_fn, grad_fn, t, dirs):
+    """Sums of w |[w]|^2 and of w |{d w}|^2 over the directions ``dirs`` (the
+    axes, or the tangent of gamma1 alone) over a batch of faces, w = exact -
+    u_h.  As in ``_penalty_blocks``, the sides enter the jump with signs 1
+    and -1 and the average with one over their number: on one side, both
+    are the trace.  The exact value cancels in a jump of two sides; the
+    exact gradient, evaluated on the first side, serves each side, whose
+    entries match."""
     first, *others = ft.sides
     value = [] if others else first.exact(value_fn, t)
     grad = first.exact(grad_fn, t)
     jump2 = avg2 = 0.0
     for sl in _blocks(first):
-        jump = _trace(first, sl, space, u_h, value)
-        avg = _trace(first, sl, space, u_h, grad, grad=True)
-        for side in others:
-            jump -= _trace(side, sl, space, u_h, [])
-            avg += _trace(side, sl, space, u_h, grad, grad=True)
-        avg *= 1.0 / len(ft.sides)
-        jump2 += _norm2(first, sl, jump)
-        avg2 += _norm2(first, sl, avg @ RIDGE_TANGENT if tangential else avg)
+        c = [None if u is None else u.take(side.elem[sl], axis=0) for side in ft.sides]
+        w = first.w[sl]
+        jump = _trace(first, sl, c[0], value)
+        for side, cs in zip(others, c[1:]):
+            jump -= _trace(side, sl, cs, [])
+        jump2 += _norm2(w, jump)
+        for d in dirs:
+            avg = _trace(first, sl, c[0], grad, d)
+            for side, cs in zip(others, c[1:]):
+                avg += _trace(side, sl, cs, grad, d)
+            avg *= 1.0 / len(ft.sides)
+            avg2 += _norm2(w, avg)
     return jump2, avg2
 
 
@@ -139,17 +163,18 @@ def energy_norm_terms(
         raise ValueError("exact field needs a gradient for the energy norm")
     if u_h is None and value_fn is None:
         raise ValueError("nothing to measure")
+    u = _local(space, u_h)
     sigma = params.sigma
     degree = 2 * space.p + 4
     terms: dict[str, float] = {}
 
     vol = _cell_points(mesh, space, degree)
-    terms["h1_broken"] = _sum_sq(vol, space, u_h, vol.exact(grad_fn, t), grad=True)
+    terms["h1_broken"] = _sum_sq(vol, u, vol.exact(grad_fn, t), AXES)
 
-    def face_sums(*face_sets, tangential=False):
+    def face_sums(*face_sets, dirs=AXES):
         """The sums of ``_face_sums`` over the face sets that are not None."""
         tables = [_face_tables(mesh, space, faces, degree) for faces in face_sets if faces is not None]
-        sums = [_face_sums(ft, space, u_h, value_fn, grad_fn, t, tangential) for ft in tables]
+        sums = [_face_sums(ft, u, value_fn, grad_fn, t, dirs) for ft in tables]
         return [sum(s) for s in zip(*sums)]
 
     # two-sided edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2; ridges, the
@@ -160,10 +185,10 @@ def energy_norm_terms(
     terms["grad_average"] = avg2 / sigma
 
     # gamma1, one-sided: alpha ||w||^2 + beta |w|_H1^2 along the boundary
-    g2, gt2 = face_sums(edges.gamma1, tangential=True)
+    g2, gt2 = face_sums(edges.gamma1, dirs=[RIDGE_TANGENT])
     terms["alpha_boundary"] = params.alpha * g2
     terms["beta_tangential"] = params.beta * gt2
-    rj2, ra2 = face_sums(edges.ridges, edges.corners, tangential=True)
+    rj2, ra2 = face_sums(edges.ridges, edges.corners, dirs=[RIDGE_TANGENT])
     terms["ridge_jump"] = params.beta * sigma * rj2
     terms["ridge_average"] = params.beta / sigma * ra2
     return terms
@@ -183,9 +208,12 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     """
     # a case's plain u: a run measures it at one time, so no snapshot is kept
     value_fn = exact.u if isinstance(exact, ManufacturedCase) else _as_field(exact)[0]
+    if u_h is None and value_fn is None:
+        raise ValueError("nothing to measure")
+    u = _local(space, u_h)
     degree = 2 * space.p + 4
     vol = _cell_points(mesh, space, degree)
-    l2_dom = math.sqrt(_sum_sq(vol, space, u_h, vol.exact(value_fn, t)))
+    l2_dom = math.sqrt(_sum_sq(vol, u, vol.exact(value_fn, t)))
     (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
-    l2_g1 = math.sqrt(_sum_sq(g1, space, u_h, g1.exact(value_fn, t)))
+    l2_g1 = math.sqrt(_sum_sq(g1, u, g1.exact(value_fn, t)))
     return l2_dom, l2_g1, math.sqrt(l2_dom**2 + lam * l2_g1**2)

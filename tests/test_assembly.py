@@ -25,7 +25,7 @@ from dgdyn.assembly import (
 from dgdyn.errors import energy_norm_terms
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
-from dgdyn.space import DGSpace, interpolate
+from dgdyn.space import DGSpace, edge_quadrature, interpolate, triangle_quadrature
 from dgdyn.timestepper import cg_matrix, l2_lambda_project
 
 
@@ -562,6 +562,16 @@ def jittered(level, bc, p):
     return mesh, classify_edges(mesh, bc), DGSpace(mesh, p)
 
 
+def per_entry_tables(space, pts):
+    """Basis values (nE, nq, n_local) and physical gradients (nE, nq,
+    n_local, 2) of every entry of a point set at its own points, which are
+    mapped back to its element's reference triangle."""
+    mesh = space.mesh
+    inv_j = mesh.inv_jacobians[pts.elem]
+    ref = (np.stack([pts.x, pts.y], axis=-1) - mesh.v0[pts.elem][:, None, :]) @ inv_j.transpose(0, 2, 1)
+    return space.basis.eval(ref), space.basis.grad(ref) @ inv_j[:, None]
+
+
 def per_entry_operators(mesh, edges, space, params, lam):
     """A_h and M as dense matrices, every block computed for its own entry
     from the point sets' per-entry geometry and summed into place."""
@@ -571,16 +581,13 @@ def per_entry_operators(mesh, edges, space, params, lam):
     def add(which, el_a, el_b, blocks):
         np.add.at(dense[which], (space.dofs[el_a][:, :, None], space.dofs[el_b][:, None, :]), blocks)
 
-    def tables(pts):
-        return pts.phi[pts.pattern], pts.grad[pts.pattern] @ pts.inv_j[:, None]
-
     def penalty(faces, weight):
         ft = _face_tables(mesh, space, faces, degree)
         avg = 1.0 / len(ft.sides)
         w = ft.sides[0].w
         traces = []
         for side, sign in zip(ft.sides, (1.0, -1.0)):
-            phi, grad = tables(side)
+            phi, grad = per_entry_tables(space, side)
             traces.append((side.elem, sign, phi, np.einsum("eqli,ei->eql", grad, ft.normal)))
         for el_a, s_a, phi_a, gn_a in traces:
             for el_b, s_b, phi_b, gn_b in traces:
@@ -592,12 +599,12 @@ def per_entry_operators(mesh, edges, space, params, lam):
                 add(0, el_a, el_b, weight * block)
 
     vol = _cell_points(mesh, space, degree)
-    phi, grad = tables(vol)
+    phi, grad = per_entry_tables(space, vol)
     add(0, vol.elem, vol.elem, np.einsum("eq,eqli,eqmi->elm", vol.w, grad, grad))
     add(1, vol.elem, vol.elem, np.einsum("eq,eql,eqm->elm", vol.w, phi, phi))
     penalty(edges.two_sided, 1.0)
     (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
-    phi, grad = tables(g1)
+    phi, grad = per_entry_tables(space, g1)
     tangential = grad @ RIDGE_TANGENT
     add(0, g1.elem, g1.elem, params.beta * np.einsum("eq,eql,eqm->elm", g1.w, tangential, tangential))
     g1_mass = np.einsum("eq,eql,eqm->elm", g1.w, phi, phi)
@@ -646,3 +653,51 @@ def test_structured_point_sets_hold_at_most_four_classes(bc, p):
         # and the blocks are built once per class, not once per entry
         terms = _penalty_blocks(pts, params.sigma) if hasattr(pts, "sides") else [_gram_blocks(pts)]
         assert all(len(blocks) <= 4 for *_, blocks in terms)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_point_sets_are_stored_in_class_order(bc, p):
+    # every cached point set, degrees 2p and 2p + 4: each class, the
+    # entries whose per-entry geometry is equal, is one run of entries, the
+    # runs are those the set stores, and the set is a permutation of its
+    # cells or faces that keeps each face's sides and normal together
+    mesh, edges, space, params = setup(5, p, bc)
+    assemble_Ah(mesh, edges, space, params)
+    assemble_mass(mesh, edges, space, params.lam)
+    energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs))
+    assert len(space.tables) == (12 if bc == DIRICHLET_LATERAL else 8)
+    for (name, *key), pts in space.tables.items():
+        sides = getattr(pts, "sides", [pts])
+        bounds = sides[0].bounds
+        assert all(np.array_equal(side.bounds, bounds) for side in sides)
+        geometry = [] if name == "_cell_points" else [pts.normal]
+        for side in sides:
+            inv_j = mesh.inv_jacobians[side.elem]
+            ref = (np.stack([side.x, side.y], axis=-1) - mesh.v0[side.elem][:, None, :]) @ inv_j.transpose(0, 2, 1)
+            geometry += [inv_j.reshape(-1, 4), side.w, np.round(ref, 9).reshape(len(ref), -1)]
+        geometry = np.column_stack(geometry)
+        run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        same = (geometry[1:] == geometry[:-1]).all(axis=1)
+        assert np.array_equal(same, run[1:] == run[:-1])
+        assert len(np.unique(geometry, axis=0)) == len(bounds) - 1
+
+        if name == "_cell_points":
+            rule = triangle_quadrature(key[0])
+            el = pts.elem
+            assert np.array_equal(np.sort(el), np.arange(mesh.n_triangles))
+            X = mesh.v0[el][:, None, :] + rule.points @ mesh.jacobians[el].transpose(0, 2, 1)
+            assert np.abs(np.stack([pts.x, pts.y], axis=-1) - X).max() <= 1e-15
+            continue
+        faces, degree = key
+        rule = edge_quadrature(degree)
+        face_of = {tuple(e): i for i, e in enumerate(faces.elem.tolist())}
+        assert len(face_of) == len(faces)  # at level 5 a face's elements name it
+        face = np.array([face_of[e] for e in zip(*(side.elem.tolist() for side in sides))])
+        assert np.array_equal(np.sort(face), np.arange(len(faces)))
+        assert np.array_equal(pts.normal, faces.normal[face])
+        X = faces.p0[face][:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[face][:, None, :]
+        assert np.abs(np.stack([sides[0].x, sides[0].y], axis=-1) - X).max() <= 1e-15
+        if len(sides) == 2:
+            shift = faces.shift[face][:, None, :]
+            assert np.array_equal(np.stack([sides[1].x, sides[1].y], axis=-1), np.stack([sides[0].x, sides[0].y], axis=-1) + shift)

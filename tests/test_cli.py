@@ -421,11 +421,13 @@ def test_sources_evaluated_once_per_node_and_space(monkeypatch, capsys, name, no
 def test_energy_norm_step_memory_proportional_to_operator(monkeypatch):
     # the per-step energy norms keep the exact fields' snapshots on the
     # point sets and sum each point set in blocks of 2^15 points: two
-    # steps, their norms and the final L2 errors peak at 4.25 times the CSR
-    # bytes of A (4.251 run alone; 4.263 while A_h's forms were added
-    # pairwise), in the second norm; the step loop holds u^k and the next
-    # solve's start there, not M u^k.  The 4.3 bound leaves that peak about
-    # 1% of headroom.
+    # steps, their norms and the final L2 errors peak at 4.10 times the CSR
+    # bytes of A (4.101 run alone), in the second step's solve; the norms
+    # themselves peak at 4.05 and 4.07.  The step loop holds u^k and the
+    # next solve's start, not M u^k.  While the norms evaluated their point
+    # sets entry by entry, the peak was 4.25 (4.251 alone; 4.263 while A_h's
+    # forms were added pairwise), in the second norm, which the 4.3 bound
+    # was set above.
     case = get_case("example3")
     config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=2e-3)
     dgdyn.cli._transient_errors(dataclasses.replace(config, level=1), case)  # module-level caches

@@ -4,11 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dgdyn.assembly import FormParams
+from test_assembly import jittered, per_entry_tables
+
+from dgdyn.assembly import RIDGE_TANGENT, FormParams, _cell_points, _face_tables, assemble_dirichlet_terms, assemble_load
 from dgdyn.errors import ErrorRecord, energy_norm, energy_norm_terms, l2_errors, rate
 from dgdyn.manufactured import example1, example3
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, interpolate
+from dgdyn.timestepper import l2_lambda_project
 
 
 def setup(level, p, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0, bc=PERIODIC):
@@ -190,6 +193,154 @@ def test_interpolant_energy_error_rate_p1():
     slopes = [rate(a, b) for a, b in zip(norms, norms[1:])]
     assert (np.diff(norms) < 0).all()
     assert abs(slopes[-1] - 1.0) < 0.15
+
+
+def test_l2_errors_refuse_nothing_to_measure():
+    mesh, edges, space, params = setup(2, 1)
+    with pytest.raises(ValueError, match="nothing to measure"):
+        l2_errors(mesh, edges, space, 10.0, None, None)
+    with pytest.raises(ValueError, match="nothing to measure"):
+        energy_norm(mesh, edges, space, params)
+
+
+@pytest.mark.parametrize("shape", ["longer", "shorter", "column"])
+def test_norms_refuse_a_vector_that_is_not_one_coefficient_per_dof(shape):
+    # a longer vector was once truncated to its first n_dofs entries
+    mesh, edges, space, params = setup(2, 1)
+    n = space.n_dofs
+    u_h = {"longer": np.ones(n + 1), "shorter": np.ones(n - 1), "column": np.ones((n, 1))}[shape]
+    with pytest.raises(ValueError, match=r"space\.n_dofs"):
+        energy_norm(mesh, edges, space, params, u_h=u_h)
+    with pytest.raises(ValueError, match=r"space\.n_dofs"):
+        energy_norm(mesh, edges, space, params, u_h=u_h, exact=example1())
+    with pytest.raises(ValueError, match=r"space\.n_dofs"):
+        l2_errors(mesh, edges, space, 10.0, u_h, None)
+
+
+# ---------------------------------------------------------------------------
+# the class-run evaluator against one that treats every entry on its own
+
+
+def per_entry_error(space, pts, u_h, exact, t, grad, at=None):
+    """exact - u_h at the points of ``pts`` from per-entry tables: values
+    (nE, nq), or gradients (nE, nq, 2) if ``grad``; the exact field (plain
+    callables, or None) is taken at the points of ``at``, by default ``pts``."""
+    phi, dphi = per_entry_tables(space, pts)
+    c = np.zeros((len(pts.elem), space.n_local)) if u_h is None else u_h[space.dofs[pts.elem]]
+    at = at or pts
+    if grad:
+        out = -np.einsum("el,eqli->eqi", c, dphi)
+        return out + np.stack(exact[1](t, at.x, at.y), axis=-1) if exact else out
+    out = -np.einsum("el,eql->eq", c, phi)
+    return out + exact[0](t, at.x, at.y) if exact else out
+
+
+def per_entry_terms(mesh, edges, space, params, u_h, exact, t):
+    """Every term of ``energy_norm_terms``, each side's error taken on its own
+    entries and the exact gradient of two-sided faces on the first side."""
+    degree = 2 * space.p + 4
+
+    def sq(w, a):
+        return float(np.sum(w[..., None] * a * a) if a.ndim == 3 else np.sum(w * a * a))
+
+    def face_terms(face_sets, tangential):
+        jump2 = avg2 = 0.0
+        for faces in face_sets:
+            if faces is None:
+                continue
+            ft = _face_tables(mesh, space, faces, degree)
+            first, *others = ft.sides
+            value = exact if not others else None  # the exact value cancels in a jump
+            jump = per_entry_error(space, first, u_h, value, t, False)
+            avg = per_entry_error(space, first, u_h, exact, t, True)
+            for side in others:
+                jump -= per_entry_error(space, side, u_h, None, t, False)
+                avg += per_entry_error(space, side, u_h, exact, t, True, at=first)
+            avg /= len(ft.sides)
+            jump2 += sq(first.w, jump)
+            avg2 += sq(first.w, avg @ RIDGE_TANGENT if tangential else avg)
+        return jump2, avg2
+
+    vol = _cell_points(mesh, space, degree)
+    sigma, beta = params.sigma, params.beta
+    jump2, avg2 = face_terms([edges.two_sided, edges.dirichlet], False)
+    g2, gt2 = face_terms([edges.gamma1], True)
+    rj2, ra2 = face_terms([edges.ridges, edges.corners], True)
+    return {
+        "h1_broken": sq(vol.w, per_entry_error(space, vol, u_h, exact, t, True)),
+        "jump_penalty": sigma * jump2,
+        "grad_average": avg2 / sigma,
+        "alpha_boundary": params.alpha * g2,
+        "beta_tangential": beta * gt2,
+        "ridge_jump": beta * sigma * rj2,
+        "ridge_average": beta / sigma * ra2,
+    }
+
+
+def per_entry_vector(space, pts, values):
+    """The vector (values, v) over a point set, one entry per dof."""
+    phi, _ = per_entry_tables(space, pts)
+    out = np.zeros(space.n_dofs)
+    np.add.at(out, space.dofs[pts.elem], np.einsum("eq,eql->el", pts.w * values, phi))
+    return out
+
+
+def close(value, reference):
+    value, reference = np.asarray(value), np.asarray(reference)
+    return np.abs(value - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_class_runs_give_the_per_entry_norms_loads_and_projection_on_a_distorted_mesh(bc, p):
+    mesh, edges, space = jittered(2, bc, p)
+    case = example1() if bc == PERIODIC else example3()
+    params = FormParams.for_mesh(mesh, alpha=case.alpha, beta=case.beta, lam=case.lam, gamma=10.0)
+    degree, t = 2 * p + 4, 0.3
+    plain = (case.u, case.grad_u)
+    u_h = interpolate(mesh, space, case.u, t) + 0.1 * np.random.default_rng(5).standard_normal(space.n_dofs)
+    # every point set the norms, the loads and the projection use holds
+    # almost one class per entry
+    l2_lambda_project(mesh, space, edges, case.lam, case.u0)
+    energy_norm_terms(mesh, edges, space, params, u_h=u_h)
+    for pts in space.tables.values():
+        if len(pts.classes[1]) > 1:
+            assert len(pts.classes[1]) >= 0.9 * len(pts.classes[0])
+
+    for u, exact in ((u_h, None), (None, plain), (u_h, plain)):
+        got = energy_norm_terms(mesh, edges, space, params, u_h=u, exact=case if exact else None, t=t)
+        want = per_entry_terms(mesh, edges, space, params, u, exact, t)
+        assert close(list(got.values()), [want[name] for name in got]), (got, want)
+
+    vol = _cell_points(mesh, space, degree)
+    (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
+    dom2, g12 = (np.sum(pts.w * per_entry_error(space, pts, u_h, plain, t, False) ** 2) for pts in (vol, g1))
+    assert close(l2_errors(mesh, edges, space, case.lam, u_h, case, t=t), np.sqrt([dom2, g12, dom2 + case.lam * g12]))
+
+    load = per_entry_vector(space, vol, case.f(t, vol.x, vol.y)) + per_entry_vector(space, g1, case.g(t, g1.x, g1.y))
+    assert close(assemble_load(mesh, edges, space, case.f, case.g, t), load)
+    assert close(assemble_load(mesh, edges, space, case.declared("f"), case.declared("g"), t), load)
+
+    mass = np.zeros((space.n_dofs, space.n_dofs))
+    for pts, weight in ((vol, 1.0), (g1, case.lam)):
+        phi, _ = per_entry_tables(space, pts)
+        dofs = space.dofs[pts.elem]
+        np.add.at(mass, (dofs[:, :, None], dofs[:, None, :]), weight * np.einsum("eq,eql,eqm->elm", pts.w, phi, phi))
+    rhs = per_entry_vector(space, vol, case.u0(vol.x, vol.y)) + case.lam * per_entry_vector(space, g1, case.u0(g1.x, g1.y))
+    assert close(l2_lambda_project(mesh, space, edges, case.lam, case.u0), np.linalg.solve(mass, rhs))
+
+    if bc == DIRICHLET_LATERAL:  # a wall datum's vector tests grad v . n as well; the case's is 0 on the walls
+        u_D = lambda t, x, y: np.cos(3.0 * y) + x * t
+        walls = np.zeros(space.n_dofs)
+        for faces, weight in ((edges.dirichlet, 1.0), (edges.corners, params.beta)):
+            ft = _face_tables(mesh, space, faces, degree)
+            (pts,) = ft.sides
+            ud = u_D(t, pts.x, pts.y)
+            _, dphi = per_entry_tables(space, pts)
+            flux = np.zeros(space.n_dofs)
+            np.add.at(flux, space.dofs[pts.elem], np.einsum("eq,eqli,ei->el", pts.w * ud, dphi, ft.normal))
+            walls += weight * (params.sigma * per_entry_vector(space, pts, ud) - flux)
+        assert close(assemble_dirichlet_terms(mesh, edges, space, params, u_D, t), walls)
 
 
 def test_error_record_fields():

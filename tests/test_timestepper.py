@@ -355,9 +355,11 @@ def test_step_memory_proportional_to_operator(monkeypatch):
     # operators stay in block form, the degree-2p tables are released after
     # assembly and the coarse correction is a V-cycle: building the
     # operators and taking one two-level backward Euler step (rho = 49)
-    # peaks at 3.93 times the CSR bytes of A (3.94 while A_h's forms were
-    # added pairwise; 5.0 with CSR operators, kept tables and an
-    # LU-factored coarse solve).  The system CG multiplies is
+    # peaks at 3.89 times the CSR bytes of A (3.93 while the point sets kept
+    # a pattern and an inverse Jacobian per entry and mapped every point
+    # back to its reference triangle; 3.94 while A_h's forms were added
+    # pairwise; 5.0 with CSR operators, kept tables and an LU-factored
+    # coarse solve).  The system CG multiplies is
     # CSR without the blocks' stored zeros.
     case = get_case("example3")
     config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=1e-3)
