@@ -103,15 +103,15 @@ class _Points:
     grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
     kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields
 
-    def exact(self, fn, t: float) -> list:
+    def exact(self, fn, t: float, keep: bool = True) -> list:
         """``fn`` at time t on the points, as (weight, values) terms that sum
         to it: one term per time node of a ``SeparableField``, whose snapshot
         is evaluated once and kept, ``(1, fn(t, x, y))`` for a plain
-        callable, and none for None.  Values are what ``fn`` returns: an
-        array, or a pair of arrays for a gradient."""
+        callable or without ``keep``, and none for None.  Values are what
+        ``fn`` returns: an array, or a pair of arrays for a gradient."""
         if fn is None:
             return []
-        if not isinstance(fn, SeparableField):
+        if not (keep and isinstance(fn, SeparableField)):
             return [(1.0, fn(t, self.x, self.y))]
         snapshots = [self._keep((fn.fn, s), lambda s=s: fn.fn(s, self.x, self.y)) for s in fn.nodes]
         return list(zip(fn.weights(t), snapshots))

@@ -75,7 +75,7 @@ def _transient_errors(config: ProblemConfig, case) -> ErrorRecord:
         e = energy_norm(ops.mesh, ops.edges, ops.space, ops.params, u_h=u, exact=case, t=t)
         acc[0] += config.dt * e * e
 
-    res = run_backward_euler(config, case.declared("f"), case.declared("g"), case.u0, on_step=on_step, ops=ops)
+    res = run_backward_euler(config, case.f, case.g, case.u0, on_step=on_step, ops=ops)
     dom, g1, _ = l2_errors(ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final)
     return ErrorRecord(h=ops.mesh.h, dt=config.dt, l2_domain=dom, l2_gamma1=g1, energy=float(np.sqrt(acc[0])))
 
@@ -113,7 +113,7 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
     records = []
     for j in range(config.dt_steps):
         dt = config.dt * 0.5**j
-        res = run_backward_euler(replace(config, dt=dt), case.declared("f"), case.declared("g"), case.u0, ops=ops)
+        res = run_backward_euler(replace(config, dt=dt), case.f, case.g, case.u0, ops=ops)
         dom, g1, _ = l2_errors(ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final)
         records.append(ErrorRecord(h=ops.mesh.h, dt=dt, l2_domain=dom, l2_gamma1=g1, energy=0.0))
     _attach_rates(records)

@@ -8,8 +8,8 @@ every face set, one-sided or two-sided.  Arguments may be a DG coefficient
 vector, an exact field (value and gradient callables, or a
 ``ManufacturedCase``) or both, in which case the norm of the difference
 ``exact - u_h`` is computed; exact fields contribute no jumps.  The energy
-norm, evaluated at every step, takes a case's declared time-separable
-fields, whose snapshots each point set evaluates once per time node.
+norm, evaluated at every step, keeps each point set's snapshots of a
+case's time-separable fields; the L2 errors, measured once, keep none.
 
 The norms run on the point sets' one evaluator.  A point set is stored in
 geometry-class order, so in each block of entries a class is one run, and
@@ -57,7 +57,7 @@ def _as_field(exact):
     if exact is None:
         return None, None
     if isinstance(exact, ManufacturedCase):
-        return exact.declared("u"), exact.declared("grad_u")
+        return exact.u, exact.grad_u
     if isinstance(exact, tuple):
         value, grad = exact
         return value, grad
@@ -206,14 +206,14 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     Either argument may be None to measure the other alone; the lambda-
     weighted norm satisfies l2_lambda^2 = l2_domain^2 + lam * l2_gamma1^2.
     """
-    # a case's plain u: a run measures it at one time, so no snapshot is kept
-    value_fn = exact.u if isinstance(exact, ManufacturedCase) else _as_field(exact)[0]
+    # a run measures the field at one time, so no snapshot is kept
+    value_fn = _as_field(exact)[0]
     if u_h is None and value_fn is None:
         raise ValueError("nothing to measure")
     u = _local(space, u_h)
     degree = 2 * space.p + 4
     vol = _cell_points(mesh, space, degree)
-    l2_dom = math.sqrt(_sum_sq(vol, u, vol.exact(value_fn, t)))
+    l2_dom = math.sqrt(_sum_sq(vol, u, vol.exact(value_fn, t, keep=False)))
     (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
-    l2_g1 = math.sqrt(_sum_sq(g1, u, g1.exact(value_fn, t)))
+    l2_g1 = math.sqrt(_sum_sq(g1, u, g1.exact(value_fn, t, keep=False)))
     return l2_dom, l2_g1, math.sqrt(l2_dom**2 + lam * l2_g1**2)

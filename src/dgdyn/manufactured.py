@@ -11,8 +11,9 @@ against high-precision numerical differentiation of u.
 
 Every field of the shipped cases separates in time: it is a short sum of
 time weights times its own values at a few time nodes.  A case declares
-these nodes and weights per field, so that a point set evaluates each
-spatial part once and every later time is a weighted sum.
+these nodes and weights per field, which is then a ``SeparableField``:
+whoever passes it, a point set evaluates each spatial part once and every
+later time is a weighted sum.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ class SeparableField:
     nodes: tuple[float, ...]
     weights: callable  # t -> one weight per node
 
+    def __call__(self, t, x, y):
+        return self.fn(t, x, y)
+
 
 @dataclass(frozen=True)
 class ManufacturedCase:
@@ -53,16 +57,14 @@ class ManufacturedCase:
     # (time nodes, weights(t)) of the fields that separate in time, by field name
     time_factors: dict = field(default_factory=dict, compare=False)
 
+    def __post_init__(self):
+        # a declared field given as a plain callable, also by replace(), is wrapped
+        for name, (nodes, weights) in self.time_factors.items():
+            if not isinstance(fn := getattr(self, name), SeparableField):
+                object.__setattr__(self, name, SeparableField(fn, nodes, weights))
+
     def u0(self, x, y):
         return self.u(0.0, x, y)
-
-    def declared(self, name: str):
-        """The field ``name`` as a ``SeparableField`` if the case declares its
-        time factors, else its plain (t, x, y) callable."""
-        fn = getattr(self, name)
-        if name not in self.time_factors:
-            return fn
-        return SeparableField(fn, *self.time_factors[name])
 
 
 def example1(alpha: float = 2.0, beta: float = 5.0, lam: float = 10.0) -> ManufacturedCase:

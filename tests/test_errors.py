@@ -98,6 +98,27 @@ def test_energy_norm_exact_field_calls(make_case, grad_calls, value_calls):
     assert (calls["grad_u"], calls["u"]) == (grad_calls, value_calls)
 
 
+@pytest.mark.parametrize("make_case", [example1, example3])
+def test_l2_errors_keep_no_snapshot(make_case):
+    # a run measures its L2 errors once, at its final time: they evaluate the
+    # case's u there and add no entry to any point set's kept snapshots,
+    # before or after the energy norm has kept its own
+    case = make_case()
+    mesh, edges, space, params = setup(3, 1, bc=case.bc_mode)
+    u_h = interpolate(mesh, space, case.u, 0.5)
+
+    def kept():
+        return {name: [set(pts.kept) for pts in getattr(t, "sides", [t])] for name, t in space.tables.items()}
+
+    l2_errors(mesh, edges, space, case.lam, u_h, case, t=0.5)
+    assert kept() and not any(keys for sets in kept().values() for keys in sets)
+    energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=0.5)
+    before = kept()
+    assert any(keys for sets in before.values() for keys in sets)
+    l2_errors(mesh, edges, space, case.lam, u_h, case, t=0.7)
+    assert kept() == before
+
+
 def test_l2_errors_of_interpolated_polynomial():
     mesh, edges, space, params = setup(2, 1)
     field = lambda t, x, y: 1.0 + 2.0 * x - y
@@ -318,8 +339,8 @@ def test_class_runs_give_the_per_entry_norms_loads_and_projection_on_a_distorted
     assert close(l2_errors(mesh, edges, space, case.lam, u_h, case, t=t), np.sqrt([dom2, g12, dom2 + case.lam * g12]))
 
     load = per_entry_vector(space, vol, case.f(t, vol.x, vol.y)) + per_entry_vector(space, g1, case.g(t, g1.x, g1.y))
-    assert close(assemble_load(mesh, edges, space, case.f, case.g, t), load)
-    assert close(assemble_load(mesh, edges, space, case.declared("f"), case.declared("g"), t), load)
+    for f, g in ((case.f.fn, case.g.fn), (case.f, case.g)):  # plain, then separable
+        assert close(assemble_load(mesh, edges, space, f, g, t), load)
 
     mass = np.zeros((space.n_dofs, space.n_dofs))
     for pts, weight in ((vol, 1.0), (g1, case.lam)):

@@ -5,6 +5,8 @@ an independent reimplementation of u: mpmath at 40 digits for the tight
 pointwise checks, float64 Richardson differences for the larger sweeps.
 """
 
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from dgdyn.config import CASES
-from dgdyn.manufactured import ManufacturedCase, example1, example3, get_case
+from dgdyn.manufactured import ManufacturedCase, SeparableField, example1, example3, get_case
 
 mp.mp.dps = 40
 
@@ -151,10 +153,31 @@ def test_declared_time_factors_reproduce_the_field(name, field, t, x, y):
     # a declared field at t is the weighted sum of its values at the time
     # nodes, to rounding relative to the field's largest value
     case = get_case(name)
-    declared = case.declared(field)
+    declared = getattr(case, field)
     value = np.atleast_1d(getattr(case, field)(t, x, y))
     weighted = sum(w * np.atleast_1d(declared.fn(s, x, y)) for s, w in zip(declared.nodes, declared.weights(t)))
     grid = np.linspace(0.0, 1.0, 41)
     X, Y = np.meshgrid(grid, grid)
     scale = max(np.abs(getattr(case, field)(s, X, Y)).max() for s in (0.0, 0.5, 1.0))
     assert np.allclose(weighted, value, rtol=0.0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_declared_fields_are_separable_also_when_replaced(name):
+    # each declared field is a SeparableField called as its plain value,
+    # bitwise; a plain callable replace() puts in its place is wrapped with
+    # the same nodes and weights, and a separable one is kept as it is
+    case = get_case(name)
+    x, y = np.random.default_rng(0).random((2, 50))
+    for field, (nodes, weights) in case.time_factors.items():
+        fn = getattr(case, field)
+        assert isinstance(fn, SeparableField) and (fn.nodes, fn.weights) == (nodes, weights)
+        for t in (0.0, 0.37, 1.0):
+            assert np.array_equal(fn(t, x, y), fn.fn(t, x, y))
+
+        def plain(t, x, y):
+            return fn(t, x, y)
+
+        replaced = getattr(dataclasses.replace(case, **{field: plain}), field)
+        assert isinstance(replaced, SeparableField) and (replaced.fn, replaced.nodes, replaced.weights) == (plain, nodes, weights)
+        assert getattr(dataclasses.replace(case), field) is fn

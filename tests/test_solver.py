@@ -59,6 +59,20 @@ def test_element_blocks_match_dense_slicing():
         element_blocks(sp.identity(10, format="csr"), b)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc_mode", BC_MODES)
+def test_block_jacobi_solves_each_element_block(p, bc_mode):
+    # the preconditioner applies the inverse of each element's own block of
+    # the backward Euler system, read off the dense matrix
+    S, space = be_system(3, p=p, bc_mode=bc_mode)
+    b = space.n_local
+    dense = S.toarray()
+    r = np.random.default_rng(p).standard_normal(S.shape[0])
+    want = np.concatenate([np.linalg.solve(dense[i : i + b, i : i + b], r[i : i + b]) for i in range(0, len(r), b)])
+    got = block_jacobi_preconditioner(S, b)(r)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_identity_one_iteration():
     A = sp.identity(5, format="csr")
     b = np.arange(1.0, 6.0)

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,27 @@ def test_states_given_to_on_step_are_never_written():
     for u, at_call in seen:
         assert np.array_equal(u, at_call)
     assert len({id(u) for u, _ in seen}) == len(seen)
+
+
+def test_replaced_sources_stay_separable():
+    # call counters put in place of f and g by replace(), as a tracer does,
+    # stay separable: a run calls each once per time node of the case's
+    # declaration, not once a step, and its state is bitwise that of the case
+    case = get_case("example1")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    config = ProblemConfig(case="example1", level=3, p=1, dt=1e-3, t_final=5e-3)
+    traced = replace(case, f=counted("f", case.f), g=counted("g", case.g))
+    got = run_backward_euler(config, traced.f, traced.g, traced.u0).coeffs
+    assert calls == {"f": len(case.f.nodes), "g": len(case.g.nodes)}
+    assert np.array_equal(got, run_backward_euler(config, case.f, case.g, case.u0).coeffs)
 
 
 def test_warm_start_takes_no_more_iterations_than_zero_start(monkeypatch):
