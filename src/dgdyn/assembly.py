@@ -7,13 +7,16 @@ times the surface form on the top/bottom boundary (tangential stiffness on
 the boundary edges plus point couplings at the ridges).  With Dirichlet
 walls it also holds the Nitsche terms of the lateral edges and, scaled by
 beta, the one-sided corner terms of the surface form; the wall datum enters
-through a vector alone.  Each form is a private builder of class-block
-terms, and A_h and M are each one sparse product of their forms' terms: no
-sparse matrix is added.  Every form is a sum of quadrature over point sets:
-the triangles and the faces (edges, ridges and corners; a ridge or corner
-is a point face of unit length).  A point set is built once per geometry
-and cached on the space, which releases the degree-2p ones once the
-operators are built.
+through a vector alone.  One table, ``stiffness_terms`` and ``mass_terms``,
+lists each ``Term``: its face set (or the cells), weight (1, alpha, beta or
+lambda), derivative directions and, if it is an interior-penalty term,
+sigma.  A_h and M are each one sparse product of their terms' blocks (no
+sparse matrix is added), the wall data takes the one-sided penalty terms,
+and the projection and both norms read the same table.  Every term is a
+sum of quadrature over a point set: the triangles or faces (edges, ridges
+and corners; a ridge or corner is a point face of unit length).  A point
+set is built once per geometry and cached on the space, which releases the
+degree-2p ones once the operators are built.
 
 A point set is stored in geometry-class order.  A class is the entries
 whose point pattern (the reference positions of their points), inverse
@@ -50,7 +53,8 @@ from .manufactured import SeparableField
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Faces, Mesh
 from .space import DGSpace, edge_quadrature, triangle_quadrature
 
-RIDGE_TANGENT = np.array([1.0, 0.0])  # gamma1 is horizontal
+AXES = np.eye(2)  # columns: the derivatives whose squares sum to |grad w|^2
+TANGENT = np.array([[1.0], [0.0]])  # column: the tangent of gamma1, which is horizontal
 
 
 @dataclass(eq=False)
@@ -178,12 +182,7 @@ class _Points:
 @dataclass(eq=False)
 class _FaceTables:
     sides: list  # the _Points of each side, all with the same class runs
-    normal: np.ndarray  # (nE, 2)
-
-    @property
-    def classes(self) -> tuple:
-        """As ``_Points.classes``: a face's class fixes each side's and the normal."""
-        return self.sides[0].classes
+    normal: np.ndarray  # (nE, 2); a face's class fixes each side's classes and its normal
 
 
 def _class_order(*keys) -> tuple:
@@ -333,7 +332,7 @@ def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
     on a batch of faces, blocks once per class.  The average weighs each
     side by one over the number of sides, so on one-sided faces jump and
     average are the trace."""
-    cls, rep = ft.classes
+    cls, rep = ft.sides[0].classes
     avg = 1.0 / len(ft.sides)
     w = ft.sides[0].w[rep]
     traces = [
@@ -353,55 +352,68 @@ def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the forms, each as terms of the one sparse product of an operator
+# the terms of A_h and M: one table, read by the operators, the wall data,
+# the projection and the norms
 
 
-def _bulk_form(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> list:
-    """B_h: broken gradients plus symmetric interior-penalty terms on
-    interior edges and periodic pairs.  Constants lie in its kernel; it is
-    symmetric."""
-    vol = _cell_points(mesh, space, 2 * space.p)
-    ft = _face_tables(mesh, space, edges.two_sided, 2 * space.p)
-    return [_gram_blocks(vol, np.eye(2)), *_penalty_blocks(ft, params.sigma)]
+@dataclass(frozen=True, eq=False)
+class Term:
+    """One term of A_h or M on the cells (``faces`` None) or a face set:
+    weight (D u, D v), D the value if ``dirs`` is None and the derivatives
+    along the columns of ``dirs`` (2, k) otherwise, or, with ``sigma`` set,
+    weight times the interior-penalty terms, whose average the energy norm
+    measures along ``dirs``.  ``names`` are the ``energy_norm_terms`` it
+    adds to: weight sum w |D e|^2, or weight sigma sum w [e]^2 and
+    weight / sigma sum w |{D e}|^2."""
+
+    faces: Faces | None
+    weight: float
+    dirs: np.ndarray | None
+    sigma: float | None = None
+    names: tuple = ()
+
+    def points(self, mesh: Mesh, space: DGSpace, degree: int):
+        """The cells' ``_Points``, the one side of a Gram term's faces, or
+        the ``_FaceTables`` of a penalty term's faces."""
+        if self.faces is None:
+            return _cell_points(mesh, space, degree)
+        ft = _face_tables(mesh, space, self.faces, degree)
+        return ft if self.sigma is not None else ft.sides[0]
+
+    def blocks(self, mesh: Mesh, space: DGSpace) -> list:
+        """Its terms of an operator's sparse product, blocks once per class."""
+        pts = self.points(mesh, space, 2 * space.p)
+        if self.sigma is None:
+            return [_gram_blocks(pts, self.dirs, self.weight)]
+        return _penalty_blocks(pts, self.sigma, self.weight)
 
 
-def _surface_form(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams, scale: float) -> list:
-    """scale times b_h on gamma1: tangential stiffness along the boundary
-    edges plus the interior-penalty terms of the 1D surface mesh, whose
-    faces are the ridges.  The one-sided corners of the Dirichlet variant
-    are not part of b_h but of the wall terms."""
-    (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
-    ridges = _face_tables(mesh, space, edges.ridges, 2 * space.p)
-    return [_gram_blocks(g1, RIDGE_TANGENT[:, None], scale), *_penalty_blocks(ridges, params.sigma, scale)]
-
-
-def _boundary_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, scale: float) -> list:
-    """scale times the L2(gamma1) mass C."""
-    (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p).sides
-    return [_gram_blocks(g1, scale=scale)]
-
-
-def _domain_mass(mesh: Mesh, space: DGSpace) -> list:
-    """The L2(Omega) mass, block diagonal in the DG dof layout."""
-    return [_gram_blocks(_cell_points(mesh, space, 2 * space.p))]
-
-
-def _walls(edges: EdgeClassification, params: FormParams):
-    """The one-sided faces of the Dirichlet variant with their weights: the
-    lateral edges, and the corners of the surface form scaled by beta."""
-    return ((edges.dirichlet, 1.0), (edges.corners, params.beta))
-
-
-def _wall_terms(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> list:
-    """With Dirichlet walls, the Nitsche terms of the lateral edges plus beta
-    times the one-sided corner terms of the surface form; none otherwise."""
-    if edges.bc_mode != DIRICHLET_LATERAL:
-        return []
-    return [
-        term
-        for faces, weight in _walls(edges, params)
-        for term in _penalty_blocks(_face_tables(mesh, space, faces, 2 * space.p), params.sigma, weight)
+def stiffness_terms(edges: EdgeClassification, params: FormParams) -> list:
+    """The terms of A_h in their summation order: the bulk form B_h (broken
+    gradients, then the interior penalty of the interior edges and periodic
+    pairs), alpha times the L2(gamma1) mass, beta times the surface form b_h
+    on gamma1 (tangential stiffness, then the interior penalty of the
+    ridges, the faces of the 1D surface mesh) and, with Dirichlet walls,
+    the one-sided Nitsche terms of the lateral edges and beta times those
+    of the corners of the surface form."""
+    beta, sigma = params.beta, params.sigma
+    edge_names, ridge_names = ("jump_penalty", "grad_average"), ("ridge_jump", "ridge_average")
+    terms = [
+        Term(None, 1.0, AXES, names=("h1_broken",)),
+        Term(edges.two_sided, 1.0, AXES, sigma, edge_names),
+        Term(edges.gamma1, params.alpha, None, names=("alpha_boundary",)),
+        Term(edges.gamma1, beta, TANGENT, names=("beta_tangential",)),
+        Term(edges.ridges, beta, TANGENT, sigma, ridge_names),
     ]
+    if edges.bc_mode == DIRICHLET_LATERAL:
+        terms += [Term(edges.dirichlet, 1.0, AXES, sigma, edge_names), Term(edges.corners, beta, TANGENT, sigma, ridge_names)]
+    return terms
+
+
+def mass_terms(edges: EdgeClassification, lam: float) -> list:
+    """The terms of M: the L2(Omega) mass, block diagonal in the DG dof
+    layout, and lam times the L2(gamma1) mass."""
+    return [Term(None, 1.0, None), Term(edges.gamma1, lam, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +422,14 @@ def _wall_terms(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 
 def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.bsr_matrix:
     """Weighted mass matrix (u, v)_Omega + lam (u, v)_gamma1."""
-    return _bsr(space, _domain_mass(mesh, space) + _boundary_mass(mesh, edges, space, lam))
+    return _bsr(space, [block for term in mass_terms(edges, lam) for block in term.blocks(mesh, space)])
 
 
 def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
-    """Full stationary operator: bulk form + alpha boundary mass + beta
-    surface form, and with Dirichlet walls their Nitsche terms plus beta
-    times the one-sided corner terms of the surface form.  Positive
+    """Full stationary operator, the sum of ``stiffness_terms``.  Positive
     definite for gamma large enough when alpha > 0 or the walls are
     Dirichlet."""
-    return _bsr(
-        space,
-        _bulk_form(mesh, edges, space, params)
-        + _boundary_mass(mesh, edges, space, params.alpha)
-        + _surface_form(mesh, edges, space, params, params.beta)
-        + _wall_terms(mesh, edges, space, params),
-    )
+    return _bsr(space, [block for term in stiffness_terms(edges, params) for block in term.blocks(mesh, space)])
 
 
 def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t: float = 0.0) -> np.ndarray:
@@ -453,17 +457,19 @@ def assemble_dirichlet_terms(
     t: float = 0.0,
 ) -> np.ndarray:
     """Right-hand side of the weak Dirichlet walls (Example 3 variant) for
-    the datum u_D at time t: sigma (u_D, v) - (u_D, grad v . n) on the
-    lateral edges plus beta times the same one-sided terms at the corners
-    of the surface form.  The matching matrix terms are part of
-    assemble_Ah."""
+    the datum u_D at time t: weight times sigma (u_D, v) - (u_D, grad v . n)
+    for each one-sided penalty term of A_h, the lateral edges and, scaled
+    by beta, the corners of the surface form.  The matching matrix terms
+    are part of assemble_Ah."""
     if edges.bc_mode != DIRICHLET_LATERAL:
         raise ValueError("Dirichlet terms require bc_mode='dirichlet_lateral'")
     rhs = np.zeros(space.n_dofs)
-    for faces, weight in _walls(edges, params):
-        ft = _face_tables(mesh, space, faces, 2 * space.p + 4)
+    for term in stiffness_terms(edges, params):
+        if term.sigma is None or term.faces.shift is not None:
+            continue
+        ft = term.points(mesh, space, 2 * space.p + 4)
         (pts,) = ft.sides
         ud = np.asarray(u_D(t, pts.x, pts.y), dtype=float)
         flux = _integrate(space, pts, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
-        rhs += weight * (_integrate(space, pts, params.sigma * ud) - flux)
+        rhs += term.weight * (_integrate(space, pts, term.sigma * ud) - flux)
     return rhs

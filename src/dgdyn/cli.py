@@ -165,7 +165,8 @@ def parse_levels(text: str) -> tuple[int, ...]:
 
 
 def read_config_file(path: str) -> dict:
-    values = {}
+    """The ``key = value`` lines of ``path``; a key set twice, in either spelling, is refused."""
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -174,7 +175,10 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: {key} is set twice, on lines {lines[key]} and {lineno}; keep one")
+            values[key], lines[key] = val.strip(), lineno
     return values
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .mesh import BC_MODES, PERIODIC
 
 CASES = ("example1", "example2", "example3")
-MODES = ("steady", "transient", "converge_h", "converge_dt", "stability")
+MODES = ("transient", "converge_h", "converge_dt", "stability")
 FORMATS = ("csv", "markdown")
 PENALTY_MODES = ("gamma_over_h", "fixed_sigma")
 

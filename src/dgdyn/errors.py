@@ -1,10 +1,15 @@
 """Error norms and convergence rates.
 
-The energy norm combines the broken H1 seminorm, the penalty-scaled jumps
-and averaged gradients on the two-sided (and Dirichlet) edges, the
-weighted boundary terms on gamma1 and the point jump/average terms at the
-ridges (and corners), the faces of the surface mesh.  One face sum serves
-every face set, one-sided or two-sided.  Arguments may be a DG coefficient
+The energy norm is built term by term from the table of A_h's terms
+(``assembly.stiffness_terms``): a Gram term weight (D u, D v) gives weight
+times the sum of w |D e|^2, an interior-penalty term gives weight sigma
+times its squared jumps and weight / sigma times its squared averages.  So
+it combines the broken H1 seminorm, the penalty-scaled jumps and averaged
+gradients on the two-sided (and Dirichlet) edges, the weighted boundary
+terms on gamma1 and the point jump/average terms at the ridges (and
+corners), the faces of the surface mesh.  One face sum serves every face
+set, one-sided or two-sided.  The L2 errors read the terms of M
+(``assembly.mass_terms``) the same way.  Arguments may be a DG coefficient
 vector, an exact field (value and gradient callables, or a
 ``ManufacturedCase``) or both, in which case the norm of the difference
 ``exact - u_h`` is computed; exact fields contribute no jumps.  The energy
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import RIDGE_TANGENT, FormParams, _cell_points, _face_tables
+from .assembly import FormParams, mass_terms, stiffness_terms
 from .manufactured import ManufacturedCase
 from .mesh import EdgeClassification, Mesh
 from .space import DGSpace
@@ -59,8 +64,7 @@ def _as_field(exact):
     if isinstance(exact, ManufacturedCase):
         return exact.u, exact.grad_u
     if isinstance(exact, tuple):
-        value, grad = exact
-        return value, grad
+        return exact
     return exact, None
 
 
@@ -69,7 +73,6 @@ def _as_field(exact):
 # kept on the point sets.  Within a block, each class's run of entries is
 # one product of u_h's local coefficients with the class's table.
 BLOCK_POINTS = 2**15
-AXES = np.eye(2)  # the derivatives whose squares sum to |grad w|^2
 
 
 def _blocks(pts):
@@ -110,9 +113,10 @@ def _norm2(w, a):
 
 
 def _sum_sq(pts, u, exact, dirs=(None,)):
-    """Sum over a point set of w |exact - u_h|^2, or with ``dirs`` the axes
-    of w |grad (exact - u_h)|^2, one block of entries at a time; ``u`` is
-    u_h's local coefficients."""
+    """Sum over a point set of w |exact - u_h|^2, or with ``dirs`` of its
+    squared derivatives along each direction (the axes, or the tangent of
+    gamma1), one block of entries at a time; ``u`` is u_h's local
+    coefficients."""
     total = 0.0
     for sl in _blocks(pts):
         c = None if u is None else u.take(pts.elem[sl], axis=0)
@@ -164,33 +168,17 @@ def energy_norm_terms(
     if u_h is None and value_fn is None:
         raise ValueError("nothing to measure")
     u = _local(space, u_h)
-    sigma = params.sigma
-    degree = 2 * space.p + 4
     terms: dict[str, float] = {}
-
-    vol = _cell_points(mesh, space, degree)
-    terms["h1_broken"] = _sum_sq(vol, u, vol.exact(grad_fn, t), AXES)
-
-    def face_sums(*face_sets, dirs=AXES):
-        """The sums of ``_face_sums`` over the face sets that are not None."""
-        tables = [_face_tables(mesh, space, faces, degree) for faces in face_sets if faces is not None]
-        sums = [_face_sums(ft, u, value_fn, grad_fn, t, dirs) for ft in tables]
-        return [sum(s) for s in zip(*sums)]
-
-    # two-sided edges: sigma |[w]|^2 + (1/sigma) |{grad w}|^2; ridges, the
-    # faces of the surface mesh: beta sigma [w]^2 + (beta/sigma) {d_t w}^2;
-    # on Dirichlet edges and corners, one-sided, both count w itself
-    jump2, avg2 = face_sums(edges.two_sided, edges.dirichlet)
-    terms["jump_penalty"] = sigma * jump2
-    terms["grad_average"] = avg2 / sigma
-
-    # gamma1, one-sided: alpha ||w||^2 + beta |w|_H1^2 along the boundary
-    g2, gt2 = face_sums(edges.gamma1, dirs=[RIDGE_TANGENT])
-    terms["alpha_boundary"] = params.alpha * g2
-    terms["beta_tangential"] = params.beta * gt2
-    rj2, ra2 = face_sums(edges.ridges, edges.corners, dirs=[RIDGE_TANGENT])
-    terms["ridge_jump"] = params.beta * sigma * rj2
-    terms["ridge_average"] = params.beta / sigma * ra2
+    for term in stiffness_terms(edges, params):
+        pts = term.points(mesh, space, 2 * space.p + 4)
+        if term.sigma is None:
+            fn, dirs = (value_fn, (None,)) if term.dirs is None else (grad_fn, term.dirs.T)
+            sums = [(term.weight, _sum_sq(pts, u, pts.exact(fn, t), dirs))]
+        else:
+            jump2, avg2 = _face_sums(pts, u, value_fn, grad_fn, t, term.dirs.T)
+            sums = [(term.weight * term.sigma, jump2), (term.weight / term.sigma, avg2)]
+        for name, (coef, total) in zip(term.names, sums):
+            terms[name] = terms.get(name, 0.0) + coef * total
     return terms
 
 
@@ -211,9 +199,8 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     if u_h is None and value_fn is None:
         raise ValueError("nothing to measure")
     u = _local(space, u_h)
-    degree = 2 * space.p + 4
-    vol = _cell_points(mesh, space, degree)
-    l2_dom = math.sqrt(_sum_sq(vol, u, vol.exact(value_fn, t, keep=False)))
-    (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
-    l2_g1 = math.sqrt(_sum_sq(g1, u, g1.exact(value_fn, t, keep=False)))
-    return l2_dom, l2_g1, math.sqrt(l2_dom**2 + lam * l2_g1**2)
+    terms = mass_terms(edges, lam)  # the domain's, then gamma1's
+    points = [term.points(mesh, space, 2 * space.p + 4) for term in terms]
+    sums = [_sum_sq(pts, u, pts.exact(value_fn, t, keep=False)) for pts in points]
+    l2_dom, l2_g1 = map(math.sqrt, sums)
+    return l2_dom, l2_g1, math.sqrt(sum(term.weight * s for term, s in zip(terms, sums)))

@@ -11,14 +11,13 @@ import scipy.sparse as sp
 from .assembly import (
     FormParams,
     _bsr,
-    _cell_points,
-    _face_tables,
     _gram_blocks,
     _integrate,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
     assemble_mass,
+    mass_terms,
     release_tables,
 )
 from .config import ProblemConfig
@@ -48,10 +47,11 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     both use the degree-2p + 4 tables of the loads and norms; the rule is
     exact for the blocks, so they are those of M up to rounding.
     """
-    vol = _cell_points(mesh, space, 2 * space.p + 4)
-    (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).sides
-    blocks = element_blocks(_bsr(space, [_gram_blocks(vol), _gram_blocks(g1, scale=lam)]), space.n_local)
-    rhs = _integrate(space, vol, u0(vol.x, vol.y)) + _integrate(space, g1, lam * np.asarray(u0(g1.x, g1.y)))
+    terms = mass_terms(edges, lam)
+    points = [term.points(mesh, space, 2 * space.p + 4) for term in terms]
+    grams = [_gram_blocks(pts, term.dirs, term.weight) for term, pts in zip(terms, points)]
+    blocks = element_blocks(_bsr(space, grams), space.n_local)
+    rhs = sum(_integrate(space, pts, term.weight * np.asarray(u0(pts.x, pts.y))) for term, pts in zip(terms, points))
     return np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))[..., 0].ravel()
 
 

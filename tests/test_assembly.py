@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from dgdyn.assembly import (
-    RIDGE_TANGENT,
+    TANGENT,
     FormParams,
-    _boundary_mass,
     _bsr,
-    _bulk_form,
     _cell_points,
-    _domain_mass,
     _face_tables,
     _gram_blocks,
     _penalty_blocks,
-    _surface_form,
-    _wall_terms,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
     assemble_mass,
+    mass_terms,
+    stiffness_terms,
 )
 from dgdyn.errors import energy_norm_terms
 from dgdyn.manufactured import get_case
@@ -37,16 +34,21 @@ def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, pena
     return mesh, edges, space, params
 
 
+def operator(mesh, space, terms):
+    """The matrix of ``terms`` of the term table on their own."""
+    return _bsr(space, [block for term in terms for block in term.blocks(mesh, space)])
+
+
 def form(name, mesh, edges, space, params):
-    """One form's matrix on its own, from its terms alone: the bulk form B,
-    the surface form b, the boundary mass C or the domain mass M."""
-    terms = {
-        "B": lambda: _bulk_form(mesh, edges, space, params),
-        "b": lambda: _surface_form(mesh, edges, space, params, 1.0),
-        "C": lambda: _boundary_mass(mesh, edges, space, 1.0),
-        "M": lambda: _domain_mass(mesh, space),
-    }[name]()
-    return _bsr(space, terms)
+    """One form's matrix on its own, from its terms in the table of A_h,
+    with unit alpha and beta, or of M: the bulk form B (broken gradients
+    and the two-sided edges), the boundary mass C, the surface form b
+    (tangential stiffness and the ridges) or the domain mass M."""
+    stiffness = stiffness_terms(edges, replace(params, alpha=1.0, beta=1.0))
+    first_names = ["h1_broken", "jump_penalty", "alpha_boundary", "beta_tangential", "ridge_jump"]
+    assert [term.names[0] for term in stiffness[:5]] == first_names
+    terms = {"B": stiffness[0:2], "C": stiffness[2:3], "b": stiffness[3:5], "M": mass_terms(edges, 1.0)[0:1]}[name]
+    return operator(mesh, space, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +379,9 @@ def test_operators_are_the_sums_of_their_forms(bc, p, penalty_mode):
         B, b, C, M = (form(name, mesh, edges, space, params) for name in "BbCM")
         A = B + params.alpha * C + params.beta * b
         if bc == DIRICHLET_LATERAL:
-            A = A + _bsr(space, _wall_terms(mesh, edges, space, params))
+            walls = stiffness_terms(edges, params)[5:]  # the lateral edges, then the corners
+            assert [term.faces for term in walls] == [edges.dirichlet, edges.corners]
+            A = A + operator(mesh, space, walls)
         for got, expected in (
             (assemble_Ah(mesh, edges, space, params), A),
             (assemble_mass(mesh, edges, space, params.lam), M + params.lam * C),
@@ -605,7 +609,7 @@ def per_entry_operators(mesh, edges, space, params, lam):
     penalty(edges.two_sided, 1.0)
     (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
     phi, grad = per_entry_tables(space, g1)
-    tangential = grad @ RIDGE_TANGENT
+    tangential = grad @ TANGENT[:, 0]
     add(0, g1.elem, g1.elem, params.beta * np.einsum("eq,eql,eqm->elm", g1.w, tangential, tangential))
     g1_mass = np.einsum("eq,eql,eqm->elm", g1.w, phi, phi)
     add(0, g1.elem, g1.elem, params.alpha * g1_mass)
@@ -628,7 +632,7 @@ def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, pe
     # the jitter leaves few entries sharing a class
     vol = _cell_points(mesh, space, 2 * p)
     faces = _face_tables(mesh, space, edges.two_sided, 2 * p)
-    assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(faces.classes[1]) >= 0.9 * len(faces.normal)
+    assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(faces.sides[0].classes[1]) >= 0.9 * len(faces.normal)
     A_ref, M_ref = per_entry_operators(mesh, edges, space, params, 10.0)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
     assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
@@ -646,7 +650,7 @@ def test_structured_point_sets_hold_at_most_four_classes(bc, p):
     point_sets = list(space.tables.values())
     assert len(point_sets) == (8 if bc == DIRICHLET_LATERAL else 6)
     for pts in point_sets:
-        for each in [pts, *getattr(pts, "sides", [])]:
+        for each in getattr(pts, "sides", [pts]):
             cls, rep = each.classes
             assert len(rep) <= 4
             assert np.array_equal(cls[rep], np.arange(len(rep)))

@@ -345,6 +345,9 @@ def test_stability_accepts_any_coefficients(tmp_path):
         (["stability", "--level", "2", "--dt-steps", "7", "--levels", "3..4"], "unrecognized arguments: --dt-steps 7 --levels 3..4"),
         (["converge-h", "--level", "6", "--dt", "1e-5", "--t-final", "2e-5"], "unrecognized arguments: --level 6"),
         (["solve", "--config", "{levels_cfg}"], "unknown config key 'levels'; solve reads"),
+        # a key set twice, also in its two spellings: once the last value won
+        (["solve", "--config", "{twice_cfg}"], "twice.cfg:3: level is set twice, on lines 1 and 3"),
+        (["solve", "--config", "{spelt_cfg}"], "spelt.cfg:2: t_final is set twice, on lines 1 and 2"),
     ],
 )
 def test_bad_input_is_one_error_line(tmp_path, args, message):
@@ -356,7 +359,13 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
     mode_cfg.write_text("mode = steady\n")
     levels_cfg = tmp_path / "levels.cfg"
     levels_cfg.write_text("levels = 9..10\n")
-    names = dict(cfg=cfg, mode_cfg=mode_cfg, levels_cfg=levels_cfg, missing=tmp_path / "missing.cfg")
+    twice_cfg = tmp_path / "twice.cfg"
+    twice_cfg.write_text("level = 2\np = 1\nlevel = 3\n")
+    spelt_cfg = tmp_path / "spelt.cfg"
+    spelt_cfg.write_text("t-final = 1e-3\nt_final = 2e-3\n")
+    names = dict(
+        cfg=cfg, mode_cfg=mode_cfg, levels_cfg=levels_cfg, twice_cfg=twice_cfg, spelt_cfg=spelt_cfg, missing=tmp_path / "missing.cfg"
+    )
     argv = [a.format(**names) for a in args]
     src = str(Path(dgdyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
