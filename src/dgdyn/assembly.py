@@ -31,9 +31,10 @@ one small product per class run, and ``test`` is its weighted transpose.
 ``exact`` evaluates a time-separable field once per time node and keeps
 the snapshots, so a later time or load is a weighted sum of them.
 
-Element blocks are built once per class.  Entries map to their classes
-and keep no blocks of their own; the sparse product sums the class blocks
-into a block (BSR) matrix per element pair, which the operators stay in.
+Element blocks are built once per class, and an operator is a
+``BlockTable``: its block pattern, a type per element pair (pairs with
+equal counts of each class share one) and a block per type, a handful on
+the structured meshes.  The solvers read it; CG multiplies its CSR form.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -105,7 +106,7 @@ class _Points:
     bounds: np.ndarray  # (n_classes + 1,) first entry of each class, then nE
     phi: np.ndarray  # (n_classes, nq, n_local) basis values
     grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
-    kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields
+    kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields, projections
 
     def exact(self, fn, t: float, keep: bool = True) -> list:
         """``fn`` at time t on the points, as (weight, values) terms that sum
@@ -286,21 +287,72 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _Face
 # kernels
 
 
-def _bsr(space: DGSpace, terms) -> sp.bsr_matrix:
+@dataclass(eq=False)
+class BlockTable:
+    """A block matrix: its canonical BSR pattern, a type per stored block, a block per type."""
+
+    indices: np.ndarray  # (n_blocks,) column element of each stored block
+    indptr: np.ndarray  # (n_elements + 1,)
+    types: np.ndarray  # (n_blocks,)
+    table: np.ndarray  # (n_types, n_local, n_local)
+
+    def tobsr(self) -> sp.bsr_matrix:
+        n = (len(self.indptr) - 1) * self.table.shape[1]
+        return sp.bsr_matrix((self.table[self.types], self.indices, self.indptr), shape=(n, n))
+
+    def tocsr(self) -> sp.csr_matrix:
+        """As CSR without the blocks' zeros, in arrays of its own size."""
+        A = self.tobsr().tocsr()
+        A.eliminate_zeros()
+        return A.copy()
+
+    def own(self) -> tuple:
+        """(distinct blocks, each element's index among them) of the own blocks every element stores."""
+        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        used, kind = np.unique(self.types[self.indices == rows], return_inverse=True)
+        return self.table[used], kind
+
+    def plus(self, scale: float, other: BlockTable) -> BlockTable:
+        """self + scale * other as scipy sums the expanded matrices, once per
+        pair of types: a block stored in one of them only meets a zero block."""
+        m = len(self.table) + 1  # a block-level sum codes each pair's two types, 0 for none
+        codes = [sp.csr_matrix((w * (t.types + 1.0), t.indices, t.indptr)) for w, t in ((1, self), (m, other))]
+        union = codes[0] + codes[1]
+        kinds, types = np.unique(union.data.astype(np.intp), return_inverse=True)
+        a, b = (np.concatenate([t.table, np.zeros_like(t.table[:1])]) for t in (self, other))
+        return BlockTable(union.indices, union.indptr, types, a[kinds % m - 1] + scale * b[kinds // m - 1])
+
+
+def _row_types(C: sp.csr_matrix, key: np.ndarray) -> tuple:
+    """(type of each row, first row of each type) of the canonical CSR matrix
+    C: rows grouped by ``key`` are compared with their group's first row and
+    those that differ grouped again, so colliding keys never merge two rows."""
+    types, first, rest = np.empty(C.shape[0], dtype=np.intp), [], np.arange(C.shape[0])
+    while len(rest):
+        _, rep, group = np.unique(key[rest], return_index=True, return_inverse=True)
+        same = np.diff((C[rest] != C[rest[rep][group]]).indptr) == 0
+        types[rest[same]] = len(first) + group[same]
+        first.extend(rest[rep])
+        rest = rest[~same]
+    return types, np.array(first, dtype=np.intp)
+
+
+def _bsr(space: DGSpace, terms) -> BlockTable:
     """Sum (row elements, column elements, class of each entry, class
-    blocks) terms into a canonical block matrix, one n_local x n_local block
-    per element pair.  One sparse product sums them: the matrix of element
-    pairs by classes, counting each pair's entries of each class, times the
-    class blocks.  No block is held per entry."""
+    blocks) terms into a ``BlockTable``.  A pair's block is its row of the
+    matrix of element pairs by classes, counting its entries of each class,
+    times the class blocks; pairs with equal rows share a type, and one
+    sparse product builds each type's block.  No block is held per pair."""
     n_el, n = space.mesh.n_triangles, space.n_local
     keys = np.concatenate([np.asarray(el_a, dtype=np.int64) * n_el + el_b for el_a, el_b, _, _ in terms])
     pattern, slot = np.unique(keys, return_inverse=True)
     offsets = np.cumsum([0] + [len(blocks) for *_, blocks in terms])
     cls = np.concatenate([c + offset for (_, _, c, _), offset in zip(terms, offsets)])
     counts = sp.csr_matrix((np.ones(len(cls)), (slot, cls)), shape=(len(pattern), offsets[-1]))
-    data = counts @ np.concatenate([blocks for *_, blocks in terms]).reshape(offsets[-1], n * n)
+    types, first = _row_types(counts, counts @ np.random.default_rng(0).random(offsets[-1]))
+    table = counts[first] @ np.concatenate([blocks for *_, blocks in terms]).reshape(offsets[-1], n * n)
     indptr = np.searchsorted(pattern, np.arange(n_el + 1) * n_el)
-    return sp.bsr_matrix((data.reshape(-1, n, n), pattern % n_el, indptr), shape=(space.n_dofs,) * 2)
+    return BlockTable(pattern % n_el, indptr, types, table.reshape(-1, n, n))
 
 
 def _gram_blocks(pts: _Points, d: np.ndarray | None = None, scale: float = 1.0) -> tuple:
@@ -420,12 +472,12 @@ def mass_terms(edges: EdgeClassification, lam: float) -> list:
 # public assembly entry points
 
 
-def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> sp.bsr_matrix:
+def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> BlockTable:
     """Weighted mass matrix (u, v)_Omega + lam (u, v)_gamma1."""
     return _bsr(space, [block for term in mass_terms(edges, lam) for block in term.blocks(mesh, space)])
 
 
-def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> sp.bsr_matrix:
+def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> BlockTable:
     """Full stationary operator, the sum of ``stiffness_terms``.  Positive
     definite for gamma large enough when alpha > 0 or the walls are
     Dirichlet."""

@@ -26,30 +26,16 @@ class SolveReport:
     converged: bool
 
 
-def element_blocks(A: sp.spmatrix, block_size: int) -> np.ndarray:
-    """The diagonal blocks of A in the block-per-element dof layout, shape
-    (n // block_size, block_size, block_size): element e's own block.  A
-    block matrix of that block size is read as it is, without a copy."""
-    n = A.shape[0]
-    if n % block_size:
-        raise SolverError("matrix size is not a multiple of the block size")
-    B = sp.bsr_matrix(A, blocksize=(block_size, block_size))  # sums duplicate entries
-    rows = np.repeat(np.arange(n // block_size), np.diff(B.indptr))
-    own = B.indices == rows
-    out = np.zeros((n // block_size, block_size, block_size))
-    out[rows[own]] = B.data[own]
-    return out
-
-
-def block_jacobi_preconditioner(A: sp.spmatrix, block_size: int):
-    """Inverse of the element-block diagonal of A.
+def block_jacobi_preconditioner(A: sp.spmatrix, own: tuple):
+    """Inverse of the element-block diagonal of A, given as ``own`` (see
+    ``BlockTable.own``): each distinct block is inverted once.
 
     With the block-per-element dof layout this captures the full mass block
     and the local stiffness/penalty couplings, which keeps iteration counts
     bounded for stiffness-dominated steps where plain Jacobi degrades.  The
     inverse blocks are applied as one block-diagonal sparse product."""
-    inv = np.linalg.inv(element_blocks(A, block_size))
-    B = sp.bsr_matrix((inv, np.arange(len(inv)), np.arange(len(inv) + 1)))
+    inv = np.linalg.inv(own[0])[own[1]]
+    B = sp.bsr_matrix((inv, np.arange(len(inv)), np.arange(len(inv) + 1)), shape=A.shape)
     return lambda r: B @ r
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
+    BlockTable,
     FormParams,
     _bsr,
     _gram_blocks,
@@ -22,7 +23,7 @@ from .assembly import (
 )
 from .config import ProblemConfig
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh, build_structured_mesh, classify_edges, p1_prolongations
-from .solver import SolverError, block_jacobi_preconditioner, cg_solve, element_blocks, two_level_preconditioner
+from .solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
 from .space import DGSpace, conforming_p1_embedding
 
 # Stiffness ratio rho = dt * max_e 1'A_e 1 / 1'M_e 1 above which backward
@@ -45,36 +46,42 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     weighted mass matrix is still block diagonal, so the solve is exact.
     With lam = 0 it is the plain L2(Omega) projection.  Blocks and data
     both use the degree-2p + 4 tables of the loads and norms; the rule is
-    exact for the blocks, so they are those of M up to rounding.
+    exact for the blocks, so they are those of M up to rounding.  The result
+    is kept on the boundary's point set by (u0, lam); each call returns a copy.
     """
     terms = mass_terms(edges, lam)
     points = [term.points(mesh, space, 2 * space.p + 4) for term in terms]
-    grams = [_gram_blocks(pts, term.dirs, term.weight) for term, pts in zip(terms, points)]
-    blocks = element_blocks(_bsr(space, grams), space.n_local)
-    rhs = sum(_integrate(space, pts, term.weight * np.asarray(u0(pts.x, pts.y))) for term, pts in zip(terms, points))
-    return np.linalg.solve(blocks, rhs.reshape(blocks.shape[:2] + (1,)))[..., 0].ravel()
+
+    def project():
+        grams = [_gram_blocks(pts, term.dirs, term.weight) for term, pts in zip(terms, points)]
+        blocks, kind = _bsr(space, grams).own()
+        rhs = sum(_integrate(space, pts, term.weight * np.asarray(u0(pts.x, pts.y))) for term, pts in zip(terms, points))
+        return np.linalg.solve(blocks[kind], rhs.reshape(len(kind), -1, 1))[..., 0].ravel()
+
+    return points[-1]._keep(("projection", u0, lam), project).copy()
 
 
 @dataclass(eq=False)
 class Operators:
-    """Assembled discretization of one configuration."""
+    """Assembled discretization of one configuration: the tables of A_h and M,
+    which the solves read, and their scipy BSR matrices, built on first read."""
 
     mesh: Mesh
     edges: EdgeClassification
     space: DGSpace
     params: FormParams
-    A: sp.bsr_matrix  # full stationary operator (Dirichlet terms included)
-    M: sp.bsr_matrix  # domain mass + lam * boundary mass
+    A_blocks: BlockTable  # full stationary operator (Dirichlet terms included)
+    M_blocks: BlockTable  # domain mass + lam * boundary mass
     dirichlet_rhs: object = None  # callable t -> vector, or None
+    A = cached_property(lambda self: self.A_blocks.tobsr())
+    M = cached_property(lambda self: self.M_blocks.tobsr())
 
     @cached_property
     def stiffness_per_dt(self) -> float:
         """max_e 1'A_e 1 / 1'M_e 1 over the elements' own blocks: the
         stiffness ratio of M + dt A divided by dt."""
-        n = self.space.n_local
-        own_A = element_blocks(self.A, n).sum(axis=(1, 2))
-        own_M = element_blocks(self.M, n).sum(axis=(1, 2))
-        return float(np.max(own_A / own_M))
+        (own_A, kind_A), (own_M, kind_M) = self.A_blocks.own(), self.M_blocks.own()
+        return float(np.max(own_A.sum(axis=(1, 2))[kind_A] / own_M.sum(axis=(1, 2))[kind_M]))
 
 
 def build_operators(config: ProblemConfig, u_D=None) -> Operators:
@@ -92,8 +99,8 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
         edges=edges,
         space=space,
         params=params,
-        A=assemble_Ah(mesh, edges, space, params),
-        M=assemble_mass(mesh, edges, space, config.lam),
+        A_blocks=assemble_Ah(mesh, edges, space, params),
+        M_blocks=assemble_mass(mesh, edges, space, config.lam),
     )
     if u_D is not None:
         ops.dirichlet_rhs = lambda t: assemble_dirichlet_terms(mesh, edges, space, params, u_D, t)
@@ -106,19 +113,12 @@ def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
         raise ValueError(f"wall data u_D requires bc_mode='{DIRICHLET_LATERAL}', not {edges.bc_mode!r}")
 
 
-def cg_matrix(A: sp.spmatrix) -> sp.csr_matrix:
-    """A as CSR without the element blocks' structural zeros, which every
-    product would carry; scipy's CSR product beats its BSR one at p = 1."""
-    A = A.tocsr()
-    A.eliminate_zeros()
-    return A
-
-
-def _cg_solver(system: sp.csr_matrix, mesh: Mesh, edges: EdgeClassification, space: DGSpace, two_level: bool):
-    """``solve(rhs, what, x0=None)``: CG on ``system`` from ``x0`` under block
-    Jacobi, with the conforming-P1 V-cycle if ``two_level``; a SolverError
-    names ``what``."""
-    prec = block_jacobi_preconditioner(system, space.n_local)
+def _cg_solver(blocks: BlockTable, mesh: Mesh, edges: EdgeClassification, space: DGSpace, two_level: bool):
+    """``solve(rhs, what, x0=None)``: CG on ``blocks`` as CSR from ``x0``
+    under block Jacobi, with the conforming-P1 V-cycle if ``two_level``; a
+    SolverError names ``what``."""
+    system = blocks.tocsr()
+    prec = block_jacobi_preconditioner(system, blocks.own())
     if two_level:
         P = conforming_p1_embedding(space, edges)
         prec = two_level_preconditioner(prec, system, P, p1_prolongations(mesh, edges.bc_mode))
@@ -148,7 +148,7 @@ def solve_stationary(
     _refuse_wall_data(edges, u_D)
     if params.alpha == 0.0 and edges.bc_mode != DIRICHLET_LATERAL:
         raise SolverError("stationary operator is singular: alpha = 0 leaves constants in the kernel")
-    A = cg_matrix(assemble_Ah(mesh, edges, space, params))
+    A = assemble_Ah(mesh, edges, space, params)
     rhs = assemble_load(mesh, edges, space, f, g, t=0.0)
     if u_D is not None:
         rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
@@ -186,7 +186,7 @@ def run_backward_euler(
         ops = build_operators(config)
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
-    system = cg_matrix(ops.M + dt * ops.A)
+    system = ops.M_blocks.plus(dt, ops.A_blocks)
     solve = _cg_solver(system, mesh, edges, space, two_level=dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS)
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)

@@ -223,7 +223,7 @@ def test_criterion_8_algebraic_properties():
     for name, A in (
         ("B", form("B", mesh, edges, space, params)),
         ("b", form("b", mesh, edges, space, params)),
-        ("A", assemble_Ah(mesh, edges, space, params)),
+        ("A", assemble_Ah(mesh, edges, space, params).tobsr()),
     ):
         asym = np.abs((A - A.T).toarray()).max() / np.abs(A.data).max()
         checks.append((f"{name} symmetric", asym <= 1e-12))
@@ -235,14 +235,14 @@ def test_criterion_8_algebraic_properties():
 
     for level in (1, 2):
         m2, e2, s2, p2 = assembly_setup(level, 1)
-        S = assemble_mass(m2, e2, s2, p2.lam) + 1e-3 * assemble_Ah(m2, e2, s2, p2)
+        S = assemble_mass(m2, e2, s2, p2.lam).tobsr() + 1e-3 * assemble_Ah(m2, e2, s2, p2).tobsr()
         eig_min = np.linalg.eigvalsh(S.toarray()).min()
         checks.append((f"M+dtA positive definite (level {level})", eig_min > 0))
 
     mesh0, edges0, space0, params0 = assembly_setup(0, 1)
     oracle = oracle_operators(gamma=10.0, alpha=2.0, beta=5.0)
     computed = {name: form(name, mesh0, edges0, space0, params0) for name in "BCbM"}
-    computed["A"] = assemble_Ah(mesh0, edges0, space0, params0)
+    computed["A"] = assemble_Ah(mesh0, edges0, space0, params0).tobsr()
     worst = max(np.abs(A.toarray() - oracle[n]).max() for n, A in computed.items())
     checks.append((f"level-0 brute-force oracle (max dev {worst:.1e})", worst < 1e-10))
 

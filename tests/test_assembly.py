@@ -3,7 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import dgdyn.assembly
 from dgdyn.assembly import (
     TANGENT,
     FormParams,
@@ -12,6 +14,7 @@ from dgdyn.assembly import (
     _face_tables,
     _gram_blocks,
     _penalty_blocks,
+    _row_types,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
@@ -23,7 +26,7 @@ from dgdyn.errors import energy_norm_terms
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
 from dgdyn.space import DGSpace, edge_quadrature, interpolate, triangle_quadrature
-from dgdyn.timestepper import cg_matrix, l2_lambda_project
+from dgdyn.timestepper import l2_lambda_project
 
 
 def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, penalty_mode="gamma_over_h"):
@@ -36,7 +39,7 @@ def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, pena
 
 def operator(mesh, space, terms):
     """The matrix of ``terms`` of the term table on their own."""
-    return _bsr(space, [block for term in terms for block in term.blocks(mesh, space)])
+    return _bsr(space, [block for term in terms for block in term.blocks(mesh, space)]).tobsr()
 
 
 def form(name, mesh, edges, space, params):
@@ -271,7 +274,7 @@ def both_bc(*cases):
 @pytest.mark.parametrize("p, bc", both_bc((1,), (2,)))
 def test_matrices_symmetric(p, bc):
     mesh, edges, space, params = setup(2, p, bc)
-    for A in (*(form(name, mesh, edges, space, params) for name in "BbC"), assemble_Ah(mesh, edges, space, params)):
+    for A in (*(form(name, mesh, edges, space, params) for name in "BbC"), assemble_Ah(mesh, edges, space, params).tobsr()):
         diff = (A - A.T).toarray()
         assert np.abs(diff).max() <= 1e-12 * max(np.abs(A.data).max(), 1.0)
 
@@ -290,7 +293,7 @@ def test_mass_totals():
     ones = np.ones(space.n_dofs)
     C = form("C", mesh, edges, space, params)
     assert np.isclose(ones @ (C @ ones), 2.0, rtol=1e-12)
-    M = assemble_mass(mesh, edges, space, lam=10.0)
+    M = assemble_mass(mesh, edges, space, lam=10.0).tobsr()
     assert np.isclose(ones @ (M @ ones), 21.0, rtol=1e-12)
 
 
@@ -303,7 +306,7 @@ def test_domain_mass_block_diagonal():
 def test_Ah_degenerate_parameters():
     mesh, edges, space, _ = setup(1, 1)
     params0 = FormParams.for_mesh(mesh, alpha=0.0, beta=0.0, lam=0.0, gamma=10.0)
-    A = assemble_Ah(mesh, edges, space, params0)
+    A = assemble_Ah(mesh, edges, space, params0).tobsr()
     B = form("B", mesh, edges, space, params0)
     assert np.allclose(A.toarray(), B.toarray(), atol=1e-14)
 
@@ -311,7 +314,7 @@ def test_Ah_degenerate_parameters():
 def test_Ah_constants_leave_only_boundary_mass():
     mesh, edges, space, params = setup(2, 1)
     ones = np.ones(space.n_dofs)
-    A = assemble_Ah(mesh, edges, space, params)
+    A = assemble_Ah(mesh, edges, space, params).tobsr()
     C = form("C", mesh, edges, space, params)
     assert np.allclose(A @ ones, params.alpha * (C @ ones), atol=1e-11)
 
@@ -319,14 +322,14 @@ def test_Ah_constants_leave_only_boundary_mass():
 @pytest.mark.parametrize("level, p, bc", both_bc(*[(level, p) for level in (0, 1, 2) for p in (1, 2)]))
 def test_Ah_positive_definite_dense(level, p, bc):
     mesh, edges, space, params = setup(level, p, bc)
-    A = assemble_Ah(mesh, edges, space, params).toarray()
+    A = assemble_Ah(mesh, edges, space, params).tobsr().toarray()
     eigs = np.linalg.eigvalsh(A)
     assert eigs.min() > 0
 
 
 def test_Ah_random_quadratic_form_positive():
     mesh, edges, space, params = setup(3, 1)
-    A = assemble_Ah(mesh, edges, space, params)
+    A = assemble_Ah(mesh, edges, space, params).tobsr()
     rng = np.random.default_rng(11)
     for _ in range(100):
         v = rng.standard_normal(space.n_dofs)
@@ -347,7 +350,7 @@ def test_brute_force_oracle_level0():
     mesh, edges, space, params = setup(0, 1, gamma=10.0, alpha=2.0, beta=5.0)
     oracle = oracle_operators(gamma=10.0, alpha=2.0, beta=5.0)
     computed = {name: form(name, mesh, edges, space, params) for name in "BCbM"}
-    computed["A"] = assemble_Ah(mesh, edges, space, params)
+    computed["A"] = assemble_Ah(mesh, edges, space, params).tobsr()
     for name, A in computed.items():
         assert np.abs(A.toarray() - oracle[name]).max() < 1e-10, name
 
@@ -355,7 +358,7 @@ def test_brute_force_oracle_level0():
 def test_brute_force_oracle_level0_dirichlet():
     mesh, edges, space, params = setup(0, 1, bc=DIRICHLET_LATERAL, gamma=10.0, beta=5.0)
     u_D = lambda x, y: x + 2.0 * y
-    A = assemble_Ah(mesh, edges, space, params)
+    A = assemble_Ah(mesh, edges, space, params).tobsr()
     without_walls = (
         form("B", mesh, edges, space, params)
         + params.alpha * form("C", mesh, edges, space, params)
@@ -383,8 +386,8 @@ def test_operators_are_the_sums_of_their_forms(bc, p, penalty_mode):
             assert [term.faces for term in walls] == [edges.dirichlet, edges.corners]
             A = A + operator(mesh, space, walls)
         for got, expected in (
-            (assemble_Ah(mesh, edges, space, params), A),
-            (assemble_mass(mesh, edges, space, params.lam), M + params.lam * C),
+            (assemble_Ah(mesh, edges, space, params).tobsr(), A),
+            (assemble_mass(mesh, edges, space, params.lam).tobsr(), M + params.lam * C),
         ):
             assert np.abs((got - expected).toarray()).max() <= 1e-15 * np.abs(expected.data).max()
 
@@ -451,7 +454,7 @@ def test_coercivity_surrogate_monotone_in_gamma():
     c_of_gamma = []
     for gamma in (10.0, 20.0, 40.0):
         params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=gamma)
-        A = assemble_Ah(mesh, edges, space, params)
+        A = assemble_Ah(mesh, edges, space, params).tobsr()
         c = min(
             (v @ (A @ v)) / energy_norm(mesh, edges, space, params, u_h=v) ** 2 for v in samples
         )
@@ -468,7 +471,7 @@ def test_continuity_surrogate_stable_across_levels():
     C_of_level = []
     for level in (2, 3):
         mesh, edges, space, params = setup(level, 1)
-        A = assemble_Ah(mesh, edges, space, params)
+        A = assemble_Ah(mesh, edges, space, params).tobsr()
         C = 0.0
         for _ in range(40):
             v = rng.standard_normal(space.n_dofs)
@@ -486,8 +489,11 @@ def test_csr_structure_invariants():
     # pair), and the matrix CG multiplies is canonical CSR
     mesh, edges, space, params = setup(2, 1)
     A = assemble_Ah(mesh, edges, space, params)
+    S = assemble_mass(mesh, edges, space, params.lam).plus(1e-3, A).tocsr()
+    # in arrays of its own size: eliminating the zeros keeps those of every entry
+    assert all(getattr(x.base, "size", x.size) == S.nnz for x in (S.data, S.indices))
+    A = A.tobsr()
     assert A.format == "bsr" and A.blocksize == (space.n_local,) * 2
-    S = cg_matrix(assemble_mass(mesh, edges, space, params.lam) + 1e-3 * A)
     assert S.format == "csr" and (S.data != 0).all()
     for X in (A, S):
         assert X.has_sorted_indices
@@ -498,10 +504,11 @@ def test_csr_structure_invariants():
 
 def test_assembly_memory_proportional_to_output():
     # blocks are keyed per element pair, so no index is held per matrix
-    # entry, and A_h is one sparse product of every form's terms, so no
-    # form is held as a matrix of its own: the peak stays a small multiple
-    # of the BSR matrix returned (1.30 times it; 2.03 when the forms were
-    # built as matrices and added pairwise)
+    # entry, A_h is one sparse product of every form's terms, so no form is
+    # held as a matrix of its own, and the product builds one block per
+    # type, not per pair: the peak is 0.76 times the BSR matrix the table
+    # stands for (1.30 while the product built every pair's block; 2.03
+    # when the forms were built as matrices and added pairwise)
     mesh, edges, space, params = setup(5, 2)
     assemble_Ah(mesh, edges, space, params)  # builds and caches the point tables
     tracemalloc.start()
@@ -510,7 +517,8 @@ def test_assembly_memory_proportional_to_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    A = A.tobsr()
+    assert peak <= 0.88 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def with_given_normals(edges):
@@ -543,8 +551,8 @@ def test_computed_normals_give_the_operators_and_norms_of_given_ones(bc, case, p
     for level in range(4):
         mesh, edges, space, params = setup(level, p, bc, penalty_mode=penalty_mode)
         given = with_given_normals(edges)
-        assert same_bits(assemble_Ah(mesh, edges, space, params), assemble_Ah(mesh, given, space, params))
-        assert same_bits(assemble_mass(mesh, edges, space, 10.0), assemble_mass(mesh, given, space, 10.0))
+        assert same_bits(assemble_Ah(mesh, edges, space, params).tobsr(), assemble_Ah(mesh, given, space, params).tobsr())
+        assert same_bits(assemble_mass(mesh, edges, space, 10.0).tobsr(), assemble_mass(mesh, given, space, 10.0).tobsr())
         u = np.random.default_rng(level).standard_normal(space.n_dofs)
         for exact in (None, get_case(case)):
             terms = [energy_norm_terms(mesh, e, space, params, u_h=u, exact=exact, t=0.3) for e in (edges, given)]
@@ -627,8 +635,8 @@ def per_entry_operators(mesh, edges, space, params, lam):
 def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, penalty_mode):
     mesh, edges, space = jittered(2, bc, p)
     params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0, penalty_mode=penalty_mode)
-    A = assemble_Ah(mesh, edges, space, params).toarray()
-    M = assemble_mass(mesh, edges, space, 10.0).toarray()
+    A = assemble_Ah(mesh, edges, space, params).tobsr().toarray()
+    M = assemble_mass(mesh, edges, space, 10.0).tobsr().toarray()
     # the jitter leaves few entries sharing a class
     vol = _cell_points(mesh, space, 2 * p)
     faces = _face_tables(mesh, space, edges.two_sided, 2 * p)
@@ -636,6 +644,78 @@ def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, pe
     A_ref, M_ref = per_entry_operators(mesh, edges, space, params, 10.0)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
     assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
+
+
+# ---------------------------------------------------------------------------
+# operators as tables of distinct blocks against a block per element pair
+
+
+def per_pair_bsr(space, terms):
+    """The operator of ``terms`` with every element pair's block built as
+    its row of the pairs-by-classes count matrix times the class blocks."""
+    n_el, n = space.mesh.n_triangles, space.n_local
+    keys = np.concatenate([np.asarray(el_a, dtype=np.int64) * n_el + el_b for el_a, el_b, _, _ in terms])
+    pattern, slot = np.unique(keys, return_inverse=True)
+    offsets = np.cumsum([0] + [len(blocks) for *_, blocks in terms])
+    cls = np.concatenate([c + offset for (_, _, c, _), offset in zip(terms, offsets)])
+    counts = sp.csr_matrix((np.ones(len(cls)), (slot, cls)), shape=(len(pattern), offsets[-1]))
+    data = counts @ np.concatenate([blocks for *_, blocks in terms]).reshape(offsets[-1], n * n)
+    indptr = np.searchsorted(pattern, np.arange(n_el + 1) * n_el)
+    return sp.bsr_matrix((data.reshape(-1, n, n), pattern % n_el, indptr), shape=(space.n_dofs,) * 2)
+
+
+def assert_tables_expand_to_per_pair_blocks(mesh, edges, space, params, dt=1e-3):
+    """A_h, M and the step system M + dt A_h from their tables are bitwise
+    the operators with a block per pair, and the system's CSR is scipy's
+    sum of them without its zeros."""
+    expected = []
+    for blocks, terms in (
+        (assemble_Ah(mesh, edges, space, params), stiffness_terms(edges, params)),
+        (assemble_mass(mesh, edges, space, params.lam), mass_terms(edges, params.lam)),
+    ):
+        expected.append(per_pair_bsr(space, [block for term in terms for block in term.blocks(mesh, space)]))
+        assert same_bits(blocks.tobsr(), expected[-1])
+    system = (expected[1] + dt * expected[0]).tocsr()
+    system.eliminate_zeros()
+    step = assemble_mass(mesh, edges, space, params.lam).plus(dt, assemble_Ah(mesh, edges, space, params))
+    assert same_bits(step.tocsr(), system)
+    return step
+
+
+@pytest.mark.parametrize("penalty_mode", ["gamma_over_h", "fixed_sigma"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_tables_expand_to_the_per_pair_operators(bc, p, penalty_mode):
+    # at most 20 types of blocks for A_h and the step system, 4 for M
+    for level in range(6):
+        mesh, edges, space, params = setup(level, p, bc, penalty_mode=penalty_mode)
+        step = assert_tables_expand_to_per_pair_blocks(mesh, edges, space, params)
+        assert len(step.table) <= 20 and len(assemble_mass(mesh, edges, space, params.lam).table) <= 4
+        assert len(step.own()[0]) <= 10
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_tables_expand_to_the_per_pair_operators_on_a_distorted_mesh(bc, p):
+    mesh, edges, space = jittered(3, bc, p)
+    params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0)
+    step = assert_tables_expand_to_per_pair_blocks(mesh, edges, space, params)
+    assert len(step.table) >= 0.9 * len(step.types)  # almost every pair its own type
+
+
+def test_colliding_row_keys_never_merge_two_types(monkeypatch):
+    # every row gets one key, so each type is split off its first row by the
+    # exact check: rows share a type exactly when they are equal
+    rows = np.array([[1, 0, 2], [0, 3, 0], [1, 0, 2], [2, 0, 1], [0, 3, 0], [1, 0, 0], [1, 0, 2]])
+    types, first = _row_types(sp.csr_matrix(rows.astype(float)), np.zeros(len(rows)))
+    assert np.array_equal(types[first], np.arange(len(first)))
+    same_row = (rows[:, None] == rows[None, :]).all(axis=2)
+    assert np.array_equal(types[:, None] == types[None, :], same_row) and len(first) == 4
+    # and the operators of a whole mesh, every pair's key colliding
+    row_types = dgdyn.assembly._row_types
+    monkeypatch.setattr(dgdyn.assembly, "_row_types", lambda C, key: row_types(C, np.zeros_like(key)))
+    mesh, edges, space, params = setup(2, 1, DIRICHLET_LATERAL)
+    assert_tables_expand_to_per_pair_blocks(mesh, edges, space, params)
 
 
 @pytest.mark.parametrize("p", [1, 2])

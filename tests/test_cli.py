@@ -29,7 +29,6 @@ from dgdyn.cli import (
 from dgdyn.config import ProblemConfig
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL
-from dgdyn.timestepper import cg_matrix
 
 DATA = Path(__file__).resolve().parent / "data"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -429,29 +428,34 @@ def test_sources_evaluated_once_per_node_and_space(monkeypatch, capsys, name, no
 
 def test_energy_norm_step_memory_proportional_to_operator(monkeypatch):
     # the per-step energy norms keep the exact fields' snapshots on the
-    # point sets and sum each point set in blocks of 2^15 points: two
-    # steps, their norms and the final L2 errors peak at 4.10 times the CSR
-    # bytes of A (4.101 run alone), in the second step's solve; the norms
-    # themselves peak at 4.05 and 4.07.  The step loop holds u^k and the
-    # next solve's start, not M u^k.  While the norms evaluated their point
-    # sets entry by entry, the peak was 4.25 (4.251 alone; 4.263 while A_h's
-    # forms were added pairwise), in the second norm, which the 4.3 bound
-    # was set above.
+    # point sets and sum each point set in blocks of 2^15 points, and the
+    # run never expands A: two steps, their norms and the final L2 errors
+    # peak at 3.35 times the CSR bytes of the system CG multiplies (4.10
+    # while the run held A as a block matrix).  The step loop holds u^k and
+    # the next solve's start, not M u^k.  While the norms evaluated their
+    # point sets entry by entry, the peak was 4.25 (4.263 while A_h's forms
+    # were added pairwise), which the bound, then 4.3, was set above.
     case = get_case("example3")
     config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=2e-3)
     dgdyn.cli._transient_errors(dataclasses.replace(config, level=1), case)  # module-level caches
-    built = []
+    built, systems = [], []
 
     def recording_build_operators(*args, **kwargs):
         built.append(dgdyn.timestepper.build_operators(*args, **kwargs))
         return built[-1]
 
+    def recording_cg_solve(system, rhs, **kwargs):
+        systems.append(system)
+        return dgdyn.solver.cg_solve(system, rhs, **kwargs)
+
     monkeypatch.setattr(dgdyn.cli, "build_operators", recording_build_operators)
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
     tracemalloc.start()
     try:
         dgdyn.cli._transient_errors(config, case)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    A = cg_matrix(built[0].A)
-    assert peak <= 4.3 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    assert "A" not in vars(built[0])
+    S = systems[0]
+    assert peak <= 3.51 * (S.data.nbytes + S.indices.nbytes + S.indptr.nbytes)

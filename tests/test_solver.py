@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from dgdyn.assembly import FormParams, assemble_Ah, assemble_mass
+from dgdyn.assembly import BlockTable, FormParams, assemble_Ah, assemble_mass
 from dgdyn.config import ProblemConfig
 from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges, p1_prolongation, p1_prolongations, p1_vertices
 from dgdyn.solver import (
@@ -11,7 +11,6 @@ from dgdyn.solver import (
     SolverError,
     block_jacobi_preconditioner,
     cg_solve,
-    element_blocks,
     two_level_preconditioner,
     v_cycle,
 )
@@ -26,37 +25,28 @@ def be_system(level, p=1, dt=1e-3, lam=10.0, bc_mode=PERIODIC):
     edges = classify_edges(mesh, bc_mode)
     space = DGSpace(mesh, p)
     params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=lam, gamma=10.0)
-    A = assemble_Ah(mesh, edges, space, params)
-    M = assemble_mass(mesh, edges, space, lam)
-    return (M + dt * A).tocsr(), space
+    step = assemble_mass(mesh, edges, space, lam).plus(dt, assemble_Ah(mesh, edges, space, params))
+    return step.tocsr(), step.own(), space
 
 
-def two_level(S, space, bc_mode=PERIODIC):
+def two_level(S, own, space, bc_mode=PERIODIC):
     P = conforming_p1_embedding(space, classify_edges(space.mesh, bc_mode))
-    smoother = block_jacobi_preconditioner(S, space.n_local)
+    smoother = block_jacobi_preconditioner(S, own)
     return two_level_preconditioner(smoother, S, P, p1_prolongations(space.mesh, bc_mode))
 
 
-def test_element_blocks_match_dense_slicing():
-    b, n_el = 3, 4
-    dense = np.random.default_rng(5).integers(-9, 10, size=(b * n_el, b * n_el)).astype(float)
-    dense[b : 2 * b] = 0.0  # element 1's block row stores nothing
-    rows, cols = np.nonzero(dense)
-    vals = dense[rows, cols]
-    # element 0's own entries are each stored twice, as v - 0.5 and 0.5
-    dup = (rows < b) & (cols < b)
-    vals[dup] -= 0.5
-    rows, cols = np.concatenate([rows, rows[dup]]), np.concatenate([cols, cols[dup]])
-    vals = np.concatenate([vals, np.full(dup.sum(), 0.5)])
-    order = np.lexsort((-cols, rows))  # columns descending within each row
-    indptr = np.searchsorted(rows[order], np.arange(b * n_el + 1))
-    A = sp.csr_matrix((vals[order], cols[order], indptr), shape=dense.shape)
-    assert not A.has_canonical_format
-    expected = np.stack([dense[e * b : (e + 1) * b, e * b : (e + 1) * b] for e in range(n_el)])
-    assert not expected[1].any()
-    np.testing.assert_array_equal(element_blocks(A, b), expected)
-    with pytest.raises(SolverError, match="multiple of the block size"):
-        element_blocks(sp.identity(10, format="csr"), b)
+def test_own_blocks_match_dense_slicing():
+    # four elements, blocks of size 3 of four types, of which elements 0
+    # and 2 own type 1 and elements 1 and 3 type 2
+    b = 3
+    table = np.random.default_rng(5).integers(-9, 10, size=(4, b, b)).astype(float)
+    indices, indptr = np.array([0, 2, 1, 0, 2, 3, 1, 3]), np.array([0, 2, 3, 6, 8])
+    blocks = BlockTable(indices, indptr, np.array([1, 0, 2, 3, 1, 0, 3, 2]), table)
+    dense = blocks.tobsr().toarray()
+    own, kind = blocks.own()
+    expected = np.stack([dense[e * b : (e + 1) * b, e * b : (e + 1) * b] for e in range(4)])
+    np.testing.assert_array_equal(own[kind], expected)
+    np.testing.assert_array_equal(own, table[[1, 2]])
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -64,12 +54,12 @@ def test_element_blocks_match_dense_slicing():
 def test_block_jacobi_solves_each_element_block(p, bc_mode):
     # the preconditioner applies the inverse of each element's own block of
     # the backward Euler system, read off the dense matrix
-    S, space = be_system(3, p=p, bc_mode=bc_mode)
+    S, own, space = be_system(3, p=p, bc_mode=bc_mode)
     b = space.n_local
     dense = S.toarray()
     r = np.random.default_rng(p).standard_normal(S.shape[0])
     want = np.concatenate([np.linalg.solve(dense[i : i + b, i : i + b], r[i : i + b]) for i in range(0, len(r), b)])
-    got = block_jacobi_preconditioner(S, b)(r)
+    got = block_jacobi_preconditioner(S, own)(r)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -117,7 +107,7 @@ def test_non_finite_detected():
 
 
 def test_unpreconditioned_cg_converges():
-    S, _ = be_system(3)
+    S, _, _ = be_system(3)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(S.shape[0])
     _, report = cg_solve(S, rhs, tol=1e-12)
@@ -125,11 +115,11 @@ def test_unpreconditioned_cg_converges():
 
 
 def test_exact_start_converges_in_no_iterations():
-    S, space = be_system(2, dt=1e-2)
+    S, own, space = be_system(2, dt=1e-2)
     rhs = np.random.default_rng(4).standard_normal(S.shape[0])
     x0 = spla.spsolve(S.tocsc(), rhs)
     kept = x0.copy()
-    x, report = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, space.n_local), x0=x0)
+    x, report = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, own), x0=x0)
     assert report.converged and report.iterations == 0
     assert np.array_equal(x, x0) and x is not x0
     assert np.array_equal(x0, kept)
@@ -137,12 +127,12 @@ def test_exact_start_converges_in_no_iterations():
 
 def test_perturbed_start_meets_the_rhs_relative_bound():
     # the stopping rule stays relative to ||rhs||, not to the first residual
-    S, space = be_system(2, dt=1e-2)
+    S, own, space = be_system(2, dt=1e-2)
     rng = np.random.default_rng(6)
     rhs = rng.standard_normal(S.shape[0])
     x0 = spla.spsolve(S.tocsc(), rhs) + 1e-3 * rng.standard_normal(S.shape[0])
     kept = x0.copy()
-    x, report = cg_solve(S, rhs, tol=1e-12, preconditioner=block_jacobi_preconditioner(S, space.n_local), x0=x0)
+    x, report = cg_solve(S, rhs, tol=1e-12, preconditioner=block_jacobi_preconditioner(S, own), x0=x0)
     assert report.converged and report.iterations > 0
     assert np.linalg.norm(rhs - S @ x) <= 1e-12 * np.linalg.norm(rhs)
     assert np.array_equal(x0, kept)
@@ -155,17 +145,17 @@ def test_start_dimension_mismatch():
 
 @pytest.mark.parametrize("level", [1, 2])
 def test_matches_dense_direct_solve(level):
-    S, space = be_system(level, dt=1e-2)
+    S, own, space = be_system(level, dt=1e-2)
     rng = np.random.default_rng(level)
     rhs = rng.standard_normal(S.shape[0])
-    x, report = cg_solve(S, rhs, tol=1e-13, preconditioner=block_jacobi_preconditioner(S, space.n_local))
+    x, report = cg_solve(S, rhs, tol=1e-13, preconditioner=block_jacobi_preconditioner(S, own))
     x_dense = np.linalg.solve(S.toarray(), rhs)
     assert report.converged
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-8
 
 
 def test_max_iter_reports_failure():
-    S, _ = be_system(2)
+    S, _, _ = be_system(2)
     rng = np.random.default_rng(9)
     rhs = rng.standard_normal(S.shape[0])
     x, report = cg_solve(S, rhs, tol=1e-14, max_iter=2)
@@ -178,10 +168,10 @@ def test_attainable_accuracy_below_tol_is_converged():
     # tol below the rounding floor of evaluating rhs - A x: restarts stop once
     # they no longer reduce the true residual, and the solve is converged with
     # its true residual reported, not failed
-    S, space = be_system(2, dt=1e-2)
+    S, own, space = be_system(2, dt=1e-2)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal(S.shape[0])
-    x, report = cg_solve(S, rhs, tol=1e-20, preconditioner=block_jacobi_preconditioner(S, space.n_local))
+    x, report = cg_solve(S, rhs, tol=1e-20, preconditioner=block_jacobi_preconditioner(S, own))
     floor = np.finfo(float).eps * np.linalg.norm(np.abs(rhs) + abs(S) @ np.abs(x)) / np.linalg.norm(rhs)
     true_rel = np.linalg.norm(rhs - S @ x) / np.linalg.norm(rhs)
     assert report.converged
@@ -200,9 +190,10 @@ def test_attainable_accuracy_below_tol_is_converged():
 def test_two_level_preconditioner_spd(p, bc_mode, penalty_mode, dt):
     ops = build_operators(ProblemConfig(level=4, p=p, bc_mode=bc_mode, penalty_mode=penalty_mode, dt=dt))
     # block Jacobi alone and with the coarse correction: both are SPD
-    S = (ops.M + dt * ops.A).tocsr()
+    step = ops.M_blocks.plus(dt, ops.A_blocks)
+    S, own = step.tocsr(), step.own()
     rng = np.random.default_rng(p)
-    for B in (block_jacobi_preconditioner(S, ops.space.n_local), two_level(S, ops.space, bc_mode)):
+    for B in (block_jacobi_preconditioner(S, own), two_level(S, own, ops.space, bc_mode)):
         for _ in range(5):
             x, y = rng.standard_normal((2, S.shape[0]))
             Bx, By = B(x), B(y)
@@ -220,10 +211,10 @@ def test_two_level_iterations_bounded_in_h():
     for bc_mode in BC_MODES:
         block_iters, two_level_iters[bc_mode] = [], []
         for level in (3, 4, 5, 6):
-            S, space = be_system(level, dt=0.1, bc_mode=bc_mode)
+            S, own, space = be_system(level, dt=0.1, bc_mode=bc_mode)
             rhs = np.random.default_rng(level).standard_normal(S.shape[0])
-            _, block = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, space.n_local))
-            x, report = cg_solve(S, rhs, preconditioner=two_level(S, space, bc_mode))
+            _, block = cg_solve(S, rhs, preconditioner=block_jacobi_preconditioner(S, own))
+            x, report = cg_solve(S, rhs, preconditioner=two_level(S, own, space, bc_mode))
             x_direct = spla.splu(S.tocsc()).solve(rhs)
             assert block.converged and report.converged
             assert np.linalg.norm(x - x_direct) / np.linalg.norm(x_direct) < 1e-8
@@ -249,7 +240,7 @@ def test_p1_prolongation_is_nested_interpolation(bc_mode):
         space = DGSpace(mesh, 1)
         edges = classify_edges(mesh, bc_mode)
         P = conforming_p1_embedding(space, edges)
-        return (P.T @ assemble_mass(mesh, edges, space, 10.0) @ P).toarray()
+        return (P.T @ assemble_mass(mesh, edges, space, 10.0).tobsr() @ P).toarray()
 
     def linear(mesh):
         numbers = p1_vertices(mesh, bc_mode)
@@ -269,7 +260,7 @@ def test_p1_prolongation_is_nested_interpolation(bc_mode):
 
 
 def test_v_cycle_without_coarser_levels_is_the_exact_solve():
-    S, space = be_system(3, dt=0.1)
+    S, own, space = be_system(3, dt=0.1)
     P = conforming_p1_embedding(space, classify_edges(space.mesh))
     C = P.T @ S @ P
     r = np.random.default_rng(6).standard_normal(C.shape[0])
@@ -283,7 +274,7 @@ def test_v_cycle_is_spd_and_contracts_on_the_periodic_seam():
     # smoothing sweep contracts and every eigenvalue of V C lies in (0, 1]:
     # V is SPD and I - V C an energy-norm contraction
     for bc_mode in BC_MODES:
-        S, space = be_system(5, dt=0.1, bc_mode=bc_mode)
+        S, own, space = be_system(5, dt=0.1, bc_mode=bc_mode)
         P = conforming_p1_embedding(space, classify_edges(space.mesh, bc_mode))
         prolongations = p1_prolongations(space.mesh, bc_mode)
         C = (P.T @ S @ P).toarray()
@@ -306,8 +297,8 @@ def test_non_positive_galerkin_diagonal_is_a_solver_error():
     # the V-cycle reports instead of dividing by it
     config = ProblemConfig(level=3, p=1, bc_mode="dirichlet_lateral", gamma=0.5)
     ops = build_operators(config)
-    A = ops.A.tocsr()
+    A, own = ops.A_blocks.tocsr(), ops.A_blocks.own()
     P = conforming_p1_embedding(ops.space, ops.edges)
     assert (P.T @ A @ P).diagonal().min() <= 0.0
     with pytest.raises(SolverError, match="coarse matrix not positive definite"):
-        two_level(A, ops.space, "dirichlet_lateral")
+        two_level(A, own, ops.space, "dirichlet_lateral")

@@ -15,7 +15,6 @@ from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two
 from dgdyn.space import DGSpace, conforming_p1_embedding, interpolate
 from dgdyn.timestepper import (
     build_operators,
-    cg_matrix,
     l2_lambda_project,
     run_backward_euler,
     solve_stationary,
@@ -98,8 +97,32 @@ def test_l2_lambda_project_solves_weighted_mass_system(p, bc):
     u0 = lambda x, y: np.cos(TWO_PI * x) * np.exp(y)
     u = l2_lambda_project(mesh, space, edges, lam, u0)
     load = assemble_load(mesh, edges, space, lambda t, x, y: u0(x, y), lambda t, x, y: lam * u0(x, y))
-    residual = assemble_mass(mesh, edges, space, lam) @ u - load
+    residual = assemble_mass(mesh, edges, space, lam).tobsr() @ u - load
     assert np.abs(residual).max() <= 1e-13 * np.abs(load).max()
+
+
+def test_l2_lambda_project_kept_per_field_and_lambda():
+    # a second projection of the same u0 and lam on a space evaluates u0 no
+    # more, returns bitwise the first result and never the kept array, so
+    # writing a result changes no later one; another lam is its own
+    mesh, edges, space, _ = setup(3, 2, bc=DIRICHLET_LATERAL)
+    calls = Counter()
+
+    def u0(x, y):
+        calls["u0"] += 1
+        return np.cos(TWO_PI * x) * np.exp(y)
+
+    first = l2_lambda_project(mesh, space, edges, 10.0, u0)
+    expected = first.copy()
+    first[:] = 0.0
+    again = l2_lambda_project(mesh, space, edges, 10.0, u0)
+    assert calls["u0"] == 2  # the cells and gamma1, once
+    assert again.tobytes() == expected.tobytes()
+    assert l2_lambda_project(mesh, space, edges, 10.0, u0) is not again
+    fresh = DGSpace(mesh, 2)
+    assert l2_lambda_project(mesh, fresh, edges, 10.0, u0).tobytes() == expected.tobytes()
+    assert l2_lambda_project(mesh, space, edges, 0.0, u0).tobytes() != expected.tobytes()
+    assert calls["u0"] == 6
 
 
 # --- stationary solve ------------------------------------------------------
@@ -363,26 +386,27 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
     run_backward_euler(config, case.f, case.g, case.u0, ops=ops)
     assert len(solves) == config.num_steps()
 
-    n_local = ops.space.n_local
+    own = ops.M_blocks.plus(config.dt, ops.A_blocks).own()
     P = conforming_p1_embedding(ops.space, ops.edges)
     prolongations = p1_prolongations(ops.mesh, ops.edges.bc_mode)
     for system, rhs, x0, iterations in solves:
-        block = block_jacobi_preconditioner(system, n_local)
+        block = block_jacobi_preconditioner(system, own)
         preconditioners = {False: block, True: two_level_preconditioner(block, system, P, prolongations)}
         counts = {k: cg_solve(system, rhs, preconditioner=B, x0=x0)[1].iterations for k, B in preconditioners.items()}
         assert iterations == counts[two_level] != counts[not two_level]
 
 
 def test_step_memory_proportional_to_operator(monkeypatch):
-    # operators stay in block form, the degree-2p tables are released after
-    # assembly and the coarse correction is a V-cycle: building the
-    # operators and taking one two-level backward Euler step (rho = 49)
-    # peaks at 3.89 times the CSR bytes of A (3.93 while the point sets kept
-    # a pattern and an inverse Jacobian per entry and mapped every point
-    # back to its reference triangle; 3.94 while A_h's forms were added
-    # pairwise; 5.0 with CSR operators, kept tables and an LU-factored
-    # coarse solve).  The system CG multiplies is
-    # CSR without the blocks' stored zeros.
+    # operators stay tables of distinct blocks, A is never expanded, the
+    # degree-2p tables are released after assembly and the coarse
+    # correction is a V-cycle: building the operators and taking one
+    # two-level backward Euler step (rho = 49) peaks at 3.17 times the CSR
+    # bytes of the system CG multiplies (3.89 while the run held A as a
+    # block matrix; 3.93 while the point sets kept a pattern and an inverse
+    # Jacobian per entry and mapped every point back to its reference
+    # triangle; 3.94 while A_h's forms were added pairwise; 5.0 with CSR
+    # operators, kept tables and an LU-factored coarse solve).  The system
+    # is CSR without the blocks' stored zeros.
     case = get_case("example3")
     config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=1e-3)
     systems = []
@@ -401,7 +425,7 @@ def test_step_memory_proportional_to_operator(monkeypatch):
     finally:
         tracemalloc.stop()
     assert config.dt * ops.stiffness_per_dt > dgdyn.timestepper.TWO_LEVEL_STIFFNESS
-    A = cg_matrix(ops.A)
-    assert peak <= 4.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    assert "A" not in vars(ops)
     (system,) = systems
     assert system.format == "csr" and system.nnz == np.count_nonzero(system.data)
+    assert peak <= 3.67 * (system.data.nbytes + system.indices.nbytes + system.indptr.nbytes)
