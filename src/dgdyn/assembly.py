@@ -34,7 +34,11 @@ the snapshots, so a later time or load is a weighted sum of them.
 Element blocks are built once per class, and an operator is a
 ``BlockTable``: its block pattern, a type per element pair (pairs with
 equal counts of each class share one) and a block per type, a handful on
-the structured meshes.  The solvers read it; CG multiplies its CSR form.
+the structured meshes.  The solvers read it; CG multiplies its CSR form,
+expanded from the table without a block per pair.  Its own blocks are a
+``BlockDiagonal``, the distinct blocks and a kind per element, applied
+over the mesh's cell pairs: M (block diagonal in full), block Jacobi and
+the projection's mass are never held as a block per element.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -301,16 +305,47 @@ class BlockTable:
         return sp.bsr_matrix((self.table[self.types], self.indices, self.indptr), shape=(n, n))
 
     def tocsr(self) -> sp.csr_matrix:
-        """As CSR without the blocks' zeros, in arrays of its own size."""
-        A = self.tobsr().tocsr()
-        A.eliminate_zeros()
-        return A.copy()
+        """As CSR without the blocks' zeros, in arrays of its own size:
+        bitwise ``tobsr().tocsr()`` after ``eliminate_zeros``, built a few
+        thousand element rows at a time, so no block is held per pair.  Each
+        element row's blocks are padded with a zero block to the longest
+        row's count, so its (local row, block, column) entries, read off
+        the types' rows, are its CSR rows in order, all of one length: scipy
+        drops their zeros as it drops those of the expanded matrix."""
+        n, n_el, n_blocks = self.table.shape[1], len(self.indptr) - 1, len(self.types)
+        index = np.int32 if max(n * n * n_blocks, n * n_el) <= np.iinfo(np.int32).max else np.int64  # scipy's choice
+        count = np.diff(self.indptr)
+        row = np.repeat(np.arange(n_el), count)
+        slot = np.arange(n_blocks) - self.indptr[row]
+        local = np.concatenate([self.table, np.zeros_like(self.table[:1])]).reshape(-1, n)  # type t's row r at n t + r
+        first = np.full((n_el, count.max()), n * len(self.table))  # each slot's first row of local: the zero block's if empty
+        first[row, slot] = n * self.types
+        col = np.zeros((n_el, count.max()), dtype=index)
+        col[row, slot] = n * self.indices
+        nnz = int(np.count_nonzero(self.table, axis=(1, 2))[self.types].sum())
+        data, indices, indptr = np.empty(nnz), np.empty(nnz, dtype=index), np.zeros(n * n_el + 1, dtype=index)
+        step = max(1, (1 << 17) // (n * n * first.shape[1]))  # element rows of 2^17 entries, padding included
+        for a in range(0, n_el, step):
+            b = min(a + step, n_el)
+            values = np.take(local, first[a:b, None, :] + np.arange(n)[:, None], axis=0)  # (element, local row, slot, column)
+            cols = np.empty(values.shape, dtype=index)
+            np.add(col[a:b, None, :, None], np.arange(n, dtype=index), out=cols)
+            chunk = sp.csr_matrix(
+                (values.ravel(), cols.ravel(), np.arange(0, values.size + 1, values[0, 0].size, dtype=index)),
+                shape=(n * (b - a), n * n_el),
+            )
+            chunk.eliminate_zeros()
+            start = indptr[n * a]
+            data[start : start + chunk.nnz] = chunk.data
+            indices[start : start + chunk.nnz] = chunk.indices
+            indptr[n * a + 1 : n * b + 1] = start + chunk.indptr[1:]
+        return sp.csr_matrix((data, indices, indptr), shape=(n * n_el, n * n_el))
 
-    def own(self) -> tuple:
-        """(distinct blocks, each element's index among them) of the own blocks every element stores."""
+    def own(self) -> BlockDiagonal:
+        """The block diagonal: the own block every element stores."""
         rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
         used, kind = np.unique(self.types[self.indices == rows], return_inverse=True)
-        return self.table[used], kind
+        return BlockDiagonal(self.table[used], kind)
 
     def plus(self, scale: float, other: BlockTable) -> BlockTable:
         """self + scale * other as scipy sums the expanded matrices, once per
@@ -321,6 +356,41 @@ class BlockTable:
         kinds, types = np.unique(union.data.astype(np.intp), return_inverse=True)
         a, b = (np.concatenate([t.table, np.zeros_like(t.table[:1])]) for t in (self, other))
         return BlockTable(union.indices, union.indptr, types, a[kinds % m - 1] + scale * b[kinds // m - 1])
+
+
+@dataclass(eq=False)
+class BlockDiagonal:
+    """A matrix with one block per element and none between elements, held
+    as its distinct blocks and each element's index among them.  ``D @ x``
+    runs over the mesh's cells, cell c owning triangles 2c and 2c + 1: on
+    each side the most common block is one strided product over all cells,
+    and the elements of other kinds (the gamma1 rows and the wall columns
+    of a structured mesh, almost every element of a distorted one) are one
+    gathered product written over it."""
+
+    blocks: np.ndarray  # (n_kinds, n_local, n_local)
+    kind: np.ndarray  # (n_elements,)
+
+    def __post_init__(self):
+        cells = self.kind.reshape(-1, 2)
+        common = [np.bincount(side).argmax() for side in cells.T]
+        self._sides = [self.blocks[k].T.copy() for k in common]  # contiguous: BLAS's fast layout
+        self._rest = np.flatnonzero((cells != common).ravel())
+        self._rest_blocks = self.blocks[self.kind[self._rest]]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        n = self.blocks.shape[1]
+        cells = x.reshape(-1, 2, n)
+        out = np.empty_like(cells)
+        for side, table in enumerate(self._sides):
+            np.matmul(cells[:, side], table, out=out[:, side])
+        out = out.reshape(-1, n)
+        out[self._rest] = (self._rest_blocks @ x.reshape(-1, n)[self._rest, :, None])[..., 0]
+        return out.ravel()
+
+    def inverse(self) -> BlockDiagonal:
+        """Its inverse, each distinct block inverted once."""
+        return BlockDiagonal(np.linalg.inv(self.blocks), self.kind)
 
 
 def _row_types(C: sp.csr_matrix, key: np.ndarray) -> tuple:

@@ -26,17 +26,17 @@ class SolveReport:
     converged: bool
 
 
-def block_jacobi_preconditioner(A: sp.spmatrix, own: tuple):
-    """Inverse of the element-block diagonal of A, given as ``own`` (see
-    ``BlockTable.own``): each distinct block is inverted once.
+def block_jacobi_preconditioner(A: sp.spmatrix, own):
+    """Inverse of the element-block diagonal of the system A, given as
+    ``own`` (a ``BlockDiagonal``, see ``BlockTable.own``): each distinct
+    block is inverted once, and A itself is not read.
 
     With the block-per-element dof layout this captures the full mass block
     and the local stiffness/penalty couplings, which keeps iteration counts
     bounded for stiffness-dominated steps where plain Jacobi degrades.  The
-    inverse blocks are applied as one block-diagonal sparse product."""
-    inv = np.linalg.inv(own[0])[own[1]]
-    B = sp.bsr_matrix((inv, np.arange(len(inv)), np.arange(len(inv) + 1)), shape=A.shape)
-    return lambda r: B @ r
+    inverse is applied over the mesh's cells, never expanded per element."""
+    inv = own.inverse()
+    return lambda r: inv @ r
 
 
 def v_cycle(A: sp.spmatrix, prolongations):
@@ -139,8 +139,7 @@ def cg_solve(
         if true_rel <= tol:
             return x, SolveReport(iterations, true_rel, True)
         if true_rel >= previous_rel:
-            floor = np.finfo(float).eps * np.linalg.norm(np.abs(rhs) + abs(A) @ np.abs(x)) / rhs_norm
-            return x, SolveReport(iterations, true_rel, bool(true_rel <= floor))
+            return x, SolveReport(iterations, true_rel, bool(true_rel <= _rounding_floor(A, rhs, x)))
         previous_rel = true_rel
         z = apply_prec(r)
         p = z.copy()
@@ -167,3 +166,12 @@ def cg_solve(
 
     true_rel = float(np.linalg.norm(rhs - A @ x) / rhs_norm)
     return x, SolveReport(iterations, true_rel, bool(true_rel <= tol))
+
+
+def _rounding_floor(A: sp.spmatrix, rhs: np.ndarray, x: np.ndarray) -> float:
+    """eps || |rhs| + |A| |x| || / ||rhs||, the rounding of rhs - A x.  |A|
+    is the absolute values on A's own index arrays, which scipy's ``abs``
+    would copy as well: 18 MB of the 52.5 MB system at level 7, p = 2."""
+    A = sp.csr_matrix(A)
+    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    return float(np.finfo(float).eps * np.linalg.norm(np.abs(rhs) + abs_A @ np.abs(x)) / np.linalg.norm(rhs))

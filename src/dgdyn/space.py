@@ -149,9 +149,9 @@ def conforming_p1_embedding(space: DGSpace, edges: EdgeClassification) -> sp.csr
     vertices = p1_vertices(mesh, edges.bc_mode)
     cols = np.broadcast_to(vertices[mesh.triangles][:, None, :], shape)
     vals = np.broadcast_to(bary, shape)
-    P = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(space.n_dofs, vertices.max() + 1))
-    P.eliminate_zeros()  # P2 edge nodes are off the opposite vertex's support
-    return P
+    keep = (vals != 0).ravel()  # P2 edge nodes are off the opposite vertex's support
+    entries = vals.ravel()[keep], (rows.ravel()[keep], cols.ravel()[keep])
+    return sp.csr_matrix(entries, shape=(space.n_dofs, vertices.max() + 1))
 
 
 def interpolate(mesh: Mesh, space: DGSpace, u, t: float = 0.0) -> np.ndarray:

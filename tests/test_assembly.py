@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import dgdyn.assembly
 from dgdyn.assembly import (
     TANGENT,
+    BlockDiagonal,
     FormParams,
     _bsr,
     _cell_points,
@@ -502,13 +503,30 @@ def test_csr_structure_invariants():
             assert (np.diff(idx) > 0).all()
 
 
+def test_csr_expansion_memory_proportional_to_output():
+    # the step system is expanded to CSR a few thousand element rows at a
+    # time, with no block per pair: at level 7, p = 2 with walls the peak is
+    # 1.14 times the CSR bytes (2.09 through a BSR copy of a block per pair,
+    # scipy's CSR with the blocks' zeros and a compacting copy)
+    mesh, edges, space, params = setup(7, 2, DIRICHLET_LATERAL)
+    step = assemble_mass(mesh, edges, space, params.lam).plus(1e-4, assemble_Ah(mesh, edges, space, params))
+    tracemalloc.start()
+    try:
+        S = step.tocsr()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.32 * (S.data.nbytes + S.indices.nbytes + S.indptr.nbytes)
+
+
 def test_assembly_memory_proportional_to_output():
     # blocks are keyed per element pair, so no index is held per matrix
     # entry, A_h is one sparse product of every form's terms, so no form is
     # held as a matrix of its own, and the product builds one block per
-    # type, not per pair: the peak is 0.76 times the BSR matrix the table
-    # stands for (1.30 while the product built every pair's block; 2.03
-    # when the forms were built as matrices and added pairwise)
+    # type, not per pair: the peak is 0.62 times the BSR matrix the table
+    # stands for (0.76 when first measured so; 1.30 while the product built
+    # every pair's block; 2.03 when the forms were built as matrices and
+    # added pairwise)
     mesh, edges, space, params = setup(5, 2)
     assemble_Ah(mesh, edges, space, params)  # builds and caches the point tables
     tracemalloc.start()
@@ -518,7 +536,7 @@ def test_assembly_memory_proportional_to_output():
     finally:
         tracemalloc.stop()
     A = A.tobsr()
-    assert peak <= 0.88 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    assert peak <= 0.72 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
 def with_given_normals(edges):
@@ -691,7 +709,7 @@ def test_tables_expand_to_the_per_pair_operators(bc, p, penalty_mode):
         mesh, edges, space, params = setup(level, p, bc, penalty_mode=penalty_mode)
         step = assert_tables_expand_to_per_pair_blocks(mesh, edges, space, params)
         assert len(step.table) <= 20 and len(assemble_mass(mesh, edges, space, params.lam).table) <= 4
-        assert len(step.own()[0]) <= 10
+        assert len(step.own().blocks) <= 10
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -785,3 +803,54 @@ def test_point_sets_are_stored_in_class_order(bc, p):
         if len(sides) == 2:
             shift = faces.shift[face][:, None, :]
             assert np.array_equal(np.stack([sides[1].x, sides[1].y], axis=-1), np.stack([sides[0].x, sides[0].y], axis=-1) + shift)
+
+
+# ---------------------------------------------------------------------------
+# block-diagonal operators applied over the cells against their BSR product
+
+
+def per_element_bsr(D: BlockDiagonal) -> sp.bsr_matrix:
+    """The block-diagonal matrix with each element's block stored on its own."""
+    n_el = len(D.kind)
+    return sp.bsr_matrix((D.blocks[D.kind], np.arange(n_el), np.arange(n_el + 1)))
+
+
+def assert_applies_as_bsr(D: BlockDiagonal, expected: sp.bsr_matrix, seed: int) -> None:
+    """D and its inverse against the BSR products of ``expected`` and of the
+    inverse of each element's block, to 1e-15 relative."""
+    n_el = len(D.kind)
+    inverse = sp.bsr_matrix((np.linalg.inv(expected.data), np.arange(n_el), np.arange(n_el + 1)))
+    x = np.random.default_rng(seed).standard_normal(expected.shape[0])
+    for op, want in ((D, expected @ x), (D.inverse(), inverse @ x)):
+        assert np.abs(op @ x - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_block_diagonal_applies_as_its_bsr_product(bc, p):
+    # M is all of its own blocks; the step system's own blocks are block
+    # Jacobi's.  The gathered product covers the gamma1 rows and the wall
+    # columns only: 2n and, with walls, 2n - 2 more of the 2n^2 elements
+    for level in range(6):
+        mesh, edges, space, params = setup(level, p, bc)
+        M = assemble_mass(mesh, edges, space, params.lam)
+        step = M.plus(1e-3, assemble_Ah(mesh, edges, space, params))
+        n = mesh.n_cells_per_side
+        for table, expected in ((M, M.tobsr()), (step, per_element_bsr(step.own()))):
+            D = table.own()
+            assert_applies_as_bsr(D, expected, level)
+            assert level < 2 or len(D._rest) <= 2 * n + (2 * n - 2) * (bc == DIRICHLET_LATERAL)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_block_diagonal_applies_as_its_bsr_product_on_a_distorted_mesh(bc, p):
+    # almost every element its own block: all but one a side go through the gathered product
+    mesh, edges, space = jittered(3, bc, p)
+    params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0)
+    M = assemble_mass(mesh, edges, space, params.lam)
+    step = M.plus(1e-3, assemble_Ah(mesh, edges, space, params))
+    for table, expected in ((M, M.tobsr()), (step, per_element_bsr(step.own()))):
+        D = table.own()
+        assert len(D._rest) >= len(D.kind) - 2
+        assert_applies_as_bsr(D, expected, p)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges, p1_prolo
 from dgdyn.solver import (
     JACOBI_WEIGHT,
     SolverError,
+    _rounding_floor,
     block_jacobi_preconditioner,
     cg_solve,
     two_level_preconditioner,
@@ -43,7 +46,8 @@ def test_own_blocks_match_dense_slicing():
     indices, indptr = np.array([0, 2, 1, 0, 2, 3, 1, 3]), np.array([0, 2, 3, 6, 8])
     blocks = BlockTable(indices, indptr, np.array([1, 0, 2, 3, 1, 0, 3, 2]), table)
     dense = blocks.tobsr().toarray()
-    own, kind = blocks.own()
+    diagonal = blocks.own()
+    own, kind = diagonal.blocks, diagonal.kind
     expected = np.stack([dense[e * b : (e + 1) * b, e * b : (e + 1) * b] for e in range(4)])
     np.testing.assert_array_equal(own[kind], expected)
     np.testing.assert_array_equal(own, table[[1, 2]])
@@ -61,6 +65,23 @@ def test_block_jacobi_solves_each_element_block(p, bc_mode):
     want = np.concatenate([np.linalg.solve(dense[i : i + b, i : i + b], r[i : i + b]) for i in range(0, len(r), b)])
     got = block_jacobi_preconditioner(S, own)(r)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_rounding_floor_reads_the_system_in_place():
+    # eps || |rhs| + |A| |x| || / ||rhs|| with |A| on A's own index arrays:
+    # bitwise the floor with scipy's abs(A), which copies them
+    S, _, _ = be_system(4, p=2, bc_mode="dirichlet_lateral")
+    rhs, x = np.random.default_rng(8).standard_normal((2, S.shape[0]))
+    want = np.finfo(float).eps * np.linalg.norm(np.abs(rhs) + abs(S) @ np.abs(x)) / np.linalg.norm(rhs)
+    tracemalloc.start()
+    try:
+        floor = _rounding_floor(S, rhs, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert floor.hex() == float(want).hex()
+    # |data| and a few vectors: no copy of the indices (half of data's bytes here)
+    assert peak <= S.data.nbytes + 6 * rhs.nbytes < S.data.nbytes + S.indices.nbytes
 
 
 def test_identity_one_iteration():

@@ -397,16 +397,19 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
 
 
 def test_step_memory_proportional_to_operator(monkeypatch):
-    # operators stay tables of distinct blocks, A is never expanded, the
+    # operators stay tables of distinct blocks, neither A nor M is expanded,
+    # the CSR system is built from its table without a block per pair, the
     # degree-2p tables are released after assembly and the coarse
     # correction is a V-cycle: building the operators and taking one
-    # two-level backward Euler step (rho = 49) peaks at 3.17 times the CSR
-    # bytes of the system CG multiplies (3.89 while the run held A as a
-    # block matrix; 3.93 while the point sets kept a pattern and an inverse
-    # Jacobian per entry and mapped every point back to its reference
-    # triangle; 3.94 while A_h's forms were added pairwise; 5.0 with CSR
-    # operators, kept tables and an LU-factored coarse solve).  The system
-    # is CSR without the blocks' stored zeros.
+    # two-level backward Euler step (rho = 49) peaks at 2.80 times the CSR
+    # bytes of the system CG multiplies (3.21 while M and block Jacobi were
+    # block matrices of a block per element and the system was expanded
+    # through one; 3.89 while the run held A as a block matrix; 3.93 while
+    # the point sets kept a pattern and an inverse Jacobian per entry and
+    # mapped every point back to its reference triangle; 3.94 while A_h's
+    # forms were added pairwise; 5.0 with CSR operators, kept tables and an
+    # LU-factored coarse solve).  The system is CSR without the blocks'
+    # stored zeros.
     case = get_case("example3")
     config = ProblemConfig(case="example3", level=5, p=2, bc_mode=DIRICHLET_LATERAL, dt=1e-3, t_final=1e-3)
     systems = []
@@ -425,7 +428,7 @@ def test_step_memory_proportional_to_operator(monkeypatch):
     finally:
         tracemalloc.stop()
     assert config.dt * ops.stiffness_per_dt > dgdyn.timestepper.TWO_LEVEL_STIFFNESS
-    assert "A" not in vars(ops)
+    assert "A" not in vars(ops) and "M" not in vars(ops)
     (system,) = systems
     assert system.format == "csr" and system.nnz == np.count_nonzero(system.data)
-    assert peak <= 3.67 * (system.data.nbytes + system.indices.nbytes + system.indptr.nbytes)
+    assert peak <= 3.24 * (system.data.nbytes + system.indices.nbytes + system.indptr.nbytes)
