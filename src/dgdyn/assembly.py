@@ -309,9 +309,10 @@ class BlockTable:
         bitwise ``tobsr().tocsr()`` after ``eliminate_zeros``, built a few
         thousand element rows at a time, so no block is held per pair.  Each
         element row's blocks are padded with a zero block to the longest
-        row's count, so its (local row, block, column) entries, read off
-        the types' rows, are its CSR rows in order, all of one length: scipy
-        drops their zeros as it drops those of the expanded matrix."""
+        count among the rows of its chunk, so its (local row, block, column)
+        entries, read off the types' rows, are its CSR rows in order, all of
+        one length: scipy drops their zeros as it drops those of the
+        expanded matrix."""
         n, n_el, n_blocks = self.table.shape[1], len(self.indptr) - 1, len(self.types)
         index = np.int32 if max(n * n * n_blocks, n * n_el) <= np.iinfo(np.int32).max else np.int64  # scipy's choice
         count = np.diff(self.indptr)
@@ -327,9 +328,10 @@ class BlockTable:
         step = max(1, (1 << 17) // (n * n * first.shape[1]))  # element rows of 2^17 entries, padding included
         for a in range(0, n_el, step):
             b = min(a + step, n_el)
-            values = np.take(local, first[a:b, None, :] + np.arange(n)[:, None], axis=0)  # (element, local row, slot, column)
-            cols = np.empty(values.shape, dtype=index)
-            np.add(col[a:b, None, :, None], np.arange(n, dtype=index), out=cols)
+            width = count[a:b].max()  # the chunk's longest element row
+            values = np.take(local, first[a:b, None, :width] + np.arange(n)[:, None], axis=0)  # (element, local row, slot, column)
+            cols = (col[a:b, :width, None] + np.arange(n, dtype=index)).reshape(b - a, 1, -1)  # an element row's columns
+            cols = np.repeat(cols, n, axis=1)  # the same for each of its local rows
             chunk = sp.csr_matrix(
                 (values.ravel(), cols.ravel(), np.arange(0, values.size + 1, values[0, 0].size, dtype=index)),
                 shape=(n * (b - a), n * n_el),

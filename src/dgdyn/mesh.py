@@ -85,7 +85,12 @@ class Mesh:
 
     @cached_property
     def inv_jacobians(self) -> np.ndarray:
-        return np.linalg.inv(self.jacobians)
+        """[[d, -b], [-c, a]] / det for J = [[a, b], [c, d]], with -b taken
+        as 0 - b: a zero entry stays +0, as in LAPACK's inverse, whose
+        values this is bitwise on the structured meshes."""
+        (a, b), (c, d) = self.jacobians.transpose(1, 2, 0)
+        adjugate = np.stack([d, 0.0 - b, 0.0 - c, a], axis=-1).reshape(-1, 2, 2)
+        return adjugate / self.det_jacobians[:, None, None]
 
     @cached_property
     def centroids(self) -> np.ndarray:

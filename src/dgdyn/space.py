@@ -1,4 +1,9 @@
-"""Lagrange basis on the reference triangle, DG dof layout and quadrature."""
+"""Lagrange basis on the reference triangle, DG dof layout and quadrature.
+
+The quadrature rules are products of tabulated Gauss rules: fixed data for
+the degrees supported, and a table keeps scipy.special out of every run,
+with the scipy.linalg it computes the rules with (about 12 MB of peak RSS).
+"""
 
 from __future__ import annotations
 
@@ -8,11 +13,49 @@ from math import ceil
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import EdgeClassification, Mesh, p1_vertices
 
 MAX_QUADRATURE_DEGREE = 10
+
+# The n-point Gauss rules on [-1, 1] for n = 1..6 (the most that
+# MAX_QUADRATURE_DEGREE needs) in row n - 1: Gauss-Jacobi of weight (1 - t)
+# and Gauss-Legendre, each value the repr of scipy 1.17's roots_jacobi(n, 1, 0)
+# or roots_legendre(n), so it reads back bitwise.  Rules computed afresh (by
+# Golub-Welsch on numpy's eigh, say) move the nodes by up to 2e-15: enough to
+# turn operator entries that cancel to exactly zero into stored ones.
+_JACOBI_NODES = (
+    (-0.3333333333333333,),
+    (-0.6898979485566357, 0.2898979485566358),
+    (-0.8228240809745921, -0.1810662711185305, 0.5753189235216941),
+    (-0.8857916077709646, -0.44631397272375245, 0.16718086473783364, 0.7204802713124389),
+    (-0.9203802858970626, -0.6039731642527836, -0.1240503795052277, 0.39092854670727223, 0.8029298284023472),
+    (-0.9413671456804301, -0.7038428006630314, -0.3260306194376914, 0.1173430375431003, 0.538467724060109, 0.8538913426394822),
+)
+_JACOBI_WEIGHTS = (
+    (2.0,),
+    (1.2721655269759087, 0.7278344730240913),
+    (0.8037276549558384, 0.9169644254383448, 0.2793079196058167),
+    (0.5420276537259541, 0.8138582720410844, 0.5193901904329293, 0.12472388380003234),
+    (0.3871263609066059, 0.6686985523774788, 0.5855479483386794, 0.2956354802904667, 0.0629916580867692),
+    (0.2892413229020356, 0.5421699889260747, 0.5631702151527953, 0.3946446035626208, 0.17582066220203585, 0.034953207254438116),
+)
+_LEGENDRE_NODES = (
+    (0.0,),
+    (-0.5773502691896257, 0.5773502691896257),
+    (-0.7745966692414834, 0.0, 0.7745966692414834),
+    (-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526),
+    (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
+    (-0.932469514203152, -0.6612093864662645, -0.23861918608319693, 0.23861918608319693, 0.6612093864662645, 0.932469514203152),
+)
+_LEGENDRE_WEIGHTS = (
+    (2.0,),
+    (1.0, 1.0),
+    (0.5555555555555558, 0.8888888888888883, 0.5555555555555558),
+    (0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538),
+    (0.23692688505618897, 0.4786286704993665, 0.568888888888889, 0.4786286704993665, 0.23692688505618897),
+    (0.17132449237917016, 0.36076157304813855, 0.4679139345726912, 0.4679139345726912, 0.36076157304813855, 0.17132449237917016),
+)
 
 
 @dataclass(eq=False)
@@ -30,8 +73,8 @@ def triangle_quadrature(exact_degree: int) -> QuadratureRule:
     if not 1 <= exact_degree <= MAX_QUADRATURE_DEGREE:
         raise ValueError(f"unsupported triangle quadrature degree {exact_degree}")
     n = ceil((exact_degree + 1) / 2)
-    tj, wj = roots_jacobi(n, 1, 0)  # weight (1 - t) on [-1, 1]
-    tl, wl = roots_legendre(n)
+    tj, wj = np.array(_JACOBI_NODES[n - 1]), np.array(_JACOBI_WEIGHTS[n - 1])  # weight (1 - t) on [-1, 1]
+    tl, wl = np.array(_LEGENDRE_NODES[n - 1]), np.array(_LEGENDRE_WEIGHTS[n - 1])
     xi = 0.5 * (tj + 1.0)
     eta = 0.5 * (tl + 1.0)
     X = np.repeat(xi, n)
@@ -45,7 +88,7 @@ def edge_quadrature(exact_degree: int) -> QuadratureRule:
     if not 1 <= exact_degree <= MAX_QUADRATURE_DEGREE:
         raise ValueError(f"unsupported edge quadrature degree {exact_degree}")
     n = ceil((exact_degree + 1) / 2)
-    t, w = roots_legendre(n)
+    t, w = np.array(_LEGENDRE_NODES[n - 1]), np.array(_LEGENDRE_WEIGHTS[n - 1])
     return QuadratureRule(points=0.5 * (t + 1.0), weights=0.5 * w)
 
 

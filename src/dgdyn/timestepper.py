@@ -65,7 +65,9 @@ class Operators:
     """Assembled discretization of one configuration: the tables of A_h and M,
     which the runs and solves read, and their scipy BSR matrices, built on
     first read for outside readers (the benchmark's reference, the tests);
-    no run expands them."""
+    no run expands them.  What the runs need and no dt changes (M's block
+    diagonal, the two-level preconditioner's P1 parts) is built on first
+    use and kept for every run on them."""
 
     mesh: Mesh
     edges: EdgeClassification
@@ -76,13 +78,19 @@ class Operators:
     dirichlet_rhs: object = None  # callable t -> vector, or None
     A = cached_property(lambda self: self.A_blocks.tobsr())
     M = cached_property(lambda self: self.M_blocks.tobsr())
+    M_diagonal = cached_property(lambda self: self.M_blocks.own())  # M is block diagonal: its own blocks are all of it
 
     @cached_property
     def stiffness_per_dt(self) -> float:
         """max_e 1'A_e 1 / 1'M_e 1 over the elements' own blocks: the
         stiffness ratio of M + dt A divided by dt."""
-        A, M = self.A_blocks.own(), self.M_blocks.own()
+        A, M = self.A_blocks.own(), self.M_diagonal
         return float(np.max(A.blocks.sum(axis=(1, 2))[A.kind] / M.blocks.sum(axis=(1, 2))[M.kind]))
+
+    @cached_property
+    def p1_coarse(self) -> tuple:
+        """The conforming-P1 embedding and its prolongations."""
+        return conforming_p1_embedding(self.space, self.edges), p1_prolongations(self.mesh, self.edges.bc_mode)
 
 
 def build_operators(config: ProblemConfig, u_D=None) -> Operators:
@@ -114,15 +122,15 @@ def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
         raise ValueError(f"wall data u_D requires bc_mode='{DIRICHLET_LATERAL}', not {edges.bc_mode!r}")
 
 
-def _cg_solver(blocks: BlockTable, mesh: Mesh, edges: EdgeClassification, space: DGSpace, two_level: bool):
+def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None):
     """``solve(rhs, what, x0=None)``: CG on ``blocks`` as CSR from ``x0``
-    under block Jacobi, with the conforming-P1 V-cycle if ``two_level``; a
-    SolverError names ``what``."""
+    under block Jacobi, with the conforming-P1 V-cycle if ``p1_coarse``
+    (the P1 embedding and its prolongations) is given; a SolverError names
+    ``what``."""
     system = blocks.tocsr()
     prec = block_jacobi_preconditioner(system, blocks.own())
-    if two_level:
-        P = conforming_p1_embedding(space, edges)
-        prec = two_level_preconditioner(prec, system, P, p1_prolongations(mesh, edges.bc_mode))
+    if p1_coarse is not None:
+        prec = two_level_preconditioner(prec, system, *p1_coarse)
 
     def solve(rhs: np.ndarray, what: str, x0: np.ndarray | None = None) -> np.ndarray:
         x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0)
@@ -154,7 +162,8 @@ def solve_stationary(
     if u_D is not None:
         rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
     # no mass term: the stiff limit, where the coarse correction always pays
-    return _cg_solver(A, mesh, edges, space, two_level=True)(rhs, "stationary solve")
+    p1_coarse = conforming_p1_embedding(space, edges), p1_prolongations(mesh, edges.bc_mode)
+    return _cg_solver(A, p1_coarse)(rhs, "stationary solve")
 
 
 @dataclass(eq=False)
@@ -188,8 +197,8 @@ def run_backward_euler(
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
     system = ops.M_blocks.plus(dt, ops.A_blocks)
-    solve = _cg_solver(system, mesh, edges, space, two_level=dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS)
-    M = ops.M_blocks.own()  # M is block diagonal: its own blocks are all of it
+    solve = _cg_solver(system, ops.p1_coarse if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS else None)
+    M = ops.M_diagonal
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
     guess = u.copy()

@@ -714,6 +714,23 @@ def test_tables_expand_to_the_per_pair_operators(bc, p, penalty_mode):
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_csr_expansion_in_chunks_of_their_own_width(bc, p):
+    # at level 7 the CSR expansion runs in a dozen chunks or more, each
+    # padded to its own longest element row: the gamma1 rows hold one
+    # block more than the interior ones, so most chunks are narrower than
+    # the longest row.  Each matrix is bitwise scipy's without its zeros.
+    mesh, edges, space, params = setup(7, p, bc)
+    A, M = assemble_Ah(mesh, edges, space, params), assemble_mass(mesh, edges, space, params.lam)
+    count = np.diff(A.indptr)
+    assert (count == count.max()).mean() <= 0.1
+    for table in (A, M, M.plus(1e-4, A)):
+        expected = table.tobsr().tocsr()
+        expected.eliminate_zeros()
+        assert same_bits(table.tocsr(), expected)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
 def test_tables_expand_to_the_per_pair_operators_on_a_distorted_mesh(bc, p):
     mesh, edges, space = jittered(3, bc, p)
     params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0)

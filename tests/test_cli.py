@@ -403,6 +403,29 @@ def test_printed_tables_match_golden(argv, golden, capsys):
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
+def test_commands_use_scipy_through_scipy_sparse_only():
+    # the quadrature rules are a table: no run loads scipy.special, nor the
+    # scipy.linalg it computes Gauss rules with (about 12 MB of peak memory)
+    runs = [
+        ["converge-h", "--levels", "2..3", "--dt", "1e-3", "--t-final", "1e-2"],
+        ["converge-dt", "--level", "3", "--dt", "1e-2", "--t-final", "2e-2", "--dt-steps", "2"],
+        ["solve", "--case", "example3", "--level", "3", "--p", "2", "--dt", "1e-2", "--t-final", "2e-2"],
+        ["stability", "--level", "2", "--dt", "1e-3", "--t-final", "1e-2"],
+    ]
+    code = (
+        "import sys\n"
+        "from dgdyn.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    main(argv)\n"
+        "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))\n"
+    )
+    src = str(Path(dgdyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("name, nodes", [("example1", 1), ("example3", 2)])
 def test_sources_evaluated_once_per_node_and_space(monkeypatch, capsys, name, nodes):
     # a level-2 run of 100 steps: each source is evaluated at its time nodes

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from test_assembly import jittered
+
 from dgdyn.mesh import (
     DIRICHLET_LATERAL,
     PERIODIC,
@@ -268,3 +270,15 @@ def test_malformed_mesh_rejected():
     bad = Mesh(level=0, vertices=base.vertices, triangles=tris, h=base.h)
     with pytest.raises(MeshError):
         classify_edges(bad)
+
+
+def test_inverse_jacobians_are_lapacks():
+    # the closed-form inverse is bitwise LAPACK's on the structured meshes
+    # (signed zeros included) and within rounding on distorted ones
+    for level in range(9):
+        mesh = build_structured_mesh(level)
+        assert mesh.inv_jacobians.tobytes() == np.linalg.inv(mesh.jacobians).tobytes()
+    for level in (2, 3):
+        mesh = jittered(level, PERIODIC, 1)[0]
+        expected = np.linalg.inv(mesh.jacobians)
+        assert np.abs(mesh.inv_jacobians - expected).max() <= 1e-13 * np.abs(expected).max()

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import roots_jacobi, roots_legendre
 
+import dgdyn.space
 from dgdyn.mesh import build_structured_mesh, classify_edges, p1_vertices
 from dgdyn.space import (
+    MAX_QUADRATURE_DEGREE,
     DGSpace,
     ReferenceBasis,
     conforming_p1_embedding,
@@ -82,6 +85,20 @@ def test_triangle_quadrature_exactness_sweep(degree):
         for b in range(degree + 1 - a):
             approx = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
             assert np.isclose(approx, exact_triangle_monomial(a, b), rtol=1e-12), (a, b)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gauss_rule_tables_are_scipys_bitwise(n):
+    # the rules are a table, so that no run loads scipy.special: its rows
+    # are scipy 1.17's rules, and the last row is the most points that
+    # MAX_QUADRATURE_DEGREE needs
+    assert len(dgdyn.space._JACOBI_NODES) == math.ceil((MAX_QUADRATURE_DEGREE + 1) / 2) == 6
+    for (nodes, weights), (t, w) in (
+        ((dgdyn.space._JACOBI_NODES, dgdyn.space._JACOBI_WEIGHTS), roots_jacobi(n, 1, 0)),
+        ((dgdyn.space._LEGENDRE_NODES, dgdyn.space._LEGENDRE_WEIGHTS), roots_legendre(n)),
+    ):
+        assert np.array(nodes[n - 1]).tobytes() == t.tobytes()
+        assert np.array(weights[n - 1]).tobytes() == w.tobytes()
 
 
 def test_triangle_quadrature_rejects_unsupported():

@@ -396,6 +396,31 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
         assert iterations == counts[two_level] != counts[not two_level]
 
 
+def test_dt_table_builds_the_coarse_space_once(monkeypatch):
+    # the P1 embedding and its prolongations depend on the space and the
+    # bc mode alone: three two-level runs on shared operators build them
+    # once, and each run ends bitwise where one on operators of its own does
+    calls = Counter()
+
+    def counted(function):
+        def count(*args):
+            calls[function.__name__] += 1
+            return function(*args)
+
+        return count
+
+    for name in ("conforming_p1_embedding", "p1_prolongations"):
+        monkeypatch.setattr(dgdyn.timestepper, name, counted(getattr(dgdyn.timestepper, name)))
+    case = get_case("example1")
+    configs = [ProblemConfig(case="example1", level=4, p=1, dt=dt, t_final=0.1) for dt in (0.1, 0.05, 0.025)]
+    ops = build_operators(configs[0])
+    shared = [run_backward_euler(config, case.f, case.g, case.u0, ops=ops).coeffs for config in configs]
+    assert all(config.dt * ops.stiffness_per_dt > dgdyn.timestepper.TWO_LEVEL_STIFFNESS for config in configs)
+    assert calls == {"conforming_p1_embedding": 1, "p1_prolongations": 1}
+    for config, coeffs in zip(configs, shared):
+        assert coeffs.tobytes() == run_backward_euler(config, case.f, case.g, case.u0).coeffs.tobytes()
+
+
 def test_step_memory_proportional_to_operator(monkeypatch):
     # operators stay tables of distinct blocks, neither A nor M is expanded,
     # the CSR system is built from its table without a block per pair, the
