@@ -19,7 +19,8 @@ set is built once per geometry and cached on the space, which releases the
 degree-2p ones once the operators are built.
 
 A point set is stored in geometry-class order.  A class is the entries
-whose point pattern (the reference positions of their points), inverse
+whose point pattern (the reference positions of their points: on a face,
+those between the reference vertices its endpoints map to), inverse
 Jacobian, weight scale and (on faces) normal are bitwise equal, a handful
 on the structured meshes; the order is found from per-element and
 per-face data, before the points are built in it, and each class is one
@@ -35,7 +36,8 @@ Element blocks are built once per class, and an operator is a
 ``BlockTable``: its block pattern, a type per element pair (pairs with
 equal counts of each class share one) and a block per type, a handful on
 the structured meshes.  The solvers read it; CG multiplies its CSR form,
-expanded from the table without a block per pair.  Its own blocks are a
+which scipy expands from the table a few thousand element rows at a time,
+so no block is held per pair.  Its own blocks are a
 ``BlockDiagonal``, the distinct blocks and a kind per element, applied
 over the mesh's cell pairs: M (block diagonal in full), block Jacobi and
 the projection's mass are never held as a block per element.
@@ -197,31 +199,18 @@ def _class_order(*keys) -> tuple:
     lexsort over the columns: far faster than ``np.unique(axis=0)``."""
     keys = np.column_stack(keys)
     order = np.lexsort(keys.T)
+    keys = keys[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     return order, np.append(np.flatnonzero(first), len(order))
-
-
-def _patterns(ref: np.ndarray) -> tuple:
-    """(pattern of each row, first row of each pattern) of the reference
-    positions ``ref`` (n, k, 2): rows share a pattern when they agree within
-    1e-10, far above the rounding of the affine maps and far below any
-    rule's spacing."""
-    pattern, first, rest = np.zeros(len(ref), dtype=np.intp), [], np.arange(len(ref))
-    while len(rest):
-        same = np.abs(ref[rest] - ref[rest[0]]).max(axis=(1, 2)) <= 1e-10
-        pattern[rest[same]] = len(first)
-        first.append(rest[0])
-        rest = rest[~same]
-    return pattern, np.array(first, dtype=np.intp)
 
 
 def _points(mesh, space, elems, points, w, bounds, ref) -> _Points:
     """The side of ``elems`` at the physical ``points`` (nE, nq, 2), in class
     order with the runs ``bounds``.  ``ref`` (n_classes, nq, 2) holds the
-    reference positions of each class's points: those of its pattern's
-    first entry in input order, so the classes of a pattern share their
-    reference tables to the bit."""
+    reference positions of each class's points, the same for every class
+    of one pattern, so those classes share their reference tables to the
+    bit."""
     inv_j = mesh.inv_jacobians[elems[bounds[:-1]]]
     phi, grad = space.basis.eval(ref), space.basis.grad(ref) @ inv_j[:, None]
     return _Points(elems, w, points[..., 0], points[..., 1], bounds, phi, grad)
@@ -260,28 +249,29 @@ def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
 @_per_space
 def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _FaceTables:
     """Each side of a batch of faces, the second at the points moved by
-    ``shift``, ordered by class: the normal and, on each side, the pattern of
-    the face's endpoints in its element's reference triangle, the element's
-    inverse Jacobian and the face's length.  The order is found from the
-    endpoints, so the points are built in it."""
+    ``shift``, ordered by class: the normal and, on each side, the reference
+    vertices the face's endpoints map to in its element, the element's
+    inverse Jacobian and the face's length.  Each endpoint is a vertex of
+    its element, so rounding its mapped-back position gives the vertex
+    exactly, and each class's points lie between its two vertices.  The
+    order is found from the endpoints, so the points are built in it."""
     shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
     ends = np.stack([faces.p0, faces.p1], axis=1)
-    keys, patterns = [], []
+    keys, ref_ends = [], []
     for el, shift in zip(faces.elem.T, shifts):
         inv_j = mesh.inv_jacobians[el]
-        ref_ends = (ends + shift - mesh.v0[el][:, None, :]) @ inv_j.transpose(0, 2, 1)
-        pattern, first = _patterns(ref_ends)
-        keys += [pattern, inv_j.reshape(-1, 4), faces.length]
-        patterns.append((pattern, ref_ends[first]))  # each pattern's endpoints: its first face's
+        ref_ends.append(np.rint((ends + shift - mesh.v0[el][:, None, :]) @ inv_j.transpose(0, 2, 1)))
+        keys += [ref_ends[-1].reshape(-1, 4), inv_j.reshape(-1, 4), faces.length]
     order, bounds = _class_order(*keys, faces.normal)
+    ref_ends = [e[order[bounds[:-1]]] for e in ref_ends]  # (n_classes, 2, 2) each
+    del keys  # the per-face keys, before the points are built
     rule = edge_quadrature(degree)
     p0 = faces.p0[order]
     pts = p0[:, None, :] + rule.points[None, :, None] * (faces.p1[order] - p0)[:, None, :]
     w = rule.weights[None, :] * faces.length[order][:, None]
     points = [pts] if faces.shift is None else [pts, pts + faces.shift[order][:, None, :]]
     sides = []
-    for el, x, (pattern, pattern_ends) in zip(faces.elem.T, points, patterns):
-        e = pattern_ends[pattern[order[bounds[:-1]]]]  # (n_classes, 2, 2)
+    for el, x, e in zip(faces.elem.T, points, ref_ends):
         ref = e[:, :1] + rule.points[:, None] * (e[:, 1:] - e[:, :1])
         sides.append(_points(mesh, space, el[order], x, w, bounds, ref))
     return _FaceTables(sides, faces.normal[order])
@@ -306,36 +296,19 @@ class BlockTable:
 
     def tocsr(self) -> sp.csr_matrix:
         """As CSR without the blocks' zeros, in arrays of its own size:
-        bitwise ``tobsr().tocsr()`` after ``eliminate_zeros``, built a few
-        thousand element rows at a time, so no block is held per pair.  Each
-        element row's blocks are padded with a zero block to the longest
-        count among the rows of its chunk, so its (local row, block, column)
-        entries, read off the types' rows, are its CSR rows in order, all of
-        one length: scipy drops their zeros as it drops those of the
-        expanded matrix."""
+        ``tobsr().tocsr()`` after ``eliminate_zeros``, which scipy computes
+        a few thousand element rows at a time, so no block is held per
+        pair."""
         n, n_el, n_blocks = self.table.shape[1], len(self.indptr) - 1, len(self.types)
         index = np.int32 if max(n * n * n_blocks, n * n_el) <= np.iinfo(np.int32).max else np.int64  # scipy's choice
-        count = np.diff(self.indptr)
-        row = np.repeat(np.arange(n_el), count)
-        slot = np.arange(n_blocks) - self.indptr[row]
-        local = np.concatenate([self.table, np.zeros_like(self.table[:1])]).reshape(-1, n)  # type t's row r at n t + r
-        first = np.full((n_el, count.max()), n * len(self.table))  # each slot's first row of local: the zero block's if empty
-        first[row, slot] = n * self.types
-        col = np.zeros((n_el, count.max()), dtype=index)
-        col[row, slot] = n * self.indices
         nnz = int(np.count_nonzero(self.table, axis=(1, 2))[self.types].sum())
         data, indices, indptr = np.empty(nnz), np.empty(nnz, dtype=index), np.zeros(n * n_el + 1, dtype=index)
-        step = max(1, (1 << 17) // (n * n * first.shape[1]))  # element rows of 2^17 entries, padding included
+        step = max(1, (1 << 17) // (n * n * np.diff(self.indptr).max()))  # element rows of at most 2^17 entries
         for a in range(0, n_el, step):
             b = min(a + step, n_el)
-            width = count[a:b].max()  # the chunk's longest element row
-            values = np.take(local, first[a:b, None, :width] + np.arange(n)[:, None], axis=0)  # (element, local row, slot, column)
-            cols = (col[a:b, :width, None] + np.arange(n, dtype=index)).reshape(b - a, 1, -1)  # an element row's columns
-            cols = np.repeat(cols, n, axis=1)  # the same for each of its local rows
-            chunk = sp.csr_matrix(
-                (values.ravel(), cols.ravel(), np.arange(0, values.size + 1, values[0, 0].size, dtype=index)),
-                shape=(n * (b - a), n * n_el),
-            )
+            lo, hi = self.indptr[a], self.indptr[b]
+            blocks = (self.table[self.types[lo:hi]], self.indices[lo:hi], self.indptr[a : b + 1] - lo)
+            chunk = sp.bsr_matrix(blocks, shape=(n * (b - a), n * n_el)).tocsr()
             chunk.eliminate_zeros()
             start = indptr[n * a]
             data[start : start + chunk.nnz] = chunk.data

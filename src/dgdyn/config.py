@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .mesh import BC_MODES, PERIODIC
@@ -53,9 +54,13 @@ class ProblemConfig:
                 raise ValueError("levels must be a nonempty increasing sequence")
         if min((self.level, *(self.levels or ()))) < 0:
             raise ValueError("mesh levels must be >= 0; level 0 is one cell split in two triangles")
+        coefficients = {"alpha": self.alpha, "beta": self.beta, "lambda": self.lam}
+        for name, value in {"gamma": self.gamma, **coefficients, "dt": self.dt, "t_final": self.t_final}.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value:g}: {name} must be a finite number")
         if self.gamma <= 0:
             raise ValueError(f"gamma = {self.gamma:g}: the penalty gamma must be positive")
-        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("lambda", self.lam)):
+        for name, value in coefficients.items():
             if value < 0:
                 raise ValueError(f"{name} = {value:g}: alpha, beta and lambda must be >= 0")
         if self.dt_steps < 1:

@@ -12,6 +12,7 @@ import pytest
 
 import dgdyn
 import dgdyn.cli
+import dgdyn.timestepper
 
 from dgdyn.cli import (
     COMMANDS,
@@ -173,6 +174,35 @@ def test_unparsable_config_value_names_the_key_and_the_file(tmp_path, capsys, ke
     cfg.write_text(f"{key} = {text}\n")
     command = "converge-dt" if key == "dt_steps" else "converge-h" if key == "levels" else "solve"
     assert error_line([command, "--config", str(cfg)], capsys) == f"dgdyn: error: {cfg}: invalid value for {key}: {text!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["solve", "--level", "2", "--t-final", "inf"], "t_final = inf"),
+        (["solve", "--dt", "nan"], "dt = nan"),
+        (["converge-dt", "--dt", "inf"], "dt = inf"),
+        (["solve", "--gamma", "nan"], "gamma = nan"),
+        (["stability", "--alpha", "nan"], "alpha = nan"),
+        (["stability", "--beta=-inf"], "beta = -inf"),
+        (["stability", "--lambda", "inf"], "lambda = inf"),
+    ],
+)
+def test_non_finite_values_are_refused_before_the_mesh(monkeypatch, capsys, argv, key):
+    # nan passes every sign check and inf every check for a positive value:
+    # refused by name before any mesh is built, not as a traceback in the
+    # step count or a CG failure after assembly
+    def build_structured_mesh(level):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(dgdyn.timestepper, "build_structured_mesh", build_structured_mesh)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("dgdyn: error:")]
+    assert errors == [f"dgdyn: error: {key}: {key.split()[0]} must be a finite number"]
+    assert captured.out == ""
 
 
 def test_readme_command_lines_parse():
