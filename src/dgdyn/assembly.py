@@ -23,10 +23,12 @@ whose point pattern (the reference positions of their points: on a face,
 those between the reference vertices its endpoints map to), inverse
 Jacobian, weight scale and (on faces) normal are bitwise equal, a handful
 on the structured meshes; the order is found from per-element and
-per-face data, before the points are built in it, and each class is one
-run of entries.  Each class keeps its basis values and physical
-gradients, the reference gradients folded with its inverse Jacobian.  One
-evaluator on it serves loads, projection and norms: ``field`` maps the
+per-face data, and each class is one run of entries.  Each class keeps
+its weight row, basis values and physical gradients, the reference
+gradients folded with its inverse Jacobian; a point set makes the
+physical points of a block of entries from the mesh only when a field is
+evaluated, so it holds no array per entry and point but kept snapshots.
+One evaluator on it serves loads, projection and norms: ``field`` maps the
 coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
 ``exact`` evaluates a time-separable field once per time node and keeps
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,50 +101,76 @@ class FormParams:
 # quadrature point sets
 
 
+BLOCK_POINTS = 2**15  # points in one block of an evaluation: its temporaries (256 KB an array) stay small
+
+
 @dataclass(eq=False)
 class _Points:
     """Quadrature points on one side of a batch of cells or faces, stored in
     geometry-class order: the entries of class k are the run bounds[k] to
-    bounds[k + 1], and each class keeps its basis tables."""
+    bounds[k + 1], and each class keeps its weights and basis tables.  The
+    points of a block of entries are made from the mesh on demand."""
 
     elem: np.ndarray  # (nE,) element whose basis is evaluated
-    w: np.ndarray  # (nE, nq) rule weight times cell area or face length (1 at a point face)
-    x: np.ndarray  # (nE, nq) physical points on this side's realization
-    y: np.ndarray
+    w: np.ndarray  # (n_classes, nq) rule weight times cell area or face length (1 at a point face)
     bounds: np.ndarray  # (n_classes + 1,) first entry of each class, then nE
     phi: np.ndarray  # (n_classes, nq, n_local) basis values
     grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
+    points: callable  # slice -> (x, y), each (m, nq): those entries' physical points on this side's realization
     kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields, projections
 
     def exact(self, fn, t: float, keep: bool = True) -> list:
         """``fn`` at time t on the points, as (weight, values) terms that sum
         to it: one term per time node of a ``SeparableField``, whose snapshot
         is evaluated once and kept, ``(1, fn(t, x, y))`` for a plain
-        callable or without ``keep``, and none for None.  Values are what
-        ``fn`` returns: an array, or a pair of arrays for a gradient."""
+        callable or without ``keep``, and none for None.  Values are (nE,
+        nq), or (2, nE, nq) for a gradient's pair."""
         if fn is None:
             return []
         if not (keep and isinstance(fn, SeparableField)):
-            return [(1.0, fn(t, self.x, self.y))]
-        snapshots = [self._keep((fn.fn, s), lambda s=s: fn.fn(s, self.x, self.y)) for s in fn.nodes]
+            return [(1.0, self.evaluate(partial(fn, t)))]
+        snapshots = [self._keep((fn.fn, s), lambda s=s: self.evaluate(partial(fn.fn, s))) for s in fn.nodes]
         return list(zip(fn.weights(t), snapshots))
 
     def load(self, fn, t: float) -> np.ndarray:
         """Local load vectors (nE, n_local) of sum_q w fn(t) v: for a
         ``SeparableField``, the weighted sum of its per-node vectors, each
-        integrated once and kept without its point values."""
+        integrated once and kept without its point values.  A source is
+        called on all the points at once, so once per time node."""
+        whole = [slice(0, len(self.elem))]
         if not isinstance(fn, SeparableField):
-            return self.test(np.asarray(fn(t, self.x, self.y), dtype=float))
-        vectors = [
-            self._keep((fn.fn, s, "load"), lambda s=s: self.test(np.asarray(fn.fn(s, self.x, self.y), dtype=float)))
-            for s in fn.nodes
-        ]
+            return self.integrate(partial(fn, t), whole)
+        vectors = [self._keep((fn.fn, s, "load"), lambda s=s: self.integrate(partial(fn.fn, s), whole)) for s in fn.nodes]
         return sum(w * v for w, v in zip(fn.weights(t), vectors))
 
     def _keep(self, key, make):
         if key not in self.kept:
             self.kept[key] = make()
         return self.kept[key]
+
+    def blocks(self) -> list:
+        """Slices of the entries, BLOCK_POINTS points each but the last."""
+        n, size = len(self.elem), max(1, BLOCK_POINTS // self.w.shape[1])
+        return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+    def evaluate(self, fn) -> np.ndarray:
+        """fn(x, y) on every point, one block of entries at a time, into an
+        array (nE, nq), or (2, nE, nq) for a gradient's pair."""
+        out = None
+        for sl in self.blocks():
+            values = np.asarray(fn(*self.points(sl)), dtype=float)
+            if out is None:
+                out = np.empty((*values.shape[:-2], len(self.elem), self.w.shape[1]))
+            out[..., sl, :] = values
+        return out
+
+    def integrate(self, fn, blocks=None) -> np.ndarray:
+        """``test`` of fn(x, y): local vectors (nE, n_local), one block of
+        entries (by default ``blocks()``) at a time."""
+        out = np.empty((len(self.elem), self.phi.shape[2]))
+        for sl in blocks or self.blocks():
+            out[sl] = self.test(np.asarray(fn(*self.points(sl)), dtype=float), sl)
+        return out
 
     def runs(self, sl: slice):
         """(class, start, stop) of each class's run among the entries ``sl``,
@@ -166,17 +194,17 @@ class _Points:
             np.matmul(c[a:b], tables[k - first], out=out[a:b])
         return out
 
-    def test(self, values: np.ndarray) -> np.ndarray:
-        """The weighted transpose of ``field`` over every entry: local vectors
-        (nE, n_local) of sum_q w values v, for values (nE, nq), or of
-        w values . grad v, for values (nE, nq, 2)."""
+    def test(self, values: np.ndarray, sl: slice) -> np.ndarray:
+        """The weighted transpose of ``field``: local vectors (m, n_local) at
+        the entries ``sl`` of sum_q w values v, for values (m, nq), or of w
+        values . grad v, for values (m, nq, 2)."""
         grad = values.ndim == 3
-        wv = (self.w[..., None] if grad else self.w) * values
         n = self.phi.shape[2]
-        out = np.empty((len(self.elem), n))
-        for k, a, b in self.runs(slice(0, len(self.elem))):
+        out = np.empty((len(values), n))
+        for k, a, b in self.runs(sl):
             table = self.grad[k].transpose(0, 2, 1).reshape(-1, n) if grad else self.phi[k]
-            out[a:b] = wv[a:b].reshape(b - a, -1) @ table
+            wv = (self.w[k][:, None] if grad else self.w[k]) * values[a:b]
+            out[a:b] = wv.reshape(b - a, -1) @ table
         return out
 
     @cached_property
@@ -189,7 +217,7 @@ class _Points:
 @dataclass(eq=False)
 class _FaceTables:
     sides: list  # the _Points of each side, all with the same class runs
-    normal: np.ndarray  # (nE, 2); a face's class fixes each side's classes and its normal
+    normal: np.ndarray  # (n_classes, 2); a face's class fixes each side's classes and its normal
 
 
 def _class_order(*keys) -> tuple:
@@ -206,14 +234,33 @@ def _class_order(*keys) -> tuple:
 
 
 def _points(mesh, space, elems, points, w, bounds, ref) -> _Points:
-    """The side of ``elems`` at the physical ``points`` (nE, nq, 2), in class
-    order with the runs ``bounds``.  ``ref`` (n_classes, nq, 2) holds the
+    """The side of ``elems`` whose points ``points`` makes, in class order
+    with the runs ``bounds``.  ``ref`` (n_classes, nq, 2) holds the
     reference positions of each class's points, the same for every class
     of one pattern, so those classes share their reference tables to the
     bit."""
     inv_j = mesh.inv_jacobians[elems[bounds[:-1]]]
     phi, grad = space.basis.eval(ref), space.basis.grad(ref) @ inv_j[:, None]
-    return _Points(elems, w, points[..., 0], points[..., 1], bounds, phi, grad)
+    return _Points(elems, w, bounds, phi, grad, points)
+
+
+def _on_cells(mesh, elems, points, sl) -> tuple:
+    """(x, y) at the triangles ``elems[sl]``: v0 + J times the rule's
+    ``points``, with one product for all of them."""
+    e = elems[sl]
+    X = (mesh.jacobians[e].reshape(-1, 2) @ points.T).reshape(len(e), 2, -1)
+    X += mesh.v0[e][:, :, None]
+    return X[:, 0], X[:, 1]
+
+
+def _on_faces(faces, order, points, shifted, sl) -> tuple:
+    """(x, y) at the faces ``order[sl]``: p0 + s (p1 - p0), moved by the
+    face's shift on the second side."""
+    f = order[sl]
+    X = faces.p0[f][:, None, :] + points[None, :, None] * (faces.p1[f] - faces.p0[f])[:, None, :]
+    if shifted:
+        X += faces.shift[f][:, None, :]
+    return X[..., 0], X[..., 1]
 
 
 def _per_space(build):
@@ -239,11 +286,12 @@ def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
     """Every triangle, ordered by class: its inverse Jacobian and determinant."""
     rule = triangle_quadrature(degree)
     elems, bounds = _class_order(mesh.inv_jacobians.reshape(-1, 4), mesh.det_jacobians)
-    X = mesh.v0[elems][:, None, :] + rule.points @ mesh.jacobians[elems].transpose(0, 2, 1)
+    points = partial(_on_cells, mesh, elems, rule.points)
     # the one pattern's reference positions: element 0's points mapped back
     first = np.argmin(elems)
-    ref = np.broadcast_to((X[first] - mesh.v0[0]) @ mesh.inv_jacobians[0].T, (len(bounds) - 1, *rule.points.shape))
-    return _points(mesh, space, elems, X, mesh.det_jacobians[elems][:, None] * rule.weights, bounds, ref)
+    ref = (np.stack(points(slice(first, first + 1)), axis=-1)[0] - mesh.v0[0]) @ mesh.inv_jacobians[0].T
+    ref = np.broadcast_to(ref, (len(bounds) - 1, *rule.points.shape))
+    return _points(mesh, space, elems, points, mesh.det_jacobians[elems[bounds[:-1]]][:, None] * rule.weights, bounds, ref)
 
 
 @_per_space
@@ -254,7 +302,7 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _Face
     inverse Jacobian and the face's length.  Each endpoint is a vertex of
     its element, so rounding its mapped-back position gives the vertex
     exactly, and each class's points lie between its two vertices.  The
-    order is found from the endpoints, so the points are built in it."""
+    order is found from the endpoints, and the points are made in it."""
     shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
     ends = np.stack([faces.p0, faces.p1], axis=1)
     keys, ref_ends = [], []
@@ -263,18 +311,17 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _Face
         ref_ends.append(np.rint((ends + shift - mesh.v0[el][:, None, :]) @ inv_j.transpose(0, 2, 1)))
         keys += [ref_ends[-1].reshape(-1, 4), inv_j.reshape(-1, 4), faces.length]
     order, bounds = _class_order(*keys, faces.normal)
-    ref_ends = [e[order[bounds[:-1]]] for e in ref_ends]  # (n_classes, 2, 2) each
-    del keys  # the per-face keys, before the points are built
+    first = order[bounds[:-1]]
+    ref_ends = [e[first] for e in ref_ends]  # (n_classes, 2, 2) each
+    del keys  # the per-face keys, before the point sets are built
     rule = edge_quadrature(degree)
-    p0 = faces.p0[order]
-    pts = p0[:, None, :] + rule.points[None, :, None] * (faces.p1[order] - p0)[:, None, :]
-    w = rule.weights[None, :] * faces.length[order][:, None]
-    points = [pts] if faces.shift is None else [pts, pts + faces.shift[order][:, None, :]]
+    w = rule.weights[None, :] * faces.length[first][:, None]
     sides = []
-    for el, x, e in zip(faces.elem.T, points, ref_ends):
+    for el, shifted, e in zip(faces.elem.T, (False, True), ref_ends):
         ref = e[:, :1] + rule.points[:, None] * (e[:, 1:] - e[:, :1])
-        sides.append(_points(mesh, space, el[order], x, w, bounds, ref))
-    return _FaceTables(sides, faces.normal[order])
+        points = partial(_on_faces, faces, order, rule.points, shifted)
+        sides.append(_points(mesh, space, el[order], points, w, bounds, ref))
+    return _FaceTables(sides, faces.normal[first])
 
 
 # ---------------------------------------------------------------------------
@@ -404,20 +451,13 @@ def _gram_blocks(pts: _Points, d: np.ndarray | None = None, scale: float = 1.0) 
     """The term scale (D v, D w) over the points of each element or face,
     D v the value if ``d`` is None and the gradient times ``d`` (2, k)
     otherwise: the mass or a stiffness, its blocks once per class."""
-    cls, rep = pts.classes
     dv = pts.phi[..., None] if d is None else pts.grad @ d
-    return pts.elem, pts.elem, cls, scale * np.einsum("cq,cqlk,cqmk->clm", pts.w[rep], dv, dv)
+    return pts.elem, pts.elem, pts.classes[0], scale * np.einsum("cq,cqlk,cqmk->clm", pts.w, dv, dv)
 
 
 def _scatter(space: DGSpace, pts: _Points, local: np.ndarray) -> np.ndarray:
     """Local vectors (nE, n_local) of a point set summed into one entry per dof."""
     return np.bincount(space.dofs[pts.elem].ravel(), weights=local.ravel(), minlength=space.n_dofs)
-
-
-def _integrate(space: DGSpace, pts: _Points, values: np.ndarray) -> np.ndarray:
-    """The vector (values, v) over a point set, one entry per dof.  Values
-    of shape (nE, nq, 2) are tested against grad v instead of v."""
-    return _scatter(space, pts, pts.test(values))
 
 
 def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
@@ -429,11 +469,11 @@ def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
     on a batch of faces, blocks once per class.  The average weighs each
     side by one over the number of sides, so on one-sided faces jump and
     average are the trace."""
-    cls, rep = ft.sides[0].classes
+    cls = ft.sides[0].classes[0]
     avg = 1.0 / len(ft.sides)
-    w = ft.sides[0].w[rep]
+    w = ft.sides[0].w
     traces = [
-        (st.elem, s, st.phi, np.einsum("cqli,ci->cql", st.grad, ft.normal[rep]))
+        (st.elem, s, st.phi, np.einsum("cqli,ci->cql", st.grad, ft.normal))
         for st, s in zip(ft.sides, (1.0, -1.0))
     ]
     out = []
@@ -566,7 +606,10 @@ def assemble_dirichlet_terms(
             continue
         ft = term.points(mesh, space, 2 * space.p + 4)
         (pts,) = ft.sides
-        ud = np.asarray(u_D(t, pts.x, pts.y), dtype=float)
-        flux = _integrate(space, pts, ud[..., None] * ft.normal[:, None, :])  # (u_D, grad v . n)
-        rhs += term.weight * (_integrate(space, pts, term.sigma * ud) - flux)
+        penalty, flux = np.empty((2, len(pts.elem), space.n_local))
+        for sl in pts.blocks():
+            ud = np.asarray(u_D(t, *pts.points(sl)), dtype=float)
+            penalty[sl] = pts.test(term.sigma * ud, sl)
+            flux[sl] = pts.test(ud[..., None] * ft.normal[pts.classes[0][sl], None, :], sl)  # (u_D, grad v . n)
+        rhs += term.weight * (_scatter(space, pts, penalty) - _scatter(space, pts, flux))
     return rhs

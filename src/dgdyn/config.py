@@ -13,6 +13,9 @@ FORMATS = ("csv", "markdown")
 PENALTY_MODES = ("gamma_over_h", "fixed_sigma")
 
 REL_STEP_TOL = 1e-9  # t_final / dt must be integral to this tolerance
+# Most dof-steps (finest mesh's dofs times finest dt's steps) a run may take:
+# 1e12 is days at 1-3 million a second, so more is a mistyped dt or level.
+DOF_STEP_BUDGET = 1e12
 
 
 @dataclass
@@ -65,7 +68,12 @@ class ProblemConfig:
                 raise ValueError(f"{name} = {value:g}: alpha, beta and lambda must be >= 0")
         if self.dt_steps < 1:
             raise ValueError(f"dt_steps = {self.dt_steps}: the dt table needs at least one row")
-        self.num_steps()  # raises if t_final / dt is not integral
+        top, rows = max(self.levels or (self.level,)), 2 ** (self.dt_steps - 1) if self.mode == "converge_dt" else 1
+        dofs, steps = 4**top * (self.p + 1) * (self.p + 2), self.num_steps() * rows  # raises if not integral
+        if dofs * steps > DOF_STEP_BUDGET:
+            fit = self.t_final * dofs * rows / DOF_STEP_BUDGET
+            fits = f"dt >= {fit:.3g} fits" if fit <= self.t_final else f"no dt fits at level {top}"
+            raise ValueError(f"{steps:.3g} steps of {dofs} dofs exceed the budget of {DOF_STEP_BUDGET:.0e} dof-steps; {fits}")
         return self
 
     def num_steps(self) -> int:

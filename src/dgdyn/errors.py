@@ -68,19 +68,6 @@ def _as_field(exact):
     return exact, None
 
 
-# Points per block of a norm's sums over a point set: the temporaries of
-# one block (256 KB per array of values) stay small next to the snapshots
-# kept on the point sets.  Within a block, each class's run of entries is
-# one product of u_h's local coefficients with the class's table.
-BLOCK_POINTS = 2**15
-
-
-def _blocks(pts):
-    n, nq = pts.w.shape
-    size = max(1, BLOCK_POINTS // nq)
-    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
-
-
 def _local(space, u_h):
     """u_h as local coefficients, one row per element, or None."""
     if u_h is None:
@@ -118,9 +105,10 @@ def _sum_sq(pts, u, exact, dirs=(None,)):
     gamma1), one block of entries at a time; ``u`` is u_h's local
     coefficients."""
     total = 0.0
-    for sl in _blocks(pts):
+    for sl in pts.blocks():
         c = None if u is None else u.take(pts.elem[sl], axis=0)
-        total += sum(_norm2(pts.w[sl], _trace(pts, sl, c, exact, d)) for d in dirs)
+        w = pts.w.take(pts.classes[0][sl], axis=0)
+        total += sum(_norm2(w, _trace(pts, sl, c, exact, d)) for d in dirs)
     return total
 
 
@@ -136,9 +124,9 @@ def _face_sums(ft, u, value_fn, grad_fn, t, dirs):
     value = [] if others else first.exact(value_fn, t)
     grad = first.exact(grad_fn, t)
     jump2 = avg2 = 0.0
-    for sl in _blocks(first):
+    for sl in first.blocks():
         c = [None if u is None else u.take(side.elem[sl], axis=0) for side in ft.sides]
-        w = first.w[sl]
+        w = first.w.take(first.classes[0][sl], axis=0)
         jump = _trace(first, sl, c[0], value)
         for side, cs in zip(others, c[1:]):
             jump -= _trace(side, sl, cs, [])

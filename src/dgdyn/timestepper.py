@@ -12,7 +12,7 @@ from .assembly import (
     FormParams,
     _bsr,
     _gram_blocks,
-    _integrate,
+    _scatter,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
@@ -54,7 +54,8 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
 
     def project():
         grams = [_gram_blocks(pts, term.dirs, term.weight) for term, pts in zip(terms, points)]
-        rhs = sum(_integrate(space, pts, term.weight * np.asarray(u0(pts.x, pts.y))) for term, pts in zip(terms, points))
+        tested = [pts.integrate(lambda x, y, w=term.weight: w * np.asarray(u0(x, y))) for term, pts in zip(terms, points)]
+        rhs = sum(_scatter(space, pts, local) for pts, local in zip(points, tested))
         return _bsr(space, grams).own().inverse() @ rhs
 
     return points[-1]._keep(("projection", u0, lam), project).copy()

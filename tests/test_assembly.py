@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -593,9 +594,34 @@ def jittered(level, bc, p):
     return mesh, classify_edges(mesh, bc), DGSpace(mesh, p)
 
 
+def entries(elem, X, w):
+    """A batch of entries on one side: elements (nE,), physical points X
+    (nE, nq, 2) as x and y, and weights w (nE, nq)."""
+    return SimpleNamespace(elem=elem, x=X[..., 0], y=X[..., 1], w=w)
+
+
+def cell_entries(mesh, degree):
+    """Every triangle in mesh order, its points and weights from the mesh
+    alone: v0 + J times the rule's points, det J times its weights."""
+    rule = triangle_quadrature(degree)
+    X = mesh.v0[:, None, :] + rule.points @ mesh.jacobians.transpose(0, 2, 1)
+    return entries(np.arange(mesh.n_triangles), X, mesh.det_jacobians[:, None] * rule.weights)
+
+
+def face_entries(faces, degree):
+    """Each side of ``faces`` in the mesh's face order, from the faces alone:
+    points p0 + s (p1 - p0), the second side's moved by the shift, and
+    weights the face length times the rule's."""
+    rule = edge_quadrature(degree)
+    X = faces.p0[:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[:, None, :]
+    w = faces.length[:, None] * rule.weights
+    shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
+    return [entries(el, X + shift, w) for el, shift in zip(faces.elem.T, shifts)]
+
+
 def per_entry_tables(space, pts):
     """Basis values (nE, nq, n_local) and physical gradients (nE, nq,
-    n_local, 2) of every entry of a point set at its own points, which are
+    n_local, 2) of every entry of a batch at its own points, which are
     mapped back to its element's reference triangle."""
     mesh = space.mesh
     inv_j = mesh.inv_jacobians[pts.elem]
@@ -604,8 +630,8 @@ def per_entry_tables(space, pts):
 
 
 def per_entry_operators(mesh, edges, space, params, lam):
-    """A_h and M as dense matrices, every block computed for its own entry
-    from the point sets' per-entry geometry and summed into place."""
+    """A_h and M as dense matrices, every block computed for its own cell or
+    face from the mesh's geometry and summed into place."""
     degree = 2 * space.p
     dense = [np.zeros((space.n_dofs, space.n_dofs)) for _ in range(2)]
 
@@ -613,13 +639,13 @@ def per_entry_operators(mesh, edges, space, params, lam):
         np.add.at(dense[which], (space.dofs[el_a][:, :, None], space.dofs[el_b][:, None, :]), blocks)
 
     def penalty(faces, weight):
-        ft = _face_tables(mesh, space, faces, degree)
-        avg = 1.0 / len(ft.sides)
-        w = ft.sides[0].w
+        sides = face_entries(faces, degree)
+        avg = 1.0 / len(sides)
+        w = sides[0].w
         traces = []
-        for side, sign in zip(ft.sides, (1.0, -1.0)):
+        for side, sign in zip(sides, (1.0, -1.0)):
             phi, grad = per_entry_tables(space, side)
-            traces.append((side.elem, sign, phi, np.einsum("eqli,ei->eql", grad, ft.normal)))
+            traces.append((side.elem, sign, phi, np.einsum("eqli,ei->eql", grad, faces.normal)))
         for el_a, s_a, phi_a, gn_a in traces:
             for el_b, s_b, phi_b, gn_b in traces:
                 block = (
@@ -629,12 +655,12 @@ def per_entry_operators(mesh, edges, space, params, lam):
                 )
                 add(0, el_a, el_b, weight * block)
 
-    vol = _cell_points(mesh, space, degree)
+    vol = cell_entries(mesh, degree)
     phi, grad = per_entry_tables(space, vol)
     add(0, vol.elem, vol.elem, np.einsum("eq,eqli,eqmi->elm", vol.w, grad, grad))
     add(1, vol.elem, vol.elem, np.einsum("eq,eql,eqm->elm", vol.w, phi, phi))
     penalty(edges.two_sided, 1.0)
-    (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
+    (g1,) = face_entries(edges.gamma1, degree)
     phi, grad = per_entry_tables(space, g1)
     tangential = grad @ TANGENT[:, 0]
     add(0, g1.elem, g1.elem, params.beta * np.einsum("eq,eql,eqm->elm", g1.w, tangential, tangential))
@@ -659,7 +685,7 @@ def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, pe
     # the jitter leaves few entries sharing a class
     vol = _cell_points(mesh, space, 2 * p)
     faces = _face_tables(mesh, space, edges.two_sided, 2 * p)
-    assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(faces.sides[0].classes[1]) >= 0.9 * len(faces.normal)
+    assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(faces.sides[0].classes[1]) >= 0.9 * len(faces.sides[0].elem)
     A_ref, M_ref = per_entry_operators(mesh, edges, space, params, 10.0)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
     assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
@@ -804,7 +830,10 @@ def test_point_sets_are_stored_in_class_order(bc, p):
     # every cached point set, degrees 2p and 2p + 4: each class, the
     # entries whose per-entry geometry is equal, is one run of entries, the
     # runs are those the set stores, and the set is a permutation of its
-    # cells or faces that keeps each face's sides and normal together
+    # cells or faces that keeps each face's sides together.  The geometry,
+    # each class's weight row and normal are checked against every entry of
+    # its run, computed from the mesh, and the points the set makes against
+    # the mesh's own
     mesh, edges, space, params = setup(5, p, bc)
     assemble_Ah(mesh, edges, space, params)
     assemble_mass(mesh, edges, space, params.lam)
@@ -814,36 +843,95 @@ def test_point_sets_are_stored_in_class_order(bc, p):
         sides = getattr(pts, "sides", [pts])
         bounds = sides[0].bounds
         assert all(np.array_equal(side.bounds, bounds) for side in sides)
-        geometry = [] if name == "_cell_points" else [pts.normal]
-        for side in sides:
-            inv_j = mesh.inv_jacobians[side.elem]
-            ref = (np.stack([side.x, side.y], axis=-1) - mesh.v0[side.elem][:, None, :]) @ inv_j.transpose(0, 2, 1)
-            geometry += [inv_j.reshape(-1, 4), side.w, np.round(ref, 9).reshape(len(ref), -1)]
-        geometry = np.column_stack(geometry)
         run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        every = slice(0, len(run))
+        if name == "_cell_points":
+            want = [cell_entries(mesh, key[0])]
+            index = pts.elem  # the mesh's triangle of each entry
+            assert np.array_equal(np.sort(index), np.arange(mesh.n_triangles))
+            geometry = []
+        else:
+            faces, degree = key
+            want = face_entries(faces, degree)
+            face_of = {tuple(e): i for i, e in enumerate(faces.elem.tolist())}
+            assert len(face_of) == len(faces)  # at level 5 a face's elements name it
+            index = np.array([face_of[e] for e in zip(*(side.elem.tolist() for side in sides))])
+            assert np.array_equal(np.sort(index), np.arange(len(faces)))
+            assert np.array_equal(pts.normal[run], faces.normal[index])
+            geometry = [faces.normal[index]]
+        for side, mine in zip(sides, want):
+            X = np.stack([mine.x, mine.y], axis=-1)[index]
+            assert np.abs(np.stack(side.points(every), axis=-1) - X).max() <= 1e-15
+            assert np.array_equal(side.w[run], mine.w[index])
+            inv_j = mesh.inv_jacobians[side.elem]
+            ref = (X - mesh.v0[side.elem][:, None, :]) @ inv_j.transpose(0, 2, 1)
+            geometry += [inv_j.reshape(-1, 4), mine.w[index], np.round(ref, 9).reshape(len(ref), -1)]
+        if len(sides) == 2:
+            shift = faces.shift[index][:, None, :]
+            assert np.array_equal(np.stack(sides[1].points(every), axis=-1), np.stack(sides[0].points(every), axis=-1) + shift)
+        geometry = np.column_stack(geometry)
         same = (geometry[1:] == geometry[:-1]).all(axis=1)
         assert np.array_equal(same, run[1:] == run[:-1])
         assert len(np.unique(geometry, axis=0)) == len(bounds) - 1
 
-        if name == "_cell_points":
-            rule = triangle_quadrature(key[0])
-            el = pts.elem
-            assert np.array_equal(np.sort(el), np.arange(mesh.n_triangles))
-            X = mesh.v0[el][:, None, :] + rule.points @ mesh.jacobians[el].transpose(0, 2, 1)
-            assert np.abs(np.stack([pts.x, pts.y], axis=-1) - X).max() <= 1e-15
-            continue
-        faces, degree = key
-        rule = edge_quadrature(degree)
-        face_of = {tuple(e): i for i, e in enumerate(faces.elem.tolist())}
-        assert len(face_of) == len(faces)  # at level 5 a face's elements name it
-        face = np.array([face_of[e] for e in zip(*(side.elem.tolist() for side in sides))])
-        assert np.array_equal(np.sort(face), np.arange(len(faces)))
-        assert np.array_equal(pts.normal, faces.normal[face])
-        X = faces.p0[face][:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[face][:, None, :]
-        assert np.abs(np.stack([sides[0].x, sides[0].y], axis=-1) - X).max() <= 1e-15
-        if len(sides) == 2:
-            shift = faces.shift[face][:, None, :]
-            assert np.array_equal(np.stack([sides[1].x, sides[1].y], axis=-1), np.stack([sides[0].x, sides[0].y], axis=-1) + shift)
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_point_sets_hold_no_array_per_entry_and_point(bc):
+    # every degree-2p + 4 point set of A_h's and M's terms at level 5, p = 2,
+    # once the norm, the loads and the projection have kept their snapshots:
+    # apart from those, a point set holds class rows and integer arrays per
+    # entry, its points made on demand from the mesh
+    mesh, edges, space, params = setup(5, 2, bc)
+    case = get_case("example1" if bc == PERIODIC else "example3")
+    energy_norm_terms(mesh, edges, space, params, u_h=interpolate(mesh, space, case.u, 0.1), exact=case, t=0.1)
+    assemble_load(mesh, edges, space, case.f, case.g, 0.1)
+    l2_lambda_project(mesh, space, edges, params.lam, case.u0)
+    checked, snapshots = 0, 0
+    for term in stiffness_terms(edges, params) + mass_terms(edges, params.lam):
+        point_sets = term.points(mesh, space, 2 * space.p + 4)
+        for pts in getattr(point_sets, "sides", [point_sets]):
+            n, nq = len(pts.elem), pts.w.shape[1]
+            snapshots += sum(getattr(v, "shape", ())[-2:] == (n, nq) for v in pts.kept.values())
+            if len(pts.bounds) - 1 == n:
+                continue  # a class per entry: its rows are its entries'
+            checked += 1
+            held = [v for name, v in vars(pts).items() if name != "kept"] + [*pts.classes, *pts.points.args]
+            for a in (v for v in held if isinstance(v, np.ndarray)):
+                assert a.shape[:2] != (n, nq)
+                assert len(a) != n or np.issubdtype(a.dtype, np.integer), a.dtype
+    assert checked >= (10 if bc == DIRICHLET_LATERAL else 8) and snapshots >= 5
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_snapshots_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc):
+    # blocks of 1000 points cut the class runs (of 1024 triangles, or 32 to
+    # 1024 faces) at level 5, p = 2; a snapshot made block by block is the
+    # field on the points of the whole set, and the norms, the projection
+    # and the wall data do not see the block size beyond rounding
+    mesh, edges, space, params = setup(5, 2, bc)
+    case = get_case("example1" if bc == PERIODIC else "example3")
+    u_h = interpolate(mesh, space, case.u, 0.5)
+    u_D = lambda t, x, y: np.cos(3.0 * y) + x * t
+
+    def measured(space):
+        walls = assemble_dirichlet_terms(mesh, edges, space, params, u_D, 0.4) if bc == DIRICHLET_LATERAL else [1.0]
+        norm = energy_norm_terms(mesh, edges, space, params, u_h=u_h, exact=case, t=0.5)
+        return [*([v] for v in norm.values()), l2_lambda_project(mesh, space, edges, params.lam, case.u0), walls]
+
+    whole = measured(space)
+    space = DGSpace(mesh, 2)
+    monkeypatch.setattr(dgdyn.assembly, "BLOCK_POINTS", 1000)
+    for pts in (_cell_points(mesh, space, 8), *_face_tables(mesh, space, edges.two_sided, 8).sides):
+        starts = {sl.start for sl in pts.blocks()}
+        assert len(starts) > 2 and not starts <= set(pts.bounds.tolist())
+        ((_, value),), ((_, grad),) = pts.exact(case.u, 0.5), pts.exact(case.grad_u, 0.5)  # one time node each
+        x, y = pts.points(slice(0, len(pts.elem)))
+        (s,) = case.u.nodes
+        for got, want in ((value, case.u.fn(s, x, y)), (grad, np.stack(case.grad_u.fn(s, x, y)))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    for got, want in zip(measured(space), whole):
+        assert np.abs(np.subtract(got, want)).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

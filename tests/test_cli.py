@@ -205,6 +205,38 @@ def test_non_finite_values_are_refused_before_the_mesh(monkeypatch, capsys, argv
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--level", "2", "--dt", "1e-300", "--t-final", "1"], "1e+300 steps of 96 dofs exceed the budget of 1e+12 dof-steps; dt >= 9.6e-11 fits"),
+        (["converge-dt", "--level", "7", "--dt", "1e-4", "--t-final", "1", "--dt-steps", "20"], "5.24e+09 steps of 98304 dofs exceed the budget of 1e+12 dof-steps; dt >= 0.0515 fits"),
+        (["converge-h", "--levels", "2..9", "--p", "2", "--dt", "1e-7", "--t-final", "1"], "1e+07 steps of 3145728 dofs exceed the budget of 1e+12 dof-steps; dt >= 3.15e-06 fits"),
+        (["solve", "--level", "20", "--dt", "1", "--t-final", "1"], "1 steps of 6597069766656 dofs exceed the budget of 1e+12 dof-steps; no dt fits at level 20"),
+    ],
+)
+def test_absurd_step_counts_are_refused_before_the_mesh(monkeypatch, capsys, argv, message):
+    # a dt of 1e-300 asks for 1e300 steps: refused with the step count and
+    # the dt that fits the budget, counting the finest level of a level
+    # range and the finest row of a dt table, before any mesh is built
+    def build_structured_mesh(level):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(dgdyn.timestepper, "build_structured_mesh", build_structured_mesh)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if line.startswith("dgdyn: error:")] == [f"dgdyn: error: {message}"]
+    assert captured.out == ""
+
+
+def test_step_budget_admits_a_run_just_under_it():
+    # 98304 dofs at level 7, p = 1: 1e7 steps fit the budget of 1e12, 1e8 do not
+    assert ProblemConfig(level=7, dt=1e-7, t_final=1.0).validate().num_steps() == 10**7
+    with pytest.raises(ValueError, match=r"1e\+08 steps of 98304 dofs"):
+        ProblemConfig(level=7, dt=1e-8, t_final=1.0).validate()
+
+
 def test_readme_command_lines_parse():
     section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
     lines = [line for line in section.splitlines() if line.startswith("dgdyn ")]

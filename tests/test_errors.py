@@ -4,13 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from test_assembly import jittered, per_entry_tables
+from test_assembly import cell_entries, face_entries, jittered, per_entry_tables
 
 from dgdyn.assembly import (
     TANGENT,
     FormParams,
-    _cell_points,
-    _face_tables,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
@@ -267,7 +265,8 @@ def test_norms_refuse_a_vector_that_is_not_one_coefficient_per_dof(shape):
 
 
 def per_entry_error(space, pts, u_h, exact, t, grad, at=None):
-    """exact - u_h at the points of ``pts`` from per-entry tables: values
+    """exact - u_h at the points of the batch ``pts`` (``cell_entries``, a
+    side of ``face_entries``) from per-entry tables: values
     (nE, nq), or gradients (nE, nq, 2) if ``grad``; the exact field (plain
     callables, or None) is taken at the points of ``at``, by default ``pts``."""
     phi, dphi = per_entry_tables(space, pts)
@@ -282,7 +281,8 @@ def per_entry_error(space, pts, u_h, exact, t, grad, at=None):
 
 def per_entry_terms(mesh, edges, space, params, u_h, exact, t):
     """Every term of ``energy_norm_terms``, each side's error taken on its own
-    entries and the exact gradient of two-sided faces on the first side."""
+    entries and the exact gradient of two-sided faces on the first side,
+    the points and weights of every cell and face from the mesh."""
     degree = 2 * space.p + 4
 
     def sq(w, a):
@@ -293,20 +293,20 @@ def per_entry_terms(mesh, edges, space, params, u_h, exact, t):
         for faces in face_sets:
             if faces is None:
                 continue
-            ft = _face_tables(mesh, space, faces, degree)
-            first, *others = ft.sides
+            sides = face_entries(faces, degree)
+            first, *others = sides
             value = exact if not others else None  # the exact value cancels in a jump
             jump = per_entry_error(space, first, u_h, value, t, False)
             avg = per_entry_error(space, first, u_h, exact, t, True)
             for side in others:
                 jump -= per_entry_error(space, side, u_h, None, t, False)
                 avg += per_entry_error(space, side, u_h, exact, t, True, at=first)
-            avg /= len(ft.sides)
+            avg /= len(sides)
             jump2 += sq(first.w, jump)
             avg2 += sq(first.w, avg @ TANGENT[:, 0] if tangential else avg)
         return jump2, avg2
 
-    vol = _cell_points(mesh, space, degree)
+    vol = cell_entries(mesh, degree)
     sigma, beta = params.sigma, params.beta
     jump2, avg2 = face_terms([edges.two_sided, edges.dirichlet], False)
     g2, gt2 = face_terms([edges.gamma1], True)
@@ -358,8 +358,8 @@ def test_class_runs_give_the_per_entry_norms_loads_and_projection_on_a_distorted
         want = per_entry_terms(mesh, edges, space, params, u, exact, t)
         assert close(list(got.values()), [want[name] for name in got]), (got, want)
 
-    vol = _cell_points(mesh, space, degree)
-    (g1,) = _face_tables(mesh, space, edges.gamma1, degree).sides
+    vol = cell_entries(mesh, degree)
+    (g1,) = face_entries(edges.gamma1, degree)
     dom2, g12 = (np.sum(pts.w * per_entry_error(space, pts, u_h, plain, t, False) ** 2) for pts in (vol, g1))
     assert close(l2_errors(mesh, edges, space, case.lam, u_h, case, t=t), np.sqrt([dom2, g12, dom2 + case.lam * g12]))
 
@@ -379,12 +379,11 @@ def test_class_runs_give_the_per_entry_norms_loads_and_projection_on_a_distorted
         u_D = lambda t, x, y: np.cos(3.0 * y) + x * t
         walls = np.zeros(space.n_dofs)
         for faces, weight in ((edges.dirichlet, 1.0), (edges.corners, params.beta)):
-            ft = _face_tables(mesh, space, faces, degree)
-            (pts,) = ft.sides
+            (pts,) = face_entries(faces, degree)
             ud = u_D(t, pts.x, pts.y)
             _, dphi = per_entry_tables(space, pts)
             flux = np.zeros(space.n_dofs)
-            np.add.at(flux, space.dofs[pts.elem], np.einsum("eq,eqli,ei->el", pts.w * ud, dphi, ft.normal))
+            np.add.at(flux, space.dofs[pts.elem], np.einsum("eq,eqli,ei->el", pts.w * ud, dphi, faces.normal))
             walls += weight * (params.sigma * per_entry_vector(space, pts, ud) - flux)
         assert close(assemble_dirichlet_terms(mesh, edges, space, params, u_D, t), walls)
 
