@@ -12,11 +12,12 @@ lists each ``Term``: its face set (or the cells), weight (1, alpha, beta or
 lambda), derivative directions and, if it is an interior-penalty term,
 sigma.  A_h and M are each one sparse product of their terms' blocks (no
 sparse matrix is added), the wall data takes the one-sided penalty terms,
-and the projection and both norms read the same table.  Every term is a
-sum of quadrature over a point set: the triangles or faces (edges, ridges
-and corners; a ridge or corner is a point face of unit length).  A point
-set is built once per geometry and cached on the space, which releases the
-degree-2p ones once the operators are built.
+and the loads, the projection and both norms read the same table.  Every
+term is a sum of quadrature over point sets, which each reader gets as the
+term's sides (``Term.sides``): the triangles, or one side of each of a batch
+of faces (edges, ridges and corners; a ridge or corner is a point face of
+unit length).  A point set is built once per geometry and cached on the
+space, which releases the degree-2p ones once the operators are built.
 
 A point set is stored in geometry-class order.  A class is the entries
 whose point pattern (the reference positions of their points: on a face,
@@ -27,7 +28,8 @@ per-face data, and each class is one run of entries.  Each class keeps
 its weight row, basis values and physical gradients, the reference
 gradients folded with its inverse Jacobian; a point set makes the
 physical points of a block of entries from the mesh only when a field is
-evaluated, so it holds no array per entry and point but kept snapshots.
+evaluated (on a face set's first side alone, whose entries match the
+second's), so it holds no array per entry and point but kept snapshots.
 One evaluator on it serves loads, projection and norms: ``field`` maps the
 coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
@@ -116,7 +118,8 @@ class _Points:
     bounds: np.ndarray  # (n_classes + 1,) first entry of each class, then nE
     phi: np.ndarray  # (n_classes, nq, n_local) basis values
     grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
-    points: callable  # slice -> (x, y), each (m, nq): those entries' physical points on this side's realization
+    points: callable | None  # slice -> (x, y), each (m, nq): those entries' physical points; None on a second side
+    normal: np.ndarray | None = None  # (n_classes, 2) on faces: a face's class fixes its normal
     kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields, projections
 
     def exact(self, fn, t: float, keep: bool = True) -> list:
@@ -214,12 +217,6 @@ class _Points:
         return np.repeat(np.arange(len(self.bounds) - 1), np.diff(self.bounds)), self.bounds[:-1]
 
 
-@dataclass(eq=False)
-class _FaceTables:
-    sides: list  # the _Points of each side, all with the same class runs
-    normal: np.ndarray  # (n_classes, 2); a face's class fixes each side's classes and its normal
-
-
 def _class_order(*keys) -> tuple:
     """(order, bounds): the order of the rows of the key columns ``keys``
     that makes each class, the rows whose keys are all bitwise equal, one
@@ -233,7 +230,7 @@ def _class_order(*keys) -> tuple:
     return order, np.append(np.flatnonzero(first), len(order))
 
 
-def _points(mesh, space, elems, points, w, bounds, ref) -> _Points:
+def _points(mesh, space, elems, points, w, bounds, ref, normal=None) -> _Points:
     """The side of ``elems`` whose points ``points`` makes, in class order
     with the runs ``bounds``.  ``ref`` (n_classes, nq, 2) holds the
     reference positions of each class's points, the same for every class
@@ -241,7 +238,7 @@ def _points(mesh, space, elems, points, w, bounds, ref) -> _Points:
     bit."""
     inv_j = mesh.inv_jacobians[elems[bounds[:-1]]]
     phi, grad = space.basis.eval(ref), space.basis.grad(ref) @ inv_j[:, None]
-    return _Points(elems, w, bounds, phi, grad, points)
+    return _Points(elems, w, bounds, phi, grad, points, normal)
 
 
 def _on_cells(mesh, elems, points, sl) -> tuple:
@@ -253,13 +250,11 @@ def _on_cells(mesh, elems, points, sl) -> tuple:
     return X[:, 0], X[:, 1]
 
 
-def _on_faces(faces, order, points, shifted, sl) -> tuple:
-    """(x, y) at the faces ``order[sl]``: p0 + s (p1 - p0), moved by the
-    face's shift on the second side."""
+def _on_faces(faces, order, points, sl) -> tuple:
+    """(x, y) at the faces ``order[sl]``: p0 + s (p1 - p0), on the first
+    side's realization."""
     f = order[sl]
     X = faces.p0[f][:, None, :] + points[None, :, None] * (faces.p1[f] - faces.p0[f])[:, None, :]
-    if shifted:
-        X += faces.shift[f][:, None, :]
     return X[..., 0], X[..., 1]
 
 
@@ -282,8 +277,9 @@ def release_tables(space: DGSpace, degree: int) -> None:
 
 
 @_per_space
-def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
-    """Every triangle, ordered by class: its inverse Jacobian and determinant."""
+def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> tuple:
+    """Every triangle, ordered by class (its inverse Jacobian and
+    determinant), as the one side of the cells."""
     rule = triangle_quadrature(degree)
     elems, bounds = _class_order(mesh.inv_jacobians.reshape(-1, 4), mesh.det_jacobians)
     points = partial(_on_cells, mesh, elems, rule.points)
@@ -291,18 +287,18 @@ def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> _Points:
     first = np.argmin(elems)
     ref = (np.stack(points(slice(first, first + 1)), axis=-1)[0] - mesh.v0[0]) @ mesh.inv_jacobians[0].T
     ref = np.broadcast_to(ref, (len(bounds) - 1, *rule.points.shape))
-    return _points(mesh, space, elems, points, mesh.det_jacobians[elems[bounds[:-1]]][:, None] * rule.weights, bounds, ref)
+    return (_points(mesh, space, elems, points, mesh.det_jacobians[elems[bounds[:-1]]][:, None] * rule.weights, bounds, ref),)
 
 
 @_per_space
-def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _FaceTables:
-    """Each side of a batch of faces, the second at the points moved by
-    ``shift``, ordered by class: the normal and, on each side, the reference
-    vertices the face's endpoints map to in its element, the element's
-    inverse Jacobian and the face's length.  Each endpoint is a vertex of
-    its element, so rounding its mapped-back position gives the vertex
-    exactly, and each class's points lie between its two vertices.  The
-    order is found from the endpoints, and the points are made in it."""
+def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple:
+    """Each side of a batch of faces, ordered by class: the normal and, on
+    each side, the reference vertices the face's endpoints (the second
+    side's moved by ``shift``) map to in its element, the element's inverse
+    Jacobian and the face's length.  Each endpoint is a vertex of its
+    element, so rounding its mapped-back position gives the vertex exactly,
+    and each class's points lie between its two vertices.  The order is
+    found from the endpoints; the first side alone makes points, in it."""
     shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
     ends = np.stack([faces.p0, faces.p1], axis=1)
     keys, ref_ends = [], []
@@ -315,13 +311,11 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> _Face
     ref_ends = [e[first] for e in ref_ends]  # (n_classes, 2, 2) each
     del keys  # the per-face keys, before the point sets are built
     rule = edge_quadrature(degree)
-    w = rule.weights[None, :] * faces.length[first][:, None]
-    sides = []
-    for el, shifted, e in zip(faces.elem.T, (False, True), ref_ends):
-        ref = e[:, :1] + rule.points[:, None] * (e[:, 1:] - e[:, :1])
-        points = partial(_on_faces, faces, order, rule.points, shifted)
-        sides.append(_points(mesh, space, el[order], points, w, bounds, ref))
-    return _FaceTables(sides, faces.normal[first])
+    w, normal = rule.weights[None, :] * faces.length[first][:, None], faces.normal[first]
+    points = [partial(_on_faces, faces, order, rule.points), None]
+    refs = [e[:, :1] + rule.points[:, None] * (e[:, 1:] - e[:, :1]) for e in ref_ends]
+    sides = zip(faces.elem.T, points, refs)
+    return tuple(_points(mesh, space, el[order], pts, w, bounds, ref, normal) for el, pts, ref in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +454,19 @@ def _scatter(space: DGSpace, pts: _Points, local: np.ndarray) -> np.ndarray:
     return np.bincount(space.dofs[pts.elem].ravel(), weights=local.ravel(), minlength=space.n_dofs)
 
 
-def _penalty_blocks(ft: _FaceTables, sigma: float, weight: float = 1.0) -> list:
+def _penalty_blocks(sides: tuple, sigma: float, weight: float = 1.0) -> list:
     """The (test side, trial side) terms of weight times the interior-penalty
     terms
 
         -([v], {grad w . n}) - ([w], {grad v . n}) + sigma ([v], [w])
 
-    on a batch of faces, blocks once per class.  The average weighs each
-    side by one over the number of sides, so on one-sided faces jump and
-    average are the trace."""
-    cls = ft.sides[0].classes[0]
-    avg = 1.0 / len(ft.sides)
-    w = ft.sides[0].w
-    traces = [
-        (st.elem, s, st.phi, np.einsum("cqli,ci->cql", st.grad, ft.normal))
-        for st, s in zip(ft.sides, (1.0, -1.0))
-    ]
+    on the ``sides`` of a batch of faces, blocks once per class.  The
+    average weighs each side by one over the number of sides, so on
+    one-sided faces jump and average are the trace."""
+    cls = sides[0].classes[0]
+    avg = 1.0 / len(sides)
+    w, normal = sides[0].w, sides[0].normal
+    traces = [(st.elem, s, st.phi, np.einsum("cqli,ci->cql", st.grad, normal)) for st, s in zip(sides, (1.0, -1.0))]
     out = []
     for el_a, s_a, phi_a, gn_a in traces:
         for el_b, s_b, phi_b, gn_b in traces:
@@ -509,20 +500,18 @@ class Term:
     sigma: float | None = None
     names: tuple = ()
 
-    def points(self, mesh: Mesh, space: DGSpace, degree: int):
-        """The cells' ``_Points``, the one side of a Gram term's faces, or
-        the ``_FaceTables`` of a penalty term's faces."""
-        if self.faces is None:
-            return _cell_points(mesh, space, degree)
-        ft = _face_tables(mesh, space, self.faces, degree)
-        return ft if self.sigma is not None else ft.sides[0]
+    def sides(self, mesh: Mesh, space: DGSpace, degree: int) -> tuple:
+        """The ``_Points`` it reads, one per side: the cells, the first side
+        of a Gram term's faces, or every side of a penalty term's faces."""
+        sides = _cell_points(mesh, space, degree) if self.faces is None else _face_tables(mesh, space, self.faces, degree)
+        return sides if self.sigma is not None else sides[:1]
 
     def blocks(self, mesh: Mesh, space: DGSpace) -> list:
         """Its terms of an operator's sparse product, blocks once per class."""
-        pts = self.points(mesh, space, 2 * space.p)
+        sides = self.sides(mesh, space, 2 * space.p)
         if self.sigma is None:
-            return [_gram_blocks(pts, self.dirs, self.weight)]
-        return _penalty_blocks(pts, self.sigma, self.weight)
+            return [_gram_blocks(sides[0], self.dirs, self.weight)]
+        return _penalty_blocks(sides, self.sigma, self.weight)
 
 
 def stiffness_terms(edges: EdgeClassification, params: FormParams) -> list:
@@ -576,12 +565,10 @@ def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t
     per-node vectors are integrated once per space; either may be None for
     a zero source."""
     load = np.zeros(space.n_dofs)
-    if f is not None:
-        vol = _cell_points(mesh, space, 2 * space.p + 4)
-        load += _scatter(space, vol, vol.load(f, t))
-    if g is not None:
-        (g1,) = _face_tables(mesh, space, edges.gamma1, 2 * space.p + 4).sides
-        load += _scatter(space, g1, g1.load(g, t))
+    for term, fn in zip(mass_terms(edges, 1.0), (f, g)):  # the domain's, then gamma1's
+        if fn is not None:
+            (pts,) = term.sides(mesh, space, 2 * space.p + 4)
+            load += _scatter(space, pts, pts.load(fn, t))
     return load
 
 
@@ -604,12 +591,11 @@ def assemble_dirichlet_terms(
     for term in stiffness_terms(edges, params):
         if term.sigma is None or term.faces.shift is not None:
             continue
-        ft = term.points(mesh, space, 2 * space.p + 4)
-        (pts,) = ft.sides
+        (pts,) = term.sides(mesh, space, 2 * space.p + 4)
         penalty, flux = np.empty((2, len(pts.elem), space.n_local))
         for sl in pts.blocks():
             ud = np.asarray(u_D(t, *pts.points(sl)), dtype=float)
             penalty[sl] = pts.test(term.sigma * ud, sl)
-            flux[sl] = pts.test(ud[..., None] * ft.normal[pts.classes[0][sl], None, :], sl)  # (u_D, grad v . n)
+            flux[sl] = pts.test(ud[..., None] * pts.normal[pts.classes[0][sl], None, :], sl)  # (u_D, grad v . n)
         rhs += term.weight * (_scatter(space, pts, penalty) - _scatter(space, pts, flux))
     return rhs

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import CASES, FORMATS, PENALTY_MODES, ProblemConfig
+from .config import CASES, CONVERGE_H_LEVELS, FORMATS, PENALTY_MODES, ProblemConfig
 from .errors import ErrorRecord, energy_norm, l2_errors, rate
 from .manufactured import get_case
 from .solver import SolverError
@@ -95,8 +95,7 @@ def run_converge_h(config: ProblemConfig) -> list[ErrorRecord]:
     """Transient convergence study over a level range; rows in Table order
     (h, L2 domain error, rate, L2 boundary error, rate, energy error, rate)."""
     case = get_case(config.case)
-    levels = config.levels or (2, 3, 4, 5)
-    records = [_transient_errors(replace(config, level=lv, levels=None), case) for lv in levels]
+    records = [_transient_errors(replace(config, level=lv, levels=(lv,)), case) for lv in config.run_levels]
     _attach_rates(records)
     _write_records(CONVERGE_H_HEADER, records, config)
     return records
@@ -188,7 +187,7 @@ KEYS = {
     "case": ("--case", dict(choices=CASES)),
     "p": ("--p", dict(type=int)),
     "level": ("--level", dict(type=int)),
-    "levels": ("--levels", dict(type=parse_levels, help="range like 2..5 or list 2,3,4; default 2..5")),
+    "levels": ("--levels", dict(type=parse_levels, help=f"range like 2..5 or list 2,3,4; default {CONVERGE_H_LEVELS}")),
     "gamma": ("--gamma", dict(type=float)),
     "alpha": ("--alpha", dict(type=float)),
     "beta": ("--beta", dict(type=float)),
@@ -239,6 +238,8 @@ def build_config(args: argparse.Namespace) -> ProblemConfig:
     config = ProblemConfig(mode=mode, **values).validate()
     if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
         raise ValueError(f"out = {config.out}: its directory does not exist; create it or write elsewhere")
+    if config.out and os.path.isdir(config.out):
+        raise ValueError(f"out = {config.out}: it is a directory; name a file in it to write the table to")
     return config
 
 

@@ -11,6 +11,7 @@ CASES = ("example1", "example2", "example3")
 MODES = ("transient", "converge_h", "converge_dt", "stability")
 FORMATS = ("csv", "markdown")
 PENALTY_MODES = ("gamma_over_h", "fixed_sigma")
+CONVERGE_H_LEVELS = (2, 3, 4, 5)  # converge_h's levels unless ``levels`` is given
 
 REL_STEP_TOL = 1e-9  # t_final / dt must be integral to this tolerance
 # Most dof-steps (finest mesh's dofs times finest dt's steps) a run may take:
@@ -68,13 +69,18 @@ class ProblemConfig:
                 raise ValueError(f"{name} = {value:g}: alpha, beta and lambda must be >= 0")
         if self.dt_steps < 1:
             raise ValueError(f"dt_steps = {self.dt_steps}: the dt table needs at least one row")
-        top, rows = max(self.levels or (self.level,)), 2 ** (self.dt_steps - 1) if self.mode == "converge_dt" else 1
+        top, rows = max(self.run_levels), 2 ** (self.dt_steps - 1) if self.mode == "converge_dt" else 1
         dofs, steps = 4**top * (self.p + 1) * (self.p + 2), self.num_steps() * rows  # raises if not integral
         if dofs * steps > DOF_STEP_BUDGET:
             fit = self.t_final * dofs * rows / DOF_STEP_BUDGET
             fits = f"dt >= {fit:.3g} fits" if fit <= self.t_final else f"no dt fits at level {top}"
             raise ValueError(f"{steps:.3g} steps of {dofs} dofs exceed the budget of {DOF_STEP_BUDGET:.0e} dof-steps; {fits}")
         return self
+
+    @property
+    def run_levels(self) -> tuple[int, ...]:
+        """The mesh levels the run builds: ``levels``, else converge_h's default, else ``level``."""
+        return self.levels or (CONVERGE_H_LEVELS if self.mode == "converge_h" else (self.level,))
 
     def num_steps(self) -> int:
         if self.dt <= 0 or self.t_final <= 0:

@@ -7,9 +7,10 @@ times its squared jumps and weight / sigma times its squared averages.  So
 it combines the broken H1 seminorm, the penalty-scaled jumps and averaged
 gradients on the two-sided (and Dirichlet) edges, the weighted boundary
 terms on gamma1 and the point jump/average terms at the ridges (and
-corners), the faces of the surface mesh.  One face sum serves every face
-set, one-sided or two-sided.  The L2 errors read the terms of M
-(``assembly.mass_terms``) the same way.  Arguments may be a DG coefficient
+corners), the faces of the surface mesh.  One sum over a term's sides
+(``Term.sides``), of their jump or their mean, serves every term: on the
+cells or one-sided faces both are the trace.  The L2 errors read the terms
+of M (``assembly.mass_terms``) the same way.  Arguments may be a DG coefficient
 vector, an exact field (value and gradient callables, or a
 ``ManufacturedCase``) or both, in which case the norm of the difference
 ``exact - u_h`` is computed; exact fields contribute no jumps.  The energy
@@ -82,8 +83,8 @@ def _trace(pts, sl, c, exact, d=None):
     """u_h - exact, the error up to a sign no norm sees, on the entries
     ``sl`` of a point set, or its derivative along ``d`` (2,): ``c`` holds
     u_h's local coefficients on those entries and ``exact`` the terms of the
-    exact value or gradient on the whole set (``_Points.exact``).  A missing
-    u_h or exact field counts as zero."""
+    exact value or gradient on the whole set, or on a face set's first side
+    (``_Points.exact``).  A missing u_h or exact field counts as zero."""
     out = np.zeros((sl.stop - sl.start, pts.w.shape[1])) if c is None else pts.field(c, sl, d)
     for weight, values in exact:
         if d is None:
@@ -99,45 +100,30 @@ def _norm2(w, a):
     return float(np.vdot(w, np.square(a, out=a)))
 
 
-def _sum_sq(pts, u, exact, dirs=(None,)):
-    """Sum over a point set of w |exact - u_h|^2, or with ``dirs`` of its
-    squared derivatives along each direction (the axes, or the tangent of
-    gamma1), one block of entries at a time; ``u`` is u_h's local
-    coefficients."""
+def _sum_sq(sides, u, exact, dirs=(None,), mean=False) -> float:
+    """Sum over a term's ``sides`` of w |e|^2, e the jump of exact - u_h
+    (the first side minus the others) or with ``mean`` its average over the
+    sides, or with ``dirs`` of its squared derivatives along each direction
+    (the axes, or the tangent of gamma1), one block of entries at a time.
+    On one side jump and average are both the trace.  As in
+    ``_penalty_blocks``, the sides' entries match, so ``exact``, on the
+    first side, serves each; ``u`` is u_h's local coefficients."""
+    first, *others = sides
+    combine = np.add if mean else np.subtract
     total = 0.0
-    for sl in pts.blocks():
-        c = None if u is None else u.take(pts.elem[sl], axis=0)
-        w = pts.w.take(pts.classes[0][sl], axis=0)
-        total += sum(_norm2(w, _trace(pts, sl, c, exact, d)) for d in dirs)
-    return total
-
-
-def _face_sums(ft, u, value_fn, grad_fn, t, dirs):
-    """Sums of w |[w]|^2 and of w |{d w}|^2 over the directions ``dirs`` (the
-    axes, or the tangent of gamma1 alone) over a batch of faces, w = exact -
-    u_h.  As in ``_penalty_blocks``, the sides enter the jump with signs 1
-    and -1 and the average with one over their number: on one side, both
-    are the trace.  The exact value cancels in a jump of two sides; the
-    exact gradient, evaluated on the first side, serves each side, whose
-    entries match."""
-    first, *others = ft.sides
-    value = [] if others else first.exact(value_fn, t)
-    grad = first.exact(grad_fn, t)
-    jump2 = avg2 = 0.0
     for sl in first.blocks():
-        c = [None if u is None else u.take(side.elem[sl], axis=0) for side in ft.sides]
+        c = [None if u is None else u.take(side.elem[sl], axis=0) for side in sides]
         w = first.w.take(first.classes[0][sl], axis=0)
-        jump = _trace(first, sl, c[0], value)
-        for side, cs in zip(others, c[1:]):
-            jump -= _trace(side, sl, cs, [])
-        jump2 += _norm2(w, jump)
+        sums = []
         for d in dirs:
-            avg = _trace(first, sl, c[0], grad, d)
+            e = _trace(first, sl, c[0], exact, d)
             for side, cs in zip(others, c[1:]):
-                avg += _trace(side, sl, cs, grad, d)
-            avg *= 1.0 / len(ft.sides)
-            avg2 += _norm2(w, avg)
-    return jump2, avg2
+                combine(e, _trace(side, sl, cs, exact, d), out=e)
+            if mean:
+                e *= 1.0 / len(sides)
+            sums.append(_norm2(w, e))
+        total += sum(sums)
+    return total
 
 
 def energy_norm_terms(
@@ -158,12 +144,13 @@ def energy_norm_terms(
     u = _local(space, u_h)
     terms: dict[str, float] = {}
     for term in stiffness_terms(edges, params):
-        pts = term.points(mesh, space, 2 * space.p + 4)
+        sides = term.sides(mesh, space, 2 * space.p + 4)
         if term.sigma is None:
             fn, dirs = (value_fn, (None,)) if term.dirs is None else (grad_fn, term.dirs.T)
-            sums = [(term.weight, _sum_sq(pts, u, pts.exact(fn, t), dirs))]
-        else:
-            jump2, avg2 = _face_sums(pts, u, value_fn, grad_fn, t, term.dirs.T)
+            sums = [(term.weight, _sum_sq(sides, u, sides[0].exact(fn, t), dirs))]
+        else:  # the exact value cancels in a jump of two sides
+            jump2 = _sum_sq(sides, u, [] if len(sides) > 1 else sides[0].exact(value_fn, t))
+            avg2 = _sum_sq(sides, u, sides[0].exact(grad_fn, t), term.dirs.T, mean=True)
             sums = [(term.weight * term.sigma, jump2), (term.weight / term.sigma, avg2)]
         for name, (coef, total) in zip(term.names, sums):
             terms[name] = terms.get(name, 0.0) + coef * total
@@ -188,7 +175,7 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
         raise ValueError("nothing to measure")
     u = _local(space, u_h)
     terms = mass_terms(edges, lam)  # the domain's, then gamma1's
-    points = [term.points(mesh, space, 2 * space.p + 4) for term in terms]
-    sums = [_sum_sq(pts, u, pts.exact(value_fn, t, keep=False)) for pts in points]
+    sides = [term.sides(mesh, space, 2 * space.p + 4) for term in terms]
+    sums = [_sum_sq(s, u, s[0].exact(value_fn, t, keep=False)) for s in sides]
     l2_dom, l2_g1 = map(math.sqrt, sums)
     return l2_dom, l2_g1, math.sqrt(sum(term.weight * s for term, s in zip(terms, sums)))

@@ -50,7 +50,7 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     point set by (u0, lam); each call returns a copy.
     """
     terms = mass_terms(edges, lam)
-    points = [term.points(mesh, space, 2 * space.p + 4) for term in terms]
+    points = [term.sides(mesh, space, 2 * space.p + 4)[0] for term in terms]
 
     def project():
         grams = [_gram_blocks(pts, term.dirs, term.weight) for term, pts in zip(terms, points)]

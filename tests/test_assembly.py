@@ -683,9 +683,8 @@ def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, pe
     A = assemble_Ah(mesh, edges, space, params).tobsr().toarray()
     M = assemble_mass(mesh, edges, space, 10.0).tobsr().toarray()
     # the jitter leaves few entries sharing a class
-    vol = _cell_points(mesh, space, 2 * p)
-    faces = _face_tables(mesh, space, edges.two_sided, 2 * p)
-    assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(faces.sides[0].classes[1]) >= 0.9 * len(faces.sides[0].elem)
+    (vol,), (face, _) = _cell_points(mesh, space, 2 * p), _face_tables(mesh, space, edges.two_sided, 2 * p)
+    assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(face.classes[1]) >= 0.9 * len(face.elem)
     A_ref, M_ref = per_entry_operators(mesh, edges, space, params, 10.0)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
     assert np.abs(M - M_ref).max() <= 1e-13 * np.abs(M_ref).max()
@@ -814,13 +813,13 @@ def test_structured_point_sets_hold_at_most_four_classes(bc, p):
     l2_lambda_project(mesh, space, edges, params.lam, lambda x, y: x * y)
     point_sets = list(space.tables.values())
     assert len(point_sets) == (8 if bc == DIRICHLET_LATERAL else 6)
-    for pts in point_sets:
-        for each in getattr(pts, "sides", [pts]):
+    for sides in point_sets:
+        for each in sides:
             cls, rep = each.classes
             assert len(rep) <= 4
             assert np.array_equal(cls[rep], np.arange(len(rep)))
         # and the blocks are built once per class, not once per entry
-        terms = _penalty_blocks(pts, params.sigma) if hasattr(pts, "sides") else [_gram_blocks(pts)]
+        terms = _penalty_blocks(sides, params.sigma) if sides[0].normal is not None else [_gram_blocks(sides[0])]
         assert all(len(blocks) <= 4 for *_, blocks in terms)
 
 
@@ -832,22 +831,21 @@ def test_point_sets_are_stored_in_class_order(bc, p):
     # runs are those the set stores, and the set is a permutation of its
     # cells or faces that keeps each face's sides together.  The geometry,
     # each class's weight row and normal are checked against every entry of
-    # its run, computed from the mesh, and the points the set makes against
-    # the mesh's own
+    # its run, computed from the mesh, and the points the first side makes
+    # against the mesh's own
     mesh, edges, space, params = setup(5, p, bc)
     assemble_Ah(mesh, edges, space, params)
     assemble_mass(mesh, edges, space, params.lam)
     energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs))
     assert len(space.tables) == (12 if bc == DIRICHLET_LATERAL else 8)
-    for (name, *key), pts in space.tables.items():
-        sides = getattr(pts, "sides", [pts])
+    for (name, *key), sides in space.tables.items():
         bounds = sides[0].bounds
         assert all(np.array_equal(side.bounds, bounds) for side in sides)
         run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         every = slice(0, len(run))
         if name == "_cell_points":
             want = [cell_entries(mesh, key[0])]
-            index = pts.elem  # the mesh's triangle of each entry
+            index = sides[0].elem  # the mesh's triangle of each entry
             assert np.array_equal(np.sort(index), np.arange(mesh.n_triangles))
             geometry = []
         else:
@@ -857,18 +855,18 @@ def test_point_sets_are_stored_in_class_order(bc, p):
             assert len(face_of) == len(faces)  # at level 5 a face's elements name it
             index = np.array([face_of[e] for e in zip(*(side.elem.tolist() for side in sides))])
             assert np.array_equal(np.sort(index), np.arange(len(faces)))
-            assert np.array_equal(pts.normal[run], faces.normal[index])
+            assert all(np.array_equal(side.normal[run], faces.normal[index]) for side in sides)
             geometry = [faces.normal[index]]
         for side, mine in zip(sides, want):
             X = np.stack([mine.x, mine.y], axis=-1)[index]
-            assert np.abs(np.stack(side.points(every), axis=-1) - X).max() <= 1e-15
+            if side is sides[0]:
+                assert np.abs(np.stack(side.points(every), axis=-1) - X).max() <= 1e-15
+            else:  # fields are evaluated on the first side alone
+                assert side.points is None
             assert np.array_equal(side.w[run], mine.w[index])
             inv_j = mesh.inv_jacobians[side.elem]
             ref = (X - mesh.v0[side.elem][:, None, :]) @ inv_j.transpose(0, 2, 1)
             geometry += [inv_j.reshape(-1, 4), mine.w[index], np.round(ref, 9).reshape(len(ref), -1)]
-        if len(sides) == 2:
-            shift = faces.shift[index][:, None, :]
-            assert np.array_equal(np.stack(sides[1].points(every), axis=-1), np.stack(sides[0].points(every), axis=-1) + shift)
         geometry = np.column_stack(geometry)
         same = (geometry[1:] == geometry[:-1]).all(axis=1)
         assert np.array_equal(same, run[1:] == run[:-1])
@@ -888,14 +886,14 @@ def test_point_sets_hold_no_array_per_entry_and_point(bc):
     l2_lambda_project(mesh, space, edges, params.lam, case.u0)
     checked, snapshots = 0, 0
     for term in stiffness_terms(edges, params) + mass_terms(edges, params.lam):
-        point_sets = term.points(mesh, space, 2 * space.p + 4)
-        for pts in getattr(point_sets, "sides", [point_sets]):
+        for pts in term.sides(mesh, space, 2 * space.p + 4):
             n, nq = len(pts.elem), pts.w.shape[1]
             snapshots += sum(getattr(v, "shape", ())[-2:] == (n, nq) for v in pts.kept.values())
             if len(pts.bounds) - 1 == n:
                 continue  # a class per entry: its rows are its entries'
             checked += 1
-            held = [v for name, v in vars(pts).items() if name != "kept"] + [*pts.classes, *pts.points.args]
+            makes = pts.points.args if pts.points else ()  # a second side makes no points
+            held = [v for name, v in vars(pts).items() if name != "kept"] + [*pts.classes, *makes]
             for a in (v for v in held if isinstance(v, np.ndarray)):
                 assert a.shape[:2] != (n, nq)
                 assert len(a) != n or np.issubdtype(a.dtype, np.integer), a.dtype
@@ -921,7 +919,7 @@ def test_snapshots_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc)
     whole = measured(space)
     space = DGSpace(mesh, 2)
     monkeypatch.setattr(dgdyn.assembly, "BLOCK_POINTS", 1000)
-    for pts in (_cell_points(mesh, space, 8), *_face_tables(mesh, space, edges.two_sided, 8).sides):
+    for pts in (*_cell_points(mesh, space, 8), _face_tables(mesh, space, edges.two_sided, 8)[0]):
         starts = {sl.start for sl in pts.blocks()}
         assert len(starts) > 2 and not starts <= set(pts.bounds.tolist())
         ((_, value),), ((_, grad),) = pts.exact(case.u, 0.5), pts.exact(case.grad_u, 0.5)  # one time node each

@@ -237,6 +237,40 @@ def test_step_budget_admits_a_run_just_under_it():
         ProblemConfig(level=7, dt=1e-8, t_final=1.0).validate()
 
 
+def test_converge_h_budget_counts_its_default_levels(monkeypatch, capsys):
+    # without --levels converge-h runs levels 2..5, so the budget counts
+    # level 5 (6144 dofs, 1.8e12 dof-steps at this dt), not level 4
+    def build_structured_mesh(level):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(dgdyn.timestepper, "build_structured_mesh", build_structured_mesh)
+    argv = ["converge-h", "--dt", "3.3333333333333334e-09", "--t-final", "1"]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    message = "3e+08 steps of 6144 dofs exceed the budget of 1e+12 dof-steps; dt >= 6.14e-09 fits"
+    assert [line for line in captured.err.splitlines() if line.startswith("dgdyn: error:")] == [f"dgdyn: error: {message}"]
+    assert captured.out == ""
+    assert config_of([*argv, "--levels", "2..4"]).run_levels == (2, 3, 4)
+
+
+def test_an_out_that_is_a_directory_is_refused_before_the_mesh(monkeypatch, capsys, tmp_path):
+    # the table is written after the run: a directory as --out is refused
+    # by name before any work, not as an IsADirectoryError at the end
+    def build_structured_mesh(level):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(dgdyn.timestepper, "build_structured_mesh", build_structured_mesh)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--level", "2", "--dt", "1e-4", "--t-final", "2e-4", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("dgdyn: error:")]
+    assert errors == [f"dgdyn: error: out = {tmp_path}: it is a directory; name a file in it to write the table to"]
+    assert captured.out == ""
+
+
 def test_readme_command_lines_parse():
     section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
     lines = [line for line in section.splitlines() if line.startswith("dgdyn ")]
