@@ -16,20 +16,21 @@ and the loads, the projection and both norms read the same table.  Every
 term is a sum of quadrature over point sets, which each reader gets as the
 term's sides (``Term.sides``): the triangles, or one side of each of a batch
 of faces (edges, ridges and corners; a ridge or corner is a point face of
-unit length).  A point set is built once per geometry and cached on the
-space, which releases the degree-2p ones once the operators are built.
+unit length).  A point set is built once per geometry and degree and
+cached on the space, which releases the degree-2p ones after assembly.
 
 A point set is stored in geometry-class order.  A class is the entries
 whose point pattern (the reference positions of their points: on a face,
 those between the reference vertices its endpoints map to), inverse
 Jacobian, weight scale and (on faces) normal are bitwise equal, a handful
 on the structured meshes; the order is found from per-element and
-per-face data, and each class is one run of entries.  Each class keeps
-its weight row, basis values and physical gradients, the reference
-gradients folded with its inverse Jacobian; a point set makes the
-physical points of a block of entries from the mesh only when a field is
-evaluated (on a face set's first side alone, whose entries match the
-second's), so it holds no array per entry and point but kept snapshots.
+per-face data once per geometry, for every degree, and each class is one
+run of entries.  Each class keeps its weight row, basis values and
+physical gradients, the reference gradients folded with its inverse
+Jacobian; a point set makes the physical points of a block of entries
+from the mesh only when a field is evaluated (on a face set's first side
+alone, whose entries match the second's), so it holds no array per entry
+and point but kept snapshots.
 One evaluator on it serves loads, projection and norms: ``field`` maps the
 coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
@@ -121,6 +122,7 @@ class _Points:
     points: callable | None  # slice -> (x, y), each (m, nq): those entries' physical points; None on a second side
     normal: np.ndarray | None = None  # (n_classes, 2) on faces: a face's class fixes its normal
     kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields, projections
+    field_tables: dict = field(default_factory=dict)  # direction -> ``field``'s class tables
 
     def exact(self, fn, t: float, keep: bool = True) -> list:
         """``fn`` at time t on the points, as (weight, values) terms that sum
@@ -188,13 +190,12 @@ class _Points:
         """Values (m, nq) at the entries ``sl`` of the functions with local
         coefficients ``c`` (m, n_local), or their derivatives along ``d``
         (2,): one product with its class's table per run."""
-        runs = list(self.runs(sl))
-        first, last = runs[0][0], runs[-1][0] + 1
-        # the tables of these classes, (n_local, nq) each and contiguous: BLAS's fast layout here
-        tables = np.swapaxes(self.phi[first:last] if d is None else self.grad[first:last] @ d, 1, 2).copy()
+        key = None if d is None else d.tobytes()
+        if key not in self.field_tables:  # (n_local, nq) per class and contiguous: BLAS's fast layout here
+            self.field_tables[key] = np.swapaxes(self.phi if d is None else self.grad @ d, 1, 2).copy()
         out = np.empty((len(c), self.w.shape[1]))
-        for k, a, b in runs:
-            np.matmul(c[a:b], tables[k - first], out=out[a:b])
+        for k, a, b in self.runs(sl):
+            np.matmul(c[a:b], self.field_tables[key][k], out=out[a:b])
         return out
 
     def test(self, values: np.ndarray, sl: slice) -> np.ndarray:
@@ -259,7 +260,7 @@ def _on_faces(faces, order, points, sl) -> tuple:
 
 
 def _per_space(build):
-    """Cache ``build(mesh, space, *key, degree)`` in ``space.tables``."""
+    """Cache ``build(mesh, space, *key)`` in ``space.tables`` by (its name, *key)."""
 
     def cached(mesh, space, *key):
         name = (build.__name__, *key)
@@ -271,17 +272,24 @@ def _per_space(build):
 
 
 def release_tables(space: DGSpace, degree: int) -> None:
-    """Drop the cached point sets of ``space`` built for ``degree``."""
+    """Drop the cached point sets of ``space`` built for ``degree``; the
+    class orders, which every degree shares, stay."""
     for name in [name for name in space.tables if name[-1] == degree]:
         del space.tables[name]
 
 
 @_per_space
+def _cell_order(mesh: Mesh, space: DGSpace) -> tuple:
+    """(order, bounds) of the triangles by class, their inverse Jacobian and
+    determinant: the same at every degree."""
+    return _class_order(mesh.inv_jacobians.reshape(-1, 4), mesh.det_jacobians)
+
+
+@_per_space
 def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> tuple:
-    """Every triangle, ordered by class (its inverse Jacobian and
-    determinant), as the one side of the cells."""
+    """Every triangle, in ``_cell_order``, as the one side of the cells."""
     rule = triangle_quadrature(degree)
-    elems, bounds = _class_order(mesh.inv_jacobians.reshape(-1, 4), mesh.det_jacobians)
+    elems, bounds = _cell_order(mesh, space)
     points = partial(_on_cells, mesh, elems, rule.points)
     # the one pattern's reference positions: element 0's points mapped back
     first = np.argmin(elems)
@@ -291,14 +299,14 @@ def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> tuple:
 
 
 @_per_space
-def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple:
-    """Each side of a batch of faces, ordered by class: the normal and, on
-    each side, the reference vertices the face's endpoints (the second
-    side's moved by ``shift``) map to in its element, the element's inverse
-    Jacobian and the face's length.  Each endpoint is a vertex of its
-    element, so rounding its mapped-back position gives the vertex exactly,
-    and each class's points lie between its two vertices.  The order is
-    found from the endpoints; the first side alone makes points, in it."""
+def _face_order(mesh: Mesh, space: DGSpace, faces: Faces) -> tuple:
+    """(order, bounds, ref_ends) of a batch of faces by class, the same at
+    every degree: the normal and, on each side, the reference vertices the
+    face's endpoints (the second side's moved by ``shift``) map to in its
+    element, the element's inverse Jacobian and the face's length.  Each
+    endpoint is a vertex of its element, so rounding its mapped-back
+    position gives the vertex exactly; ``ref_ends`` holds each class's
+    pair of them, (n_classes, 2, 2) per side."""
     shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
     ends = np.stack([faces.p0, faces.p1], axis=1)
     keys, ref_ends = [], []
@@ -307,9 +315,16 @@ def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple
         ref_ends.append(np.rint((ends + shift - mesh.v0[el][:, None, :]) @ inv_j.transpose(0, 2, 1)))
         keys += [ref_ends[-1].reshape(-1, 4), inv_j.reshape(-1, 4), faces.length]
     order, bounds = _class_order(*keys, faces.normal)
+    return order, bounds, [e[order[bounds[:-1]]] for e in ref_ends]
+
+
+@_per_space
+def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple:
+    """Each side of a batch of faces, in ``_face_order``, each class's
+    points between its two reference vertices; the first side alone makes
+    points."""
+    order, bounds, ref_ends = _face_order(mesh, space, faces)
     first = order[bounds[:-1]]
-    ref_ends = [e[first] for e in ref_ends]  # (n_classes, 2, 2) each
-    del keys  # the per-face keys, before the point sets are built
     rule = edge_quadrature(degree)
     w, normal = rule.weights[None, :] * faces.length[first][:, None], faces.normal[first]
     points = [partial(_on_faces, faces, order, rule.points), None]

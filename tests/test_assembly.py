@@ -22,6 +22,7 @@ from dgdyn.assembly import (
     assemble_load,
     assemble_mass,
     mass_terms,
+    release_tables,
     stiffness_terms,
 )
 from dgdyn.errors import energy_norm_terms
@@ -541,6 +542,48 @@ def test_assembly_memory_proportional_to_output():
     assert peak <= 0.72 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
+@pytest.mark.parametrize("name, level, p", [("example3", 5, 2), ("example1", 6, 1)])
+def test_first_load_peaks_at_the_points_and_two_work_arrays(name, level, p):
+    # the first load on a fresh space builds its point sets and calls each
+    # source once per time node on every cell point at once: above the
+    # call's entry the peak is those points, the source's two work arrays
+    # and the load vectors, 4.5 to 5.0 arrays of the degree-2p + 4 cell
+    # points (7.4 to 7.8 while the sources made a temporary per operation
+    # and f evaluated u again).  The mesh's own geometry, which it keeps
+    # once made, is made by a load on another space first.
+    case = get_case(name)
+    mesh, edges, space, _ = setup(level, p, case.bc_mode)
+    assemble_load(mesh, edges, DGSpace(mesh, p), case.f, case.g, 0.1)
+    array = mesh.n_triangles * len(triangle_quadrature(2 * p + 4).weights) * 8
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        assemble_load(mesh, edges, space, case.f, case.g, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * array
+
+
+@pytest.mark.parametrize("bc, name", [(PERIODIC, "example1"), (DIRICHLET_LATERAL, "example3")])
+def test_class_order_is_found_once_per_geometry(monkeypatch, bc, name):
+    # the cells and each face set are sorted into classes once: assembly's
+    # degree-2p point sets and the degree-2p + 4 ones of the loads and the
+    # energy norm share the order, which releasing the first keeps
+    calls = []
+    class_order = dgdyn.assembly._class_order
+    monkeypatch.setattr(dgdyn.assembly, "_class_order", lambda *keys: calls.append(len(keys)) or class_order(*keys))
+    case = get_case(name)
+    mesh, edges, space, params = setup(4, 2, bc)
+    assemble_Ah(mesh, edges, space, params)
+    assemble_mass(mesh, edges, space, params.lam)
+    release_tables(space, 2 * space.p)
+    assemble_load(mesh, edges, space, case.f, case.g, 0.1)
+    energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs), exact=case, t=0.1)
+    assert len(calls) == (6 if bc == DIRICHLET_LATERAL else 4)
+    assert len(point_sets(space)) == (6 if bc == DIRICHLET_LATERAL else 4)  # the degree-2p + 4 ones alone
+
+
 def with_given_normals(edges):
     """The classification with the normals that enter the operators and
     the norm set as they were given before every edge normal came from the
@@ -617,6 +660,12 @@ def face_entries(faces, degree):
     w = faces.length[:, None] * rule.weights
     shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
     return [entries(el, X + shift, w) for el, shift in zip(faces.elem.T, shifts)]
+
+
+def point_sets(space):
+    """The point sets cached on ``space``, by (builder, *geometry, degree),
+    without the class orders that every degree shares."""
+    return {name: sides for name, sides in space.tables.items() if name[0] in ("_cell_points", "_face_tables")}
 
 
 def per_entry_tables(space, pts):
@@ -811,9 +860,9 @@ def test_structured_point_sets_hold_at_most_four_classes(bc, p):
     assemble_Ah(mesh, edges, space, params)
     assemble_mass(mesh, edges, space, params.lam)
     l2_lambda_project(mesh, space, edges, params.lam, lambda x, y: x * y)
-    point_sets = list(space.tables.values())
-    assert len(point_sets) == (8 if bc == DIRICHLET_LATERAL else 6)
-    for sides in point_sets:
+    cached = list(point_sets(space).values())
+    assert len(cached) == (8 if bc == DIRICHLET_LATERAL else 6)
+    for sides in cached:
         for each in sides:
             cls, rep = each.classes
             assert len(rep) <= 4
@@ -837,8 +886,8 @@ def test_point_sets_are_stored_in_class_order(bc, p):
     assemble_Ah(mesh, edges, space, params)
     assemble_mass(mesh, edges, space, params.lam)
     energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs))
-    assert len(space.tables) == (12 if bc == DIRICHLET_LATERAL else 8)
-    for (name, *key), sides in space.tables.items():
+    assert len(point_sets(space)) == (12 if bc == DIRICHLET_LATERAL else 8)
+    for (name, *key), sides in point_sets(space).items():
         bounds = sides[0].bounds
         assert all(np.array_equal(side.bounds, bounds) for side in sides)
         run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from test_assembly import cell_entries, face_entries, jittered, per_entry_tables
+from test_assembly import cell_entries, face_entries, jittered, per_entry_tables, point_sets
 
 from dgdyn.assembly import (
     TANGENT,
@@ -114,7 +114,7 @@ def test_l2_errors_keep_no_snapshot(make_case):
     u_h = interpolate(mesh, space, case.u, 0.5)
 
     def kept():
-        return {name: [set(pts.kept) for pts in sides] for name, sides in space.tables.items()}
+        return {name: [set(pts.kept) for pts in sides] for name, sides in point_sets(space).items()}
 
     l2_errors(mesh, edges, space, case.lam, u_h, case, t=0.5)
     assert kept() and not any(keys for sets in kept().values() for keys in sets)
@@ -348,7 +348,7 @@ def test_class_runs_give_the_per_entry_norms_loads_and_projection_on_a_distorted
     # almost one class per entry
     l2_lambda_project(mesh, space, edges, case.lam, case.u0)
     energy_norm_terms(mesh, edges, space, params, u_h=u_h)
-    for sides in space.tables.values():
+    for sides in point_sets(space).values():
         cls, rep = sides[0].classes
         if len(rep) > 1:
             assert len(rep) >= 0.9 * len(cls)

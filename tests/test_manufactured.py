@@ -181,3 +181,55 @@ def test_declared_fields_are_separable_also_when_replaced(name):
         replaced = getattr(dataclasses.replace(case, **{field: plain}), field)
         assert isinstance(replaced, SeparableField) and (replaced.fn, replaced.nodes, replaced.weights) == (plain, nodes, weights)
         assert getattr(dataclasses.replace(case), field) is fn
+
+
+def first_sources(case):
+    """f and g of ``case`` as first written: du/dt from u, laplace(u) and g
+    from cos(2 pi x) and the y factor, one temporary per operation."""
+    alpha, beta, lam, tp = case.alpha, case.beta, case.lam, 2.0 * np.pi
+    if case.name == "example1":
+
+        def f(t, x, y):
+            e, c = np.exp(-10.0 * t), np.cos(tp * x)
+            lap = e * np.cos(2.0 * tp * y) * (tp**2 * c - 4.0 * tp**2 * (1.0 - c))
+            return -10.0 * case.u(t, x, y) - lap
+
+        def g(t, x, y):
+            e, c = np.exp(-10.0 * t), np.cos(tp * x)
+            return np.cos(2.0 * tp * y) * e * ((alpha - 10.0 * lam) * (1.0 - c) - beta * tp**2 * c)
+
+        return f, g
+
+    def f(t, x, y):
+        c = np.cos(tp * x)
+        lap = t * np.cos(np.pi * y) * (tp**2 * c - np.pi**2 * (1.0 - c))
+        return (1.0 - np.cos(tp * x)) * np.cos(np.pi * y) - lap
+
+    def g(t, x, y):
+        c = np.cos(tp * x)
+        return np.cos(np.pi * y) * (lam * (1.0 - c) + alpha * t * (1.0 - c) - beta * tp**2 * t * c)
+
+    return f, g
+
+
+@pytest.mark.parametrize("coefficients", [{}, {"alpha": 0.5, "beta": 3.0, "lam": 0.25}])
+@pytest.mark.parametrize("case_fn", [example1, example3])
+def test_lean_sources_are_the_first_closed_forms(case_fn, coefficients):
+    # the sources take each cosine in place of its argument and run their
+    # arithmetic in place: to 1e-14 relative to each field's largest value
+    # they are the forms first written, on arrays, which they leave as they
+    # were, and on Python floats, as the high-precision checks pass them
+    case = case_fn(**coefficients)
+    rng = np.random.default_rng(3)
+    x, y = rng.random((2, 40, 7))
+    points = [(float(a), float(b)) for a, b in rng.random((50, 2))]
+    for new, old in zip((case.f, case.g), first_sources(case)):
+        for t in (0.0, 0.3, 1.0):
+            given = x.copy(), y.copy()
+            want = old(t, x, y)
+            assert np.abs(new(t, x, y) - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.array_equal(x, given[0]) and np.array_equal(y, given[1])
+            values = [(new(t, a, b), old(t, a, b)) for a, b in points]
+            assert all(isinstance(v, float) for v, _ in values)
+            got, want = np.array(values).T
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
