@@ -41,11 +41,11 @@ mesh = build_structured_mesh(3)
 edges = classify_edges(mesh, "periodic")
 print("\ninvariants at level 3:")
 print(f"  sum of triangle areas      = {0.5 * mesh.det_jacobians.sum():.15f} (domain area 1)")
-print(f"  sum of gamma1 edge lengths = {edges.gamma1.length.sum():.15f} (2 * width = 2)")
+print(f"  sum of gamma1 edge lengths = {edges.gamma1.measure.sum():.15f} (2 * width = 2)")
 ridges = edges.ridges
-print(f"  all {len(ridges)} ridges are point faces of unit length with normal +x:",
-      bool((ridges.p0 == ridges.p1).all() and (ridges.length == 1.0).all() and (ridges.normal == [1.0, 0.0]).all()))
-print(f"  fused corner ridges reach the second side at x = 0: {ridges.shift[ridges.p0[:, 0] == 1.0].tolist()}")
+print(f"  all {len(ridges)} ridges are point faces (zero Jacobian, measure 1) with normal +x:",
+      bool((ridges.jacobian == 0.0).all() and (ridges.measure == 1.0).all() and (ridges.normal == [1.0, 0.0]).all()))
+print(f"  fused corner ridges reach the second side at x = 0: {ridges.shift[ridges.v0[:, 0] == 1.0].tolist()}")
 
 print("\ndirichlet_lateral mode separates the lateral edges and unfuses corners")
 edges_d = classify_edges(mesh, "dirichlet_lateral")

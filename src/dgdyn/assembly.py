@@ -8,29 +8,30 @@ the boundary edges plus point couplings at the ridges).  With Dirichlet
 walls it also holds the Nitsche terms of the lateral edges and, scaled by
 beta, the one-sided corner terms of the surface form; the wall datum enters
 through a vector alone.  One table, ``stiffness_terms`` and ``mass_terms``,
-lists each ``Term``: its face set (or the cells), weight (1, alpha, beta or
-lambda), derivative directions and, if it is an interior-penalty term,
-sigma.  A_h and M are each one sparse product of their terms' blocks (no
-sparse matrix is added), the wall data takes the one-sided penalty terms,
-and the loads, the projection and both norms read the same table.  Every
-term is a sum of quadrature over point sets, which each reader gets as the
-term's sides (``Term.sides``): the triangles, or one side of each of a batch
-of faces (edges, ridges and corners; a ridge or corner is a point face of
-unit length).  A point set is built once per geometry and degree and
-cached on the space, which releases the degree-2p ones after assembly.
+lists each ``Term``: its set of simplices (the cells or a face set),
+weight (1, alpha, beta or lambda), derivative directions and, if it is an
+interior-penalty term, sigma.  A_h and M are each one sparse product of
+their terms' blocks (no sparse matrix is added), the wall data takes the
+one-sided penalty terms, and the loads, the projection and both norms read
+the same table.  Every term is a sum of quadrature over point sets, which
+each reader gets as the term's sides (``Term.sides``): one side of each
+simplex of a ``Faces`` batch (triangles, edges, ridges and corners; a
+ridge or corner is a point face of unit measure).  One builder makes them
+all, with the triangle rule on triangles and the edge rule otherwise; a
+point set is built once per geometry and degree and cached on the space,
+which releases the degree-2p ones after assembly.
 
 A point set is stored in geometry-class order.  A class is the entries
-whose point pattern (the reference positions of their points: on a face,
-those between the reference vertices its endpoints map to), inverse
-Jacobian, weight scale and (on faces) normal are bitwise equal, a handful
-on the structured meshes; the order is found from per-element and
-per-face data once per geometry, for every degree, and each class is one
-run of entries.  Each class keeps its weight row, basis values and
-physical gradients, the reference gradients folded with its inverse
-Jacobian; a point set makes the physical points of a block of entries
-from the mesh only when a field is evaluated (on a face set's first side
-alone, whose entries match the second's), so it holds no array per entry
-and point but kept snapshots.
+whose point pattern (the rule interpolating the reference vertices their
+simplex's vertices map to), inverse Jacobian, weight scale and (on faces)
+normal are bitwise equal, a handful on the structured meshes; the order is
+found from per-simplex data once per geometry, for every degree, and each
+class is one run of entries.  Each class keeps its weight row, basis
+values and physical gradients, the reference gradients folded with its
+inverse Jacobian; a point set makes the physical points v0 + J xi of a
+block of entries from the mesh only when a field is evaluated (on a face
+set's first side alone, whose entries match the second's), so it holds no
+array per entry and point but kept snapshots.
 One evaluator on it serves loads, projection and norms: ``field`` maps the
 coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
@@ -109,13 +110,13 @@ BLOCK_POINTS = 2**15  # points in one block of an evaluation: its temporaries (2
 
 @dataclass(eq=False)
 class _Points:
-    """Quadrature points on one side of a batch of cells or faces, stored in
+    """Quadrature points on one side of a batch of simplices, stored in
     geometry-class order: the entries of class k are the run bounds[k] to
     bounds[k + 1], and each class keeps its weights and basis tables.  The
     points of a block of entries are made from the mesh on demand."""
 
     elem: np.ndarray  # (nE,) element whose basis is evaluated
-    w: np.ndarray  # (n_classes, nq) rule weight times cell area or face length (1 at a point face)
+    w: np.ndarray  # (n_classes, nq) rule weight times the simplex's measure (1 at a point face)
     bounds: np.ndarray  # (n_classes + 1,) first entry of each class, then nE
     phi: np.ndarray  # (n_classes, nq, n_local) basis values
     grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
@@ -219,15 +220,18 @@ class _Points:
 
 
 def _class_order(*keys) -> tuple:
-    """(order, bounds): the order of the rows of the key columns ``keys``
-    that makes each class, the rows whose keys are all bitwise equal, one
-    run, and the first row of each run followed by the number of rows.  One
-    lexsort over the columns: far faster than ``np.unique(axis=0)``."""
-    keys = np.column_stack(keys)
-    order = np.lexsort(keys.T)
-    keys = keys[order]
+    """(order, bounds): the order of the rows of the key arrays ``keys`` (1-D,
+    or 2-D with a column per key) that makes each class, the rows whose keys
+    are all bitwise equal, one run, and the first row of each run followed
+    by the number of rows.  One lexsort over the key columns that are not
+    the same in every row (a stable sort does not move on those), stacked
+    one per row: far faster than ``np.unique(axis=0)``."""
+    varying = [c for key in keys for c in np.atleast_2d(key.T) if (c != c[:1]).any()]
+    keys = np.array(varying or [np.zeros(len(keys[0]))])  # one constant key if none varies
+    order = np.lexsort(keys)
+    keys = keys[:, order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
     return order, np.append(np.flatnonzero(first), len(order))
 
 
@@ -242,21 +246,14 @@ def _points(mesh, space, elems, points, w, bounds, ref, normal=None) -> _Points:
     return _Points(elems, w, bounds, phi, grad, points, normal)
 
 
-def _on_cells(mesh, elems, points, sl) -> tuple:
-    """(x, y) at the triangles ``elems[sl]``: v0 + J times the rule's
-    ``points``, with one product for all of them."""
-    e = elems[sl]
-    X = (mesh.jacobians[e].reshape(-1, 2) @ points.T).reshape(len(e), 2, -1)
-    X += mesh.v0[e][:, :, None]
-    return X[:, 0], X[:, 1]
-
-
-def _on_faces(faces, order, points, sl) -> tuple:
-    """(x, y) at the faces ``order[sl]``: p0 + s (p1 - p0), on the first
-    side's realization."""
+def _on_simplices(faces, order, xi, sl) -> tuple:
+    """(x, y) at the simplices ``order[sl]``, on the first side's
+    realization: v0 + J times the rule's points ``xi`` (nq, d), with one
+    product for all of them."""
     f = order[sl]
-    X = faces.p0[f][:, None, :] + points[None, :, None] * (faces.p1[f] - faces.p0[f])[:, None, :]
-    return X[..., 0], X[..., 1]
+    X = (faces.jacobian[f].reshape(-1, xi.shape[1]) @ xi.T).reshape(len(f), 2, len(xi))
+    X += faces.v0[f][:, :, None]
+    return X[:, 0], X[:, 1]
 
 
 def _per_space(build):
@@ -279,57 +276,42 @@ def release_tables(space: DGSpace, degree: int) -> None:
 
 
 @_per_space
-def _cell_order(mesh: Mesh, space: DGSpace) -> tuple:
-    """(order, bounds) of the triangles by class, their inverse Jacobian and
-    determinant: the same at every degree."""
-    return _class_order(mesh.inv_jacobians.reshape(-1, 4), mesh.det_jacobians)
-
-
-@_per_space
-def _cell_points(mesh: Mesh, space: DGSpace, degree: int) -> tuple:
-    """Every triangle, in ``_cell_order``, as the one side of the cells."""
-    rule = triangle_quadrature(degree)
-    elems, bounds = _cell_order(mesh, space)
-    points = partial(_on_cells, mesh, elems, rule.points)
-    # the one pattern's reference positions: element 0's points mapped back
-    first = np.argmin(elems)
-    ref = (np.stack(points(slice(first, first + 1)), axis=-1)[0] - mesh.v0[0]) @ mesh.inv_jacobians[0].T
-    ref = np.broadcast_to(ref, (len(bounds) - 1, *rule.points.shape))
-    return (_points(mesh, space, elems, points, mesh.det_jacobians[elems[bounds[:-1]]][:, None] * rule.weights, bounds, ref),)
-
-
-@_per_space
-def _face_order(mesh: Mesh, space: DGSpace, faces: Faces) -> tuple:
-    """(order, bounds, ref_ends) of a batch of faces by class, the same at
-    every degree: the normal and, on each side, the reference vertices the
-    face's endpoints (the second side's moved by ``shift``) map to in its
-    element, the element's inverse Jacobian and the face's length.  Each
-    endpoint is a vertex of its element, so rounding its mapped-back
-    position gives the vertex exactly; ``ref_ends`` holds each class's
-    pair of them, (n_classes, 2, 2) per side."""
-    shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
-    ends = np.stack([faces.p0, faces.p1], axis=1)
-    keys, ref_ends = [], []
+def _order(mesh: Mesh, space: DGSpace, faces: Faces) -> tuple:
+    """(order, bounds, refs) of a batch of simplices by class, the same at
+    every degree: the normal (on faces) and, on each side, the reference
+    vertices the simplex's vertices (the second side's moved by ``shift``)
+    map to in its element, the element's inverse Jacobian and the simplex's
+    measure.  Each vertex is a vertex of its element, so rounding its
+    mapped-back position gives the reference vertex exactly, and the
+    elementwise products here need no more precision; ``refs`` holds each
+    class's d + 1 of them, (n_classes, d + 1, 2) per side."""
+    shifts = [0.0] if faces.shift is None else [0.0, faces.shift]
+    keys, refs = [], []
     for el, shift in zip(faces.elem.T, shifts):
         inv_j = mesh.inv_jacobians[el]
-        ref_ends.append(np.rint((ends + shift - mesh.v0[el][:, None, :]) @ inv_j.transpose(0, 2, 1)))
-        keys += [ref_ends[-1].reshape(-1, 4), inv_j.reshape(-1, 4), faces.length]
-    order, bounds = _class_order(*keys, faces.normal)
-    return order, bounds, [e[order[bounds[:-1]]] for e in ref_ends]
+        x = (faces.v0 + shift - mesh.v0[el])[:, None, :]  # the vertices from the element's v0
+        x = np.concatenate([x, x + faces.jacobian.transpose(0, 2, 1)], axis=1)
+        refs.append(np.rint(x[..., :1] * inv_j[:, None, :, 0] + x[..., 1:] * inv_j[:, None, :, 1]))
+        keys += [refs[-1].reshape(-1, 2 * x.shape[1]), inv_j.reshape(-1, 4), faces.measure]
+    order, bounds = _class_order(*keys, *([] if faces.normal is None else [faces.normal]))
+    return order, bounds, [ref[order[bounds[:-1]]] for ref in refs]
 
 
 @_per_space
-def _face_tables(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple:
-    """Each side of a batch of faces, in ``_face_order``, each class's
-    points between its two reference vertices; the first side alone makes
+def _sides(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple:
+    """Each side of a batch of simplices, in ``_order``, with the triangle
+    rule on triangles and the edge rule on edges and point faces: each
+    class's points are the rule's interpolation of its reference vertices,
+    on a triangle the rule's own points.  The first side alone makes
     points."""
-    order, bounds, ref_ends = _face_order(mesh, space, faces)
-    first = order[bounds[:-1]]
-    rule = edge_quadrature(degree)
-    w, normal = rule.weights[None, :] * faces.length[first][:, None], faces.normal[first]
-    points = [partial(_on_faces, faces, order, rule.points), None]
-    refs = [e[:, :1] + rule.points[:, None] * (e[:, 1:] - e[:, :1]) for e in ref_ends]
-    sides = zip(faces.elem.T, points, refs)
+    order, bounds, refs = _order(mesh, space, faces)
+    first, d = order[bounds[:-1]], faces.jacobian.shape[2]
+    rule = triangle_quadrature(degree) if d == 2 else edge_quadrature(degree)
+    xi = rule.points.reshape(len(rule.weights), d)
+    w = faces.measure[first][:, None] * rule.weights
+    normal = None if faces.normal is None else faces.normal[first]
+    points = [partial(_on_simplices, faces, order, xi), None]
+    sides = zip(faces.elem.T, points, [r[:, :1] + xi @ (r[:, 1:] - r[:, :1]) for r in refs])
     return tuple(_points(mesh, space, el[order], pts, w, bounds, ref, normal) for el, pts, ref in sides)
 
 
@@ -501,15 +483,15 @@ def _penalty_blocks(sides: tuple, sigma: float, weight: float = 1.0) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Term:
-    """One term of A_h or M on the cells (``faces`` None) or a face set:
-    weight (D u, D v), D the value if ``dirs`` is None and the derivatives
+    """One term of A_h or M on a batch of simplices, the cells or a face
+    set: weight (D u, D v), D the value if ``dirs`` is None and the derivatives
     along the columns of ``dirs`` (2, k) otherwise, or, with ``sigma`` set,
     weight times the interior-penalty terms, whose average the energy norm
     measures along ``dirs``.  ``names`` are the ``energy_norm_terms`` it
     adds to: weight sum w |D e|^2, or weight sigma sum w [e]^2 and
     weight / sigma sum w |{D e}|^2."""
 
-    faces: Faces | None
+    faces: Faces
     weight: float
     dirs: np.ndarray | None
     sigma: float | None = None
@@ -518,7 +500,7 @@ class Term:
     def sides(self, mesh: Mesh, space: DGSpace, degree: int) -> tuple:
         """The ``_Points`` it reads, one per side: the cells, the first side
         of a Gram term's faces, or every side of a penalty term's faces."""
-        sides = _cell_points(mesh, space, degree) if self.faces is None else _face_tables(mesh, space, self.faces, degree)
+        sides = _sides(mesh, space, self.faces, degree)
         return sides if self.sigma is not None else sides[:1]
 
     def blocks(self, mesh: Mesh, space: DGSpace) -> list:
@@ -540,7 +522,7 @@ def stiffness_terms(edges: EdgeClassification, params: FormParams) -> list:
     beta, sigma = params.beta, params.sigma
     edge_names, ridge_names = ("jump_penalty", "grad_average"), ("ridge_jump", "ridge_average")
     terms = [
-        Term(None, 1.0, AXES, names=("h1_broken",)),
+        Term(edges.cells, 1.0, AXES, names=("h1_broken",)),
         Term(edges.two_sided, 1.0, AXES, sigma, edge_names),
         Term(edges.gamma1, params.alpha, None, names=("alpha_boundary",)),
         Term(edges.gamma1, beta, TANGENT, names=("beta_tangential",)),
@@ -554,7 +536,7 @@ def stiffness_terms(edges: EdgeClassification, params: FormParams) -> list:
 def mass_terms(edges: EdgeClassification, lam: float) -> list:
     """The terms of M: the L2(Omega) mass, block diagonal in the DG dof
     layout, and lam times the L2(gamma1) mass."""
-    return [Term(None, 1.0, None), Term(edges.gamma1, lam, None)]
+    return [Term(edges.cells, 1.0, None), Term(edges.gamma1, lam, None)]
 
 
 # ---------------------------------------------------------------------------

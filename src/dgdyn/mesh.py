@@ -7,13 +7,15 @@ periodically or treated as a weak Dirichlet boundary (``gamma2``).  Meshes
 are uniform N x N grids of cells (N = 2**level), each cell split along the
 lower-left to upper-right diagonal.
 
-Every face set is one ``Faces`` type: a face has one side (gamma1, the
-Dirichlet walls, the corners) or two (``two_sided``: the interior edges,
-then the periodic pairs; the ridges).  On a one-sided face jump and
-average are the trace.  The vertices of gamma1 are the faces of the 1D
-surface mesh on it: point faces with unit weight and the outward tangent
-of gamma1 as normal, two-sided ridges where two gamma1 edges meet and, in
-dirichlet_lateral mode, one-sided corners.
+Every set of mesh pieces a term integrates over is one ``Faces`` type, a
+batch of affine simplices: the triangles (``cells``), the edges and the
+vertices of gamma1.  It has one side (the cells, gamma1, the Dirichlet
+walls, the corners) or two (``two_sided``: the interior edges, then the
+periodic pairs; the ridges).  On one side jump and average are the trace.
+The vertices of gamma1 are the faces of the 1D surface mesh on it: point
+faces with unit weight and the outward tangent of gamma1 as normal,
+two-sided ridges where two gamma1 edges meet and, in dirichlet_lateral
+mode, one-sided corners.
 """
 
 from __future__ import annotations
@@ -167,23 +169,23 @@ def p1_prolongations(mesh: Mesh, bc_mode: str) -> list[sp.csr_matrix]:
 
 @dataclass(eq=False)
 class Faces:
-    """A batch of faces with one or two sides each: edges, or point faces
-    (``p0 == p1``, ``length`` 1, their counting measure).
+    """A batch of affine simplices x = v0 + jacobian @ xi, xi on the reference
+    triangle or [0, 1], with one or two sides: triangles (d = 2), edges or
+    point faces (d = 1, a zero column and ``measure`` 1, their counting
+    measure).  The columns of ``jacobian`` (n, 2, d) are the edges from
+    ``v0``; ``measure`` is det J on a triangle, the length on an edge.
+    Column k of ``elem`` (n, sides) is the element of side k, a triangle
+    its own.  ``shift``, on two-sided faces only, moves the first side's
+    points onto the second side (zero but across a periodic seam).  The
+    normal, None on triangles, is unit length and points out of the first
+    side: on an edge away from its element, on a point face along the
+    outward tangent of the first side's edge."""
 
-    Column k of ``elem`` (n, sides) is the element of side k.  The
-    endpoints ``p0``/``p1`` lie on the first side's realization of the
-    face; ``shift``, set on two-sided faces only, moves them onto the
-    second side's (zero unless the face is across a periodic seam).  The
-    normal is unit length and points out of the first side: on an edge
-    away from its element, on a point face along the outward tangent of
-    the first side's edge.
-    """
-
-    p0: np.ndarray
-    p1: np.ndarray
+    v0: np.ndarray
+    jacobian: np.ndarray
     elem: np.ndarray
-    normal: np.ndarray
-    length: np.ndarray
+    measure: np.ndarray
+    normal: np.ndarray | None = None
     shift: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -192,12 +194,13 @@ class Faces:
 
 @dataclass(eq=False)
 class EdgeClassification:
-    """All mesh edges, each in exactly one face set, and the vertices of
-    gamma1 as point faces: the ridges and, if Dirichlet, the corners.
-    ``two_sided`` holds the interior edges, then in periodic mode the
-    pairs of lateral edges."""
+    """The triangles as the mesh's 2-faces, all mesh edges, each in exactly
+    one face set, and the vertices of gamma1 as point faces: the ridges
+    and, if Dirichlet, the corners.  ``two_sided`` holds the interior
+    edges, then in periodic mode the pairs of lateral edges."""
 
     bc_mode: str
+    cells: Faces
     two_sided: Faces
     gamma1: Faces
     dirichlet: Faces | None
@@ -206,7 +209,8 @@ class EdgeClassification:
 
 
 def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
-    """Classify every geometric edge of a structured mesh.
+    """Classify every geometric edge of a structured mesh, beside its
+    triangles as ``cells``, whose geometry is the mesh's own cached arrays.
 
     The face sets follow from the cell indices.  Every edge runs from a
     vertex lo to a vertex hi > lo; the interior edges are listed by (lo, hi),
@@ -254,7 +258,8 @@ def classify_edges(mesh: Mesh, bc_mode: str = PERIODIC) -> EdgeClassification:
         dirichlet = _build_faces(mesh, lateral, lateral + n + 1, np.concatenate([left_elem, right_elem])[:, None])
 
     two_sided = _build_faces(mesh, lo, hi, sides, shift)
-    return EdgeClassification(bc_mode, two_sided, gamma1, dirichlet, *_build_point_faces(gamma1, bc_mode))
+    cells = Faces(mesh.v0, mesh.jacobians, np.arange(mesh.n_triangles)[:, None], mesh.det_jacobians)
+    return EdgeClassification(bc_mode, cells, two_sided, gamma1, dirichlet, *_build_point_faces(mesh, gamma1, g1, bc_mode))
 
 
 def _build_faces(mesh, lo, hi, elem, shift=None) -> Faces:
@@ -267,15 +272,17 @@ def _build_faces(mesh, lo, hi, elem, shift=None) -> Faces:
     normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / length[:, None]
     flip = np.einsum("ei,ei->e", normal, 0.5 * (p0 + p1) - mesh.centroids[elem[:, 0]]) < 0
     normal[flip] *= -1.0
-    return Faces(p0=p0, p1=p1, elem=elem, normal=normal, length=length, shift=shift)
+    return Faces(p0, tang[:, :, None], elem, length, normal, shift)
 
 
-def _build_point_faces(gamma1: Faces, bc_mode: str) -> tuple[Faces, Faces | None]:
+def _build_point_faces(mesh: Mesh, gamma1: Faces, lo: np.ndarray, bc_mode: str) -> tuple[Faces, Faces | None]:
     """The vertices of gamma1 as point faces: the ridges and the corners.
-    gamma1 is sorted by component, then by x, so row c of ``e`` lists the
-    edges of component c from left to right.  A ridge takes the edge on its
-    left as first side, at that edge's right end, and the edge on its right
-    as second, so its normal is +x."""
+    gamma1's edge k runs from vertex lo[k] to lo[k] + 1, sorted by
+    component, then by x, so row c of ``e`` lists the edges of component c
+    from left to right.  A ridge takes the edge on its left as first side,
+    at that edge's right end, and the edge on its right as second, so its
+    normal is +x.  Each point is read from the mesh's vertices, not made as
+    an edge's v0 + J, so it is the vertex itself on a moved mesh too."""
     e = np.arange(len(gamma1)).reshape(2, -1)
     corners = None
     if bc_mode == PERIODIC:
@@ -284,11 +291,10 @@ def _build_point_faces(gamma1: Faces, bc_mode: str) -> tuple[Faces, Faces | None
     else:
         first, second = e[:, :-1].ravel(), e[:, 1:].ravel()
         # one-sided corners: the first edge's left end, the last edge's right end
-        ends, left = e[:, [0, -1]].ravel(), np.tile([True, False], 2)[:, None]
-        point = np.where(left, gamma1.p0[ends], gamma1.p1[ends])
-        normal = np.where(left, [-1.0, 0.0], [1.0, 0.0])
-        corners = Faces(p0=point, p1=point, elem=gamma1.elem[ends], normal=normal, length=np.ones(len(ends)))
-    point, elem = gamma1.p1[first], gamma1.elem[np.column_stack([first, second]), 0]
-    normal = np.tile([1.0, 0.0], (len(first), 1))
-    ridges = Faces(p0=point, p1=point, elem=elem, normal=normal, length=np.ones(len(first)), shift=gamma1.p0[second] - point)
+        ends, right = e[:, [0, -1]].ravel(), np.tile([0, 1], 2)
+        normal = np.where(right[:, None], [1.0, 0.0], [-1.0, 0.0])
+        corners = Faces(mesh.vertices[lo[ends] + right], np.zeros((4, 2, 1)), gamma1.elem[ends], np.ones(4), normal)
+    point, elem = mesh.vertices[lo[first] + 1], gamma1.elem[np.column_stack([first, second]), 0]
+    normal, zero = np.tile([1.0, 0.0], (len(first), 1)), np.zeros((len(first), 2, 1))
+    ridges = Faces(point, zero, elem, np.ones(len(first)), normal, shift=mesh.vertices[lo[second]] - point)
     return ridges, corners

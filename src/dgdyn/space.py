@@ -140,9 +140,8 @@ class ReferenceBasis:
         j = self.exponents[:, 1]
         x = pts[..., 0, None]
         y = pts[..., 1, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx = np.where(i > 0, i * x ** np.maximum(i - 1, 0) * y**j, 0.0)
-            dy = np.where(j > 0, j * x**i * y ** np.maximum(j - 1, 0), 0.0)
+        dx = i * x ** np.maximum(i - 1, 0) * y**j  # a zero exponent zeroes its term
+        dy = j * x**i * y ** np.maximum(j - 1, 0)
         return np.stack([dx @ self.coeff, dy @ self.coeff], axis=-1)
 
 

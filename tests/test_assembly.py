@@ -12,11 +12,10 @@ from dgdyn.assembly import (
     BlockDiagonal,
     FormParams,
     _bsr,
-    _cell_points,
-    _face_tables,
     _gram_blocks,
     _penalty_blocks,
     _row_types,
+    _sides,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
@@ -653,19 +652,19 @@ def cell_entries(mesh, degree):
 
 def face_entries(faces, degree):
     """Each side of ``faces`` in the mesh's face order, from the faces alone:
-    points p0 + s (p1 - p0), the second side's moved by the shift, and
-    weights the face length times the rule's."""
+    points v0 + s times the Jacobian column, the second side's moved by the
+    shift, and weights the face length times the rule's."""
     rule = edge_quadrature(degree)
-    X = faces.p0[:, None, :] + rule.points[None, :, None] * (faces.p1 - faces.p0)[:, None, :]
-    w = faces.length[:, None] * rule.weights
+    X = faces.v0[:, None, :] + rule.points[None, :, None] * faces.jacobian[:, None, :, 0]
+    w = faces.measure[:, None] * rule.weights
     shifts = [0.0] if faces.shift is None else [0.0, faces.shift[:, None, :]]
     return [entries(el, X + shift, w) for el, shift in zip(faces.elem.T, shifts)]
 
 
 def point_sets(space):
-    """The point sets cached on ``space``, by (builder, *geometry, degree),
+    """The point sets cached on ``space``, by (builder, simplices, degree),
     without the class orders that every degree shares."""
-    return {name: sides for name, sides in space.tables.items() if name[0] in ("_cell_points", "_face_tables")}
+    return {name: sides for name, sides in space.tables.items() if name[0] == "_sides"}
 
 
 def per_entry_tables(space, pts):
@@ -732,7 +731,7 @@ def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, pe
     A = assemble_Ah(mesh, edges, space, params).tobsr().toarray()
     M = assemble_mass(mesh, edges, space, 10.0).tobsr().toarray()
     # the jitter leaves few entries sharing a class
-    (vol,), (face, _) = _cell_points(mesh, space, 2 * p), _face_tables(mesh, space, edges.two_sided, 2 * p)
+    (vol,), (face, _) = _sides(mesh, space, edges.cells, 2 * p), _sides(mesh, space, edges.two_sided, 2 * p)
     assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(face.classes[1]) >= 0.9 * len(face.elem)
     A_ref, M_ref = per_entry_operators(mesh, edges, space, params, 10.0)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
@@ -831,24 +830,45 @@ def test_colliding_row_keys_never_merge_two_types(monkeypatch):
 @pytest.mark.parametrize("distorted", [False, True])
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
 def test_face_endpoints_map_back_to_reference_vertices(bc, distorted):
-    # the face tables round each side's mapped-back endpoints to name its
-    # reference vertices, and place the class's points between those: exact
-    # only if every endpoint, the second side's moved by the periodic shift,
-    # is a vertex of its element
+    # the point sets round each side's mapped-back simplex vertices (a
+    # triangle's three, an edge's two ends, a point face's point twice) to
+    # name its reference vertices, and place the class's points by the
+    # rule between those: exact only if every vertex, the second side's
+    # moved by the periodic shift, is a vertex of its element
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     meshes = [jittered(level, bc, 1)[0] for level in range(1, 5)] if distorted else map(build_structured_mesh, range(7))
     for mesh in meshes:
         edges = classify_edges(mesh, bc)
-        face_sets = [edges.two_sided, edges.gamma1, edges.ridges, edges.dirichlet, edges.corners]
+        face_sets = [edges.cells, edges.two_sided, edges.gamma1, edges.ridges, edges.dirichlet, edges.corners]
         face_sets = [faces for faces in face_sets if faces is not None]
-        assert len(face_sets) == (5 if bc == DIRICHLET_LATERAL else 3)
+        assert len(face_sets) == (6 if bc == DIRICHLET_LATERAL else 4)
         assert (edges.two_sided.shift != 0.0).any() == (bc == PERIODIC)
         for faces in face_sets:
             shifts = [0.0] if faces.shift is None else [0.0, faces.shift]
+            ends = [faces.v0] + [faces.v0 + column for column in faces.jacobian.transpose(2, 0, 1)]
             for el, shift in zip(faces.elem.T, shifts):
-                for end in (faces.p0, faces.p1):
+                for end in ends:
                     ref = np.einsum("eij,ej->ei", mesh.inv_jacobians[el], end + shift - mesh.v0[el])
                     assert np.abs(ref[:, None, :] - vertices).max(axis=2).min(axis=1).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("distorted", [False, True])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_cell_tables_are_the_basis_at_the_rule_points(bc, p, distorted):
+    # a triangle's points are the rule's interpolation of its reference
+    # vertices (0, 0), (1, 0), (0, 1): the rule's own points, so every cell
+    # class's basis values, and its gradients before the fold with its
+    # inverse Jacobian, are the basis at the rule's points to the bit
+    mesh, edges, space = jittered(2, bc, p) if distorted else setup(4, p, bc)[:3]
+    for degree in (2 * p, 2 * p + 4):
+        rule = triangle_quadrature(degree)
+        (pts,) = mass_terms(edges, 1.0)[0].sides(mesh, space, degree)
+        inv_j = mesh.inv_jacobians[pts.elem[pts.bounds[:-1]]]
+        assert len(pts.bounds) - 1 == (len(pts.elem) if distorted else 2)
+        phi, grad = space.basis.eval(rule.points), space.basis.grad(rule.points)
+        assert np.array_equal(pts.phi, np.broadcast_to(phi, pts.phi.shape))
+        assert np.array_equal(pts.grad, grad @ inv_j[:, None])
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -887,18 +907,17 @@ def test_point_sets_are_stored_in_class_order(bc, p):
     assemble_mass(mesh, edges, space, params.lam)
     energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs))
     assert len(point_sets(space)) == (12 if bc == DIRICHLET_LATERAL else 8)
-    for (name, *key), sides in point_sets(space).items():
+    for (_, faces, degree), sides in point_sets(space).items():
         bounds = sides[0].bounds
         assert all(np.array_equal(side.bounds, bounds) for side in sides)
         run = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
         every = slice(0, len(run))
-        if name == "_cell_points":
-            want = [cell_entries(mesh, key[0])]
+        if faces is edges.cells:
+            want = [cell_entries(mesh, degree)]
             index = sides[0].elem  # the mesh's triangle of each entry
             assert np.array_equal(np.sort(index), np.arange(mesh.n_triangles))
             geometry = []
         else:
-            faces, degree = key
             want = face_entries(faces, degree)
             face_of = {tuple(e): i for i, e in enumerate(faces.elem.tolist())}
             assert len(face_of) == len(faces)  # at level 5 a face's elements name it
@@ -968,7 +987,7 @@ def test_snapshots_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc)
     whole = measured(space)
     space = DGSpace(mesh, 2)
     monkeypatch.setattr(dgdyn.assembly, "BLOCK_POINTS", 1000)
-    for pts in (*_cell_points(mesh, space, 8), _face_tables(mesh, space, edges.two_sided, 8)[0]):
+    for pts in (*_sides(mesh, space, edges.cells, 8), _sides(mesh, space, edges.two_sided, 8)[0]):
         starts = {sl.start for sl in pts.blocks()}
         assert len(starts) > 2 and not starts <= set(pts.bounds.tolist())
         ((_, value),), ((_, grad),) = pts.exact(case.u, 0.5), pts.exact(case.grad_u, 0.5)  # one time node each

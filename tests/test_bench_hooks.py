@@ -63,3 +63,23 @@ def test_direct_reference_matches_the_solve(name, label, capsys):
     record = dgdyn.cli.run_solve(config)
     dev = max(abs(getattr(record, f) - reference[f]) / abs(reference[f]) for f in workload.fields())
     assert dev <= bench_run.RTOL
+
+
+# The stored entries of the CG systems that CI's bench-smoke expects the
+# traced pass to count, summed over a pass's rows.
+BENCH_SMOKE_NNZ = {"table-h": 359600, "table-dt": 3242496, "fine-p2": 4309996}
+
+
+@pytest.mark.parametrize("name", list(BENCH_SMOKE_NNZ))
+def test_cg_systems_store_the_entries_bench_smoke_counts(name):
+    # the traced nnz sums each row's step system M + dt A_h in its CSR form,
+    # which drops the blocks' zero entries (the dt rows share one set of
+    # operators): an entry that moves into or out of exact zero fails here
+    workload = workloads.WORKLOADS[name]
+    configs = [dgdyn.ProblemConfig(**kwargs).validate() for _, kwargs in workload.rows]
+    shared = dgdyn.build_operators(configs[0]) if workload.kind == "converge_dt" else None
+    nnz = 0
+    for config in configs:
+        ops = shared or dgdyn.build_operators(config)
+        nnz += ops.M_blocks.plus(config.dt, ops.A_blocks).tocsr().nnz
+    assert nnz == BENCH_SMOKE_NNZ[name]

@@ -67,6 +67,12 @@ def test_refinement_halves_h():
         h_prev = h
 
 
+def ends(faces):
+    """A face's endpoints: ``v0`` and ``v0`` plus its Jacobian column, the
+    same point on a point face."""
+    return faces.v0, faces.v0 + faces.jacobian[:, :, 0]
+
+
 def periodic_pairs(edges):
     """The rows of ``two_sided`` that cross the periodic seam."""
     return np.flatnonzero(np.any(edges.two_sided.shift != 0.0, axis=1))
@@ -111,7 +117,7 @@ def test_classify_level2_dirichlet_counts():
 
 def test_gamma1_total_length():
     edges = classify_edges(build_structured_mesh(3))
-    assert np.isclose(edges.gamma1.length.sum(), 2.0, rtol=1e-12)
+    assert np.isclose(edges.gamma1.measure.sum(), 2.0, rtol=1e-12)
 
 
 def test_interior_normals_unit_and_oriented():
@@ -121,7 +127,7 @@ def test_interior_normals_unit_and_oriented():
     nrm = edges.two_sided.normal[inner]
     first, second = edges.two_sided.elem[inner].T
     assert np.allclose(np.linalg.norm(nrm, axis=1), 1.0, rtol=1e-14)
-    mid = 0.5 * (edges.two_sided.p0 + edges.two_sided.p1)[inner]
+    mid = 0.5 * np.add(*ends(edges.two_sided))[inner]
     toward_second = mesh.centroids[second] - mesh.centroids[first]
     assert (np.einsum("ei,ei->e", nrm, toward_second) > 0).all()
     # the first side has the smaller index
@@ -136,12 +142,12 @@ def test_periodic_pair_geometry():
     pairs = periodic_pairs(edges)
     faces = edges.two_sided
     assert np.allclose(faces.normal[pairs], [1.0, 0.0])
-    assert np.allclose(faces.p0[pairs, 0], 1.0)  # first side's realization on the right
+    assert np.allclose(faces.v0[pairs, 0], 1.0)  # first side's realization on the right
     assert np.allclose(faces.shift[pairs], [-1.0, 0.0])
     # paired edges share the y-interval
-    shifted = faces.p0[pairs] + faces.shift[pairs]
+    shifted = faces.v0[pairs] + faces.shift[pairs]
     assert np.allclose(shifted[:, 0], 0.0)
-    assert (faces.length[pairs] > 0).all()
+    assert (faces.measure[pairs] > 0).all()
 
 
 def test_ridge_tangent_signs_opposite():
@@ -151,14 +157,14 @@ def test_ridge_tangent_signs_opposite():
         edges = classify_edges(build_structured_mesh(3), bc)
         r = edges.ridges
         assert np.array_equal(r.normal, np.tile([1.0, 0.0], (len(r), 1)))
-        assert np.array_equal(r.p0, r.p1) and np.all(r.length == 1.0)
+        assert np.array_equal(*ends(r)) and np.all(r.measure == 1.0)
         # each boundary component forms a closed cycle in periodic mode
         if bc == PERIODIC:
             assert len(r) == len(edges.gamma1)
         else:
             c = edges.corners
-            assert np.array_equal(c.normal[:, 0], np.sign(c.p0[:, 0] - 0.5)) and np.all(c.normal[:, 1] == 0.0)
-            assert np.array_equal(c.p0, c.p1) and np.all(c.length == 1.0)
+            assert np.array_equal(c.normal[:, 0], np.sign(c.v0[:, 0] - 0.5)) and np.all(c.normal[:, 1] == 0.0)
+            assert np.array_equal(*ends(c)) and np.all(c.measure == 1.0)
 
 
 # Level 1 by hand: gamma1 edges [0, 1/2] and [1/2, 1] on y = 0 belong to the
@@ -197,22 +203,22 @@ def test_ridges_level1_by_hand(bc):
     r = edges.ridges
     assert r.elem.shape == (len(two), 2) and r.elem.dtype.kind == "i"
     assert np.array_equal(r.elem[:, 0], column(two, 0))
-    assert np.array_equal(r.p0, column(two, 1)) and np.array_equal(r.p1, r.p0)
+    assert np.array_equal(r.v0, column(two, 1)) and np.array_equal(ends(r)[1], r.v0)
     assert np.array_equal(r.normal, column(two, 2)[:, None] * [1.0, 0.0])
     assert np.array_equal(r.elem[:, 1], column(two, 3))
-    assert np.array_equal(r.p0 + r.shift, column(two, 4))
+    assert np.array_equal(r.v0 + r.shift, column(two, 4))
     assert np.array_equal(column(two, 5), -column(two, 2))
-    assert np.all(r.length == 1.0)
+    assert np.all(r.measure == 1.0)
     if not one:
         assert edges.corners is None
         return
     c = edges.corners
     assert np.array_equal(c.elem, column(one, 0)[:, None]) and c.elem.dtype.kind == "i"
     assert c.shift is None
-    assert np.array_equal(c.p0, column(one, 1)) and np.array_equal(c.p1, c.p0)
+    assert np.array_equal(c.v0, column(one, 1)) and np.array_equal(ends(c)[1], c.v0)
     assert np.array_equal(c.normal, column(one, 2)[:, None] * [1.0, 0.0])
     assert np.array_equal(column(one, 4), column(one, 1)) and np.all(column(one, 5) == 0.0)
-    assert np.all(c.length == 1.0)
+    assert np.all(c.measure == 1.0)
 
 
 # The exact normals of the unit square's edge sets, computed by the one
@@ -227,7 +233,7 @@ SIDE_NORMALS = {
 
 @pytest.mark.parametrize("level", range(4))
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
-@pytest.mark.parametrize("name", ["two_sided", "gamma1", "dirichlet", "ridges", "corners"])
+@pytest.mark.parametrize("name", ["cells", "two_sided", "gamma1", "dirichlet", "ridges", "corners"])
 def test_every_face_set_has_sides(name, bc, level):
     mesh = build_structured_mesh(level)
     edges = classify_edges(mesh, bc)
@@ -236,27 +242,40 @@ def test_every_face_set_has_sides(name, bc, level):
         assert bc == PERIODIC and name in ("dirichlet", "corners")
         return
     n, sides = faces.elem.shape
+    d = 2 if name == "cells" else 1
     assert faces.elem.dtype.kind == "i" and sides in (1, 2)
-    assert faces.p0.shape == faces.p1.shape == faces.normal.shape == (n, 2) and faces.length.shape == (n,)
+    assert faces.v0.shape == (n, 2) and faces.jacobian.shape == (n, 2, d) and faces.measure.shape == (n,)
     corners = mesh.vertices[mesh.triangles[faces.elem]]  # (n, sides, 3, 2)
+    if name == "cells":
+        # each triangle is its own one side: the Jacobian's columns are its
+        # edges from v0, the measure det J > 0, and it has no normal or shift
+        assert sides == 1 and np.array_equal(faces.elem[:, 0], np.arange(mesh.n_triangles))
+        edge = corners[:, 0, 1:] - corners[:, 0, :1]  # (n, 2 edges, 2)
+        assert np.array_equal(faces.v0, corners[:, 0, 0]) and np.array_equal(faces.jacobian.transpose(0, 2, 1), edge)
+        det = edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0]
+        assert np.array_equal(faces.measure, det) and (det > 0).all()
+        assert faces.normal is None and faces.shift is None
+        return
+    assert faces.normal.shape == (n, 2)
+    p0, p1 = ends(faces)
 
     def on_element(points, side):
         return np.all(np.isclose(corners[:, side], points[:, None, :], rtol=0.0, atol=1e-14).all(-1).any(-1))
 
     # unit normals out of the first side, whose element has the face's points
     assert np.allclose(np.linalg.norm(faces.normal, axis=1), 1.0, rtol=0.0, atol=1e-15)
-    away = 0.5 * (faces.p0 + faces.p1) - mesh.centroids[faces.elem[:, 0]]
+    away = 0.5 * (p0 + p1) - mesh.centroids[faces.elem[:, 0]]
     assert (np.einsum("ei,ei->e", faces.normal, away) > 0).all()
-    assert on_element(faces.p0, 0) and on_element(faces.p1, 0)
+    assert on_element(p0, 0) and on_element(p1, 0)
     # the shift moves the first side's points onto the second element's edge
     assert (faces.shift is None) == (sides == 1)
     if sides == 2:
         assert faces.shift.shape == (n, 2)
-        assert on_element(faces.p0 + faces.shift, 1) and on_element(faces.p1 + faces.shift, 1)
+        assert on_element(p0 + faces.shift, 1) and on_element(p1 + faces.shift, 1)
     if name in ("ridges", "corners"):
-        assert np.array_equal(faces.p0, faces.p1) and np.all(faces.length == 1.0)
+        assert np.array_equal(p0, p1) and np.all(faces.jacobian == 0.0) and np.all(faces.measure == 1.0)
     else:
-        assert np.all(faces.length > 0) and np.allclose(faces.length, np.linalg.norm(faces.p1 - faces.p0, axis=1))
+        assert np.all(faces.measure > 0) and np.allclose(faces.measure, np.linalg.norm(p1 - p0, axis=1))
     if name in SIDE_NORMALS:
         rows = periodic_pairs(edges) if name == "two_sided" else np.arange(n)
         normals = SIDE_NORMALS[name]
