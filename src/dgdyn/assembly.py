@@ -31,12 +31,12 @@ values and physical gradients, the reference gradients folded with its
 inverse Jacobian; a point set makes the physical points v0 + J xi of a
 block of entries from the mesh only when a field is evaluated (on a face
 set's first side alone, whose entries match the second's), so it holds no
-array per entry and point but kept snapshots.
+array per entry and point.
 One evaluator on it serves loads, projection and norms: ``field`` maps the
 coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
-``exact`` evaluates a time-separable field once per time node and keeps
-the snapshots, so a later time or load is a weighted sum of them.
+``load`` integrates a time-separable source once per time node and keeps
+the load vectors, so a later time's load is a weighted sum of them.
 
 Element blocks are built once per class, and an operator is a
 ``BlockTable``: its block pattern, a type per element pair (pairs with
@@ -113,7 +113,9 @@ class _Points:
     """Quadrature points on one side of a batch of simplices, stored in
     geometry-class order: the entries of class k are the run bounds[k] to
     bounds[k + 1], and each class keeps its weights and basis tables.  The
-    points of a block of entries are made from the mesh on demand."""
+    points of a block of entries are made from the mesh on demand, and a
+    field's values on them live only while that block is summed: a point
+    set keeps vectors (``kept``), never values per point."""
 
     elem: np.ndarray  # (nE,) element whose basis is evaluated
     w: np.ndarray  # (n_classes, nq) rule weight times the simplex's measure (1 at a point face)
@@ -122,21 +124,8 @@ class _Points:
     grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
     points: callable | None  # slice -> (x, y), each (m, nq): those entries' physical points; None on a second side
     normal: np.ndarray | None = None  # (n_classes, 2) on faces: a face's class fixes its normal
-    kept: dict = field(default_factory=dict)  # per-node snapshots and load vectors of separable fields, projections
-    field_tables: dict = field(default_factory=dict)  # direction -> ``field``'s class tables
-
-    def exact(self, fn, t: float, keep: bool = True) -> list:
-        """``fn`` at time t on the points, as (weight, values) terms that sum
-        to it: one term per time node of a ``SeparableField``, whose snapshot
-        is evaluated once and kept, ``(1, fn(t, x, y))`` for a plain
-        callable or without ``keep``, and none for None.  Values are (nE,
-        nq), or (2, nE, nq) for a gradient's pair."""
-        if fn is None:
-            return []
-        if not (keep and isinstance(fn, SeparableField)):
-            return [(1.0, self.evaluate(partial(fn, t)))]
-        snapshots = [self._keep((fn.fn, s), lambda s=s: self.evaluate(partial(fn.fn, s))) for s in fn.nodes]
-        return list(zip(fn.weights(t), snapshots))
+    kept: dict = field(default_factory=dict)  # per-node load vectors, projections, the energy norm's exact parts
+    field_tables: dict = field(default_factory=dict)  # direction -> ``field``'s class tables (``_table``)
 
     def load(self, fn, t: float) -> np.ndarray:
         """Local load vectors (nE, n_local) of sum_q w fn(t) v: for a
@@ -159,17 +148,6 @@ class _Points:
         n, size = len(self.elem), max(1, BLOCK_POINTS // self.w.shape[1])
         return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
-    def evaluate(self, fn) -> np.ndarray:
-        """fn(x, y) on every point, one block of entries at a time, into an
-        array (nE, nq), or (2, nE, nq) for a gradient's pair."""
-        out = None
-        for sl in self.blocks():
-            values = np.asarray(fn(*self.points(sl)), dtype=float)
-            if out is None:
-                out = np.empty((*values.shape[:-2], len(self.elem), self.w.shape[1]))
-            out[..., sl, :] = values
-        return out
-
     def integrate(self, fn, blocks=None) -> np.ndarray:
         """``test`` of fn(x, y): local vectors (nE, n_local), one block of
         entries (by default ``blocks()``) at a time."""
@@ -191,26 +169,37 @@ class _Points:
         """Values (m, nq) at the entries ``sl`` of the functions with local
         coefficients ``c`` (m, n_local), or their derivatives along ``d``
         (2,): one product with its class's table per run."""
-        key = None if d is None else d.tobytes()
-        if key not in self.field_tables:  # (n_local, nq) per class and contiguous: BLAS's fast layout here
-            self.field_tables[key] = np.swapaxes(self.phi if d is None else self.grad @ d, 1, 2).copy()
+        tables = self._table(d)
         out = np.empty((len(c), self.w.shape[1]))
         for k, a, b in self.runs(sl):
-            np.matmul(c[a:b], self.field_tables[key][k], out=out[a:b])
+            np.matmul(c[a:b], tables[k], out=out[a:b])
         return out
 
-    def test(self, values: np.ndarray, sl: slice) -> np.ndarray:
+    def test(self, values: np.ndarray, sl: slice, d: np.ndarray | None = None) -> np.ndarray:
         """The weighted transpose of ``field``: local vectors (m, n_local) at
-        the entries ``sl`` of sum_q w values v, for values (m, nq), or of w
-        values . grad v, for values (m, nq, 2)."""
+        the entries ``sl`` of sum_q w values v, or with ``d`` of sum_q w
+        values (grad v . d), for values (m, nq), or of w values . grad v,
+        for values (m, nq, 2)."""
         grad = values.ndim == 3
         n = self.phi.shape[2]
         out = np.empty((len(values), n))
         for k, a, b in self.runs(sl):
-            table = self.grad[k].transpose(0, 2, 1).reshape(-1, n) if grad else self.phi[k]
+            if grad:
+                table = self.grad[k].transpose(0, 2, 1).reshape(-1, n)
+            else:
+                table = self.phi[k] if d is None else self._table(d)[k].T
             wv = (self.w[k][:, None] if grad else self.w[k]) * values[a:b]
             out[a:b] = wv.reshape(b - a, -1) @ table
         return out
+
+    def _table(self, d: np.ndarray | None) -> np.ndarray:
+        """``field``'s class tables (n_classes, n_local, nq) of the values,
+        or of the derivatives along ``d``, made on first use: contiguous,
+        BLAS's fast layout for its products."""
+        key = None if d is None else d.tobytes()
+        if key not in self.field_tables:
+            self.field_tables[key] = np.swapaxes(self.phi if d is None else self.grad @ d, 1, 2).copy()
+        return self.field_tables[key]
 
     @cached_property
     def classes(self) -> tuple:

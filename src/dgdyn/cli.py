@@ -122,8 +122,10 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
 
 def run_stability(config: ProblemConfig) -> list[tuple[int, float, float]]:
     """Zero-source run; logs k, t_k, the lambda-weighted L2 norm, and checks
-    the step-wise energy decay.  An initial datum that projects to zero is
-    an InputError, raised before the first step: its log would be zeros."""
+    the step-wise energy decay: a step that raises the norm is a
+    StabilityViolation, raised before the log is written.  An initial datum
+    that projects to zero is an InputError, raised before the first step:
+    its log would be zeros."""
     case = get_case(config.case)
 
     def refuse_zero_datum(k, t, u):
@@ -139,7 +141,10 @@ def run_stability(config: ProblemConfig) -> list[tuple[int, float, float]]:
     slack = 1e-12 * max(norms[0], 1.0)
     for k in range(1, len(norms)):
         if norms[k] > norms[k - 1] + slack:
-            raise StabilityViolation(f"energy increased at step {k}: {norms[k - 1]:.15e} -> {norms[k]:.15e}")
+            raise StabilityViolation(
+                f"energy increased at step {k}, so the penalty is too small for a stable scheme: raise --gamma "
+                f"(norm {norms[k - 1]:.15e} -> {norms[k]:.15e})"
+            )
     _write_table(["k", "t", "l2_lambda_norm"], [[str(k), _fmt(t), _fmt(n)] for k, t, n in rows], config)
     return rows
 
@@ -266,7 +271,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         COMMANDS[args.command][1](config)
-    except (InputError, SolverError) as exc:
+    except (InputError, SolverError, StabilityViolation) as exc:  # one line, exit status 2, no log
         parser.error(str(exc))
     return 0
 

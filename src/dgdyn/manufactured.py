@@ -12,8 +12,9 @@ against high-precision numerical differentiation of u.
 Every field of the shipped cases separates in time: it is a short sum of
 time weights times its own values at a few time nodes.  A case declares
 these nodes and weights per field, which is then a ``SeparableField``:
-whoever passes it, a point set evaluates each spatial part once and every
-later time is a weighted sum.
+whoever passes it, each spatial part is integrated once per space (a
+source's load vectors, an exact field's part of the energy error) and
+every later time is a weighted sum.
 
 A point set calls a source on all its points at once, once per time node,
 so its temporaries add to the run's peak: the shipped sources, each one
@@ -48,8 +49,9 @@ def _lean_form(a, b, x, ky):
 class SeparableField:
     """A field whose value at time t is sum_k weights(t)[k] * fn(nodes[k], x, y).
 
-    Each snapshot ``fn(nodes[k], x, y)`` is an exact value of the field, so
-    no differencing is involved; a point set evaluates it once and keeps it.
+    Each ``fn(nodes[k], x, y)`` is an exact value of the field, so no
+    differencing is involved; what is computed from it once per space is
+    kept, never its values on the points.
     """
 
     fn: callable  # (t, x, y) -> values, or a (d/dx, d/dy) pair for a gradient

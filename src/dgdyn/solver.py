@@ -24,6 +24,7 @@ class SolveReport:
     iterations: int
     final_relative_residual: float
     converged: bool
+    residual: np.ndarray | None = None  # the final true residual rhs - A x
 
 
 def block_jacobi_preconditioner(A: sp.spmatrix, own):
@@ -54,7 +55,10 @@ def v_cycle(A: sp.spmatrix, prolongations):
         mats.append((P.T @ mats[-1] @ P).tocsr())
     diagonals = [M.diagonal() for M in mats]
     if any((d <= 0.0).any() for d in diagonals):
-        raise SolverError("coarse matrix not positive definite; penalty too small?")
+        raise SolverError(
+            "coarse matrix not positive definite: either the penalty is too small for coercivity (raise --gamma) "
+            "or the system is too stiff for floating point (lower --gamma or --dt)"
+        )
     restrictions = [P.T.tocsr() for P in prolongations]
     weights = [JACOBI_WEIGHT / d for d in diagonals[:-1]]
     coarsest = np.linalg.inv(mats[-1].toarray())
@@ -97,32 +101,38 @@ def cg_solve(
     max_iter: int | None = None,
     preconditioner=None,
     x0: np.ndarray | None = None,
+    r0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = rhs for symmetric positive definite A.
 
     ``preconditioner`` is a callable r -> z, the identity when None.  CG
     starts from a copy of ``x0`` (zero when None), which is never written.
-    Returns the solution and a report; convergence means the true residual
-    satisfies ||A x - rhs|| <= tol ||rhs||, relative to rhs whatever the
-    start, or, once restarts stop reducing it, lies within the rounding
-    floor eps || |rhs| + |A| |x| || / ||rhs||.  Running out of iterations is
-    never convergence.  A zero rhs returns zero at once.
+    ``r0``, if given, is the residual rhs - A x0, which CG takes in place
+    of its first product and then updates in place.  Returns the solution
+    and a report, which carries the final true residual; convergence means
+    the true residual satisfies ||A x - rhs|| <= tol ||rhs||, relative to
+    rhs whatever the start, or, once restarts stop reducing it, lies within
+    the rounding floor eps || |rhs| + |A| |x| || / ||rhs||.  So convergence
+    is always proven by a true product, never by ``r0``.  Running out of
+    iterations is never convergence.  A zero rhs returns zero at once.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if A.shape != (n, n) or rhs.shape != (n,) or x.shape != (n,):
-        raise SolverError(f"dimension mismatch: A {A.shape}, rhs {rhs.shape}, x0 {x.shape}")
+    if A.shape != (n, n) or rhs.shape != (n,) or x.shape != (n,) or (r0 is not None and r0.shape != (n,)):
+        shapes = f"A {A.shape}, rhs {rhs.shape}, x0 {x.shape}" + ("" if r0 is None else f", r0 {r0.shape}")
+        raise SolverError(f"dimension mismatch: {shapes}")
     if max_iter is None:
         max_iter = 10 * n
 
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True)
+        return np.zeros(n), SolveReport(0, 0.0, True, np.zeros(n))
 
     apply_prec = (lambda r: r) if preconditioner is None else preconditioner
     iterations = 0
     previous_rel = np.inf
+    r, checked = (rhs - A @ x, True) if r0 is None else (r0, False)
 
     # The inner loop drives the recursive residual below tol; after long
     # solves the recursive and true residuals drift apart by rounding, so
@@ -132,40 +142,44 @@ def cg_solve(
     # SIAM J. Matrix Anal. Appl. 18, 1997): the solve converged if the true
     # residual lies within the rounding of rhs - A x itself.  That floor can
     # exceed tol: about 1.8e-12 for the level-7 backward Euler system, where
-    # even a direct solve leaves 1.0e-12.
+    # even a direct solve leaves 1.0e-12.  A given r0 is not a true
+    # residual: it only starts the first pass.
     while True:
-        r = rhs - A @ x
-        true_rel = float(np.linalg.norm(r) / rhs_norm)
-        if true_rel <= tol:
-            return x, SolveReport(iterations, true_rel, True)
-        if true_rel >= previous_rel:
-            return x, SolveReport(iterations, true_rel, bool(true_rel <= _rounding_floor(A, rhs, x)))
-        previous_rel = true_rel
-        z = apply_prec(r)
-        p = z.copy()
-        rz = r @ z
-        while iterations < max_iter:
-            Ap = A @ p
-            pAp = p @ Ap
-            if not np.isfinite(pAp):
-                raise SolverError("non-finite value in CG (corrupted matrix?)")
-            if pAp <= 0.0:
-                raise SolverError("non-positive curvature in CG; matrix is not SPD")
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
+        rel = float(np.linalg.norm(r) / rhs_norm)
+        if checked:
+            if rel <= tol:
+                return x, SolveReport(iterations, rel, True, r)
+            if rel >= previous_rel:
+                return x, SolveReport(iterations, rel, bool(rel <= _rounding_floor(A, rhs, x)), r)
+            previous_rel = rel
+        if not rel <= tol:  # a NaN residual goes on to be refused
             z = apply_prec(r)
-            rz_new = r @ z
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-            iterations += 1
-            if np.linalg.norm(r) <= tol * rhs_norm:
-                break
-        else:
-            break  # max_iter exhausted
+            p = z.copy()
+            rz = r @ z
+            while iterations < max_iter:
+                Ap = A @ p
+                pAp = p @ Ap
+                if not np.isfinite(pAp):
+                    raise SolverError("non-finite value in CG (corrupted matrix?)")
+                if pAp <= 0.0:
+                    raise SolverError("non-positive curvature in CG; matrix is not SPD")
+                alpha = rz / pAp
+                x += alpha * p
+                r -= alpha * Ap
+                z = apply_prec(r)
+                rz_new = r @ z
+                p = z + (rz_new / rz) * p
+                rz = rz_new
+                iterations += 1
+                if np.linalg.norm(r) <= tol * rhs_norm:
+                    break
+            else:
+                break  # max_iter exhausted
+        r, checked = rhs - A @ x, True
 
-    true_rel = float(np.linalg.norm(rhs - A @ x) / rhs_norm)
-    return x, SolveReport(iterations, true_rel, bool(true_rel <= tol))
+    r = rhs - A @ x
+    true_rel = float(np.linalg.norm(r) / rhs_norm)
+    return x, SolveReport(iterations, true_rel, bool(true_rel <= tol), r)
 
 
 def _rounding_floor(A: sp.spmatrix, rhs: np.ndarray, x: np.ndarray) -> float:

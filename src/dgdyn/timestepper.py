@@ -35,8 +35,22 @@ from .space import DGSpace, conforming_p1_embedding
 # of 15 at rho = 8, and at rho = 32 takes 0.17 s against 0.40 s.
 TWO_LEVEL_STIFFNESS = 8.0
 
+# The time loop's CG starts from the best mix of its last HISTORY solutions
+# (``_start``).  Traced iterations on the paper's spatial table (levels 2
+# to 6, dt = 1e-5): 2428 from the extrapolation 2 u^k - u^(k-1), 1466 from
+# three solutions, 953 from four (with a third difference).  Where CG stops
+# moves the level-6 l2_domain: four put it 7.6e-7 relative off the direct
+# solver's value, near the benchmark's tolerance of 1e-6, three 3.4e-7
+# (9.0e-8 before).
+HISTORY = 3
+# 1 - cos^2 of the angle between the two image differences below which
+# the second is dropped as parallel to the first.
+DEGENERATE = 1e-8
 
-def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
+
+def l2_lambda_project(
+    mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0, keep: bool = True
+) -> np.ndarray:
     """Projection in the lambda-weighted norm (domain plus lam * gamma1).
 
     This is the initial datum the time stepper uses: unlike the plain
@@ -47,18 +61,22 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     plain L2(Omega) projection.  Blocks and data both use the degree-2p + 4
     tables of the loads and norms; the rule is exact for the blocks, so they
     are those of M up to rounding.  The result is kept on the boundary's
-    point set by (u0, lam); each call returns a copy.
+    point set by (u0, lam), and each call returns a copy; without ``keep``
+    it is computed afresh and not kept.  The inverse is kept there by lam.
     """
     terms = mass_terms(edges, lam)
     points = [term.sides(mesh, space, 2 * space.p + 4)[0] for term in terms]
 
-    def project():
+    def inverse():
         grams = [_gram_blocks(pts, term.dirs, term.weight) for term, pts in zip(terms, points)]
+        return _bsr(space, grams).own().inverse()
+
+    def project():
         tested = [pts.integrate(lambda x, y, w=term.weight: w * np.asarray(u0(x, y))) for term, pts in zip(terms, points)]
         rhs = sum(_scatter(space, pts, local) for pts, local in zip(points, tested))
-        return _bsr(space, grams).own().inverse() @ rhs
+        return points[-1]._keep(("inverse mass", lam), inverse) @ rhs
 
-    return points[-1]._keep(("projection", u0, lam), project).copy()
+    return points[-1]._keep(("projection", u0, lam), project).copy() if keep else project()
 
 
 @dataclass(eq=False)
@@ -124,24 +142,82 @@ def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
 
 
 def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None):
-    """``solve(rhs, what, x0=None)``: CG on ``blocks`` as CSR from ``x0``
-    under block Jacobi, with the conforming-P1 V-cycle if ``p1_coarse``
-    (the P1 embedding and its prolongations) is given; a SolverError names
-    ``what``."""
+    """``solve(rhs, what, start=None)``: CG on ``blocks`` as CSR under block
+    Jacobi, with the conforming-P1 V-cycle if ``p1_coarse`` (the P1
+    embedding and its prolongations) is given; a SolverError names
+    ``what``.  A solve starts from zero unless ``start``, the state before
+    it, has opened a history: the solver then keeps the last HISTORY
+    solutions x_j with their images S x_j, newest first (``start``'s by its
+    one product), starts each solve from their minimal-residual mix
+    (``_start``) and takes each solution's image as rhs - r, formed in
+    place from CG's final residual r."""
     system = blocks.tocsr()
     prec = block_jacobi_preconditioner(system, blocks.own())
     if p1_coarse is not None:
         prec = two_level_preconditioner(prec, system, *p1_coarse)
+    history = []
 
-    def solve(rhs: np.ndarray, what: str, x0: np.ndarray | None = None) -> np.ndarray:
-        x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0)
+    def solve(rhs: np.ndarray, what: str, start: np.ndarray | None = None) -> np.ndarray:
+        if start is not None and not history:
+            history.append((start, system @ start))
+        x0, r0 = _start(history, rhs) if history else (None, None)
+        x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0, r0=r0)
         if not report.converged:
             raise SolverError(
                 f"{what} failed: residual {report.final_relative_residual:.3e} after {report.iterations} iterations"
             )
+        if history:
+            image = np.subtract(rhs, report.residual, out=report.residual)
+            history[:] = [(x, image), *history[: HISTORY - 1]]
         return x
 
     return solve
+
+
+def _differences(vectors: list) -> list:
+    """The first and second backward differences at the newest of
+    ``vectors`` (newest first), v0 - v1 and v0 - 2 v1 + v2, as many as
+    they allow, each formed explicitly."""
+    out = [vectors[0] - vectors[1]] if len(vectors) > 1 else []
+    if len(vectors) > 2:
+        second = np.subtract(vectors[2], vectors[1])
+        out.append(np.add(second, out[0], out=second))
+    return out
+
+
+def _start(history: list, rhs: np.ndarray) -> tuple:
+    """(x0, rhs - S x0) for x0 = x_k + a dx_k + b d2x_k, the first and
+    second differences of the solutions kept in ``history`` ((x_j, S x_j),
+    newest first), with (a, b) minimizing the residual: the least-squares
+    fit of rhs - S x_k by the same differences of the images, from its 2x2
+    normal equations scaled to a unit diagonal.  No product: the start's
+    residual is made from the images.  A zero difference, or a second one
+    (nearly) parallel to the first, is dropped.  The images' differences
+    are formed before any inner product, as a Gram matrix of the images
+    themselves would lose the differences' digits to cancellation."""
+    (x, image), *_ = history
+    r0 = rhs - image
+    d_images = _differences([s for _, s in history])
+    norms = [float(np.linalg.norm(d)) for d in d_images]
+    used = [i for i, norm in enumerate(norms) if norm > 0.0]
+    if len(used) == 2:
+        c = float(d_images[0] @ d_images[1]) / (norms[0] * norms[1])  # the scaled matrix's off-diagonal
+        used = used if 1.0 - c * c > DEGENERATE else used[:1]
+    g = [float(d_images[i] @ r0) / norms[i] for i in used]  # the scaled right-hand side
+    coef = [0.0] * len(d_images)
+    if len(used) == 2:
+        coef = [(g[0] - c * g[1]) / (1.0 - c * c) / norms[0], (g[1] - c * g[0]) / (1.0 - c * c) / norms[1]]
+    elif used:
+        coef[used[0]] = g[0] / norms[used[0]]
+    for a, d in zip(coef, d_images):
+        r0 -= np.multiply(d, a, out=d)
+    del d_images
+    if not any(coef):
+        return x, r0  # CG copies its start
+    x0 = x.copy()
+    for a, d in zip(coef, _differences([x for x, _ in history])):
+        x0 += np.multiply(d, a, out=d)
+    return x0, r0
 
 
 def solve_stationary(
@@ -184,10 +260,12 @@ def run_backward_euler(
     """Backward Euler loop: (M + dt A) u^{k+1} = M u^k + dt load(t_{k+1}).
 
     Sources are evaluated at t_{k+1}.  ``on_step(k, t_k, u_h^k)`` is invoked
-    for every state including the initial one; only the current state is
-    stored.  Each solve starts from the extrapolated state 2 u^k - u^(k-1),
-    or u^0 at the first step, formed in a buffer of the loop's own: arrays
-    given to ``on_step`` are never written.  f and g may be
+    for every state including the initial one.  Each solve starts from the
+    combination of the last HISTORY states (u^0 and one product with it at
+    first) that leaves the smallest residual, made from their images
+    S u^j, which CG's final residuals give, so the start costs no product
+    (``_cg_solver``).  The loop keeps those states, CG's own solutions, and
+    never writes an array given to ``on_step``.  f and g may be
     ``SeparableField``s (see ``assemble_load``).  Wall data enters through
     the operators, as ``build_operators(config, u_D=)`` gave it to them.
     """
@@ -202,7 +280,6 @@ def run_backward_euler(
     M = ops.M_diagonal
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
-    guess = u.copy()
     norms = []
     if on_step is not None:
         on_step(0, 0.0, u)
@@ -214,11 +291,8 @@ def run_backward_euler(
         rhs += dt * assemble_load(mesh, edges, space, f, g, t=t_next)
         if ops.dirichlet_rhs is not None:
             rhs += dt * ops.dirichlet_rhs(t_next)
-        u_next = solve(rhs, f"backward Euler step {k + 1}", guess)
-        del rhs  # during on_step the loop holds u^(k+1) and the guess only
-        np.subtract(u_next, u, out=guess)  # the next start, 2 u^(k+1) - u^k
-        guess += u_next
-        u = u_next
+        u = solve(rhs, f"backward Euler step {k + 1}", start=u if k == 0 else None)
+        del rhs  # during on_step the loop holds the solver's history alone
         if on_step is not None:
             on_step(k + 1, t_next, u)
     norms.append(float(np.sqrt(u @ (M @ u))))

@@ -580,7 +580,8 @@ def test_class_order_is_found_once_per_geometry(monkeypatch, bc, name):
     assemble_load(mesh, edges, space, case.f, case.g, 0.1)
     energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs), exact=case, t=0.1)
     assert len(calls) == (6 if bc == DIRICHLET_LATERAL else 4)
-    assert len(point_sets(space)) == (6 if bc == DIRICHLET_LATERAL else 4)  # the degree-2p + 4 ones alone
+    # the degree-2p + 4 ones, and the degree-2p ones the norm's discrete part reads again
+    assert len(point_sets(space)) == (12 if bc == DIRICHLET_LATERAL else 8)
 
 
 def with_given_normals(edges):
@@ -905,7 +906,8 @@ def test_point_sets_are_stored_in_class_order(bc, p):
     mesh, edges, space, params = setup(5, p, bc)
     assemble_Ah(mesh, edges, space, params)
     assemble_mass(mesh, edges, space, params.lam)
-    energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs))
+    case = get_case("example1" if bc == PERIODIC else "example3")
+    energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs), exact=case)
     assert len(point_sets(space)) == (12 if bc == DIRICHLET_LATERAL else 8)
     for (_, faces, degree), sides in point_sets(space).items():
         bounds = sides[0].bounds
@@ -944,9 +946,9 @@ def test_point_sets_are_stored_in_class_order(bc, p):
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
 def test_point_sets_hold_no_array_per_entry_and_point(bc):
     # every degree-2p + 4 point set of A_h's and M's terms at level 5, p = 2,
-    # once the norm, the loads and the projection have kept their snapshots:
-    # apart from those, a point set holds class rows and integer arrays per
-    # entry, its points made on demand from the mesh
+    # once the norm, the loads and the projection have kept what they keep:
+    # a point set holds class rows and integer arrays per entry, its points
+    # made on demand from the mesh, and keeps no field's values on them
     mesh, edges, space, params = setup(5, 2, bc)
     case = get_case("example1" if bc == PERIODIC else "example3")
     energy_norm_terms(mesh, edges, space, params, u_h=interpolate(mesh, space, case.u, 0.1), exact=case, t=0.1)
@@ -965,15 +967,16 @@ def test_point_sets_hold_no_array_per_entry_and_point(bc):
             for a in (v for v in held if isinstance(v, np.ndarray)):
                 assert a.shape[:2] != (n, nq)
                 assert len(a) != n or np.issubdtype(a.dtype, np.integer), a.dtype
-    assert checked >= (10 if bc == DIRICHLET_LATERAL else 8) and snapshots >= 5
+    assert checked >= (10 if bc == DIRICHLET_LATERAL else 8) and snapshots == 0
 
 
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
-def test_snapshots_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc):
+def test_points_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc):
     # blocks of 1000 points cut the class runs (of 1024 triangles, or 32 to
-    # 1024 faces) at level 5, p = 2; a snapshot made block by block is the
-    # field on the points of the whole set, and the norms, the projection
-    # and the wall data do not see the block size beyond rounding
+    # 1024 faces) at level 5, p = 2; the points made block by block, on
+    # which every field is evaluated, are those of the whole set, and the
+    # norms, the projection and the wall data do not see the block size
+    # beyond rounding
     mesh, edges, space, params = setup(5, 2, bc)
     case = get_case("example1" if bc == PERIODIC else "example3")
     u_h = interpolate(mesh, space, case.u, 0.5)
@@ -990,10 +993,9 @@ def test_snapshots_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc)
     for pts in (*_sides(mesh, space, edges.cells, 8), _sides(mesh, space, edges.two_sided, 8)[0]):
         starts = {sl.start for sl in pts.blocks()}
         assert len(starts) > 2 and not starts <= set(pts.bounds.tolist())
-        ((_, value),), ((_, grad),) = pts.exact(case.u, 0.5), pts.exact(case.grad_u, 0.5)  # one time node each
-        x, y = pts.points(slice(0, len(pts.elem)))
-        (s,) = case.u.nodes
-        for got, want in ((value, case.u.fn(s, x, y)), (grad, np.stack(case.grad_u.fn(s, x, y)))):
+        every = pts.points(slice(0, len(pts.elem)))
+        for got, want in zip(zip(*(pts.points(sl) for sl in pts.blocks())), every):
+            got = np.concatenate(got)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     for got, want in zip(measured(space), whole):

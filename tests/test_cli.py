@@ -424,7 +424,19 @@ def test_stability_accepts_any_coefficients(tmp_path):
         # V-cycle matrix, and CG on an indefinite periodic system
         (
             ["solve", "--case", "example3", "--level", "3", "--gamma", "0.5", "--dt", "0.1", "--t-final", "0.1"],
-            "coarse matrix not positive definite; penalty too small?",
+            "coarse matrix not positive definite: either the penalty is too small for coercivity (raise --gamma)",
+        ),
+        # the other direction: a penalty of 1e300 is coercive, but the
+        # system's rounding is not
+        (
+            ["solve", "--level", "1", "--dt", "1e-3", "--t-final", "1e-3", "--gamma", "1e300"],
+            "or the system is too stiff for floating point (lower --gamma or --dt)",
+        ),
+        # a non-coercive penalty that CG still solves: the log's energy
+        # rises, and the error names the step and the flag, with no log
+        (
+            ["stability", "--level", "4", "--penalty-mode", "fixed_sigma"],
+            "energy increased at step 67, so the penalty is too small for a stable scheme: raise --gamma (norm ",
         ),
         (
             ["stability", "--level", "4", "--gamma", "0.5", "--dt", "1e-3", "--t-final", "1e-2"],

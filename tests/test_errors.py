@@ -80,12 +80,14 @@ def test_energy_norm_single_element_indicator(bc, n_corners):
     assert np.isclose(total, np.sqrt(sigma * (np.sqrt(2.0) + 1.0) + params.alpha + ridge_jump), rtol=1e-13)
 
 
-@pytest.mark.parametrize("make_case, grad_calls, value_calls", [(example1, 4, 1), (example3, 6, 3)])
+@pytest.mark.parametrize("make_case, grad_calls, value_calls", [(example1, 4, 3), (example3, 6, 5)])
 def test_energy_norm_exact_field_calls(make_case, grad_calls, value_calls):
     # exact fields have no jumps: on two-sided faces and ridges the norm
     # evaluates the exact gradient once, on the plus side, and no exact value.
-    # Both cases' u and grad_u have one time node, whose snapshots the point
-    # sets keep: a later call at another time evaluates nothing
+    # Both cases' u and grad_u have one time node, whose exact part the
+    # first call computes and keeps: the gradient on each point set, the
+    # value on the one-sided ones and, for its projection, on the cells and
+    # gamma1.  A later call at another time evaluates nothing
     case = make_case()
     calls = Counter()
 
@@ -386,6 +388,55 @@ def test_class_runs_give_the_per_entry_norms_loads_and_projection_on_a_distorted
             np.add.at(flux, space.dofs[pts.elem], np.einsum("eq,eqli,ei->el", pts.w * ud, dphi, faces.normal))
             walls += weight * (params.sigma * per_entry_vector(space, pts, ud) - flux)
         assert close(assemble_dirichlet_terms(mesh, edges, space, params, u_D, t), walls)
+
+
+@pytest.mark.parametrize("mesh_kind", ["structured", "jittered"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+@pytest.mark.parametrize("make_case", [example1, example3])
+def test_split_energy_error_is_the_pointwise_one(make_case, bc, p, mesh_kind):
+    # the norm splits exact - u_h into the exact field's part, kept per
+    # space (energy_norm) or made at the call's time (energy_norm_terms),
+    # and the discrete error delta on the degree-2p rule; the sum is the
+    # error evaluated point by point at degree 2p + 4, for a u_h close to
+    # the exact field as a run's is, whose exact part dominates
+    case = make_case()
+    if mesh_kind == "structured":
+        mesh, edges, space, _ = setup(3, p, bc=bc)
+    else:
+        mesh, edges, space = jittered(3, bc, p)
+    params = FormParams.for_mesh(mesh, alpha=case.alpha, beta=case.beta, lam=case.lam, gamma=10.0)
+    rng = np.random.default_rng(p)
+    plain = (case.u, case.grad_u)
+    for t in (0.3, 0.7):  # the second call reads what the first kept
+        u_h = interpolate(mesh, space, case.u, t)
+        u_h += 1e-3 * np.abs(u_h).max() * rng.standard_normal(space.n_dofs)
+        want = per_entry_terms(mesh, edges, space, params, u_h, plain, t)
+        got = energy_norm_terms(mesh, edges, space, params, u_h=u_h, exact=case, t=t)
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name] == pytest.approx(want[name], rel=1e-12, abs=0.0), name
+        total = energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=t)
+        assert total == pytest.approx(np.sqrt(sum(want.values())), rel=1e-12, abs=0.0)
+
+
+def test_energy_norm_of_fields_without_shared_weights_keeps_nothing():
+    # a value and a gradient declared with time weights that are not one
+    # function take the plain path, one node at the call's time, and keep
+    # no exact part; the norm is the one the case's shared weights give
+    case = example1()
+    decay = lambda t: (np.exp(-10.0 * t),)
+    other = dataclasses.replace(case, grad_u=case.grad_u.fn, time_factors={**case.time_factors, "grad_u": ((0.0,), decay)})
+    mesh, edges, space, params = setup(3, 1)
+    u_h = interpolate(mesh, space, case.u, 0.3)
+
+    def kept():
+        return [key for sides in point_sets(space).values() for pts in sides for key in pts.kept if key[0] == "energy"]
+
+    plain = energy_norm(mesh, edges, space, params, u_h=u_h, exact=other, t=0.3)
+    assert not kept()
+    assert plain == pytest.approx(energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=0.3), rel=1e-12)
+    assert len(kept()) == 1
 
 
 def test_error_record_fields():

@@ -102,11 +102,40 @@ def test_2x2_exact():
 
 def test_zero_rhs():
     A = sp.identity(4, format="csr")
-    for x0 in (None, np.ones(4)):  # the start is ignored
-        x, report = cg_solve(A, np.zeros(4), x0=x0)
-        assert not x.any()
+    for x0, r0 in ((None, None), (np.ones(4), None), (np.ones(4), -np.ones(4))):  # the start is ignored
+        x, report = cg_solve(A, np.zeros(4), x0=x0, r0=r0)
+        assert not x.any() and not report.residual.any()
         assert report.iterations == 0
         assert report.converged
+
+
+def test_given_start_residual_replaces_the_first_product():
+    # with r0 = rhs - S x0 the solve makes one product per iteration and
+    # one for the final check, where from x0 alone it makes one more; the
+    # report carries the final true residual, and convergence is proven by
+    # it even when r0 already meets the tolerance
+    S, own, _ = be_system(3)
+    products = []
+
+    class Counted(sp.csr_matrix):
+        def __matmul__(self, other):
+            products.append(1)
+            return super().__matmul__(other)
+
+    rng = np.random.default_rng(4)
+    rhs, x0 = rng.standard_normal((2, S.shape[0]))
+    r0 = rhs - S @ x0
+    prec = block_jacobi_preconditioner(S, own)
+    x, report = cg_solve(Counted(S), rhs, preconditioner=prec, x0=x0, r0=r0.copy())
+    assert report.converged and len(products) == report.iterations + 1
+    assert np.array_equal(report.residual, rhs - S @ x)
+    products.clear()
+    _, plain = cg_solve(Counted(S), rhs, preconditioner=prec, x0=x0)
+    assert len(products) == plain.iterations + 2
+    # an r0 within the tolerance still ends with one true product
+    products.clear()
+    x, report = cg_solve(Counted(S), rhs, preconditioner=prec, x0=x, r0=np.zeros_like(rhs))
+    assert report.iterations == 0 and len(products) == 1 and report.converged
 
 
 def test_dimension_mismatch():

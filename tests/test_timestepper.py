@@ -14,6 +14,7 @@ from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, class
 from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
 from dgdyn.space import DGSpace, conforming_p1_embedding, interpolate
 from dgdyn.timestepper import (
+    _start,
     build_operators,
     l2_lambda_project,
     run_backward_euler,
@@ -256,8 +257,9 @@ def test_on_step_callback_sees_all_states():
 
 
 def test_states_given_to_on_step_are_never_written():
-    # the next solve's start is formed in a buffer of the loop's own: no
-    # state handed to on_step changes after the call, and none aliases another
+    # the solver keeps the last states, CG's own solutions, and forms each
+    # start in arrays of its own: no state handed to on_step changes after
+    # the call, and none aliases another
     case = get_case("example1")
     config = ProblemConfig(case="example1", level=2, p=1, dt=1e-3, t_final=5e-3)
     seen = []
@@ -290,8 +292,9 @@ def test_replaced_sources_stay_separable():
 
 
 def test_warm_start_takes_no_more_iterations_than_zero_start(monkeypatch):
-    # each step's solve from 2 u^k - u^(k-1) against the same system and
-    # right-hand side from zero: measured 7/6/6/6/6 iterations against 9 each
+    # each step's solve from the mix of the last three states against the
+    # same system and right-hand side from zero: measured 7/6/5/5/5
+    # iterations against 9 each (7/6/6/6/6 from 2 u^k - u^(k-1))
     solves = []
 
     def recording_cg_solve(system, rhs, **kwargs):
@@ -307,6 +310,71 @@ def test_warm_start_takes_no_more_iterations_than_zero_start(monkeypatch):
     assert len(solves) == 5
     assert all(warm <= zero for warm, zero in solves)
     assert sum(warm for warm, _ in solves) < sum(zero for _, zero in solves)
+
+
+def test_start_residual_is_the_residual_of_the_start(monkeypatch):
+    # every solve of a level-4 example1 run is given the residual of its
+    # start, made from the kept images S u^j with no product: it is
+    # rhs - S x0 to 1e-13 ||rhs|| (measured 2-3e-15), and the first solve
+    # starts from u^0
+    case = get_case("example1")
+    config = ProblemConfig(case="example1", level=4, p=1, dt=1e-5, t_final=1e-4)
+    ops = build_operators(config)
+    u0 = l2_lambda_project(ops.mesh, ops.space, ops.edges, config.lam, case.u0)
+    starts, gaps = [], []
+
+    def recording_cg_solve(system, rhs, **kwargs):
+        x0, r0 = kwargs["x0"], kwargs["r0"]
+        starts.append(x0.copy())
+        gaps.append(np.linalg.norm(r0 - (rhs - system @ x0)) / np.linalg.norm(rhs))
+        return cg_solve(system, rhs, **kwargs)
+
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
+    run_backward_euler(config, case.f, case.g, case.u0, ops=ops)
+    assert len(gaps) == config.num_steps() and max(gaps) <= 1e-13
+    assert np.array_equal(starts[0], u0)
+
+
+def test_table_h_takes_at_most_1600_iterations(monkeypatch):
+    # the benchmark's table-h runs: example1, p = 1, levels 2..6, 100 steps
+    # of dt 1e-5 each.  Measured 1466 CG iterations from the mix of the
+    # last three states, 2428 from 2 u^k - u^(k-1) and 5451 from zero
+    iterations = []
+
+    def recording_cg_solve(system, rhs, **kwargs):
+        x, report = cg_solve(system, rhs, **kwargs)
+        iterations.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
+    case = get_case("example1")
+    for level in range(2, 7):
+        config = ProblemConfig(case="example1", level=level, p=1, dt=1e-5, t_final=1e-3)
+        run_backward_euler(config, case.f, case.g, case.u0)
+    assert len(iterations) == 500 and sum(iterations) <= 1600
+
+
+def test_start_drops_vanishing_and_parallel_differences():
+    # a history of equal states (a constant solution) has zero differences,
+    # and one of states 0, v, 3 v a second difference parallel to the first:
+    # each such term is dropped, without a division by zero or a warning
+    # (warnings are errors here), and the start's residual stays exact
+    config = ProblemConfig(level=2, p=1, dt=1e-3, t_final=1e-3)
+    ops = build_operators(config)
+    S = ops.M_blocks.plus(config.dt, ops.A_blocks).tocsr()
+    rng = np.random.default_rng(2)
+    rhs, x = rng.standard_normal((2, S.shape[0]))
+    v = rng.integers(-4, 5, S.shape[0]).astype(float)
+    for states in ([x, x.copy(), x.copy()], [3.0 * v, v, 0.0 * v], [x, x.copy()]):
+        history = [(s, S @ s) for s in states]
+        x0, r0 = _start(history, rhs)
+        assert np.abs(r0 - (rhs - S @ x0)).max() <= 1e-13 * np.abs(rhs).max()
+        if states[1] is not v:
+            assert x0 is states[0]  # nothing to mix: the newest state itself
+    # with 0, v, 3 v the start is the best multiple of v along the first difference
+    x0, r0 = _start([(3.0 * v, S @ (3.0 * v)), (v, S @ v), (0.0 * v, 0.0 * v)], rhs)
+    a = (S @ v) @ (rhs - S @ (3.0 * v)) / np.linalg.norm(S @ v) ** 2
+    assert np.allclose(x0, (3.0 + a) * v, rtol=1e-10, atol=1e-12)
 
 
 def test_dirichlet_mode_runs():
@@ -368,15 +436,17 @@ def test_stationary_wall_data_rejected_before_assembly(monkeypatch):
 @pytest.mark.parametrize("dt, t_final, two_level", [(1e-5, 5e-5, False), (0.1, 0.2, True)])
 def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_level):
     # rho = dt * max_e 1'A_e 1 / 1'M_e 1 is 0.12 at dt = 1e-5 and 1.2e3 at
-    # dt = 0.1 on level 4: every step, re-solved from its own warm start,
-    # must make the iteration count of block Jacobi alone in the first case,
-    # of the two-level one in the second (the two counts differ in both:
-    # 7/6/6/6/6 against 10/9/9/8/8, and 28 against 123/127)
+    # dt = 0.1 on level 4: every step, re-solved from its own start and
+    # start residual, must make the iteration count of block Jacobi alone
+    # in the first case, of the two-level one in the second (the two counts
+    # differ in both: 7/6/5/5/5 against 10/8/7/7/7, and 28/27 against
+    # 123/126)
     solves = []
 
     def recording_cg_solve(system, rhs, **kwargs):
+        start = kwargs["x0"].copy(), kwargs["r0"].copy()  # CG works on r0 in place
         x, report = cg_solve(system, rhs, **kwargs)
-        solves.append((system, rhs, kwargs["x0"].copy(), report.iterations))
+        solves.append((system, rhs, *start, report.iterations))
         return x, report
 
     monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
@@ -389,10 +459,12 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
     own = ops.M_blocks.plus(config.dt, ops.A_blocks).own()
     P = conforming_p1_embedding(ops.space, ops.edges)
     prolongations = p1_prolongations(ops.mesh, ops.edges.bc_mode)
-    for system, rhs, x0, iterations in solves:
+    for system, rhs, x0, r0, iterations in solves:
         block = block_jacobi_preconditioner(system, own)
         preconditioners = {False: block, True: two_level_preconditioner(block, system, P, prolongations)}
-        counts = {k: cg_solve(system, rhs, preconditioner=B, x0=x0)[1].iterations for k, B in preconditioners.items()}
+        counts = {
+            k: cg_solve(system, rhs, preconditioner=B, x0=x0, r0=r0.copy())[1].iterations for k, B in preconditioners.items()
+        }
         assert iterations == counts[two_level] != counts[not two_level]
 
 
