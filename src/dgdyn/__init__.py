@@ -8,6 +8,7 @@ from .assembly import (
     assemble_dirichlet_terms,
     assemble_load,
     assemble_mass,
+    l2_lambda_project,
 )
 from .config import ProblemConfig
 from .errors import ErrorRecord, energy_norm, energy_norm_terms, l2_errors, rate
@@ -22,15 +23,8 @@ from .mesh import (
     classify_edges,
 )
 from .solver import SolveReport, SolverError, block_jacobi_preconditioner, cg_solve
-from .space import DGSpace, QuadratureRule, edge_quadrature, interpolate, reference_basis, triangle_quadrature
-from .timestepper import (
-    Operators,
-    TransientResult,
-    build_operators,
-    l2_lambda_project,
-    run_backward_euler,
-    solve_stationary,
-)
+from .space import DGSpace, QuadratureRule, edge_quadrature, reference_basis, triangle_quadrature
+from .timestepper import Operators, TransientResult, build_operators, run_backward_euler, solve_stationary
 
 __version__ = "0.1.0"
 
@@ -65,7 +59,6 @@ __all__ = [
     "example1",
     "example3",
     "get_case",
-    "interpolate",
     "l2_errors",
     "l2_lambda_project",
     "rate",

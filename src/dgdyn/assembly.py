@@ -35,8 +35,9 @@ array per entry and point.
 One evaluator on it serves loads, projection and norms: ``field`` maps the
 coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
-``load`` integrates a time-separable source once per time node and keeps
-the load vectors, so a later time's load is a weighted sum of them.
+What is built once is kept on the space (``DGSpace.keep``): point sets,
+class orders, projections, inverse masses and a source's load vectors per
+time node (``manufactured.time_nodes``), which a later load sums weighted.
 
 Element blocks are built once per class, and an operator is a
 ``BlockTable``: its block pattern, a type per element pair (pairs with
@@ -62,8 +63,9 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .manufactured import SeparableField
+from .manufactured import time_nodes
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Faces, Mesh
+from .solver import SolverError
 from .space import DGSpace, edge_quadrature, triangle_quadrature
 
 AXES = np.eye(2)  # columns: the derivatives whose squares sum to |grad w|^2
@@ -114,8 +116,8 @@ class _Points:
     geometry-class order: the entries of class k are the run bounds[k] to
     bounds[k + 1], and each class keeps its weights and basis tables.  The
     points of a block of entries are made from the mesh on demand, and a
-    field's values on them live only while that block is summed: a point
-    set keeps vectors (``kept``), never values per point."""
+    field's values on them live only while that block is summed: what is
+    integrated from them is kept on the space, never values per point."""
 
     elem: np.ndarray  # (nE,) element whose basis is evaluated
     w: np.ndarray  # (n_classes, nq) rule weight times the simplex's measure (1 at a point face)
@@ -124,35 +126,18 @@ class _Points:
     grad: np.ndarray  # (n_classes, nq, n_local, 2) physical gradients, folded with the class's inverse Jacobian
     points: callable | None  # slice -> (x, y), each (m, nq): those entries' physical points; None on a second side
     normal: np.ndarray | None = None  # (n_classes, 2) on faces: a face's class fixes its normal
-    kept: dict = field(default_factory=dict)  # per-node load vectors, projections, the energy norm's exact parts
     field_tables: dict = field(default_factory=dict)  # direction -> ``field``'s class tables (``_table``)
-
-    def load(self, fn, t: float) -> np.ndarray:
-        """Local load vectors (nE, n_local) of sum_q w fn(t) v: for a
-        ``SeparableField``, the weighted sum of its per-node vectors, each
-        integrated once and kept without its point values.  A source is
-        called on all the points at once, so once per time node."""
-        whole = [slice(0, len(self.elem))]
-        if not isinstance(fn, SeparableField):
-            return self.integrate(partial(fn, t), whole)
-        vectors = [self._keep((fn.fn, s, "load"), lambda s=s: self.integrate(partial(fn.fn, s), whole)) for s in fn.nodes]
-        return sum(w * v for w, v in zip(fn.weights(t), vectors))
-
-    def _keep(self, key, make):
-        if key not in self.kept:
-            self.kept[key] = make()
-        return self.kept[key]
 
     def blocks(self) -> list:
         """Slices of the entries, BLOCK_POINTS points each but the last."""
         n, size = len(self.elem), max(1, BLOCK_POINTS // self.w.shape[1])
         return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
-    def integrate(self, fn, blocks=None) -> np.ndarray:
+    def integrate(self, fn, whole: bool = False) -> np.ndarray:
         """``test`` of fn(x, y): local vectors (nE, n_local), one block of
-        entries (by default ``blocks()``) at a time."""
+        entries at a time, or with ``whole`` on all of them at once."""
         out = np.empty((len(self.elem), self.phi.shape[2]))
-        for sl in blocks or self.blocks():
+        for sl in [slice(0, len(self.elem))] if whole else self.blocks():
             out[sl] = self.test(np.asarray(fn(*self.points(sl)), dtype=float), sl)
         return out
 
@@ -246,22 +231,15 @@ def _on_simplices(faces, order, xi, sl) -> tuple:
 
 
 def _per_space(build):
-    """Cache ``build(mesh, space, *key)`` in ``space.tables`` by (its name, *key)."""
-
-    def cached(mesh, space, *key):
-        name = (build.__name__, *key)
-        if name not in space.tables:
-            space.tables[name] = build(mesh, space, *key)
-        return space.tables[name]
-
-    return cached
+    """``build(mesh, space, *key)``, kept on the space by (its name, *key)."""
+    return lambda mesh, space, *key: space.keep((build.__name__, *key), lambda: build(mesh, space, *key))
 
 
 def release_tables(space: DGSpace, degree: int) -> None:
-    """Drop the cached point sets of ``space`` built for ``degree``; the
-    class orders, which every degree shares, stay."""
-    for name in [name for name in space.tables if name[-1] == degree]:
-        del space.tables[name]
+    """Drop the point sets of ``space`` built for ``degree``; the class
+    orders, which every degree shares, and all else it keeps stay."""
+    for key in [key for key in space.kept if key[0] == "_sides" and key[-1] == degree]:
+        del space.kept[key]
 
 
 @_per_space
@@ -391,8 +369,13 @@ class BlockDiagonal:
         return out.ravel()
 
     def inverse(self) -> BlockDiagonal:
-        """Its inverse, each distinct block inverted once."""
-        return BlockDiagonal(np.linalg.inv(self.blocks), self.kind)
+        """Its inverse, each distinct block inverted once; SolverError if one
+        term swamps another in a block (lambda's boundary mass the element's)."""
+        try:
+            return BlockDiagonal(np.linalg.inv(self.blocks), self.kind)
+        except np.linalg.LinAlgError:
+            msg = "an element block is singular in floating point: one term swamps the others (lower --lambda or --gamma)"
+            raise SolverError(msg) from None
 
 
 def _row_types(C: sp.csr_matrix, key: np.ndarray) -> tuple:
@@ -547,15 +530,56 @@ def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: F
 def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t: float = 0.0) -> np.ndarray:
     """Load vector (f, v)_Omega + (g, v)_gamma1 at time t.
 
-    f and g are callables (t, x, y) -> array or ``SeparableField``s, whose
-    per-node vectors are integrated once per space; either may be None for
-    a zero source."""
-    load = np.zeros(space.n_dofs)
+    f and g are callables (t, x, y) -> array or ``SeparableField``s;
+    either may be None for a zero source.  Each is the weighted sum of its
+    ``time_nodes``: a kept node's local vectors are integrated once per
+    space, on all the points at once, and kept without its point values;
+    a node with no key is integrated block by block and kept nowhere.
+    Sums are made in place of their first part: a dof-sized temporary more
+    raised the run's RSS by its size (1.5 MB at level 7, p = 2)."""
+    load = None
     for term, fn in zip(mass_terms(edges, 1.0), (f, g)):  # the domain's, then gamma1's
         if fn is not None:
             (pts,) = term.sides(mesh, space, 2 * space.p + 4)
-            load += _scatter(space, pts, pts.load(fn, t))
-    return load
+            nodes, weights, key = time_nodes(t, fn)
+            make = lambda: [pts.integrate(node, key is not None) for (node,) in nodes]
+            part = _scatter(space, pts, _weighted_sum(weights, space.keep(key and ("load", *key, term.faces), make)))
+            load = part if load is None else np.add(load, part, out=load)
+    return np.zeros(space.n_dofs) if load is None else load
+
+
+def _weighted_sum(weights, vectors) -> np.ndarray:
+    """sum_k weights[k] vectors[k], summed into the first product."""
+    out = weights[0] * vectors[0]
+    for w, v in zip(weights[1:], vectors[1:]):
+        out += w * v
+    return out
+
+
+def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
+    """Projection of u0(x, y) in the lambda-weighted norm (domain plus lam *
+    gamma1), kept on the space by (u0, lam); each call returns a copy.
+
+    This is the initial datum the time stepper uses: unlike the plain
+    domain projection, its boundary trace is accurate to the same order as
+    the interior, which the boundary-error convergence rates require.  With
+    lam = 0 it is the plain L2(Omega) projection."""
+    return space.keep(("projection", u0, lam), lambda: _project(mesh, space, edges, lam, u0)).copy()
+
+
+def _project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
+    """The projection, not kept: the inverse weighted mass, a ``BlockDiagonal``
+    kept on the space by lam, times ``assemble_load`` of (u0, lam u0), which
+    evaluates u0 block by block.  Both use the degree-2p + 4 tables, exact
+    for the blocks, so those are M's up to rounding."""
+
+    def inverse():
+        terms = mass_terms(edges, lam)
+        grams = [_gram_blocks(term.sides(mesh, space, 2 * space.p + 4)[0], term.dirs, term.weight) for term in terms]
+        return _bsr(space, grams).own().inverse()
+
+    rhs = assemble_load(mesh, edges, space, lambda t, x, y: u0(x, y), lambda t, x, y: lam * u0(x, y))
+    return space.keep(("inverse mass", lam), inverse) @ rhs
 
 
 def assemble_dirichlet_terms(

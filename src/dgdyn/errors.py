@@ -14,24 +14,25 @@ coefficient vector, an exact field (value and gradient callables, or a
 ``ManufacturedCase``) or both, in which case the norm of the difference
 ``exact - u_h`` is computed.
 
-The energy error is measured in two parts.  Let u = sum_k tau_k(t) U_k,
-as a case's time-separable field declares (any other field is one node
-at the call's time), P_k the projection ``l2_lambda_project`` of U_k and
-delta = sum_k tau_k P_k - u_h, a DG vector.  Then
+The energy error is measured in two parts.  Let u = sum_k tau_k(t) U_k
+be the field's ``manufactured.time_nodes`` (a case's time-separable field
+declares them; any other field is one node at the call's time), P_k the
+projection ``assembly.l2_lambda_project`` of U_k and delta = sum_k tau_k
+P_k - u_h, a DG vector.  Then
 
     |||u - u_h|||^2 = sum_jk tau_j tau_k C_jk + 2 sum_k tau_k r_k . delta
                       + |||delta|||^2,
 
 C_jk = (U_j - P_j, U_k - P_k)_E and r_k the vector of (U_k - P_k,
-phi_i)_E.  The exact part, C and r, is summed at degree 2p + 4 and, for
-a time-separable field, kept per space, so each later call costs the
-sums of delta, a polynomial of degree 2p on each affine simplex, which
-the operators' own rule sums exactly.  The three terms are of the
-error's size, so none cancels the others' digits.  An exact field has no
-jumps: a jump of two sides is u_h's alone and takes no exact part.  The
-L2 errors, measured once per run, sum exact - u_h on the points of the
-terms of M (``assembly.mass_terms``) at degree 2p + 4, the exact value
-evaluated block by block, and keep nothing.
+phi_i)_E.  The exact part, the P_k, C and r, is summed at degree 2p + 4
+and, if the nodes have a key, kept on the space by it, so each later
+call costs the sums of delta, a polynomial of degree 2p on each affine
+simplex, which the operators' own rule sums exactly.  The three terms
+are of the error's size, so none cancels the others' digits.  An exact
+field has no jumps: a jump of two sides is u_h's alone and takes no
+exact part.  The L2 errors, measured once per run, sum exact - u_h on
+the points of the terms of M (``assembly.mass_terms``) at degree 2p + 4,
+the exact value evaluated block by block, and keep nothing.
 
 The norms run on the point sets' one evaluator.  A point set is stored in
 geometry-class order, so in each block of entries a class is one run, and
@@ -49,11 +50,10 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import FormParams, _scatter, mass_terms, stiffness_terms
-from .manufactured import ManufacturedCase, SeparableField
+from .assembly import FormParams, _project, _scatter, l2_lambda_project, mass_terms, stiffness_terms
+from .manufactured import ManufacturedCase, time_nodes
 from .mesh import EdgeClassification, Mesh
 from .space import DGSpace
-from .timestepper import l2_lambda_project
 
 
 @dataclass
@@ -225,12 +225,12 @@ def _error_sums(mesh, space, terms, u_h, taus, projections, C, r, by_name) -> di
 
 
 def _energy_sums(mesh, edges, space, params, u_h, exact, t, by_name) -> dict:
-    """``_error_sums`` of the energy norm.  Summed (not ``by_name``), a
-    time-separable exact field, value and gradient ``SeparableField``s of
-    the same nodes and weights, keeps its exact part per space, on the
-    cells' point set: the first call computes each node's projection (a
-    case's node 0 is its u0, whose projection a run keeps), C and r.  Any
-    other field is one node at time t, and nothing is kept."""
+    """``_error_sums`` of the energy norm, the exact field taken as its
+    ``time_nodes``.  Summed (not ``by_name``), nodes with a key keep their
+    exact part, the projections, C and r, on the space: the first call
+    makes it (a case's node at 0 is its u0, whose projection a run keeps)
+    and every later one reads it.  By name, or with no key, it is made
+    afresh and not kept."""
     value_fn, grad_fn = _as_field(exact)
     if value_fn is not None and grad_fn is None:
         raise ValueError("exact field needs a gradient for the energy norm")
@@ -240,26 +240,20 @@ def _energy_sums(mesh, edges, space, params, u_h, exact, t, by_name) -> dict:
     terms = stiffness_terms(edges, params)
     if value_fn is None:
         return _error_sums(mesh, space, terms, u_h, [], [], {}, {}, by_name)
-    separable = isinstance(value_fn, SeparableField) and isinstance(grad_fn, SeparableField)
-    if by_name or not separable or (value_fn.nodes, value_fn.weights) != (grad_fn.nodes, grad_fn.weights):
-        nodes, taus = [(partial(value_fn, t), partial(grad_fn, t))], [1.0]
-        projections = [l2_lambda_project(mesh, space, edges, params.lam, nodes[0][0], keep=False)]
-        C, r = _exact_sums(mesh, space, terms, nodes, projections, by_name)
-        return _error_sums(mesh, space, terms, u_h, taus, projections, C, r, by_name)
+    nodes, taus, key = time_nodes(t, value_fn, grad_fn)
+    kept = None if by_name or key is None else ("energy", *key, params.alpha, params.beta, params.lam, params.sigma)
 
     def exact_part():
-        nodes = [(partial(value_fn.fn, s), partial(grad_fn.fn, s)) for s in value_fn.nodes]
         projections = [
             l2_lambda_project(mesh, space, edges, params.lam, exact.u0)
-            if isinstance(exact, ManufacturedCase) and s == 0.0
-            else l2_lambda_project(mesh, space, edges, params.lam, value, keep=False)
-            for s, (value, _) in zip(value_fn.nodes, nodes)
+            if kept and isinstance(exact, ManufacturedCase) and value_fn.nodes[k] == 0.0
+            else _project(mesh, space, edges, params.lam, value)
+            for k, (value, _) in enumerate(nodes)
         ]
-        return projections, *_exact_sums(mesh, space, terms, nodes, projections, by_name=False)
+        return projections, *_exact_sums(mesh, space, terms, nodes, projections, by_name)
 
-    key = ("energy", value_fn.fn, grad_fn.fn, params.alpha, params.beta, params.lam, params.sigma)
-    projections, C, r = terms[0].sides(mesh, space, 2 * space.p + 4)[0]._keep(key, exact_part)
-    return _error_sums(mesh, space, terms, u_h, value_fn.weights(t), projections, C, r, by_name=False)
+    projections, C, r = space.keep(kept, exact_part)
+    return _error_sums(mesh, space, terms, u_h, taus, projections, C, r, by_name)
 
 
 def energy_norm_terms(
@@ -271,8 +265,8 @@ def energy_norm_terms(
     exact=None,
     t: float = 0.0,
 ) -> dict[str, float]:
-    """Squared contributions of every term of the energy norm, the exact
-    field taken as one node at time t; nothing is kept."""
+    """Squared contributions of every term of the energy norm; nothing is
+    kept."""
     sums = _energy_sums(mesh, edges, space, params, u_h, exact, t, by_name=True)
     return {name: sums.get(name, 0.0) for term in stiffness_terms(edges, params) for name in term.names}
 

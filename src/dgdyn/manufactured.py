@@ -11,20 +11,22 @@ against high-precision numerical differentiation of u.
 
 Every field of the shipped cases separates in time: it is a short sum of
 time weights times its own values at a few time nodes.  A case declares
-these nodes and weights per field, which is then a ``SeparableField``:
-whoever passes it, each spatial part is integrated once per space (a
-source's load vectors, an exact field's part of the energy error) and
-every later time is a weighted sum.
+these nodes and weights per field, which is then a ``SeparableField``.
+``time_nodes`` gives a field's nodes: a separable field's own, keyed by
+its function, so each spatial part (a source's load vectors, an exact
+field's part of the energy error) is made once and kept on the space and
+every later time is a weighted sum; any other field is one node at the
+call's time, with no key, and nothing is kept.
 
-A point set calls a source on all its points at once, once per time node,
-so its temporaries add to the run's peak: the shipped sources, each one
-form cos(k y) (a - b cos(2 pi x)), keep two work arrays beyond the points.
-A user's source makes its own (block by block evaluation: ROADMAP item 13).
+A kept source node is evaluated on all the points of a set at once, so
+its temporaries add to the run's peak: the shipped sources, each one form
+cos(k y) (a - b cos(2 pi x)), keep two work arrays beyond the points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -60,6 +62,18 @@ class SeparableField:
 
     def __call__(self, t, x, y):
         return self.fn(t, x, y)
+
+
+def time_nodes(t: float, value, grad=None) -> tuple:
+    """(nodes, weights, key): the field at time t is the sum of weights[k]
+    times nodes[k], each node a tuple of callables (x, y), of the value and,
+    given ``grad``, the gradient.  ``SeparableField``s of the same nodes and
+    weights give theirs, keyed by their ``fn``s; anything else is one node
+    at t, weight 1, key None."""
+    fields = (value,) if grad is None else (value, grad)
+    if all(isinstance(f, SeparableField) and (f.nodes, f.weights) == (value.nodes, value.weights) for f in fields):
+        return [tuple(partial(f.fn, s) for f in fields) for s in value.nodes], value.weights(t), tuple(f.fn for f in fields)
+    return [tuple(partial(f, t) for f in fields)], (1.0,), None
 
 
 @dataclass(frozen=True)

@@ -156,13 +156,15 @@ class DGSpace:
 
     Dofs are laid out block-per-element, so the domain mass matrix is block
     diagonal and the local L2 projection is an exact small solve.  The
-    space owns the quadrature point sets built on it (``tables``, filled
-    by ``assembly``), so they are freed with it.
+    space owns what is built once on it (``kept``, filled through
+    ``keep``: the quadrature point sets, a source's load vectors, the
+    projections and inverse masses, the energy error's exact parts), so
+    they are freed with it.
     """
 
     mesh: Mesh
     p: int
-    tables: dict = field(default_factory=dict, init=False, repr=False)
+    kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.basis = reference_basis(self.p)
@@ -174,6 +176,14 @@ class DGSpace:
         """Global dof indices per element, shape (n_triangles, n_local)."""
         offsets = np.arange(self.mesh.n_triangles) * self.n_local
         return offsets[:, None] + np.arange(self.n_local)
+
+    def keep(self, key, make):
+        """``make()``, made once and kept under ``key``; a None key keeps nothing."""
+        if key is None:
+            return make()
+        if key not in self.kept:
+            self.kept[key] = make()
+        return self.kept[key]
 
 
 def conforming_p1_embedding(space: DGSpace, edges: EdgeClassification) -> sp.csr_matrix:
@@ -195,14 +205,3 @@ def conforming_p1_embedding(space: DGSpace, edges: EdgeClassification) -> sp.csr
     entries = vals.ravel()[keep], (rows.ravel()[keep], cols.ravel()[keep])
     return sp.csr_matrix(entries, shape=(space.n_dofs, vertices.max() + 1))
 
-
-def interpolate(mesh: Mesh, space: DGSpace, u, t: float = 0.0) -> np.ndarray:
-    """Piecewise Lagrange interpolant of the field u(t, x, y).
-
-    Returns the DG coefficient vector whose entries are the field values at
-    the physical images of the reference nodes.
-    """
-    nodes = space.basis.nodes  # (n_local, 2)
-    X = mesh.v0[:, None, :] + np.einsum("eij,qj->eqi", mesh.jacobians, nodes)
-    vals = u(t, X[..., 0], X[..., 1])
-    return np.asarray(vals, dtype=float).reshape(-1)

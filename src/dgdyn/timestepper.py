@@ -1,4 +1,4 @@
-"""Initial projection, stationary solve and the backward Euler loop."""
+"""Operators, stationary solve and the backward Euler loop."""
 
 from __future__ import annotations
 
@@ -10,14 +10,11 @@ import numpy as np
 from .assembly import (
     BlockTable,
     FormParams,
-    _bsr,
-    _gram_blocks,
-    _scatter,
     assemble_Ah,
     assemble_dirichlet_terms,
     assemble_load,
     assemble_mass,
-    mass_terms,
+    l2_lambda_project,
     release_tables,
 )
 from .config import ProblemConfig
@@ -48,45 +45,14 @@ HISTORY = 3
 DEGENERATE = 1e-8
 
 
-def l2_lambda_project(
-    mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0, keep: bool = True
-) -> np.ndarray:
-    """Projection in the lambda-weighted norm (domain plus lam * gamma1).
-
-    This is the initial datum the time stepper uses: unlike the plain
-    domain projection, its boundary trace is accurate to the same order as
-    the interior, which the boundary-error convergence rates require.  The
-    weighted mass matrix is still block diagonal, so the solve is exact: one
-    product with its inverse, a ``BlockDiagonal``.  With lam = 0 it is the
-    plain L2(Omega) projection.  Blocks and data both use the degree-2p + 4
-    tables of the loads and norms; the rule is exact for the blocks, so they
-    are those of M up to rounding.  The result is kept on the boundary's
-    point set by (u0, lam), and each call returns a copy; without ``keep``
-    it is computed afresh and not kept.  The inverse is kept there by lam.
-    """
-    terms = mass_terms(edges, lam)
-    points = [term.sides(mesh, space, 2 * space.p + 4)[0] for term in terms]
-
-    def inverse():
-        grams = [_gram_blocks(pts, term.dirs, term.weight) for term, pts in zip(terms, points)]
-        return _bsr(space, grams).own().inverse()
-
-    def project():
-        tested = [pts.integrate(lambda x, y, w=term.weight: w * np.asarray(u0(x, y))) for term, pts in zip(terms, points)]
-        rhs = sum(_scatter(space, pts, local) for pts, local in zip(points, tested))
-        return points[-1]._keep(("inverse mass", lam), inverse) @ rhs
-
-    return points[-1]._keep(("projection", u0, lam), project).copy() if keep else project()
-
-
 @dataclass(eq=False)
 class Operators:
     """Assembled discretization of one configuration: the tables of A_h and M,
     which the runs and solves read, and their scipy BSR matrices, built on
     first read for outside readers (the benchmark's reference, the tests);
     no run expands them.  What the runs need and no dt changes (M's block
-    diagonal, the two-level preconditioner's P1 parts) is built on first
-    use and kept for every run on them."""
+    diagonal here, the two-level preconditioner's P1 parts on the space)
+    is built on first use and kept for every run on them."""
 
     mesh: Mesh
     edges: EdgeClassification
@@ -105,11 +71,6 @@ class Operators:
         stiffness ratio of M + dt A divided by dt."""
         A, M = self.A_blocks.own(), self.M_diagonal
         return float(np.max(A.blocks.sum(axis=(1, 2))[A.kind] / M.blocks.sum(axis=(1, 2))[M.kind]))
-
-    @cached_property
-    def p1_coarse(self) -> tuple:
-        """The conforming-P1 embedding and its prolongations."""
-        return conforming_p1_embedding(self.space, self.edges), p1_prolongations(self.mesh, self.edges.bc_mode)
 
 
 def build_operators(config: ProblemConfig, u_D=None) -> Operators:
@@ -139,6 +100,14 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
 def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
     if u_D is not None and edges.bc_mode != DIRICHLET_LATERAL:
         raise ValueError(f"wall data u_D requires bc_mode='{DIRICHLET_LATERAL}', not {edges.bc_mode!r}")
+
+
+def _p1_coarse(space: DGSpace, edges: EdgeClassification) -> tuple:
+    """The conforming-P1 embedding and its prolongations, kept on the space."""
+    return space.keep(
+        ("p1 coarse", edges.bc_mode),
+        lambda: (conforming_p1_embedding(space, edges), p1_prolongations(space.mesh, edges.bc_mode)),
+    )
 
 
 def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None):
@@ -239,8 +208,7 @@ def solve_stationary(
     if u_D is not None:
         rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
     # no mass term: the stiff limit, where the coarse correction always pays
-    p1_coarse = conforming_p1_embedding(space, edges), p1_prolongations(mesh, edges.bc_mode)
-    return _cg_solver(A, p1_coarse)(rhs, "stationary solve")
+    return _cg_solver(A, _p1_coarse(space, edges))(rhs, "stationary solve")
 
 
 @dataclass(eq=False)
@@ -276,7 +244,7 @@ def run_backward_euler(
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
     system = ops.M_blocks.plus(dt, ops.A_blocks)
-    solve = _cg_solver(system, ops.p1_coarse if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS else None)
+    solve = _cg_solver(system, _p1_coarse(space, edges) if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS else None)
     M = ops.M_diagonal
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)

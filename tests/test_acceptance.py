@@ -20,10 +20,10 @@ from dgdyn.config import ProblemConfig
 from dgdyn.errors import energy_norm, l2_errors, rate
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import build_structured_mesh, classify_edges
-from dgdyn.space import DGSpace, interpolate
+from dgdyn.space import DGSpace
 from dgdyn.timestepper import build_operators, l2_lambda_project, run_backward_euler, solve_stationary
 
-from test_assembly import form, oracle_operators, setup as assembly_setup
+from test_assembly import form, nodal, oracle_operators, setup as assembly_setup
 
 
 def report(criterion, ok, detail):
@@ -261,7 +261,7 @@ def test_criterion_9_interpolation_estimate():
             edges = classify_edges(mesh)
             space = DGSpace(mesh, p)
             params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0)
-            u_h = interpolate(mesh, space, case.u, t=0.0)
+            u_h = nodal(mesh, space, case.u, t=0.0)
             norms.append(energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=0.0))
         r = rate(norms[-2], norms[-1])
         results.append(f"p={p}: last-pair rate {r:.2f}")

@@ -27,7 +27,7 @@ from dgdyn.assembly import (
 from dgdyn.errors import energy_norm_terms
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
-from dgdyn.space import DGSpace, edge_quadrature, interpolate, triangle_quadrature
+from dgdyn.space import DGSpace, edge_quadrature, triangle_quadrature
 from dgdyn.timestepper import l2_lambda_project
 
 
@@ -37,6 +37,14 @@ def setup(level, p, bc=PERIODIC, gamma=10.0, alpha=2.0, beta=5.0, lam=10.0, pena
     space = DGSpace(mesh, p)
     params = FormParams.for_mesh(mesh, alpha=alpha, beta=beta, lam=lam, gamma=gamma, penalty_mode=penalty_mode)
     return mesh, edges, space, params
+
+
+def nodal(mesh, space, u, t=0.0):
+    """The DG vector of the field u(t, x, y) whose entries are its values at
+    the physical images of the reference nodes: its piecewise Lagrange
+    interpolant."""
+    X = mesh.v0[:, None, :] + np.einsum("eij,qj->eqi", mesh.jacobians, space.basis.nodes)
+    return np.asarray(u(t, X[..., 0], X[..., 1]), dtype=float).reshape(-1)
 
 
 def operator(mesh, space, terms):
@@ -417,7 +425,7 @@ SURFACE_SEMINORMS = [
 @pytest.mark.parametrize("bc, p, u, seminorm", SURFACE_SEMINORMS, ids=["dirichlet-p1", "dirichlet-p2", "periodic-p2"])
 def test_bh_continuous_interpolant_is_tangential_seminorm(level, bc, p, u, seminorm):
     mesh, edges, space, params = setup(level, p, bc)
-    v = interpolate(mesh, space, u)
+    v = nodal(mesh, space, u)
     b = form("b", mesh, edges, space, params)
     assert v @ (b @ v) == pytest.approx(seminorm, rel=1e-12)
 
@@ -429,7 +437,7 @@ def test_bh_fused_periodic_corner_by_hand(level, p):
     # plus side at x = 1, 0 on the minus side at x = 0) with d_t v = 1, so
     # each corner adds sigma - 2 to the tangential seminorm 2: 2 sigma - 2
     mesh, edges, space, params = setup(level, p)
-    v = interpolate(mesh, space, lambda t, x, y: x)
+    v = nodal(mesh, space, lambda t, x, y: x)
     b = form("b", mesh, edges, space, params)
     assert v @ (b @ v) == pytest.approx(2.0 * params.sigma - 2.0, rel=1e-12)
 
@@ -564,6 +572,77 @@ def test_first_load_peaks_at_the_points_and_two_work_arrays(name, level, p):
     assert peak <= 5.5 * array
 
 
+def counted_points(calls, fn):
+    """fn(t, x, y), recording the number of points of each call in ``calls``."""
+
+    def counted(t, x, y):
+        calls.append(x.size)
+        return fn(t, x, y)
+
+    return counted
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_plain_source_is_evaluated_block_by_block_and_kept_nowhere(monkeypatch, name):
+    # a source that is not time-separable is one node at the call's time,
+    # with no key: evaluated one block of entries at a time, on every point
+    # once a call, with nothing kept on the space.  Blocks of 1000 points
+    # cut the level-5 cells (and gamma1's faces at p = 2) into several, and
+    # the load is the one the whole set gives, up to rounding
+    case = get_case(name)
+    mesh, edges, space, _ = setup(5, 2, case.bc_mode)
+    whole = assemble_load(mesh, edges, space, case.f.fn, case.g.fn, 0.3)
+    monkeypatch.setattr(dgdyn.assembly, "BLOCK_POINTS", 1000)
+    before = set(space.kept)
+    calls = {"f": [], "g": []}
+    f, g = (counted_points(calls[k], fn) for k, fn in (("f", case.f.fn), ("g", case.g.fn)))
+    for _ in range(2):
+        load = assemble_load(mesh, edges, space, f, g, 0.3)
+        assert np.abs(load - whole).max() <= 1e-14 * np.abs(whole).max()
+    assert set(space.kept) == before
+    for term, key in zip(mass_terms(edges, 1.0), ("f", "g")):
+        (pts,) = term.sides(mesh, space, 2 * space.p + 4)
+        points = pts.w.shape[1] * len(pts.elem)
+        assert len(calls[key]) == 2 * len(pts.blocks()) and sum(calls[key]) == 2 * points
+        assert max(calls[key]) <= 1000
+    assert len(calls["f"]) > 2
+
+
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_separable_source_is_evaluated_once_per_node_on_all_points(monkeypatch, name):
+    # a case's f and g are time-separable: each node's load vectors are
+    # integrated on all the points of their set at once, whatever the block
+    # size, kept on the space, and every later load is their weighted sum
+    case = get_case(name)
+    mesh, edges, space, _ = setup(5, 2, case.bc_mode)
+    monkeypatch.setattr(dgdyn.assembly, "BLOCK_POINTS", 1000)
+    calls = {"f": [], "g": []}
+    counted = replace(case, f=counted_points(calls["f"], case.f.fn), g=counted_points(calls["g"], case.g.fn))
+    loads = [assemble_load(mesh, edges, space, counted.f, counted.g, t) for t in (0.1, 0.4, 0.7)]
+    for term, key in zip(mass_terms(edges, 1.0), ("f", "g")):
+        (pts,) = term.sides(mesh, space, 2 * space.p + 4)
+        assert calls[key] == [pts.w.shape[1] * len(pts.elem)] * len(case.time_factors[key][0])
+    for t, load in zip((0.1, 0.4, 0.7), loads):
+        plain = assemble_load(mesh, edges, DGSpace(mesh, 2), case.f.fn, case.g.fn, t)
+        assert np.abs(load - plain).max() <= 1e-12 * np.abs(plain).max()
+
+
+def test_release_tables_drops_only_point_sets():
+    # at p = 1 the degree-2p point sets are released after assembly; what
+    # else the space keeps stays, also an entry whose key ends in 2.0, the
+    # inverse mass of lambda = 2, as do the class orders
+    mesh, edges, space, params = setup(3, 1)
+    assemble_Ah(mesh, edges, space, params)
+    projection = l2_lambda_project(mesh, space, edges, 2.0, lambda x, y: x * y)
+    kept = dict(space.kept)
+    assert ("inverse mass", 2.0) in kept and any(key[0] == "_order" for key in kept)
+    release_tables(space, 2 * space.p)
+    released = {key for key in kept if key[0] == "_sides" and key[-1] == 2}
+    assert released and set(space.kept) == set(kept) - released
+    assert all(space.kept[key] is kept[key] for key in space.kept)
+    assert l2_lambda_project(mesh, space, edges, 2.0, lambda x, y: x * y).tobytes() == projection.tobytes()
+
+
 @pytest.mark.parametrize("bc, name", [(PERIODIC, "example1"), (DIRICHLET_LATERAL, "example3")])
 def test_class_order_is_found_once_per_geometry(monkeypatch, bc, name):
     # the cells and each face set are sorted into classes once: assembly's
@@ -663,9 +742,9 @@ def face_entries(faces, degree):
 
 
 def point_sets(space):
-    """The point sets cached on ``space``, by (builder, simplices, degree),
+    """The point sets kept on ``space``, by (builder, simplices, degree),
     without the class orders that every degree shares."""
-    return {name: sides for name, sides in space.tables.items() if name[0] == "_sides"}
+    return {name: sides for name, sides in space.kept.items() if name[0] == "_sides"}
 
 
 def per_entry_tables(space, pts):
@@ -948,22 +1027,22 @@ def test_point_sets_hold_no_array_per_entry_and_point(bc):
     # every degree-2p + 4 point set of A_h's and M's terms at level 5, p = 2,
     # once the norm, the loads and the projection have kept what they keep:
     # a point set holds class rows and integer arrays per entry, its points
-    # made on demand from the mesh, and keeps no field's values on them
+    # made on demand from the mesh, and the space keeps no field's values on them
     mesh, edges, space, params = setup(5, 2, bc)
     case = get_case("example1" if bc == PERIODIC else "example3")
-    energy_norm_terms(mesh, edges, space, params, u_h=interpolate(mesh, space, case.u, 0.1), exact=case, t=0.1)
+    energy_norm_terms(mesh, edges, space, params, u_h=nodal(mesh, space, case.u, 0.1), exact=case, t=0.1)
     assemble_load(mesh, edges, space, case.f, case.g, 0.1)
     l2_lambda_project(mesh, space, edges, params.lam, case.u0)
     checked, snapshots = 0, 0
     for term in stiffness_terms(edges, params) + mass_terms(edges, params.lam):
         for pts in term.sides(mesh, space, 2 * space.p + 4):
             n, nq = len(pts.elem), pts.w.shape[1]
-            snapshots += sum(getattr(v, "shape", ())[-2:] == (n, nq) for v in pts.kept.values())
+            snapshots += sum(getattr(v, "shape", ())[-2:] == (n, nq) for v in space.kept.values())
             if len(pts.bounds) - 1 == n:
                 continue  # a class per entry: its rows are its entries'
             checked += 1
             makes = pts.points.args if pts.points else ()  # a second side makes no points
-            held = [v for name, v in vars(pts).items() if name != "kept"] + [*pts.classes, *makes]
+            held = [*vars(pts).values(), *pts.classes, *makes]
             for a in (v for v in held if isinstance(v, np.ndarray)):
                 assert a.shape[:2] != (n, nq)
                 assert len(a) != n or np.issubdtype(a.dtype, np.integer), a.dtype
@@ -979,7 +1058,7 @@ def test_points_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc):
     # beyond rounding
     mesh, edges, space, params = setup(5, 2, bc)
     case = get_case("example1" if bc == PERIODIC else "example3")
-    u_h = interpolate(mesh, space, case.u, 0.5)
+    u_h = nodal(mesh, space, case.u, 0.5)
     u_D = lambda t, x, y: np.cos(3.0 * y) + x * t
 
     def measured(space):

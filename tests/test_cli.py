@@ -442,6 +442,12 @@ def test_stability_accepts_any_coefficients(tmp_path):
             ["stability", "--level", "4", "--gamma", "0.5", "--dt", "1e-3", "--t-final", "1e-2"],
             "non-positive curvature in CG",
         ),
+        # lambda times the boundary mass swamps the element mass in floating
+        # point, so block Jacobi meets a singular block
+        (
+            ["stability", "--p", "2", "--level", "0", "--lambda", "1e150"],
+            "an element block is singular in floating point: one term swamps the others (lower --lambda or --gamma)",
+        ),
         # the subcommand sets the mode: a file's mode would be overwritten
         (["solve", "--config", "{mode_cfg}"], "unknown config key 'mode'"),
         # keys a command does not read, as flags and in a file: once

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from test_assembly import cell_entries, face_entries, jittered, per_entry_tables, point_sets
+from test_assembly import cell_entries, face_entries, jittered, nodal, per_entry_tables, point_sets
 
 from dgdyn.assembly import (
     TANGENT,
@@ -16,7 +16,7 @@ from dgdyn.assembly import (
 from dgdyn.errors import ErrorRecord, energy_norm, energy_norm_terms, l2_errors, rate
 from dgdyn.manufactured import example1, example3
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges
-from dgdyn.space import DGSpace, conforming_p1_embedding, interpolate
+from dgdyn.space import DGSpace, conforming_p1_embedding
 from dgdyn.timestepper import l2_lambda_project
 
 
@@ -109,20 +109,20 @@ def test_energy_norm_exact_field_calls(make_case, grad_calls, value_calls):
 @pytest.mark.parametrize("make_case", [example1, example3])
 def test_l2_errors_keep_no_snapshot(make_case):
     # a run measures its L2 errors once, at its final time: they evaluate the
-    # case's u there and add no entry to any point set's kept snapshots,
-    # before or after the energy norm has kept its own
+    # case's u there and add no entry but point sets to what the space
+    # keeps, before or after the energy norm has kept its own
     case = make_case()
     mesh, edges, space, params = setup(3, 1, bc=case.bc_mode)
-    u_h = interpolate(mesh, space, case.u, 0.5)
+    u_h = nodal(mesh, space, case.u, 0.5)
 
     def kept():
-        return {name: [set(pts.kept) for pts in sides] for name, sides in point_sets(space).items()}
+        return {key for key in space.kept if key[0] not in ("_sides", "_order")}
 
     l2_errors(mesh, edges, space, case.lam, u_h, case, t=0.5)
-    assert kept() and not any(keys for sets in kept().values() for keys in sets)
+    assert point_sets(space) and not kept()
     energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=0.5)
     before = kept()
-    assert any(keys for sets in before.values() for keys in sets)
+    assert before
     l2_errors(mesh, edges, space, case.lam, u_h, case, t=0.7)
     assert kept() == before
 
@@ -130,7 +130,7 @@ def test_l2_errors_keep_no_snapshot(make_case):
 def test_l2_errors_of_interpolated_polynomial():
     mesh, edges, space, params = setup(2, 1)
     field = lambda t, x, y: 1.0 + 2.0 * x - y
-    u_h = interpolate(mesh, space, field)
+    u_h = nodal(mesh, space, field)
     dom, g1, lamn = l2_errors(mesh, edges, space, 10.0, u_h, field)
     assert dom <= 1e-12 and g1 <= 1e-12 and lamn <= 1e-11
 
@@ -180,7 +180,7 @@ def test_continuous_periodic_interpolant_has_no_jumps():
     # continuous including across the periodic seam and at fused ridges
     mesh, edges, space, params = setup(3, 1)
     case = example1()
-    u_h = interpolate(mesh, space, case.u, t=0.0)
+    u_h = nodal(mesh, space, case.u, t=0.0)
     terms = energy_norm_terms(mesh, edges, space, params, u_h=u_h)
     assert terms["jump_penalty"] <= 1e-20
     assert terms["ridge_jump"] <= 1e-20
@@ -219,7 +219,7 @@ def test_linear_field_on_distorted_mesh(bc, p):
     params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0)
     a, b = (0.0 if bc == PERIODIC else 0.6), -1.3
     field = (lambda t, x, y: a * x + b * y, lambda t, x, y: (np.full_like(x, a), np.full_like(x, b)))
-    u_h = interpolate(mesh, space, field[0])
+    u_h = nodal(mesh, space, field[0])
     terms = energy_norm_terms(mesh, edges, space, params, u_h=u_h, exact=field)
     assert max(terms.values()) <= 1e-25, terms
     h1 = energy_norm_terms(mesh, edges, space, params, u_h=u_h)["h1_broken"]
@@ -233,7 +233,7 @@ def test_interpolant_energy_error_rate_p1():
     norms = []
     for level in range(2, 6):
         mesh, edges, space, params = setup(level, 1)
-        u_h = interpolate(mesh, space, case.u, t=0.0)
+        u_h = nodal(mesh, space, case.u, t=0.0)
         norms.append(energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=0.0))
     slopes = [rate(a, b) for a, b in zip(norms, norms[1:])]
     assert (np.diff(norms) < 0).all()
@@ -345,7 +345,7 @@ def test_class_runs_give_the_per_entry_norms_loads_and_projection_on_a_distorted
     params = FormParams.for_mesh(mesh, alpha=case.alpha, beta=case.beta, lam=case.lam, gamma=10.0)
     degree, t = 2 * p + 4, 0.3
     plain = (case.u, case.grad_u)
-    u_h = interpolate(mesh, space, case.u, t) + 0.1 * np.random.default_rng(5).standard_normal(space.n_dofs)
+    u_h = nodal(mesh, space, case.u, t) + 0.1 * np.random.default_rng(5).standard_normal(space.n_dofs)
     # every point set the norms, the loads and the projection use holds
     # almost one class per entry
     l2_lambda_project(mesh, space, edges, case.lam, case.u0)
@@ -409,7 +409,7 @@ def test_split_energy_error_is_the_pointwise_one(make_case, bc, p, mesh_kind):
     rng = np.random.default_rng(p)
     plain = (case.u, case.grad_u)
     for t in (0.3, 0.7):  # the second call reads what the first kept
-        u_h = interpolate(mesh, space, case.u, t)
+        u_h = nodal(mesh, space, case.u, t)
         u_h += 1e-3 * np.abs(u_h).max() * rng.standard_normal(space.n_dofs)
         want = per_entry_terms(mesh, edges, space, params, u_h, plain, t)
         got = energy_norm_terms(mesh, edges, space, params, u_h=u_h, exact=case, t=t)
@@ -428,10 +428,10 @@ def test_energy_norm_of_fields_without_shared_weights_keeps_nothing():
     decay = lambda t: (np.exp(-10.0 * t),)
     other = dataclasses.replace(case, grad_u=case.grad_u.fn, time_factors={**case.time_factors, "grad_u": ((0.0,), decay)})
     mesh, edges, space, params = setup(3, 1)
-    u_h = interpolate(mesh, space, case.u, 0.3)
+    u_h = nodal(mesh, space, case.u, 0.3)
 
     def kept():
-        return [key for sides in point_sets(space).values() for pts in sides for key in pts.kept if key[0] == "energy"]
+        return [key for key in space.kept if key[0] == "energy"]
 
     plain = energy_norm(mesh, edges, space, params, u_h=u_h, exact=other, t=0.3)
     assert not kept()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from dgdyn.config import CASES
-from dgdyn.manufactured import ManufacturedCase, SeparableField, example1, example3, get_case
+from dgdyn.manufactured import ManufacturedCase, SeparableField, example1, example3, get_case, time_nodes
 
 mp.mp.dps = 40
 
@@ -181,6 +181,30 @@ def test_declared_fields_are_separable_also_when_replaced(name):
         replaced = getattr(dataclasses.replace(case, **{field: plain}), field)
         assert isinstance(replaced, SeparableField) and (replaced.fn, replaced.nodes, replaced.weights) == (plain, nodes, weights)
         assert getattr(dataclasses.replace(case), field) is fn
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_time_nodes_of_a_field(name):
+    # a separable field, or a value and gradient of the same nodes and
+    # weights, gives its own nodes keyed by its fns, whose weighted sum is
+    # the field at t; a plain callable, or a pair of other weights, is one
+    # node at t of weight 1 and key None
+    case = get_case(name)
+    x, y = np.random.default_rng(1).random((2, 20))
+    t = 0.37
+    for fields in [(case.f,), (case.u, case.grad_u)]:
+        nodes, weights, key = time_nodes(t, *fields)
+        assert key == tuple(f.fn for f in fields) and len(nodes) == len(fields[0].nodes) == len(weights)
+        assert list(weights) == list(fields[0].weights(t))
+        for k, field in enumerate(fields):
+            summed = sum(w * np.asarray(node[k](x, y)) for w, node in zip(weights, nodes))
+            assert np.allclose(summed, field(t, x, y), rtol=0.0, atol=1e-13 * np.abs(field(t, x, y)).max())
+    decay = SeparableField(case.grad_u.fn, (0.0,), lambda t: (np.exp(-t),))
+    for fields in [(case.f.fn,), (case.u, decay), (case.u.fn, case.grad_u)]:
+        nodes, weights, key = time_nodes(t, *fields)
+        assert key is None and weights == (1.0,) and len(nodes) == 1
+        for node, field in zip(nodes[0], fields):
+            assert np.array_equal(np.asarray(node(x, y)), np.asarray(field(t, x, y)))
 
 
 def first_sources(case):

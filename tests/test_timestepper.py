@@ -12,7 +12,7 @@ from dgdyn.errors import energy_norm, l2_errors, rate
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges, p1_prolongations
 from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
-from dgdyn.space import DGSpace, conforming_p1_embedding, interpolate
+from dgdyn.space import DGSpace, conforming_p1_embedding
 from dgdyn.timestepper import (
     _start,
     build_operators,
@@ -20,6 +20,8 @@ from dgdyn.timestepper import (
     run_backward_euler,
     solve_stationary,
 )
+
+from test_assembly import nodal, point_sets
 
 TWO_PI = 2.0 * np.pi
 
@@ -174,7 +176,7 @@ def test_stationary_manufactured_rate_p1():
         uh = solve_stationary(mesh, edges, space, params, f, g)
         dom, _, _ = l2_errors(mesh, edges, space, params.lam, uh, u)
         errs.append(dom)
-        ih = interpolate(mesh, space, u)
+        ih = nodal(mesh, space, u)
         idom, _, _ = l2_errors(mesh, edges, space, params.lam, ih, u)
         interp_errs.append(idom)
     assert abs(rate(errs[0], errs[1]) - 2.0) <= 0.15
@@ -400,7 +402,7 @@ def test_wall_data_patch_test():
     dom, _, _ = l2_errors(ops.mesh, ops.edges, ops.space, lam, res.coeffs, u, t=config.t_final)
     assert dom <= 1e-10
     # the per-step wall data reads the degree-2p + 4 tables only
-    assert not [name for name in ops.space.tables if name[-1] == 2 * config.p]
+    assert not [name for name in point_sets(ops.space) if name[-1] == 2 * config.p]
 
     mesh, edges, space, params = setup(2, 2, DIRICHLET_LATERAL, alpha=alpha, lam=lam)
     steady = lambda t, x, y: a * x + b * y
