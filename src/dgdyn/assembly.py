@@ -44,10 +44,10 @@ Element blocks are built once per class, and an operator is a
 equal counts of each class share one) and a block per type, a handful on
 the structured meshes.  The solvers read it; CG multiplies its CSR form,
 which scipy expands from the table a few thousand element rows at a time,
-so no block is held per pair.  Its own blocks are a
-``BlockDiagonal``, the distinct blocks and a kind per element, applied
-over the mesh's cell pairs: M (block diagonal in full), block Jacobi and
-the projection's mass are never held as a block per element.
+so no block is held per pair.  Its cell blocks (a cell's two triangles'
+four blocks) are a ``BlockDiagonal``, the distinct blocks and a kind per
+cell applied as one strided product: M (block diagonal in full), block
+Jacobi and the projection's mass are never held as a block per cell.
 
 Quadrature degrees follow a single convention: matrix assembly uses rules
 exact to degree 2p, data-dependent vectors (loads, projections) and error
@@ -321,11 +321,23 @@ class BlockTable:
             indptr[n * a + 1 : n * b + 1] = start + chunk.indptr[1:]
         return sp.csr_matrix((data, indices, indptr), shape=(n * n_el, n * n_el))
 
+    def cells(self) -> np.ndarray:
+        """Each grid cell's block types, (n_cells, 4): (2c + i, 2c + j) at [c, 2 i + j], -1 if not stored."""
+        pair = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr)) ^ self.indices  # 0: own, 1: partner's
+        at = np.flatnonzero(pair <= 1)
+        place = 2 * (self.indices[at] ^ pair[at]) + (self.indices[at] & 1)  # 4 c + 2 i + j
+        slots = np.full(2 * (len(self.indptr) - 1), -1)
+        slots[place] = self.types[at]
+        return slots.reshape(-1, 4)
+
     def own(self) -> BlockDiagonal:
-        """The block diagonal: the own block every element stores."""
-        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
-        used, kind = np.unique(self.types[self.indices == rows], return_inverse=True)
-        return BlockDiagonal(self.table[used], kind)
+        """The block diagonal over the grid cells: cell c's block is the four
+        blocks between triangles 2c and 2c + 1, zero where none is stored."""
+        slots = self.cells()  # grouped exactly: a cell's four types as one item of raw bytes
+        _, first, kind = np.unique(slots.view(f"V{4 * slots.itemsize}").ravel(), return_index=True, return_inverse=True)
+        n, padded = self.table.shape[1], np.concatenate([self.table, np.zeros_like(self.table[:1])])  # type -1: zero
+        blocks = padded[slots[first]].reshape(-1, 2, 2, n, n).swapaxes(2, 3)
+        return BlockDiagonal(blocks.reshape(-1, 2 * n, 2 * n), kind)
 
     def plus(self, scale: float, other: BlockTable) -> BlockTable:
         """self + scale * other as scipy sums the expanded matrices, once per
@@ -340,32 +352,26 @@ class BlockTable:
 
 @dataclass(eq=False)
 class BlockDiagonal:
-    """A matrix with one block per element and none between elements, held
-    as its distinct blocks and each element's index among them.  ``D @ x``
-    runs over the mesh's cells, cell c owning triangles 2c and 2c + 1: on
-    each side the most common block is one strided product over all cells,
-    and the elements of other kinds (the gamma1 rows and the wall columns
-    of a structured mesh, almost every element of a distorted one) are one
-    gathered product written over it."""
+    """A matrix with one block per grid cell (triangles 2c and 2c + 1, whose
+    dofs are one run) and none between cells, held as its distinct blocks
+    and each cell's index among them.  ``D @ x`` is one strided product with
+    the most common block, and the cells of other kinds (the gamma1 rows and
+    wall columns of a structured mesh, almost every cell of a distorted one)
+    are one gathered product written over it."""
 
-    blocks: np.ndarray  # (n_kinds, n_local, n_local)
-    kind: np.ndarray  # (n_elements,)
+    blocks: np.ndarray  # (n_kinds, 2 n_local, 2 n_local)
+    kind: np.ndarray  # (n_cells,)
 
     def __post_init__(self):
-        cells = self.kind.reshape(-1, 2)
-        common = [np.bincount(side).argmax() for side in cells.T]
-        self._sides = [self.blocks[k].T.copy() for k in common]  # contiguous: BLAS's fast layout
-        self._rest = np.flatnonzero((cells != common).ravel())
+        common = np.bincount(self.kind).argmax()
+        self._common = self.blocks[common].T.copy()  # contiguous: BLAS's fast layout
+        self._rest = np.flatnonzero(self.kind != common)
         self._rest_blocks = self.blocks[self.kind[self._rest]]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        n = self.blocks.shape[1]
-        cells = x.reshape(-1, 2, n)
-        out = np.empty_like(cells)
-        for side, table in enumerate(self._sides):
-            np.matmul(cells[:, side], table, out=out[:, side])
-        out = out.reshape(-1, n)
-        out[self._rest] = (self._rest_blocks @ x.reshape(-1, n)[self._rest, :, None])[..., 0]
+        cells = x.reshape(len(self.kind), -1)
+        out = cells @ self._common
+        out[self._rest] = (self._rest_blocks @ cells[self._rest, :, None])[..., 0]
         return out.ravel()
 
     def inverse(self) -> BlockDiagonal:
@@ -374,7 +380,7 @@ class BlockDiagonal:
         try:
             return BlockDiagonal(np.linalg.inv(self.blocks), self.kind)
         except np.linalg.LinAlgError:
-            msg = "an element block is singular in floating point: one term swamps the others (lower --lambda or --gamma)"
+            msg = "a cell block is singular in floating point: one term swamps the others (lower --lambda or --gamma)"
             raise SolverError(msg) from None
 
 

@@ -1,4 +1,4 @@
-"""Preconditioned conjugate gradients for the SPD systems of the scheme."""
+"""Preconditioned CG for the SPD systems of the scheme: cell-block Jacobi and a one-sweep V-cycle."""
 
 from __future__ import annotations
 
@@ -7,12 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-# The V-cycle's smoother is damped Jacobi, z_i = JACOBI_WEIGHT r_i / a_ii.
-# On the conforming-P1 Galerkin matrices of the SPD systems measured,
-# sum_j |a_ij| / a_ii <= 2 < 2 / JACOBI_WEIGHT, so by Gershgorin every
-# sweep contracts in the energy norm and the symmetric cycle is SPD.
+# The V-cycle smooths with one damped-Jacobi sweep, z_i = JACOBI_WEIGHT r_i /
+# a_ii, before and one after each coarse correction.  On the conforming-P1
+# Galerkin matrices of the SPD systems measured, sum_j |a_ij| / a_ii <= 2 <
+# 2 / JACOBI_WEIGHT, so by Gershgorin every sweep contracts in the energy
+# norm and the symmetric cycle is SPD.
 JACOBI_WEIGHT = 0.8
-JACOBI_SWEEPS = 2
+FLOOR_ROWS = 2**13  # rows of |A| that ``_rounding_floor`` holds at once
+NON_FINITE = "non-finite value in CG: the system or data overflow floating point (lower --gamma, --alpha, --beta, --lambda or --dt)"
 
 
 class SolverError(Exception):
@@ -28,14 +30,14 @@ class SolveReport:
 
 
 def block_jacobi_preconditioner(A: sp.spmatrix, own):
-    """Inverse of the element-block diagonal of the system A, given as
+    """Inverse of the cell-block diagonal of the system A, given as
     ``own`` (a ``BlockDiagonal``, see ``BlockTable.own``): each distinct
     block is inverted once, and A itself is not read.
 
-    With the block-per-element dof layout this captures the full mass block
-    and the local stiffness/penalty couplings, which keeps iteration counts
-    bounded for stiffness-dominated steps where plain Jacobi degrades.  The
-    inverse is applied over the mesh's cells, never expanded per element."""
+    A cell's block holds its two elements' own blocks and the coupling
+    across their shared diagonal, which keeps iteration counts bounded for
+    stiffness-dominated steps where plain Jacobi degrades.  The inverse is
+    applied over the mesh's cells, never expanded per cell."""
     inv = own.inverse()
     return lambda r: inv @ r
 
@@ -45,10 +47,10 @@ def v_cycle(A: sp.spmatrix, prolongations):
 
     ``prolongations[k]`` maps level k + 1 onto level k, level 0 being A's.
     Each level below takes the Galerkin matrix P' A_k P; each level above
-    the coarsest smooths with damped Jacobi before and after its coarse
-    correction, and the coarsest is solved exactly.  With no prolongation
-    the cycle is the exact solve.  A non-positive diagonal entry on any
-    level proves A is not SPD and raises SolverError.
+    the coarsest smooths with one damped-Jacobi sweep before and one after
+    its coarse correction, and the coarsest is solved exactly.  With no
+    prolongation the cycle is the exact solve.  A non-positive diagonal
+    entry on any level proves A is not SPD and raises SolverError.
     """
     mats = [sp.csr_matrix(A)]
     for P in prolongations:
@@ -68,11 +70,8 @@ def v_cycle(A: sp.spmatrix, prolongations):
             return coarsest @ r
         A_k, d = mats[k], weights[k]
         x = d * r
-        for _ in range(JACOBI_SWEEPS - 1):
-            x += d * (r - A_k @ x)
         x += prolongations[k] @ cycle(k + 1, restrictions[k] @ (r - A_k @ x))
-        for _ in range(JACOBI_SWEEPS):
-            x += d * (r - A_k @ x)
+        x += d * (r - A_k @ x)
         return x
 
     return lambda r: cycle(0, r)
@@ -115,6 +114,7 @@ def cg_solve(
     the rounding floor eps || |rhs| + |A| |x| || / ||rhs||.  So convergence
     is always proven by a true product, never by ``r0``.  Running out of
     iterations is never convergence.  A zero rhs returns zero at once.
+    Overflow and non-positive curvature raise a SolverError naming the flags.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
@@ -124,15 +124,8 @@ def cg_solve(
         raise SolverError(f"dimension mismatch: {shapes}")
     if max_iter is None:
         max_iter = 10 * n
-
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True, np.zeros(n))
-
     apply_prec = (lambda r: r) if preconditioner is None else preconditioner
-    iterations = 0
-    previous_rel = np.inf
-    r, checked = (rhs - A @ x, True) if r0 is None else (r0, False)
+    iterations, previous_rel = 0, np.inf
 
     # The inner loop drives the recursive residual below tol; after long
     # solves the recursive and true residuals drift apart by rounding, so
@@ -143,49 +136,65 @@ def cg_solve(
     # residual lies within the rounding of rhs - A x itself.  That floor can
     # exceed tol: about 1.8e-12 for the level-7 backward Euler system, where
     # even a direct solve leaves 1.0e-12.  A given r0 is not a true
-    # residual: it only starts the first pass.
-    while True:
-        rel = float(np.linalg.norm(r) / rhs_norm)
-        if checked:
-            if rel <= tol:
-                return x, SolveReport(iterations, rel, True, r)
-            if rel >= previous_rel:
-                return x, SolveReport(iterations, rel, bool(rel <= _rounding_floor(A, rhs, x)), r)
-            previous_rel = rel
-        if not rel <= tol:  # a NaN residual goes on to be refused
-            z = apply_prec(r)
-            p = z.copy()
-            rz = r @ z
-            while iterations < max_iter:
-                Ap = A @ p
-                pAp = p @ Ap
-                if not np.isfinite(pAp):
-                    raise SolverError("non-finite value in CG (corrupted matrix?)")
-                if pAp <= 0.0:
-                    raise SolverError("non-positive curvature in CG; matrix is not SPD")
-                alpha = rz / pAp
-                x += alpha * p
-                r -= alpha * Ap
-                z = apply_prec(r)
-                rz_new = r @ z
-                p = z + (rz_new / rz) * p
-                rz = rz_new
-                iterations += 1
-                if np.linalg.norm(r) <= tol * rhs_norm:
-                    break
-            else:
-                break  # max_iter exhausted
-        r, checked = rhs - A @ x, True
+    # residual: it only starts the first pass.  Updates are made in place,
+    # bitwise their textbook values; a work vector kept across iterations
+    # would be one more live vector at the solve's peak.
+    try:  # an overflow, or an invalid or zero divide, anywhere in the solve
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rhs_norm = np.linalg.norm(rhs)
+            if rhs_norm == 0.0:
+                return np.zeros(n), SolveReport(0, 0.0, True, np.zeros(n))
+            r, checked = (rhs - A @ x, True) if r0 is None else (r0, False)
+            while True:
+                rel = float(np.linalg.norm(r) / rhs_norm)
+                if checked:
+                    if rel <= tol:
+                        return x, SolveReport(iterations, rel, True, r)
+                    if rel >= previous_rel:
+                        return x, SolveReport(iterations, rel, bool(rel <= _rounding_floor(A, rhs, x)), r)
+                    previous_rel = rel
+                if not rel <= tol:  # a NaN residual goes on to be refused
+                    z = apply_prec(r)
+                    p = z.copy()
+                    rz = r @ z
+                    while iterations < max_iter:
+                        Ap = A @ p
+                        pAp = p @ Ap
+                        if not np.isfinite(pAp):
+                            raise SolverError(NON_FINITE)
+                        if pAp <= 0.0:
+                            raise SolverError("non-positive curvature in CG: penalty too small for coercivity (raise --gamma)")
+                        alpha = rz / pAp
+                        x += alpha * p
+                        Ap *= alpha
+                        r -= Ap
+                        z = apply_prec(r)
+                        rz_new = r @ z
+                        p *= rz_new / rz
+                        p += z
+                        rz = rz_new
+                        iterations += 1
+                        if np.sqrt(r @ r) <= tol * rhs_norm:
+                            break
+                    else:
+                        break  # max_iter exhausted
+                r, checked = rhs - A @ x, True
 
-    r = rhs - A @ x
-    true_rel = float(np.linalg.norm(r) / rhs_norm)
+            r = rhs - A @ x
+            true_rel = float(np.linalg.norm(r) / rhs_norm)
+    except FloatingPointError:
+        raise SolverError(NON_FINITE) from None
     return x, SolveReport(iterations, true_rel, bool(true_rel <= tol), r)
 
 
 def _rounding_floor(A: sp.spmatrix, rhs: np.ndarray, x: np.ndarray) -> float:
     """eps || |rhs| + |A| |x| || / ||rhs||, the rounding of rhs - A x.  |A|
-    is the absolute values on A's own index arrays, which scipy's ``abs``
-    would copy as well: 18 MB of the 52.5 MB system at level 7, p = 2."""
-    A = sp.csr_matrix(A)
-    abs_A = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    return float(np.finfo(float).eps * np.linalg.norm(np.abs(rhs) + abs_A @ np.abs(x)) / np.linalg.norm(rhs))
+    is the absolute values on A's own index arrays, FLOOR_ROWS rows at a
+    time: |A| whole (scipy's ``abs`` copies the indices too) set the peak of
+    the time-step table's first solve at level 7."""
+    A, n, bound, x = sp.csr_matrix(A), len(x), np.abs(rhs), np.abs(x)
+    for a in range(0, n, FLOOR_ROWS):
+        b = min(a + FLOOR_ROWS, n)
+        lo, hi = A.indptr[a], A.indptr[b]
+        bound[a:b] += sp.csr_matrix((np.abs(A.data[lo:hi]), A.indices[lo:hi], A.indptr[a : b + 1] - lo), shape=(b - a, n)) @ x
+    return float(np.finfo(float).eps * np.linalg.norm(bound) / np.linalg.norm(rhs))

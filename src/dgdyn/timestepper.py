@@ -25,20 +25,20 @@ from .space import DGSpace, conforming_p1_embedding
 # Stiffness ratio rho = dt * max_e 1'A_e 1 / 1'M_e 1 above which backward
 # Euler adds the conforming-P1 V-cycle to block Jacobi.  Measured per solve,
 # started from zero, on example1's first step at level 7, p = 1 (median of
-# 15, one BLAS thread): block Jacobi alone takes 34 / 40 / 58 / 85
+# 15, one BLAS thread): cell-block Jacobi alone takes 28 / 34 / 44 / 62
 # iterations at rho = 6 / 8 / 16 / 32, the two-level preconditioner
-# 20 / 20 / 20 / 22 and 0.04 s of set-up once per dt.  It is faster in 11
-# of 15 runs at rho = 6, by 3% of the median (less than its set-up), in 14
-# of 15 at rho = 8, and at rho = 32 takes 0.17 s against 0.40 s.
+# 18 / 19 / 19 / 19 and 0.012 s of set-up once per dt.  It is slower in all
+# 15 runs at rho = 6, faster in 13 of 15 at rho = 8, by 3% of the median
+# (less than its set-up), and at rho = 32 takes 0.042 s against 0.075 s.
 TWO_LEVEL_STIFFNESS = 8.0
 
 # The time loop's CG starts from the best mix of its last HISTORY solutions
 # (``_start``).  Traced iterations on the paper's spatial table (levels 2
-# to 6, dt = 1e-5): 2428 from the extrapolation 2 u^k - u^(k-1), 1466 from
-# three solutions, 953 from four (with a third difference).  Where CG stops
-# moves the level-6 l2_domain: four put it 7.6e-7 relative off the direct
-# solver's value, near the benchmark's tolerance of 1e-6, three 3.4e-7
-# (9.0e-8 before).
+# to 6, dt = 1e-5), with element-block Jacobi: 2428 from the extrapolation
+# 2 u^k - u^(k-1), 1466 from three solutions (1327 with cell blocks), 953
+# from four.  Where CG stops moves the level-6 l2_domain: four put it
+# 7.6e-7 relative off the direct solver's value, near the benchmark's
+# tolerance of 1e-6, three 3.4e-7 (1.7e-7 with cell blocks).
 HISTORY = 3
 # 1 - cos^2 of the angle between the two image differences below which
 # the second is dropped as parallel to the first.
@@ -67,10 +67,10 @@ class Operators:
 
     @cached_property
     def stiffness_per_dt(self) -> float:
-        """max_e 1'A_e 1 / 1'M_e 1 over the elements' own blocks: the
-        stiffness ratio of M + dt A divided by dt."""
-        A, M = self.A_blocks.own(), self.M_diagonal
-        return float(np.max(A.blocks.sum(axis=(1, 2))[A.kind] / M.blocks.sum(axis=(1, 2))[M.kind]))
+        """max_e 1'A_e 1 / 1'M_e 1 over the blocks the elements store for
+        themselves: the stiffness ratio of M + dt A divided by dt."""
+        A, M = (t.table.sum(axis=(1, 2))[t.cells()[:, [0, 3]].ravel()] for t in (self.A_blocks, self.M_blocks))
+        return float(np.max(A / M))
 
 
 def build_operators(config: ProblemConfig, u_D=None) -> Operators:

@@ -1085,17 +1085,22 @@ def test_points_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc):
 # block-diagonal operators applied over the cells against their BSR product
 
 
-def per_element_bsr(D: BlockDiagonal) -> sp.bsr_matrix:
-    """The block-diagonal matrix with each element's block stored on its own."""
-    n_el = len(D.kind)
-    return sp.bsr_matrix((D.blocks[D.kind], np.arange(n_el), np.arange(n_el + 1)))
+def cell_bsr(S: sp.spmatrix, n_local: int) -> sp.bsr_matrix:
+    """The cell-block diagonal of S, each cell's (2 n_local)-square diagonal
+    block of S's BSR form stored on its own: triangles 2c and 2c + 1."""
+    B = sp.bsr_matrix(S).tobsr(blocksize=(2 * n_local, 2 * n_local))
+    n_cells = len(B.indptr) - 1
+    rows = np.repeat(np.arange(n_cells), np.diff(B.indptr))
+    blocks = np.zeros((n_cells, *B.blocksize))
+    blocks[rows[B.indices == rows]] = B.data[B.indices == rows]
+    return sp.bsr_matrix((blocks, np.arange(n_cells), np.arange(n_cells + 1)), shape=B.shape)
 
 
 def assert_applies_as_bsr(D: BlockDiagonal, expected: sp.bsr_matrix, seed: int) -> None:
     """D and its inverse against the BSR products of ``expected`` and of the
-    inverse of each element's block, to 1e-15 relative."""
-    n_el = len(D.kind)
-    inverse = sp.bsr_matrix((np.linalg.inv(expected.data), np.arange(n_el), np.arange(n_el + 1)))
+    inverse of each cell's block, to 1e-15 relative."""
+    n_cells = len(D.kind)
+    inverse = sp.bsr_matrix((np.linalg.inv(expected.data), np.arange(n_cells), np.arange(n_cells + 1)))
     x = np.random.default_rng(seed).standard_normal(expected.shape[0])
     for op, want in ((D, expected @ x), (D.inverse(), inverse @ x)):
         assert np.abs(op @ x - want).max() <= 1e-15 * np.abs(want).max()
@@ -1104,29 +1109,31 @@ def assert_applies_as_bsr(D: BlockDiagonal, expected: sp.bsr_matrix, seed: int) 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
 def test_block_diagonal_applies_as_its_bsr_product(bc, p):
-    # M is all of its own blocks; the step system's own blocks are block
+    # M is all of its own blocks; the step system's cell blocks are block
     # Jacobi's.  The gathered product covers the gamma1 rows and the wall
-    # columns only: 2n and, with walls, 2n - 2 more of the 2n^2 elements
+    # columns only: 2n and, with walls, 2n - 4 more of the n^2 cells
     for level in range(6):
         mesh, edges, space, params = setup(level, p, bc)
         M = assemble_mass(mesh, edges, space, params.lam)
         step = M.plus(1e-3, assemble_Ah(mesh, edges, space, params))
         n = mesh.n_cells_per_side
-        for table, expected in ((M, M.tobsr()), (step, per_element_bsr(step.own()))):
+        assert (cell_bsr(M.tobsr(), space.n_local) != M.tobsr()).nnz == 0  # M is all of its cell blocks
+        for table in (M, step):
             D = table.own()
-            assert_applies_as_bsr(D, expected, level)
-            assert level < 2 or len(D._rest) <= 2 * n + (2 * n - 2) * (bc == DIRICHLET_LATERAL)
+            assert_applies_as_bsr(D, cell_bsr(table.tobsr(), space.n_local), level)
+            assert level < 2 or len(D._rest) <= 2 * n + (2 * n - 4) * (bc == DIRICHLET_LATERAL)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
 def test_block_diagonal_applies_as_its_bsr_product_on_a_distorted_mesh(bc, p):
-    # almost every element its own block: all but one a side go through the gathered product
+    # almost every cell its own block: all but one go through the gathered product
     mesh, edges, space = jittered(3, bc, p)
     params = FormParams.for_mesh(mesh, alpha=2.0, beta=5.0, lam=10.0, gamma=10.0)
     M = assemble_mass(mesh, edges, space, params.lam)
     step = M.plus(1e-3, assemble_Ah(mesh, edges, space, params))
-    for table, expected in ((M, M.tobsr()), (step, per_element_bsr(step.own()))):
+    assert (cell_bsr(M.tobsr(), space.n_local) != M.tobsr()).nnz == 0
+    for table in (M, step):
         D = table.own()
-        assert len(D._rest) >= len(D.kind) - 2
-        assert_applies_as_bsr(D, expected, p)
+        assert len(D._rest) >= len(D.kind) - 1
+        assert_applies_as_bsr(D, cell_bsr(table.tobsr(), space.n_local), p)

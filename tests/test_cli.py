@@ -440,13 +440,26 @@ def test_stability_accepts_any_coefficients(tmp_path):
         ),
         (
             ["stability", "--level", "4", "--gamma", "0.5", "--dt", "1e-3", "--t-final", "1e-2"],
-            "non-positive curvature in CG",
+            "non-positive curvature in CG: penalty too small for coercivity (raise --gamma)",
+        ),
+        # CG's two failures name the flags that move each: a penalty far
+        # too small for coercivity, and an overflow, which names every
+        # coefficient that scales the system (once a RuntimeWarning from the
+        # dot products, then an error naming no flag)
+        (
+            ["solve", "--case", "example1", "--level", "1", "--gamma", "1e-300", "--dt", "1", "--t-final", "1"],
+            "non-positive curvature in CG: penalty too small for coercivity (raise --gamma)",
+        ),
+        (
+            ["converge-dt", "--case", "example1", "--p", "2", "--gamma", "1e300", "--dt", "0.001", "--t-final", "0.003"]
+            + ["--level", "0", "--dt-steps", "2"],
+            "non-finite value in CG: the system or data overflow floating point (lower --gamma, --alpha, --beta, --lambda or --dt)",
         ),
         # lambda times the boundary mass swamps the element mass in floating
         # point, so block Jacobi meets a singular block
         (
             ["stability", "--p", "2", "--level", "0", "--lambda", "1e150"],
-            "an element block is singular in floating point: one term swamps the others (lower --lambda or --gamma)",
+            "a cell block is singular in floating point: one term swamps the others (lower --lambda or --gamma)",
         ),
         # the subcommand sets the mode: a file's mode would be overwritten
         (["solve", "--config", "{mode_cfg}"], "unknown config key 'mode'"),
@@ -486,7 +499,7 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
         [sys.executable, "-m", "dgdyn.cli", *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("dgdyn: error: ") and message in last, proc.stderr
     assert proc.stdout == ""

@@ -9,6 +9,7 @@ from dgdyn.assembly import BlockTable, FormParams, assemble_Ah, assemble_mass
 from dgdyn.config import ProblemConfig
 from dgdyn.mesh import PERIODIC, build_structured_mesh, classify_edges, p1_prolongation, p1_prolongations, p1_vertices
 from dgdyn.solver import (
+    FLOOR_ROWS,
     JACOBI_WEIGHT,
     SolverError,
     _rounding_floor,
@@ -39,8 +40,10 @@ def two_level(S, own, space, bc_mode=PERIODIC):
 
 
 def test_own_blocks_match_dense_slicing():
-    # four elements, blocks of size 3 of four types, of which elements 0
-    # and 2 own type 1 and elements 1 and 3 type 2
+    # four elements in two cells, blocks of size 3 of four types: elements
+    # 0 and 2 own type 1 and elements 1 and 3 type 2; cell 0 stores no
+    # block between its elements, cell 1 one (element 2's row, element 3's
+    # column), so its block differs from cell 0's by that block alone
     b = 3
     table = np.random.default_rng(5).integers(-9, 10, size=(4, b, b)).astype(float)
     indices, indptr = np.array([0, 2, 1, 0, 2, 3, 1, 3]), np.array([0, 2, 3, 6, 8])
@@ -48,18 +51,45 @@ def test_own_blocks_match_dense_slicing():
     dense = blocks.tobsr().toarray()
     diagonal = blocks.own()
     own, kind = diagonal.blocks, diagonal.kind
-    expected = np.stack([dense[e * b : (e + 1) * b, e * b : (e + 1) * b] for e in range(4)])
+    expected = np.stack([dense[c * 2 * b : (c + 1) * 2 * b, c * 2 * b : (c + 1) * 2 * b] for c in range(2)])
     np.testing.assert_array_equal(own[kind], expected)
-    np.testing.assert_array_equal(own, table[[1, 2]])
+    np.testing.assert_array_equal(own[kind[0]], np.block([[table[1], np.zeros((b, b))], [np.zeros((b, b)), table[2]]]))
+    np.testing.assert_array_equal(own[kind[1]], np.block([[table[1], table[0]], [np.zeros((b, b)), table[2]]]))
+    assert len(own) == 2
+
+
+def test_own_blocks_group_cells_exactly_with_many_types():
+    # 1 x 1 blocks of 60001 types, more than a distorted mesh's step system
+    # holds: each element stores its own block, its cell partner's and one
+    # in the next cell; every second cell differs from the one before in
+    # its first element's own type alone, and cells 0 to 99 come twice
+    n_cells, n_types = 400, 60001
+    rng = np.random.default_rng(7)
+    slots = rng.integers(0, n_types, size=(n_cells, 4))
+    slots[1::2] = slots[::2] + [1, 0, 0, 0]
+    slots[300:] = slots[:100]
+    n_el = 2 * n_cells
+    rows = np.repeat(np.arange(n_el), 3)
+    cols = np.stack([np.arange(n_el), np.arange(n_el) ^ 1, (np.arange(n_el) + 2) % n_el], axis=1).ravel()
+    types = np.stack([slots[:, [0, 3]].ravel(), slots[:, [1, 2]].ravel(), rng.integers(0, n_types, n_el)], axis=1).ravel()
+    order = np.lexsort((cols, rows))
+    table = rng.standard_normal((n_types, 1, 1))
+    blocks = BlockTable(cols[order], np.arange(0, 3 * n_el + 1, 3), types[order], table)
+    diagonal, dense = blocks.own(), blocks.tobsr().toarray()
+    expected = np.stack([dense[2 * c : 2 * c + 2, 2 * c : 2 * c + 2] for c in range(n_cells)])
+    np.testing.assert_array_equal(diagonal.blocks[diagonal.kind], expected)
+    np.testing.assert_array_equal(blocks.cells(), slots)
+    assert len(diagonal.blocks) == len(np.unique(slots, axis=0)) == n_cells - 100
 
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("bc_mode", BC_MODES)
-def test_block_jacobi_solves_each_element_block(p, bc_mode):
-    # the preconditioner applies the inverse of each element's own block of
-    # the backward Euler system, read off the dense matrix
+def test_block_jacobi_solves_each_cell_block(p, bc_mode):
+    # the preconditioner applies the inverse of each cell's own block of
+    # the backward Euler system, its two elements' blocks and the coupling
+    # across their shared diagonal, read off the dense matrix
     S, own, space = be_system(3, p=p, bc_mode=bc_mode)
-    b = space.n_local
+    b = 2 * space.n_local
     dense = S.toarray()
     r = np.random.default_rng(p).standard_normal(S.shape[0])
     want = np.concatenate([np.linalg.solve(dense[i : i + b, i : i + b], r[i : i + b]) for i in range(0, len(r), b)])
@@ -67,10 +97,12 @@ def test_block_jacobi_solves_each_element_block(p, bc_mode):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_rounding_floor_reads_the_system_in_place():
-    # eps || |rhs| + |A| |x| || / ||rhs|| with |A| on A's own index arrays:
-    # bitwise the floor with scipy's abs(A), which copies them
-    S, _, _ = be_system(4, p=2, bc_mode="dirichlet_lateral")
+@pytest.mark.parametrize("level", [4, 6])
+def test_rounding_floor_reads_the_system_in_place(level):
+    # eps || |rhs| + |A| |x| || / ||rhs|| with |A| on A's own index arrays,
+    # FLOOR_ROWS rows at a time (level 6 takes six chunks): bitwise the
+    # floor with scipy's abs(A), which copies all of them
+    S, _, _ = be_system(level, p=2, bc_mode="dirichlet_lateral")
     rhs, x = np.random.default_rng(8).standard_normal((2, S.shape[0]))
     want = np.finfo(float).eps * np.linalg.norm(np.abs(rhs) + abs(S) @ np.abs(x)) / np.linalg.norm(rhs)
     tracemalloc.start()
@@ -80,8 +112,12 @@ def test_rounding_floor_reads_the_system_in_place():
     finally:
         tracemalloc.stop()
     assert floor.hex() == float(want).hex()
-    # |data| and a few vectors: no copy of the indices (half of data's bytes here)
-    assert peak <= S.data.nbytes + 6 * rhs.nbytes < S.data.nbytes + S.indices.nbytes
+    # one chunk's |data|, its indices if it is a slice (scipy copies those)
+    # and a few vectors: at level 6 never |A| whole, and never a copy of
+    # all the indices
+    chunk = np.diff(np.append(S.indptr[::FLOOR_ROWS], S.nnz)).max()
+    assert peak <= min(12 * chunk, S.data.nbytes) + 6 * rhs.nbytes < S.data.nbytes + S.indices.nbytes
+    assert level < 6 or peak < S.data.nbytes
 
 
 def test_identity_one_iteration():
@@ -136,6 +172,50 @@ def test_given_start_residual_replaces_the_first_product():
     products.clear()
     x, report = cg_solve(Counted(S), rhs, preconditioner=prec, x0=x, r0=np.zeros_like(rhs))
     assert report.iterations == 0 and len(products) == 1 and report.converged
+
+
+def test_in_place_updates_make_the_textbook_iterates():
+    # CG's in-place updates give bitwise the values of the textbook PCG,
+    # which forms every update in temporaries: the same residual handed to
+    # the preconditioner at each iteration, the same solution and count, on
+    # a level-3 two-level system; the given start is never written
+    S, own, space = be_system(3, dt=0.1)
+    B = two_level(S, own, space)
+    rng = np.random.default_rng(11)
+    rhs, x0 = rng.standard_normal((2, S.shape[0]))
+    start = x0.copy()
+
+    def recording(residuals):
+        def apply(r):
+            residuals.append(r.copy())
+            return B(r)
+
+        return apply
+
+    textbook_residuals = []
+    prec = recording(textbook_residuals)
+    x = x0.copy()
+    r = rhs - S @ x
+    z = prec(r)
+    p, rz, iterations = z, r @ z, 0
+    while np.linalg.norm(r) > 1e-12 * np.linalg.norm(rhs):
+        Ap = S @ p
+        alpha = rz / (p @ Ap)
+        x = x + alpha * p
+        r = r - alpha * Ap
+        z = prec(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        iterations += 1
+
+    residuals = []
+    got, report = cg_solve(S, rhs, preconditioner=recording(residuals), x0=x0)
+    assert report.converged and report.iterations == iterations > 10
+    assert got.tobytes() == x.tobytes()
+    assert len(residuals) == len(textbook_residuals)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(residuals, textbook_residuals))
+    assert x0.tobytes() == start.tobytes()
 
 
 def test_dimension_mismatch():
@@ -255,8 +335,8 @@ def test_two_level_iterations_bounded_in_h():
     # at dt = 0.1 the system is stiffness dominated: block-Jacobi CG needs
     # more iterations on every refinement, the coarse solve keeps them flat.
     # The periodic P1 space folds the seam, so no coarse grid carries the
-    # finest grid's seam penalty: its counts (31 to 32 here) are flat and
-    # within 2 of the walls' (32 to 34).
+    # finest grid's seam penalty: its counts (28 to 29 here) are flat and
+    # within 2 of the walls' (28 to 29).
     two_level_iters = {}
     for bc_mode in BC_MODES:
         block_iters, two_level_iters[bc_mode] = [], []

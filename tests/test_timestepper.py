@@ -339,8 +339,9 @@ def test_start_residual_is_the_residual_of_the_start(monkeypatch):
 
 def test_table_h_takes_at_most_1600_iterations(monkeypatch):
     # the benchmark's table-h runs: example1, p = 1, levels 2..6, 100 steps
-    # of dt 1e-5 each.  Measured 1466 CG iterations from the mix of the
-    # last three states, 2428 from 2 u^k - u^(k-1) and 5451 from zero
+    # of dt 1e-5 each.  Measured 1327 CG iterations from the mix of the
+    # last three states (1466 with element-block Jacobi and two V-cycle
+    # sweeps a side, which took 2428 from 2 u^k - u^(k-1) and 5451 from zero)
     iterations = []
 
     def recording_cg_solve(system, rhs, **kwargs):
@@ -441,8 +442,8 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
     # dt = 0.1 on level 4: every step, re-solved from its own start and
     # start residual, must make the iteration count of block Jacobi alone
     # in the first case, of the two-level one in the second (the two counts
-    # differ in both: 7/6/5/5/5 against 10/8/7/7/7, and 28/27 against
-    # 123/126)
+    # differ in both: 7/6/5/5/5 against 10/9/7/7/7, and 26/25 against
+    # 110/113)
     solves = []
 
     def recording_cg_solve(system, rhs, **kwargs):
@@ -468,6 +469,23 @@ def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_leve
             k: cg_solve(system, rhs, preconditioner=B, x0=x0, r0=r0.copy())[1].iterations for k, B in preconditioners.items()
         }
         assert iterations == counts[two_level] != counts[not two_level]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_stiffness_ratio_reads_the_elements_own_blocks(bc, p):
+    # max_e 1'A_e 1 / 1'M_e 1, read off the cells' diagonal blocks, is
+    # bitwise the ratio of each element's own block of the tables, so the
+    # preconditioner each run chooses does not move with the cell blocks
+    def element_sums(table):
+        rows = np.repeat(np.arange(len(table.indptr) - 1), np.diff(table.indptr))
+        used, kind = np.unique(table.types[table.indices == rows], return_inverse=True)
+        return table.table[used].sum(axis=(1, 2))[kind]
+
+    for level in (0, 1, 3, 5):
+        ops = build_operators(ProblemConfig(level=level, p=p, bc_mode=bc))
+        want = np.max(element_sums(ops.A_blocks) / element_sums(ops.M_blocks))
+        assert ops.stiffness_per_dt.hex() == float(want).hex()
 
 
 def test_dt_table_builds_the_coarse_space_once(monkeypatch):
