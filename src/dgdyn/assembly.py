@@ -128,9 +128,10 @@ class _Points:
     normal: np.ndarray | None = None  # (n_classes, 2) on faces: a face's class fixes its normal
     field_tables: dict = field(default_factory=dict)  # direction -> ``field``'s class tables (``_table``)
 
-    def blocks(self) -> list:
-        """Slices of the entries, BLOCK_POINTS points each but the last."""
-        n, size = len(self.elem), max(1, BLOCK_POINTS // self.w.shape[1])
+    def blocks(self, width: int | None = None) -> list:
+        """Slices of the entries, BLOCK_POINTS points, or numbers of ``width``
+        per entry, each but the last."""
+        n, size = len(self.elem), max(1, BLOCK_POINTS // (width or self.w.shape[1]))
         return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
     def integrate(self, fn, whole: bool = False) -> np.ndarray:

@@ -88,13 +88,26 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
         edges=edges,
         space=space,
         params=params,
-        A_blocks=assemble_Ah(mesh, edges, space, params),
-        M_blocks=assemble_mass(mesh, edges, space, config.lam),
+        A_blocks=_finite(lambda: assemble_Ah(mesh, edges, space, params), "A_h", "--gamma, --alpha or --beta"),
+        M_blocks=_finite(lambda: assemble_mass(mesh, edges, space, config.lam), "M", "--lambda"),
     )
     if u_D is not None:
         ops.dirichlet_rhs = lambda t: assemble_dirichlet_terms(mesh, edges, space, params, u_D, t)
     release_tables(space, 2 * space.p)  # the loads and norms use 2p + 4
     return ops
+
+
+def _finite(assemble, what: str, flags: str) -> BlockTable:
+    """``assemble()``, an operator's table, or a SolverError naming ``flags``
+    if a product in it overflows or a distinct block is not finite."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            blocks = assemble()
+            if np.isfinite(blocks.table).all():
+                return blocks
+        except FloatingPointError:
+            pass
+    raise SolverError(f"assembling {what} overflows floating point (lower {flags})")
 
 
 def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
@@ -133,7 +146,8 @@ def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None):
         x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0, r0=r0)
         if not report.converged:
             raise SolverError(
-                f"{what} failed: residual {report.final_relative_residual:.3e} after {report.iterations} iterations"
+                f"{what} failed: residual {report.final_relative_residual:.3e} after {report.iterations} iterations "
+                "(lower --gamma or --dt)"
             )
         if history:
             image = np.subtract(rhs, report.residual, out=report.residual)

@@ -455,6 +455,18 @@ def test_stability_accepts_any_coefficients(tmp_path):
             + ["--level", "0", "--dt-steps", "2"],
             "non-finite value in CG: the system or data overflow floating point (lower --gamma, --alpha, --beta, --lambda or --dt)",
         ),
+        # CG that stalls short of its tolerance names the flags that fix it:
+        # here --gamma 1e7 or --dt 0.01 does
+        (
+            ["solve", "--case", "example1", "--p", "2", "--gamma", "1e8", "--level", "1", "--dt", "1", "--t-final", "1"],
+            "iterations (lower --gamma or --dt)",
+        ),
+        # beta times the penalty overflows in A_h's blocks: refused as the
+        # operator is assembled, once a RuntimeWarning before the CG error
+        (
+            ["stability", "--gamma", "1e300", "--beta", "1e300", "--level", "0", "--dt", "1", "--t-final", "1"],
+            "assembling A_h overflows floating point (lower --gamma, --alpha or --beta)",
+        ),
         # lambda times the boundary mass swamps the element mass in floating
         # point, so block Jacobi meets a singular block
         (

@@ -8,6 +8,7 @@ from test_assembly import cell_entries, face_entries, jittered, nodal, per_entry
 
 from dgdyn.assembly import (
     TANGENT,
+    _Points,
     FormParams,
     assemble_Ah,
     assemble_dirichlet_terms,
@@ -418,6 +419,49 @@ def test_split_energy_error_is_the_pointwise_one(make_case, bc, p, mesh_kind):
             assert got[name] == pytest.approx(want[name], rel=1e-12, abs=0.0), name
         total = energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=t)
         assert total == pytest.approx(np.sqrt(sum(want.values())), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mesh_kind", ["structured", "jittered"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_energy_norm_totals_are_the_per_entry_ones(bc, p, mesh_kind):
+    # the summed norm of u_h alone, of the exact field alone and of their
+    # difference, from the tables the space keeps, against every term taken
+    # entry by entry
+    case = example1() if bc == PERIODIC else example3()
+    mesh, edges, space = setup(3, p, bc=bc)[:3] if mesh_kind == "structured" else jittered(3, bc, p)
+    params = FormParams.for_mesh(mesh, alpha=case.alpha, beta=case.beta, lam=case.lam, gamma=10.0)
+    t = 0.3
+    u_h = nodal(mesh, space, case.u, t) + 0.1 * np.random.default_rng(p).standard_normal(space.n_dofs)
+    for u, exact in ((u_h, None), (None, case), (u_h, case)):
+        want = per_entry_terms(mesh, edges, space, params, u, exact and (case.u, case.grad_u), t)
+        got = energy_norm(mesh, edges, space, params, u_h=u, exact=exact, t=t)
+        assert got == pytest.approx(np.sqrt(sum(want.values())), rel=1e-12, abs=0.0), (u is None, exact is None)
+
+
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+def test_energy_norm_after_the_first_call_evaluates_no_field(monkeypatch, bc):
+    # the first call keeps its tables and the exact part on the space; a
+    # later call, at another time and of another u_h, evaluates no field on
+    # any point set, and the degree-2p point sets, which the tables are made
+    # from, keep no field tables of their own
+    case = example1() if bc == PERIODIC else example3()
+    mesh, edges, space, params = setup(3, 1, bc=bc)
+    energy_norm(mesh, edges, space, params, u_h=nodal(mesh, space, case.u, 0.1), exact=case, t=0.1)
+    calls = Counter()
+    field = _Points.field
+
+    def counted(self, *args):
+        calls["field"] += 1
+        return field(self, *args)
+
+    monkeypatch.setattr(_Points, "field", counted)
+    u_h = nodal(mesh, space, case.u, 0.3)
+    energy_norm(mesh, edges, space, params, u_h=u_h, exact=case, t=0.3)
+    energy_norm(mesh, edges, space, params, u_h=u_h)
+    assert not calls
+    discrete = [side for key, sides in point_sets(space).items() if key[-1] == 2 * space.p for side in sides]
+    assert discrete and not any(side.field_tables for side in discrete)
 
 
 def test_energy_norm_of_fields_without_shared_weights_keeps_nothing():

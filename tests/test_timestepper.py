@@ -436,6 +436,25 @@ def test_stationary_wall_data_rejected_before_assembly(monkeypatch):
         solve_stationary(mesh, edges, space, params, None, None, u_D=lambda t, x, y: 0.0 * x)
 
 
+@pytest.mark.parametrize("how", ["product", "stored"])
+@pytest.mark.parametrize("name, message", [("assemble_Ah", "A_h .*--gamma, --alpha or --beta"), ("assemble_mass", "M .*--lambda")])
+def test_an_operator_that_overflows_names_its_flags(monkeypatch, name, message, how):
+    # an overflowing product in an operator's assembly is an error, not a
+    # RuntimeWarning, and so is a block left infinite: both name the flags
+    # that scale that operator
+    real = getattr(dgdyn.timestepper, name)
+
+    def overflowing(*args):
+        blocks = real(*args)
+        blocks.table[0, 0, 0] = np.float64(1e308) * 10.0 if how == "product" else np.inf
+        return blocks
+
+    monkeypatch.setattr(dgdyn.timestepper, name, overflowing)
+    config = ProblemConfig(case="example1", level=1, p=1, dt=1e-2, t_final=2e-2)
+    with pytest.raises(SolverError, match=f"assembling {message}"):
+        build_operators(config)
+
+
 @pytest.mark.parametrize("dt, t_final, two_level", [(1e-5, 5e-5, False), (0.1, 0.2, True)])
 def test_preconditioner_selected_by_stiffness(monkeypatch, dt, t_final, two_level):
     # rho = dt * max_e 1'A_e 1 / 1'M_e 1 is 0.12 at dt = 1e-5 and 1.2e3 at
