@@ -18,8 +18,8 @@ each reader gets as the term's sides (``Term.sides``): one side of each
 simplex of a ``Faces`` batch (triangles, edges, ridges and corners; a
 ridge or corner is a point face of unit measure).  One builder makes them
 all, with the triangle rule on triangles and the edge rule otherwise; a
-point set is built once per geometry and degree and cached on the space,
-which releases the degree-2p ones after assembly.
+point set is built once per face set and degree and kept on the space for
+as long as it lives.
 
 A point set is stored in geometry-class order.  A class is the entries
 whose point pattern (the rule interpolating the reference vertices their
@@ -35,9 +35,10 @@ array per entry and point.
 One evaluator on it serves loads, projection and norms: ``field`` maps the
 coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
-What is built once is kept on the space (``DGSpace.keep``): point sets,
-class orders, projections, inverse masses and a source's load vectors per
-time node (``manufactured.time_nodes``), which a later load sums weighted.
+What is built once is kept on the space (``DGSpace.keep``) by the builder
+that reads it: point sets, class orders, projections, inverse masses and
+a source's load vectors per time node (``manufactured.time_nodes``),
+which a later load sums weighted.
 
 Element blocks are built once per class, and an operator is a
 ``BlockTable``: its block pattern, a type per element pair (pairs with
@@ -72,9 +73,9 @@ AXES = np.eye(2)  # columns: the derivatives whose squares sum to |grad w|^2
 TANGENT = np.array([[1.0], [0.0]])  # column: the tangent of gamma1, which is horizontal
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class FormParams:
-    """Coefficients of the bilinear forms.
+    """Coefficients of the bilinear forms, equal when all four are.
 
     sigma is the jump penalty; in the default ``gamma_over_h`` mode it is
     gamma / h with the single global mesh size (the mesh is quasi-uniform),
@@ -210,13 +211,13 @@ def _class_order(*keys) -> tuple:
     return order, np.append(np.flatnonzero(first), len(order))
 
 
-def _points(mesh, space, elems, points, w, bounds, ref, normal=None) -> _Points:
+def _points(space, elems, points, w, bounds, ref, normal=None) -> _Points:
     """The side of ``elems`` whose points ``points`` makes, in class order
     with the runs ``bounds``.  ``ref`` (n_classes, nq, 2) holds the
     reference positions of each class's points, the same for every class
     of one pattern, so those classes share their reference tables to the
     bit."""
-    inv_j = mesh.inv_jacobians[elems[bounds[:-1]]]
+    inv_j = space.mesh.inv_jacobians[elems[bounds[:-1]]]
     phi, grad = space.basis.eval(ref), space.basis.grad(ref) @ inv_j[:, None]
     return _Points(elems, w, bounds, phi, grad, points, normal)
 
@@ -231,20 +232,7 @@ def _on_simplices(faces, order, xi, sl) -> tuple:
     return X[:, 0], X[:, 1]
 
 
-def _per_space(build):
-    """``build(mesh, space, *key)``, kept on the space by (its name, *key)."""
-    return lambda mesh, space, *key: space.keep((build.__name__, *key), lambda: build(mesh, space, *key))
-
-
-def release_tables(space: DGSpace, degree: int) -> None:
-    """Drop the point sets of ``space`` built for ``degree``; the class
-    orders, which every degree shares, and all else it keeps stay."""
-    for key in [key for key in space.kept if key[0] == "_sides" and key[-1] == degree]:
-        del space.kept[key]
-
-
-@_per_space
-def _order(mesh: Mesh, space: DGSpace, faces: Faces) -> tuple:
+def _order(space: DGSpace, faces: Faces) -> tuple:
     """(order, bounds, refs) of a batch of simplices by class, the same at
     every degree: the normal (on faces) and, on each side, the reference
     vertices the simplex's vertices (the second side's moved by ``shift``)
@@ -253,7 +241,7 @@ def _order(mesh: Mesh, space: DGSpace, faces: Faces) -> tuple:
     mapped-back position gives the reference vertex exactly, and the
     elementwise products here need no more precision; ``refs`` holds each
     class's d + 1 of them, (n_classes, d + 1, 2) per side."""
-    shifts = [0.0] if faces.shift is None else [0.0, faces.shift]
+    mesh, shifts = space.mesh, [0.0] if faces.shift is None else [0.0, faces.shift]
     keys, refs = [], []
     for el, shift in zip(faces.elem.T, shifts):
         inv_j = mesh.inv_jacobians[el]
@@ -265,14 +253,13 @@ def _order(mesh: Mesh, space: DGSpace, faces: Faces) -> tuple:
     return order, bounds, [ref[order[bounds[:-1]]] for ref in refs]
 
 
-@_per_space
-def _sides(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple:
+def _sides(space: DGSpace, faces: Faces, degree: int) -> tuple:
     """Each side of a batch of simplices, in ``_order``, with the triangle
     rule on triangles and the edge rule on edges and point faces: each
     class's points are the rule's interpolation of its reference vertices,
     on a triangle the rule's own points.  The first side alone makes
     points."""
-    order, bounds, refs = _order(mesh, space, faces)
+    order, bounds, refs = space.keep(_order, faces)
     first, d = order[bounds[:-1]], faces.jacobian.shape[2]
     rule = triangle_quadrature(degree) if d == 2 else edge_quadrature(degree)
     xi = rule.points.reshape(len(rule.weights), d)
@@ -280,7 +267,7 @@ def _sides(mesh: Mesh, space: DGSpace, faces: Faces, degree: int) -> tuple:
     normal = None if faces.normal is None else faces.normal[first]
     points = [partial(_on_simplices, faces, order, xi), None]
     sides = zip(faces.elem.T, points, [r[:, :1] + xi @ (r[:, 1:] - r[:, :1]) for r in refs])
-    return tuple(_points(mesh, space, el[order], pts, w, bounds, ref, normal) for el, pts, ref in sides)
+    return tuple(_points(space, el[order], pts, w, bounds, ref, normal) for el, pts, ref in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +463,15 @@ class Term:
     sigma: float | None = None
     names: tuple = ()
 
-    def sides(self, mesh: Mesh, space: DGSpace, degree: int) -> tuple:
+    def sides(self, space: DGSpace, degree: int) -> tuple:
         """The ``_Points`` it reads, one per side: the cells, the first side
         of a Gram term's faces, or every side of a penalty term's faces."""
-        sides = _sides(mesh, space, self.faces, degree)
+        sides = space.keep(_sides, self.faces, degree)
         return sides if self.sigma is not None else sides[:1]
 
-    def blocks(self, mesh: Mesh, space: DGSpace) -> list:
+    def blocks(self, space: DGSpace) -> list:
         """Its terms of an operator's sparse product, blocks once per class."""
-        sides = self.sides(mesh, space, 2 * space.p)
+        sides = self.sides(space, 2 * space.p)
         if self.sigma is None:
             return [_gram_blocks(sides[0], self.dirs, self.weight)]
         return _penalty_blocks(sides, self.sigma, self.weight)
@@ -524,14 +511,14 @@ def mass_terms(edges: EdgeClassification, lam: float) -> list:
 
 def assemble_mass(mesh: Mesh, edges: EdgeClassification, space: DGSpace, lam: float) -> BlockTable:
     """Weighted mass matrix (u, v)_Omega + lam (u, v)_gamma1."""
-    return _bsr(space, [block for term in mass_terms(edges, lam) for block in term.blocks(mesh, space)])
+    return _bsr(space, [block for term in mass_terms(edges, lam) for block in term.blocks(space)])
 
 
 def assemble_Ah(mesh: Mesh, edges: EdgeClassification, space: DGSpace, params: FormParams) -> BlockTable:
     """Full stationary operator, the sum of ``stiffness_terms``.  Positive
     definite for gamma large enough when alpha > 0 or the walls are
     Dirichlet."""
-    return _bsr(space, [block for term in stiffness_terms(edges, params) for block in term.blocks(mesh, space)])
+    return _bsr(space, [block for term in stiffness_terms(edges, params) for block in term.blocks(space)])
 
 
 def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t: float = 0.0) -> np.ndarray:
@@ -539,54 +526,56 @@ def assemble_load(mesh: Mesh, edges: EdgeClassification, space: DGSpace, f, g, t
 
     f and g are callables (t, x, y) -> array or ``SeparableField``s;
     either may be None for a zero source.  Each is the weighted sum of its
-    ``time_nodes``: a kept node's local vectors are integrated once per
-    space, on all the points at once, and kept without its point values;
-    a node with no key is integrated block by block and kept nowhere.
-    Sums are made in place of their first part: a dof-sized temporary more
-    raised the run's RSS by its size (1.5 MB at level 7, p = 2)."""
+    ``time_nodes``' load vectors (``_node_loads``): a separable field's are
+    kept on the space, any other field's are made at each call.  Sums are
+    made in place of their first part: a dof-sized temporary more raised
+    the run's RSS by its size (1.5 MB at level 7, p = 2)."""
     load = None
     for term, fn in zip(mass_terms(edges, 1.0), (f, g)):  # the domain's, then gamma1's
         if fn is not None:
-            (pts,) = term.sides(mesh, space, 2 * space.p + 4)
-            nodes, weights, key = time_nodes(t, fn)
-            make = lambda: [pts.integrate(node, key is not None) for (node,) in nodes]
-            part = _scatter(space, pts, _weighted_sum(weights, space.keep(key and ("load", *key, term.faces), make)))
+            (field,), weights, separable = time_nodes(t, fn)
+            vectors = space.keep(_node_loads, term.faces, field) if separable else _node_loads(space, term.faces, field, False)
+            (pts,) = term.sides(space, 2 * space.p + 4)
+            local = weights[0] * vectors[0]  # a new array, summed into: the kept vectors stay as they are
+            for w, v in zip(weights[1:], vectors[1:]):
+                local += w * v
+            part = _scatter(space, pts, local)
             load = part if load is None else np.add(load, part, out=load)
     return np.zeros(space.n_dofs) if load is None else load
 
 
-def _weighted_sum(weights, vectors) -> np.ndarray:
-    """sum_k weights[k] vectors[k], summed into the first product."""
-    out = weights[0] * vectors[0]
-    for w, v in zip(weights[1:], vectors[1:]):
-        out += w * v
-    return out
+def _node_loads(space: DGSpace, faces: Faces, field, whole: bool = True) -> list:
+    """The local vectors (nE, n_local) of ``field``, a ``SeparableField``,
+    at each time node on the first side of ``faces`` at degree 2p + 4: a
+    node evaluated on all the points at once, or one block at a time."""
+    pts = space.keep(_sides, faces, 2 * space.p + 4)[0]
+    return [pts.integrate(partial(field.fn, s), whole) for s in field.nodes]
 
 
 def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
     """Projection of u0(x, y) in the lambda-weighted norm (domain plus lam *
-    gamma1), kept on the space by (u0, lam); each call returns a copy.
+    gamma1), kept on the space (``_project``); each call returns a copy.
 
     This is the initial datum the time stepper uses: unlike the plain
     domain projection, its boundary trace is accurate to the same order as
     the interior, which the boundary-error convergence rates require.  With
     lam = 0 it is the plain L2(Omega) projection."""
-    return space.keep(("projection", u0, lam), lambda: _project(mesh, space, edges, lam, u0)).copy()
+    return space.keep(_project, edges, lam, u0).copy()
 
 
-def _project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
-    """The projection, not kept: the inverse weighted mass, a ``BlockDiagonal``
-    kept on the space by lam, times ``assemble_load`` of (u0, lam u0), which
-    evaluates u0 block by block.  Both use the degree-2p + 4 tables, exact
-    for the blocks, so those are M's up to rounding."""
+def _project(space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
+    """The projection: the inverse weighted mass (``_inverse_mass``) times
+    ``assemble_load`` of (u0, lam u0), which evaluates u0 block by block."""
+    rhs = assemble_load(space.mesh, edges, space, lambda t, x, y: u0(x, y), lambda t, x, y: lam * u0(x, y))
+    return space.keep(_inverse_mass, edges, lam) @ rhs
 
-    def inverse():
-        terms = mass_terms(edges, lam)
-        grams = [_gram_blocks(term.sides(mesh, space, 2 * space.p + 4)[0], term.dirs, term.weight) for term in terms]
-        return _bsr(space, grams).own().inverse()
 
-    rhs = assemble_load(mesh, edges, space, lambda t, x, y: u0(x, y), lambda t, x, y: lam * u0(x, y))
-    return space.keep(("inverse mass", lam), inverse) @ rhs
+def _inverse_mass(space: DGSpace, edges: EdgeClassification, lam: float) -> BlockDiagonal:
+    """The inverse of the weighted mass on the degree-2p + 4 tables, exact
+    for its blocks, so M's up to rounding: a ``BlockDiagonal``."""
+    terms = mass_terms(edges, lam)
+    grams = [_gram_blocks(term.sides(space, 2 * space.p + 4)[0], term.dirs, term.weight) for term in terms]
+    return _bsr(space, grams).own().inverse()
 
 
 def assemble_dirichlet_terms(
@@ -608,7 +597,7 @@ def assemble_dirichlet_terms(
     for term in stiffness_terms(edges, params):
         if term.sigma is None or term.faces.shift is not None:
             continue
-        (pts,) = term.sides(mesh, space, 2 * space.p + 4)
+        (pts,) = term.sides(space, 2 * space.p + 4)
         penalty, flux = np.empty((2, len(pts.elem), space.n_local))
         for sl in pts.blocks():
             ud = np.asarray(u_D(t, *pts.points(sl)), dtype=float)

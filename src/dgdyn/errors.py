@@ -25,9 +25,10 @@ P_k - u_h, a DG vector.  Then
 
 C_jk = (U_j - P_j, U_k - P_k)_E and r_k the vector of (U_k - P_k,
 phi_i)_E.  The exact part, the P_k, C and r, is summed at degree 2p + 4
-and, if the nodes have a key, kept on the space by it, so each later
-call costs the sums of delta, a polynomial of degree 2p on each affine
-simplex, which the operators' own rule sums exactly.  The three terms
+and, for a separable field, kept on the space (``_exact_part``, by the
+edges, the form coefficients and the field), so each later call costs the
+sums of delta, a polynomial of degree 2p on each affine simplex, which
+the operators' own rule sums exactly.  The three terms
 are of the error's size, so none cancels the others' digits.  An exact
 field has no jumps: a jump of two sides is u_h's alone and takes no
 exact part (as the jump of -P_k, three terms of the projection's jump
@@ -36,9 +37,10 @@ errors, measured once per run, sum exact - u_h on the points of the
 terms of M (``assembly.mass_terms``) at degree 2p + 4, the exact value
 evaluated block by block, and keep nothing.
 
-The sums of delta and u_h read tables kept per space: one per geometry
-class and pass (``_energy_passes``), made from the degree-2p point sets'
-basis tables, so a class run's squares are one product.  The exact part
+The sums of delta and u_h read tables kept on the space by the edges and
+the form coefficients: one per geometry class and pass
+(``_energy_passes``), made from the degree-2p point sets' basis tables,
+so a class run's squares are one product.  The exact part
 and the L2 errors run on the point sets' one evaluator: a point set is
 stored in geometry-class order, so in each block of entries a class is
 one run, and a field's values or one derivative on the run are one small
@@ -56,7 +58,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import FormParams, _project, _scatter, l2_lambda_project, mass_terms, stiffness_terms
+from .assembly import FormParams, _project, _scatter, mass_terms, stiffness_terms
 from .manufactured import ManufacturedCase, time_nodes
 from .mesh import EdgeClassification, Mesh
 from .space import DGSpace
@@ -137,7 +139,7 @@ def _l2_sum(pts, u, exact) -> float:
     return total
 
 
-def _exact_sums(mesh, space, terms, nodes, projections, by_name) -> tuple:
+def _exact_sums(space, terms, nodes, projections, by_name) -> tuple:
     """The exact field's part of a norm's error.  For u = sum_k tau_k U_k,
     ``nodes`` the (value, gradient) callables (x, y) of the U_k and
     ``projections`` DG vectors P_k near them, w_k = U_k - P_k on the parts
@@ -150,7 +152,7 @@ def _exact_sums(mesh, space, terms, nodes, projections, by_name) -> tuple:
     P = [p.reshape(-1, n) for p in projections]
     C, r = {}, {}
     for term in terms:
-        sides = term.sides(mesh, space, 2 * space.p + 4)
+        sides = term.sides(space, 2 * space.p + 4)
         parts = [part for part in _parts(term, sides) if sum(part[-1])]
         first, local = sides[0], {}  # (name, side, node) -> local vectors of r
         for sl in first.blocks():
@@ -181,7 +183,7 @@ def _exact_sums(mesh, space, terms, nodes, projections, by_name) -> tuple:
     return C, r
 
 
-def _energy_passes(mesh, edges, space, params) -> list:
+def _energy_passes(space, edges, params) -> list:
     """The discrete sums' tables, one pass per set of simplices, count of
     sides and vector read (0: delta, 1: u_h, for a jump of two sides), as
     (vector, blocks, names, columns): each block of entries as its elements
@@ -193,7 +195,7 @@ def _energy_passes(mesh, edges, space, params) -> list:
     its columns, x the sides' local coefficients on the entries."""
     passes = {}
     for term in stiffness_terms(edges, params):
-        sides = term.sides(mesh, space, 2 * space.p)
+        sides = term.sides(space, 2 * space.p)
         for name, coef, dirs, factors in _parts(term, sides):
             scale = np.sqrt(coef * sides[0].w)[..., None]
             columns = [
@@ -241,38 +243,32 @@ def _error_sums(space, passes, u_h, taus, projections, C, r, by_name) -> dict:
     return sums
 
 
-def _energy_sums(mesh, edges, space, params, u_h, exact, t, by_name) -> dict:
+def _exact_part(space, edges, params, fields, by_name=False) -> tuple:
+    """(projections, C, r) of the exact value and gradient ``fields``, ``SeparableField``s
+    of one set of time nodes: the projections P_k of the value at each node and ``_exact_sums``."""
+    nodes = [tuple(partial(field.fn, s) for field in fields) for s in fields[0].nodes]
+    projections = [_project(space, edges, params.lam, value) for value, _ in nodes]
+    return projections, *_exact_sums(space, stiffness_terms(edges, params), nodes, projections, by_name)
+
+
+def _energy_sums(edges, space, params, u_h, exact, t, by_name) -> dict:
     """``_error_sums`` of the energy norm, the exact field taken as its
-    ``time_nodes``.  The tables of its discrete part are kept on the space
-    by (alpha, beta, sigma), made by the first call.  Summed (not
-    ``by_name``), nodes with a key keep their exact part, the projections,
-    C and r, on the space: the first call makes it (a case's node at 0 is
-    its u0, whose projection a run keeps) and every later one reads it.
-    By name, or with no key, it is made afresh and not kept."""
+    ``time_nodes``.  The first call makes and keeps the tables of its discrete
+    part and, summed (not ``by_name``), a separable field's exact part, which
+    every later call reads; by name, or for another field, it is made afresh."""
     value_fn, grad_fn = _as_field(exact)
     if value_fn is not None and grad_fn is None:
         raise ValueError("exact field needs a gradient for the energy norm")
     if u_h is None and value_fn is None:
         raise ValueError("nothing to measure")
     _local(space, u_h)
-    tables = ("energy tables", edges.bc_mode, params.alpha, params.beta, params.sigma)
-    passes = space.keep(tables, lambda: _energy_passes(mesh, edges, space, params))
+    passes = space.keep(_energy_passes, edges, params)
     if value_fn is None:
         return _error_sums(space, passes, u_h, [], [], {}, {}, by_name)
-    nodes, taus, key = time_nodes(t, value_fn, grad_fn)
-    kept = None if by_name or key is None else ("energy", *key, params.alpha, params.beta, params.lam, params.sigma)
-
-    def exact_part():
-        projections = [
-            l2_lambda_project(mesh, space, edges, params.lam, exact.u0)
-            if kept and isinstance(exact, ManufacturedCase) and value_fn.nodes[k] == 0.0
-            else _project(mesh, space, edges, params.lam, value)
-            for k, (value, _) in enumerate(nodes)
-        ]
-        return projections, *_exact_sums(mesh, space, stiffness_terms(edges, params), nodes, projections, by_name)
-
-    projections, C, r = space.keep(kept, exact_part)
-    return _error_sums(space, passes, u_h, taus, projections, C, r, by_name)
+    fields, taus, separable = time_nodes(t, value_fn, grad_fn)
+    kept = separable and not by_name
+    part = space.keep(_exact_part, edges, params, fields) if kept else _exact_part(space, edges, params, fields, by_name)
+    return _error_sums(space, passes, u_h, taus, *part, by_name)
 
 
 def energy_norm_terms(
@@ -286,7 +282,7 @@ def energy_norm_terms(
 ) -> dict[str, float]:
     """Squared contributions of every term of the energy norm; nothing is
     kept."""
-    sums = _energy_sums(mesh, edges, space, params, u_h, exact, t, by_name=True)
+    sums = _energy_sums(edges, space, params, u_h, exact, t, by_name=True)
     return {name: sums.get(name, 0.0) for term in stiffness_terms(edges, params) for name in term.names}
 
 
@@ -296,7 +292,7 @@ def energy_norm(mesh, edges, space, params, u_h=None, exact=None, t: float = 0.0
     the discrete sums' tables (``_energy_sums``), so every call after the
     first costs one product per class run and pass and one dot product
     per time node."""
-    sums = _energy_sums(mesh, edges, space, params, u_h, exact, t, by_name=False)
+    sums = _energy_sums(edges, space, params, u_h, exact, t, by_name=False)
     return math.sqrt(max(sums.get(None, 0.0), 0.0))  # rounding may leave a zero error below 0
 
 
@@ -314,6 +310,6 @@ def l2_errors(mesh, edges, space, lam, u_h, exact, t: float = 0.0) -> tuple[floa
     u = np.zeros((space.mesh.n_triangles, space.n_local)) if u_h is None else _local(space, u_h)
     exact = None if value_fn is None else partial(value_fn, t)
     terms = mass_terms(edges, lam)  # the domain's, then gamma1's
-    sums = [_l2_sum(term.sides(mesh, space, 2 * space.p + 4)[0], u, exact) for term in terms]
+    sums = [_l2_sum(term.sides(space, 2 * space.p + 4)[0], u, exact) for term in terms]
     l2_dom, l2_g1 = map(math.sqrt, sums)
     return l2_dom, l2_g1, math.sqrt(sum(term.weight * s for term, s in zip(terms, sums)))

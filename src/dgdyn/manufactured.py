@@ -12,11 +12,11 @@ against high-precision numerical differentiation of u.
 Every field of the shipped cases separates in time: it is a short sum of
 time weights times its own values at a few time nodes.  A case declares
 these nodes and weights per field, which is then a ``SeparableField``.
-``time_nodes`` gives a field's nodes: a separable field's own, keyed by
-its function, so each spatial part (a source's load vectors, an exact
-field's part of the energy error) is made once and kept on the space and
+``time_nodes`` gives a field's nodes: a separable field's own, so each
+spatial part (a source's load vectors, an exact field's part of the
+energy error) is made once and kept on the space under the field and
 every later time is a weighted sum; any other field is one node at the
-call's time, with no key, and nothing is kept.
+call's time, and nothing is kept.
 
 A kept source node is evaluated on all the points of a set at once, so
 its temporaries add to the run's peak: the shipped sources, each one form
@@ -26,7 +26,6 @@ cos(k y) (a - b cos(2 pi x)), keep two work arrays beyond the points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -64,16 +63,16 @@ class SeparableField:
         return self.fn(t, x, y)
 
 
-def time_nodes(t: float, value, grad=None) -> tuple:
-    """(nodes, weights, key): the field at time t is the sum of weights[k]
-    times nodes[k], each node a tuple of callables (x, y), of the value and,
-    given ``grad``, the gradient.  ``SeparableField``s of the same nodes and
-    weights give theirs, keyed by their ``fn``s; anything else is one node
-    at t, weight 1, key None."""
-    fields = (value,) if grad is None else (value, grad)
-    if all(isinstance(f, SeparableField) and (f.nodes, f.weights) == (value.nodes, value.weights) for f in fields):
-        return [tuple(partial(f.fn, s) for f in fields) for s in value.nodes], value.weights(t), tuple(f.fn for f in fields)
-    return [tuple(partial(f, t) for f in fields)], (1.0,), None
+def time_nodes(t: float, *fields) -> tuple:
+    """(fields, weights, separable): the ``fields`` as ``SeparableField``s of
+    one set of nodes, each at time t the sum of weights[k] times its value
+    at node k.  SeparableFields of the same nodes and weights are their
+    own and ``separable``: what their nodes make is kept on a space under
+    them.  Anything else is one node at t, weight 1, made afresh."""
+    first = fields[0]
+    if all(isinstance(f, SeparableField) and (f.nodes, f.weights) == (first.nodes, first.weights) for f in fields):
+        return fields, first.weights(t), True
+    return tuple(SeparableField(f, (t,), lambda s: (1.0,)) for f in fields), (1.0,), False
 
 
 @dataclass(frozen=True)

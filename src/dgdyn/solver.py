@@ -50,7 +50,8 @@ def v_cycle(A: sp.spmatrix, prolongations):
     the coarsest smooths with one damped-Jacobi sweep before and one after
     its coarse correction, and the coarsest is solved exactly.  With no
     prolongation the cycle is the exact solve.  A non-positive diagonal
-    entry on any level proves A is not SPD and raises SolverError.
+    entry on any level proves A is not SPD and raises SolverError, as does
+    a coarsest matrix that is singular in floating point.
     """
     mats = [sp.csr_matrix(A)]
     for P in prolongations:
@@ -63,7 +64,10 @@ def v_cycle(A: sp.spmatrix, prolongations):
         )
     restrictions = [P.T.tocsr() for P in prolongations]
     weights = [JACOBI_WEIGHT / d for d in diagonals[:-1]]
-    coarsest = np.linalg.inv(mats[-1].toarray())
+    try:
+        coarsest = np.linalg.inv(mats[-1].toarray())
+    except np.linalg.LinAlgError:  # one term swamps the others
+        raise SolverError("coarsest matrix singular in floating point (lower --gamma, --alpha, --beta or --dt)") from None
 
     def cycle(k, r):
         if k == len(prolongations):

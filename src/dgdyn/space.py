@@ -158,8 +158,8 @@ class DGSpace:
     diagonal and the local L2 projection is an exact small solve.  The
     space owns what is built once on it (``kept``, filled through
     ``keep``: the quadrature point sets, a source's load vectors, the
-    projections and inverse masses, the energy error's exact parts), so
-    they are freed with it.
+    projections and inverse masses, the energy error's tables and exact
+    parts, the P1 coarse parts), so they are freed with it.
     """
 
     mesh: Mesh
@@ -177,12 +177,15 @@ class DGSpace:
         offsets = np.arange(self.mesh.n_triangles) * self.n_local
         return offsets[:, None] + np.arange(self.n_local)
 
-    def keep(self, key, make):
-        """``make()``, made once and kept under ``key``; a None key keeps nothing."""
-        if key is None:
-            return make()
+    def keep(self, build, *args):
+        """``build(self, *args)``, made once and kept under (build's name,
+        *args).  The rule: ``args`` are everything the value reads beyond
+        the space (edges, a face set, a degree, a field, lambda, the form
+        coefficients), so no two values share a key.  A value not to keep
+        is made by calling its builder directly."""
+        key = (build.__name__, *args)
         if key not in self.kept:
-            self.kept[key] = make()
+            self.kept[key] = build(self, *args)
         return self.kept[key]
 
 

@@ -15,7 +15,7 @@ from .assembly import (
     assemble_load,
     assemble_mass,
     l2_lambda_project,
-    release_tables,
+    stiffness_terms,
 )
 from .config import ProblemConfig
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Mesh, build_structured_mesh, classify_edges, p1_prolongations
@@ -43,6 +43,8 @@ HISTORY = 3
 # 1 - cos^2 of the angle between the two image differences below which
 # the second is dropped as parallel to the first.
 DEGENERATE = 1e-8
+# The flag of the weight of a term of A_h by its first name; --gamma for weight 1.
+TERM_FLAGS = {"alpha_boundary": "--alpha", "beta_tangential": "--beta", "ridge_jump": "--beta"}
 
 
 @dataclass(eq=False)
@@ -93,7 +95,6 @@ def build_operators(config: ProblemConfig, u_D=None) -> Operators:
     )
     if u_D is not None:
         ops.dirichlet_rhs = lambda t: assemble_dirichlet_terms(mesh, edges, space, params, u_D, t)
-    release_tables(space, 2 * space.p)  # the loads and norms use 2p + 4
     return ops
 
 
@@ -116,23 +117,28 @@ def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
 
 
 def _p1_coarse(space: DGSpace, edges: EdgeClassification) -> tuple:
-    """The conforming-P1 embedding and its prolongations, kept on the space."""
-    return space.keep(
-        ("p1 coarse", edges.bc_mode),
-        lambda: (conforming_p1_embedding(space, edges), p1_prolongations(space.mesh, edges.bc_mode)),
-    )
+    """The conforming-P1 embedding and its prolongations."""
+    return conforming_p1_embedding(space, edges), p1_prolongations(space.mesh, edges.bc_mode)
 
 
-def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None):
+def _largest_term_flag(space: DGSpace, edges: EdgeClassification, params: FormParams) -> str:
+    """The flag to lower for the term of A_h with the largest entry: its weight's,
+    or --gamma for a penalty term whose sigma is the larger factor."""
+    entry = lambda term: max(np.abs(block).max(initial=0.0) for *_, block in term.blocks(space))
+    term = max(stiffness_terms(edges, params), key=entry)
+    return "--gamma" if term.sigma is not None and term.sigma >= term.weight else TERM_FLAGS.get(term.names[0], "--gamma")
+
+
+def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None, flags):
     """``solve(rhs, what, start=None)``: CG on ``blocks`` as CSR under block
     Jacobi, with the conforming-P1 V-cycle if ``p1_coarse`` (the P1
     embedding and its prolongations) is given; a SolverError names
-    ``what``.  A solve starts from zero unless ``start``, the state before
-    it, has opened a history: the solver then keeps the last HISTORY
-    solutions x_j with their images S x_j, newest first (``start``'s by its
-    one product), starts each solve from their minimal-residual mix
-    (``_start``) and takes each solution's image as rhs - r, formed in
-    place from CG's final residual r."""
+    ``what`` and, if CG stalls, the ``flags()`` to lower.  A solve starts
+    from zero unless ``start``, the state before it, has opened a history:
+    the solver then keeps the last HISTORY solutions x_j with their images
+    S x_j, newest first (``start``'s by its one product), starts each solve
+    from their minimal-residual mix (``_start``) and takes each solution's
+    image as rhs - r, formed in place from CG's final residual r."""
     system = blocks.tocsr()
     prec = block_jacobi_preconditioner(system, blocks.own())
     if p1_coarse is not None:
@@ -147,7 +153,7 @@ def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None):
         if not report.converged:
             raise SolverError(
                 f"{what} failed: residual {report.final_relative_residual:.3e} after {report.iterations} iterations "
-                "(lower --gamma or --dt)"
+                f"(lower {flags()})"
             )
         if history:
             image = np.subtract(rhs, report.residual, out=report.residual)
@@ -222,7 +228,7 @@ def solve_stationary(
     if u_D is not None:
         rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
     # no mass term: the stiff limit, where the coarse correction always pays
-    return _cg_solver(A, _p1_coarse(space, edges))(rhs, "stationary solve")
+    return _cg_solver(A, space.keep(_p1_coarse, edges), lambda: _largest_term_flag(space, edges, params))(rhs, "stationary solve")
 
 
 @dataclass(eq=False)
@@ -258,7 +264,8 @@ def run_backward_euler(
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
     system = ops.M_blocks.plus(dt, ops.A_blocks)
-    solve = _cg_solver(system, _p1_coarse(space, edges) if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS else None)
+    p1_coarse = space.keep(_p1_coarse, edges) if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS else None
+    solve = _cg_solver(system, p1_coarse, lambda: f"{_largest_term_flag(space, edges, ops.params)} or --dt")
     M = ops.M_diagonal
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)

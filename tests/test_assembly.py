@@ -21,7 +21,6 @@ from dgdyn.assembly import (
     assemble_load,
     assemble_mass,
     mass_terms,
-    release_tables,
     stiffness_terms,
 )
 from dgdyn.errors import energy_norm_terms
@@ -49,7 +48,7 @@ def nodal(mesh, space, u, t=0.0):
 
 def operator(mesh, space, terms):
     """The matrix of ``terms`` of the term table on their own."""
-    return _bsr(space, [block for term in terms for block in term.blocks(mesh, space)]).tobsr()
+    return _bsr(space, [block for term in terms for block in term.blocks(space)]).tobsr()
 
 
 def form(name, mesh, edges, space, params):
@@ -601,7 +600,7 @@ def test_plain_source_is_evaluated_block_by_block_and_kept_nowhere(monkeypatch, 
         assert np.abs(load - whole).max() <= 1e-14 * np.abs(whole).max()
     assert set(space.kept) == before
     for term, key in zip(mass_terms(edges, 1.0), ("f", "g")):
-        (pts,) = term.sides(mesh, space, 2 * space.p + 4)
+        (pts,) = term.sides(space, 2 * space.p + 4)
         points = pts.w.shape[1] * len(pts.elem)
         assert len(calls[key]) == 2 * len(pts.blocks()) and sum(calls[key]) == 2 * points
         assert max(calls[key]) <= 1000
@@ -620,34 +619,18 @@ def test_separable_source_is_evaluated_once_per_node_on_all_points(monkeypatch, 
     counted = replace(case, f=counted_points(calls["f"], case.f.fn), g=counted_points(calls["g"], case.g.fn))
     loads = [assemble_load(mesh, edges, space, counted.f, counted.g, t) for t in (0.1, 0.4, 0.7)]
     for term, key in zip(mass_terms(edges, 1.0), ("f", "g")):
-        (pts,) = term.sides(mesh, space, 2 * space.p + 4)
+        (pts,) = term.sides(space, 2 * space.p + 4)
         assert calls[key] == [pts.w.shape[1] * len(pts.elem)] * len(case.time_factors[key][0])
     for t, load in zip((0.1, 0.4, 0.7), loads):
         plain = assemble_load(mesh, edges, DGSpace(mesh, 2), case.f.fn, case.g.fn, t)
         assert np.abs(load - plain).max() <= 1e-12 * np.abs(plain).max()
 
 
-def test_release_tables_drops_only_point_sets():
-    # at p = 1 the degree-2p point sets are released after assembly; what
-    # else the space keeps stays, also an entry whose key ends in 2.0, the
-    # inverse mass of lambda = 2, as do the class orders
-    mesh, edges, space, params = setup(3, 1)
-    assemble_Ah(mesh, edges, space, params)
-    projection = l2_lambda_project(mesh, space, edges, 2.0, lambda x, y: x * y)
-    kept = dict(space.kept)
-    assert ("inverse mass", 2.0) in kept and any(key[0] == "_order" for key in kept)
-    release_tables(space, 2 * space.p)
-    released = {key for key in kept if key[0] == "_sides" and key[-1] == 2}
-    assert released and set(space.kept) == set(kept) - released
-    assert all(space.kept[key] is kept[key] for key in space.kept)
-    assert l2_lambda_project(mesh, space, edges, 2.0, lambda x, y: x * y).tobytes() == projection.tobytes()
-
-
 @pytest.mark.parametrize("bc, name", [(PERIODIC, "example1"), (DIRICHLET_LATERAL, "example3")])
 def test_class_order_is_found_once_per_geometry(monkeypatch, bc, name):
     # the cells and each face set are sorted into classes once: assembly's
     # degree-2p point sets and the degree-2p + 4 ones of the loads and the
-    # energy norm share the order, which releasing the first keeps
+    # energy norm share the order
     calls = []
     class_order = dgdyn.assembly._class_order
     monkeypatch.setattr(dgdyn.assembly, "_class_order", lambda *keys: calls.append(len(keys)) or class_order(*keys))
@@ -655,11 +638,10 @@ def test_class_order_is_found_once_per_geometry(monkeypatch, bc, name):
     mesh, edges, space, params = setup(4, 2, bc)
     assemble_Ah(mesh, edges, space, params)
     assemble_mass(mesh, edges, space, params.lam)
-    release_tables(space, 2 * space.p)
     assemble_load(mesh, edges, space, case.f, case.g, 0.1)
     energy_norm_terms(mesh, edges, space, params, u_h=np.zeros(space.n_dofs), exact=case, t=0.1)
     assert len(calls) == (6 if bc == DIRICHLET_LATERAL else 4)
-    # the degree-2p + 4 ones, and the degree-2p ones the norm's discrete part reads again
+    # the degree-2p + 4 ones, and the degree-2p ones assembly made and the norm's discrete part reads
     assert len(point_sets(space)) == (12 if bc == DIRICHLET_LATERAL else 8)
 
 
@@ -811,7 +793,7 @@ def test_class_blocks_give_the_per_entry_operators_on_a_distorted_mesh(bc, p, pe
     A = assemble_Ah(mesh, edges, space, params).tobsr().toarray()
     M = assemble_mass(mesh, edges, space, 10.0).tobsr().toarray()
     # the jitter leaves few entries sharing a class
-    (vol,), (face, _) = _sides(mesh, space, edges.cells, 2 * p), _sides(mesh, space, edges.two_sided, 2 * p)
+    (vol,), (face, _) = space.keep(_sides, edges.cells, 2 * p), space.keep(_sides, edges.two_sided, 2 * p)
     assert len(vol.classes[1]) >= 0.9 * len(vol.elem) and len(face.classes[1]) >= 0.9 * len(face.elem)
     A_ref, M_ref = per_entry_operators(mesh, edges, space, params, 10.0)
     assert np.abs(A - A_ref).max() <= 1e-13 * np.abs(A_ref).max()
@@ -845,7 +827,7 @@ def assert_tables_expand_to_per_pair_blocks(mesh, edges, space, params, dt=1e-3)
         (assemble_Ah(mesh, edges, space, params), stiffness_terms(edges, params)),
         (assemble_mass(mesh, edges, space, params.lam), mass_terms(edges, params.lam)),
     ):
-        expected.append(per_pair_bsr(space, [block for term in terms for block in term.blocks(mesh, space)]))
+        expected.append(per_pair_bsr(space, [block for term in terms for block in term.blocks(space)]))
         assert same_bits(blocks.tobsr(), expected[-1])
     system = (expected[1] + dt * expected[0]).tocsr()
     system.eliminate_zeros()
@@ -943,7 +925,7 @@ def test_cell_tables_are_the_basis_at_the_rule_points(bc, p, distorted):
     mesh, edges, space = jittered(2, bc, p) if distorted else setup(4, p, bc)[:3]
     for degree in (2 * p, 2 * p + 4):
         rule = triangle_quadrature(degree)
-        (pts,) = mass_terms(edges, 1.0)[0].sides(mesh, space, degree)
+        (pts,) = mass_terms(edges, 1.0)[0].sides(space, degree)
         inv_j = mesh.inv_jacobians[pts.elem[pts.bounds[:-1]]]
         assert len(pts.bounds) - 1 == (len(pts.elem) if distorted else 2)
         phi, grad = space.basis.eval(rule.points), space.basis.grad(rule.points)
@@ -1035,7 +1017,7 @@ def test_point_sets_hold_no_array_per_entry_and_point(bc):
     l2_lambda_project(mesh, space, edges, params.lam, case.u0)
     checked, snapshots = 0, 0
     for term in stiffness_terms(edges, params) + mass_terms(edges, params.lam):
-        for pts in term.sides(mesh, space, 2 * space.p + 4):
+        for pts in term.sides(space, 2 * space.p + 4):
             n, nq = len(pts.elem), pts.w.shape[1]
             snapshots += sum(getattr(v, "shape", ())[-2:] == (n, nq) for v in space.kept.values())
             if len(pts.bounds) - 1 == n:
@@ -1069,7 +1051,7 @@ def test_points_made_block_by_block_equal_a_whole_evaluation(monkeypatch, bc):
     whole = measured(space)
     space = DGSpace(mesh, 2)
     monkeypatch.setattr(dgdyn.assembly, "BLOCK_POINTS", 1000)
-    for pts in (*_sides(mesh, space, edges.cells, 8), _sides(mesh, space, edges.two_sided, 8)[0]):
+    for pts in (*space.keep(_sides, edges.cells, 8), space.keep(_sides, edges.two_sided, 8)[0]):
         starts = {sl.start for sl in pts.blocks()}
         assert len(starts) > 2 and not starts <= set(pts.bounds.tolist())
         every = pts.points(slice(0, len(pts.elem)))

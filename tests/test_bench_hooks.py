@@ -7,6 +7,7 @@ rows must agree with the solve they check.  A rename or deletion in
 a full benchmark pass."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +40,20 @@ def test_tracer_installs():
     code = "import dgdyn.cli\nfrom tracer import Tracer\nTracer().install(dgdyn)\n"
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_one_traced_pass_calls_every_span():
+    # one traced table-h pass, as the benchmark's worker makes it: every
+    # row is computed, every span the workload names is called, and a
+    # case's f and g are evaluated once per time node and level (5 x 2)
+    env = dict(os.environ, **bench_run.PINNED, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", "table-h", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [(row["label"], row["error"]) for row in record["rows"] if "error" in row] == []
+    assert record["missing_spans"] == []
+    assert record["layers"]["manufactured.source_calls"] == 10
 
 
 ROWS = [(w.name, label, kwargs) for w in workloads.WORKLOADS.values() for label, kwargs in w.rows]

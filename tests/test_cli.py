@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import io
+import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dgdyn
 import dgdyn.cli
@@ -27,7 +33,7 @@ from dgdyn.cli import (
     run_converge_h,
     run_stability,
 )
-from dgdyn.config import ProblemConfig
+from dgdyn.config import CASES, FORMATS, PENALTY_MODES, ProblemConfig
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL
 
@@ -376,9 +382,11 @@ def test_main_entry_point(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "converge-h", "converge-dt", "stability"])
 @pytest.mark.parametrize("key, flag, value", [("alpha", "--alpha", "20"), ("beta", "--beta", "1"), ("lam", "--lambda", "0")])
 def test_coefficient_flags_only_on_stability(capsys, command, key, flag, value):
-    # the manufactured sources carry alpha = 2, beta = 5, lam = 10: any
-    # other value would solve a problem whose exact solution is unknown, so
-    # only stability, which runs without sources, has the flags
+    # get_case builds every case with alpha = 2, beta = 5, lam = 10, and
+    # the commands take the case as get_case gives it: a flag's value would
+    # reach A_h and M but not the sources, which example1(alpha, beta, lam)
+    # and example3(...) would build consistently.  So only stability, which
+    # runs without sources, has the flags
     argv = [command, "--case", "example3", flag, value]
     if command == "stability":
         assert getattr(config_of(argv), key) == float(value)
@@ -461,6 +469,24 @@ def test_stability_accepts_any_coefficients(tmp_path):
             ["solve", "--case", "example1", "--p", "2", "--gamma", "1e8", "--level", "1", "--dt", "1", "--t-final", "1"],
             "iterations (lower --gamma or --dt)",
         ),
+        # ... and name the coefficient of the term of A_h with the largest
+        # entry: alpha's boundary mass, or beta's surface form, whose ridge
+        # penalty beta sigma is beta's where beta is the larger factor
+        (
+            ["stability", "--case", "example1", "--p", "1", "--gamma", "6.55391788086188e-42", "--dt", "0.015068908613435456"]
+            + ["--t-final", "0.03013781722687091", "--penalty-mode", "fixed_sigma", "--level", "1"]
+            + ["--alpha", "1.2827280923140416e+40", "--beta", "1.913370019759178e-210"],
+            "iterations (lower --alpha or --dt)",
+        ),
+        (
+            ["stability", "--case", "example1", "--gamma", "1e3", "--dt", "0.01", "--t-final", "0.02", "--level", "1", "--beta", "1e76"],
+            "iterations (lower --beta or --dt)",
+        ),
+        # beta swamps the conforming-P1 coarse matrix, which the V-cycle inverts
+        (
+            ["stability", "--dt", "1", "--t-final", "1", "--beta", "1e16", "--level", "1"],
+            "coarsest matrix singular in floating point (lower --gamma, --alpha, --beta or --dt)",
+        ),
         # beta times the penalty overflows in A_h's blocks: refused as the
         # operator is assembled, once a RuntimeWarning before the CG error
         (
@@ -515,6 +541,58 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("dgdyn: error: ") and message in last, proc.stderr
     assert proc.stdout == ""
+
+
+def magnitudes(low, high):
+    """Floats log-uniform between 10^low and 10^high."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@st.composite
+def command_lines(draw):
+    """A command and values for the keys it reads (``cli.KEYS``): levels 0
+    to 1, at most three steps in all, every coefficient from 0 or 1e-300
+    to 1e300, and sometimes a value the command must refuse."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    keys, dt = COMMANDS[command][3], draw(magnitudes(-3, 4))
+    steps = 1 if command == "converge-dt" else draw(st.integers(1, 3))  # converge-dt's rows take 1 + 2 steps
+    values = {
+        "case": st.sampled_from(CASES),
+        "p": st.sampled_from([1, 2, 1, 2, 3]),
+        "level": st.sampled_from([0, 1, 0, 1, -1]),
+        "levels": st.sampled_from(["0", "1", "0..1"]),
+        "gamma": st.one_of(magnitudes(-300, 300), st.sampled_from([0.0, -1.0])),
+        "penalty_mode": st.sampled_from(PENALTY_MODES),
+        "dt_steps": st.integers(0, 2),
+        "fmt": st.sampled_from(FORMATS),
+        **{key: st.one_of(st.just(0.0), magnitudes(-300, 300)) for key in ("alpha", "beta", "lam")},
+    }
+    argv = [command, "--dt", repr(dt), "--t-final", repr(steps * dt)]
+    for key in keys:
+        if key in values and (key == "levels" or draw(st.booleans())):
+            argv += [KEYS[key][0], str(draw(values[key]))]
+    if "level" in keys and "--level" not in argv:
+        argv += ["--level", "1"]  # not the default level 4
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+def test_any_command_line_is_a_run_or_one_error_line(argv):
+    # levels 0 and 1, at most three steps: a command either prints finite
+    # values and returns 0, or exits with status 2 and one error line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 0:
+        numbers = [float(token) for token in re.split(r"[\s,|]+", out.getvalue()) if re.fullmatch(r"[-+]?(nan|inf|\d[\d.]*(e[-+]?\d+)?)", token, re.I)]
+        assert numbers and all(map(math.isfinite, numbers)), (argv, out.getvalue())
+    else:
+        assert code == 2 and out.getvalue() == "", (argv, out.getvalue())
+        assert [line.startswith("dgdyn: error: ") for line in err.getvalue().splitlines()].count(True) == 1, (argv, err.getvalue())
 
 
 @pytest.mark.parametrize(

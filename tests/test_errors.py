@@ -475,7 +475,7 @@ def test_energy_norm_of_fields_without_shared_weights_keeps_nothing():
     u_h = nodal(mesh, space, case.u, 0.3)
 
     def kept():
-        return [key for key in space.kept if key[0] == "energy"]
+        return [key for key in space.kept if key[0] == "_exact_part"]
 
     plain = energy_norm(mesh, edges, space, params, u_h=u_h, exact=other, t=0.3)
     assert not kept()

@@ -186,25 +186,25 @@ def test_declared_fields_are_separable_also_when_replaced(name):
 @pytest.mark.parametrize("name", CASES)
 def test_time_nodes_of_a_field(name):
     # a separable field, or a value and gradient of the same nodes and
-    # weights, gives its own nodes keyed by its fns, whose weighted sum is
-    # the field at t; a plain callable, or a pair of other weights, is one
-    # node at t of weight 1 and key None
+    # weights, is its own set of nodes, whose weighted sum is the field at
+    # t; a plain callable, or a pair of other weights, is one node at t of
+    # weight 1 and not separable
     case = get_case(name)
     x, y = np.random.default_rng(1).random((2, 20))
     t = 0.37
     for fields in [(case.f,), (case.u, case.grad_u)]:
-        nodes, weights, key = time_nodes(t, *fields)
-        assert key == tuple(f.fn for f in fields) and len(nodes) == len(fields[0].nodes) == len(weights)
+        got, weights, separable = time_nodes(t, *fields)
+        assert separable and got == fields and len(fields[0].nodes) == len(weights)
         assert list(weights) == list(fields[0].weights(t))
-        for k, field in enumerate(fields):
-            summed = sum(w * np.asarray(node[k](x, y)) for w, node in zip(weights, nodes))
+        for field in fields:
+            summed = sum(w * np.asarray(field.fn(s, x, y)) for w, s in zip(weights, field.nodes))
             assert np.allclose(summed, field(t, x, y), rtol=0.0, atol=1e-13 * np.abs(field(t, x, y)).max())
     decay = SeparableField(case.grad_u.fn, (0.0,), lambda t: (np.exp(-t),))
     for fields in [(case.f.fn,), (case.u, decay), (case.u.fn, case.grad_u)]:
-        nodes, weights, key = time_nodes(t, *fields)
-        assert key is None and weights == (1.0,) and len(nodes) == 1
-        for node, field in zip(nodes[0], fields):
-            assert np.array_equal(np.asarray(node(x, y)), np.asarray(field(t, x, y)))
+        got, weights, separable = time_nodes(t, *fields)
+        assert not separable and weights == (1.0,) and all(field.nodes == (t,) for field in got)
+        for field, plain in zip(got, fields):
+            assert np.array_equal(np.asarray(field.fn(t, x, y)), np.asarray(plain(t, x, y)))
 
 
 def first_sources(case):

@@ -6,7 +6,11 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 import dgdyn.space
-from dgdyn.mesh import build_structured_mesh, classify_edges, p1_vertices
+from dgdyn.assembly import FormParams, assemble_Ah, assemble_load, assemble_mass, l2_lambda_project
+from dgdyn.config import ProblemConfig
+from dgdyn.errors import energy_norm, energy_norm_terms, l2_errors
+from dgdyn.manufactured import example1, example3
+from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges, p1_vertices
 from dgdyn.space import (
     MAX_QUADRATURE_DEGREE,
     DGSpace,
@@ -16,6 +20,7 @@ from dgdyn.space import (
     reference_basis,
     triangle_quadrature,
 )
+from dgdyn.timestepper import Operators, run_backward_euler
 
 from test_assembly import nodal
 
@@ -174,3 +179,58 @@ def test_p1_embedding_is_its_nonzero_values_in_arrays_of_its_size(p, bc_mode):
         for x, y in zip((P.indptr, P.indices, P.data), (want.indptr, want.indices, want.data)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         assert all(getattr(x.base, "size", x.size) == P.nnz for x in (P.data, P.indices))
+
+
+def shared_space_configurations():
+    """A fixed list of (edges' bc mode, case, gamma, penalty mode, lambda):
+    each case object serves both bc modes and every penalty, so values
+    that read the edges or the coefficients meet under one field."""
+    cases = {(make.__name__, lam): make(lam=lam) for make in (example1, example3) for lam in (10.0, 1.0)}
+    return [
+        (bc, cases[name, lam], gamma, mode, lam)
+        for bc in (PERIODIC, DIRICHLET_LATERAL)
+        for name in ("example1", "example3")
+        for gamma, mode in ((10.0, "gamma_over_h"), (3.0, "gamma_over_h"), (10.0, "fixed_sigma"))
+        for lam in (10.0, 1.0)
+    ]
+
+
+def measured_on(space, edges, configuration) -> list:
+    """Every value a run reads from what ``space`` keeps, for one
+    configuration: the operators, one backward Euler step, both energy
+    norms, the L2 errors, the projection and the load."""
+    bc, case, gamma, mode, lam = configuration
+    mesh, t = space.mesh, 0.02  # one step that the indefinite A_h of gamma = 3 leaves positive definite
+    params = FormParams.for_mesh(mesh, alpha=case.alpha, beta=case.beta, lam=lam, gamma=gamma, penalty_mode=mode)
+    ops = Operators(mesh, edges, space, params, assemble_Ah(mesh, edges, space, params), assemble_mass(mesh, edges, space, lam))
+    config = ProblemConfig(case=case.name, level=2, lam=lam, gamma=gamma, penalty_mode=mode, bc_mode=bc, dt=t, t_final=t)
+    u = run_backward_euler(config, case.f, case.g, case.u0, ops=ops).coeffs
+    terms = energy_norm_terms(mesh, edges, space, params, u_h=u, exact=case, t=t)
+    return [
+        ops.A.toarray(),
+        ops.M.toarray(),
+        ops.stiffness_per_dt,
+        u,
+        energy_norm(mesh, edges, space, params, u_h=u, exact=case, t=t),
+        list(terms.values()),
+        l2_errors(mesh, edges, space, lam, u, case, t=t),
+        l2_lambda_project(mesh, space, edges, lam, case.u0),
+        assemble_load(mesh, edges, space, case.f, case.g, t),
+    ]
+
+
+def test_one_space_shared_by_every_configuration_gives_a_fresh_spaces_values():
+    # what a space keeps is keyed by everything it reads, so a space that
+    # serves both bc modes, two cases, three penalties and two lambdas, in
+    # any order, gives every value a fresh space gives
+    mesh = build_structured_mesh(2)
+    edges = {bc: classify_edges(mesh, bc) for bc in (PERIODIC, DIRICHLET_LATERAL)}
+    configurations = shared_space_configurations()
+    fresh = [measured_on(DGSpace(mesh, 1), edges[c[0]], c) for c in configurations]
+    for seed in range(3):
+        space = DGSpace(mesh, 1)
+        for i in np.random.default_rng(seed).permutation(len(configurations)):
+            bc, case, *penalty = configurations[i]
+            for value, want in zip(measured_on(space, edges[bc], configurations[i]), fresh[i]):
+                value, want = np.asarray(value, dtype=float), np.asarray(want, dtype=float)
+                assert np.abs(value - want).max() <= 1e-12 * np.abs(want).max(), (seed, bc, case.name, *penalty)
