@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -77,7 +78,34 @@ def _transient_errors(config: ProblemConfig, case) -> ErrorRecord:
 
     res = run_backward_euler(config, case.f, case.g, case.u0, on_step=on_step, ops=ops)
     dom, g1, _ = l2_errors(ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final)
-    return ErrorRecord(h=ops.mesh.h, dt=config.dt, l2_domain=dom, l2_gamma1=g1, energy=float(np.sqrt(acc[0])))
+    return ErrorRecord(
+        h=ops.mesh.h, dt=config.dt, l2_domain=dom, l2_gamma1=g1, energy=float(np.sqrt(acc[0])),
+        negative_states=res.negative_states, min_quotient=res.min_quotient,
+    )
+
+
+def _warn_non_coercive(records: list[ErrorRecord], labels: list[str]) -> None:
+    """One stderr line, after the table, for each row whose run had states
+    with u'A_h u < 0, and for each finer row with an error above the
+    coarser row's, a negative rate the paper's estimate rules out: either
+    shows a penalty too small for coercivity.  Printed, not a ``warnings``
+    warning, which the test suite turns into an error."""
+    for label, rec in zip(labels, records):
+        if rec.negative_states:
+            print(
+                f"dgdyn: warning: {label}: u'A_h u < 0 in {rec.negative_states} states (smallest u'A_h u / u'Mu "
+                f"{rec.min_quotient:.3e}), so A_h is not positive definite: raise --gamma",
+                file=sys.stderr,
+            )
+    rows = list(zip(labels, records))
+    for (coarse, prev), (label, rec) in zip(rows, rows[1:]):
+        grown = [name for name in ("l2_domain", "l2_gamma1", "energy") if getattr(rec, name) > getattr(prev, name)]
+        if grown:
+            print(
+                f"dgdyn: warning: {label}: {' and '.join(grown)} above {coarse}'s, a negative rate the error "
+                "estimate rules out for a coercive penalty: raise --gamma",
+                file=sys.stderr,
+            )
 
 
 def _attach_rates(records: list[ErrorRecord]) -> None:
@@ -98,6 +126,7 @@ def run_converge_h(config: ProblemConfig) -> list[ErrorRecord]:
     records = [_transient_errors(replace(config, level=lv, levels=(lv,)), case) for lv in config.run_levels]
     _attach_rates(records)
     _write_records(CONVERGE_H_HEADER, records, config)
+    _warn_non_coercive(records, [f"level {lv}" for lv in config.run_levels])
     return records
 
 
@@ -114,9 +143,15 @@ def run_converge_dt(config: ProblemConfig) -> list[ErrorRecord]:
         dt = config.dt * 0.5**j
         res = run_backward_euler(replace(config, dt=dt), case.f, case.g, case.u0, ops=ops)
         dom, g1, _ = l2_errors(ops.mesh, ops.edges, ops.space, config.lam, res.coeffs, case, t=config.t_final)
-        records.append(ErrorRecord(h=ops.mesh.h, dt=dt, l2_domain=dom, l2_gamma1=g1, energy=0.0))
+        records.append(
+            ErrorRecord(
+                h=ops.mesh.h, dt=dt, l2_domain=dom, l2_gamma1=g1, energy=0.0,
+                negative_states=res.negative_states, min_quotient=res.min_quotient,
+            )
+        )
     _attach_rates(records)
     _write_records(CONVERGE_DT_HEADER, records, config)
+    _warn_non_coercive(records, [f"level {config.level}, dt {rec.dt:g}" for rec in records])
     return records
 
 
@@ -154,6 +189,7 @@ def run_solve(config: ProblemConfig) -> ErrorRecord:
     case = get_case(config.case)
     rec = _transient_errors(config, case)
     _write_records(["h", "dt", "l2_domain", "l2_gamma1", "energy"], [rec], config)
+    _warn_non_coercive([rec], [f"level {config.level}"])
     return rec
 
 
@@ -262,6 +298,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+HINT = re.compile(r" \((lower|raise) (--[a-z-]+(?:(?:, | or )--[a-z-]+)*)\)")
+
+
+def accepted_hints(message: str, command: str) -> str:
+    """``message`` with each hint, such as "(lower --gamma, --alpha or
+    --dt)", naming only the flags ``command`` accepts, and a hint that
+    names none of them dropped: the solver names every flag that scales a
+    system, and only stability takes the coefficients."""
+    flags = {KEYS[key][0] for key in COMMANDS[command][3]}
+
+    def accepted(hint: re.Match) -> str:
+        named = [flag for flag in re.split(", | or ", hint[2]) if flag in flags]
+        listed = " or ".join([", ".join(named[:-1]), named[-1]] if len(named) > 1 else named)
+        return f" ({hint[1]} {listed})" if named else ""
+
+    return HINT.sub(accepted, message)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -272,7 +326,7 @@ def main(argv=None) -> int:
     try:
         COMMANDS[args.command][1](config)
     except (InputError, SolverError, StabilityViolation) as exc:  # one line, exit status 2, no log
-        parser.error(str(exc))
+        parser.error(accepted_hints(str(exc), args.command))
     return 0
 
 

@@ -76,6 +76,10 @@ class ErrorRecord:
     rate_l2_domain: float | None = None
     rate_l2_gamma1: float | None = None
     rate_energy: float | None = None
+    # what the run's states showed of A_h (``TransientResult``): how many had
+    # u'A_h u < 0, and the smallest u'A_h u / u'Mu
+    negative_states: int = 0
+    min_quotient: float = math.inf
 
 
 def rate(err_coarse: float, err_fine: float) -> float:

@@ -14,6 +14,8 @@ import scipy.sparse as sp
 # norm and the symmetric cycle is SPD.
 JACOBI_WEIGHT = 0.8
 FLOOR_ROWS = 2**13  # rows of |A| that ``_rounding_floor`` holds at once
+# A hint names every flag that scales the system; a command's error line
+# keeps those it accepts (``cli.accepted_hints``).
 NON_FINITE = "non-finite value in CG: the system or data overflow floating point (lower --gamma, --alpha, --beta, --lambda or --dt)"
 
 
@@ -81,20 +83,31 @@ def v_cycle(A: sp.spmatrix, prolongations):
     return lambda r: cycle(0, r)
 
 
-def two_level_preconditioner(smoother, S: sp.spmatrix, P: sp.spmatrix, prolongations):
+def two_level_preconditioner(smoother, S: sp.spmatrix, embedding, prolongations):
     """Additive two-level preconditioner B r = smoother(r) + P V P' r for S.
 
-    ``P`` embeds a coarse space into the unknowns, and V is one V-cycle for
-    P' S P over ``prolongations``.  With a structured mesh's conforming P1
-    space and its nested grids, the coarse correction removes the smooth
-    error that block Jacobi alone needs O(1/h) iterations for once the
-    system is stiffness dominated (Gopalakrishnan & Kanschat, Numer. Math.
-    95, 2003; Dobrev, Lazarov, Vassilevski & Zikatanov, Numer. Linear
-    Algebra Appl. 13, 2006).  B is SPD whenever the smoother, V and S are.
+    ``embedding`` (a ``P1Embedding``) is P, which embeds a coarse space
+    into the unknowns, held as a gather (``prolong``) and its transpose P'
+    as CSR, and V is one V-cycle for the Galerkin matrix P' S P, set up as
+    P' S (P')' with the same bits, over ``prolongations``.  With a
+    structured mesh's conforming P1 space and its nested grids, the coarse
+    correction removes the smooth error that block Jacobi alone needs
+    O(1/h) iterations for once the system is stiffness dominated
+    (Gopalakrishnan & Kanschat, Numer. Math. 95, 2003; Dobrev, Lazarov,
+    Vassilevski & Zikatanov, Numer. Linear Algebra Appl. 13, 2006).  B is
+    SPD whenever the smoother, V and S are.  The correction is added in
+    place to the smoother's result, which must be a new array, so an apply
+    holds two fine vectors beyond r.
     """
-    PT = P.T.tocsr()
-    V = v_cycle(PT @ S @ P, prolongations)
-    return lambda r: smoother(r) + P @ V(PT @ r)
+    PT = embedding.restriction
+    V = v_cycle(PT @ S @ PT.T, prolongations)
+
+    def apply(r):
+        z = smoother(r)
+        z += embedding.prolong(V(PT @ r))
+        return z
+
+    return apply
 
 
 def cg_solve(
@@ -105,30 +118,34 @@ def cg_solve(
     preconditioner=None,
     x0: np.ndarray | None = None,
     r0: np.ndarray | None = None,
+    overwrite_x0: bool = False,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = rhs for symmetric positive definite A.
 
-    ``preconditioner`` is a callable r -> z, the identity when None.  CG
-    starts from a copy of ``x0`` (zero when None), which is never written.
-    ``r0``, if given, is the residual rhs - A x0, which CG takes in place
-    of its first product and then updates in place.  Returns the solution
-    and a report, which carries the final true residual; convergence means
-    the true residual satisfies ||A x - rhs|| <= tol ||rhs||, relative to
-    rhs whatever the start, or, once restarts stop reducing it, lies within
-    the rounding floor eps || |rhs| + |A| |x| || / ||rhs||.  So convergence
-    is always proven by a true product, never by ``r0``.  Running out of
-    iterations is never convergence.  A zero rhs returns zero at once.
-    Overflow and non-positive curvature raise a SolverError naming the flags.
+    ``preconditioner`` is a callable r -> z, the identity when None, which
+    returns a new array.  CG starts from ``x0`` (zero when None) and works
+    in a copy of it, so a caller's x0 is never written, unless
+    ``overwrite_x0``: then a float x0 is itself the iterate and the
+    solution returned.  ``r0``, if given, is the residual rhs - A x0, which
+    CG takes in place of its first product and then updates in place.
+    Returns the solution and a report, which carries the final true
+    residual; convergence means the true residual satisfies
+    ||A x - rhs|| <= tol ||rhs||, relative to rhs whatever the start, or,
+    once restarts stop reducing it, lies within the rounding floor
+    eps || |rhs| + |A| |x| || / ||rhs||.  So convergence is always proven
+    by a true product, never by ``r0``.  Running out of iterations is
+    never convergence.  A zero rhs returns zero at once.  Overflow and
+    non-positive curvature raise a SolverError naming the flags.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = A.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n) if x0 is None else (np.asarray if overwrite_x0 else np.array)(x0, dtype=float)
     if A.shape != (n, n) or rhs.shape != (n,) or x.shape != (n,) or (r0 is not None and r0.shape != (n,)):
         shapes = f"A {A.shape}, rhs {rhs.shape}, x0 {x.shape}" + ("" if r0 is None else f", r0 {r0.shape}")
         raise SolverError(f"dimension mismatch: {shapes}")
     if max_iter is None:
         max_iter = 10 * n
-    apply_prec = (lambda r: r) if preconditioner is None else preconditioner
+    apply_prec = (lambda r: r.copy()) if preconditioner is None else preconditioner
     iterations, previous_rel = 0, np.inf
 
     # The inner loop drives the recursive residual below tol; after long
@@ -141,14 +158,16 @@ def cg_solve(
     # exceed tol: about 1.8e-12 for the level-7 backward Euler system, where
     # even a direct solve leaves 1.0e-12.  A given r0 is not a true
     # residual: it only starts the first pass.  Updates are made in place,
-    # bitwise their textbook values; a work vector kept across iterations
-    # would be one more live vector at the solve's peak.
+    # bitwise their textbook values, and a vector is dropped once it is
+    # spent (z once added to p, A p's buffer once it has taken alpha p into
+    # x), so the preconditioner, the solve's peak, runs beside x, r and p
+    # alone.
     try:  # an overflow, or an invalid or zero divide, anywhere in the solve
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             rhs_norm = np.linalg.norm(rhs)
             if rhs_norm == 0.0:
                 return np.zeros(n), SolveReport(0, 0.0, True, np.zeros(n))
-            r, checked = (rhs - A @ x, True) if r0 is None else (r0, False)
+            r, checked = (_residual(A, rhs, x), True) if r0 is None else (r0, False)
             while True:
                 rel = float(np.linalg.norm(r) / rhs_norm)
                 if checked:
@@ -158,9 +177,8 @@ def cg_solve(
                         return x, SolveReport(iterations, rel, bool(rel <= _rounding_floor(A, rhs, x)), r)
                     previous_rel = rel
                 if not rel <= tol:  # a NaN residual goes on to be refused
-                    z = apply_prec(r)
-                    p = z.copy()
-                    rz = r @ z
+                    p = apply_prec(r)  # z, which the first direction is
+                    rz = r @ p
                     while iterations < max_iter:
                         Ap = A @ p
                         pAp = p @ Ap
@@ -169,26 +187,34 @@ def cg_solve(
                         if pAp <= 0.0:
                             raise SolverError("non-positive curvature in CG: penalty too small for coercivity (raise --gamma)")
                         alpha = rz / pAp
-                        x += alpha * p
                         Ap *= alpha
                         r -= Ap
+                        x += np.multiply(p, alpha, out=Ap)
+                        del Ap
                         z = apply_prec(r)
                         rz_new = r @ z
                         p *= rz_new / rz
                         p += z
+                        del z
                         rz = rz_new
                         iterations += 1
                         if np.sqrt(r @ r) <= tol * rhs_norm:
                             break
                     else:
                         break  # max_iter exhausted
-                r, checked = rhs - A @ x, True
+                r, checked = _residual(A, rhs, x), True
 
-            r = rhs - A @ x
+            r = _residual(A, rhs, x)
             true_rel = float(np.linalg.norm(r) / rhs_norm)
     except FloatingPointError:
         raise SolverError(NON_FINITE) from None
     return x, SolveReport(iterations, true_rel, bool(true_rel <= tol), r)
+
+
+def _residual(A: sp.spmatrix, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rhs - A x, formed in the product's buffer."""
+    r = A @ x
+    return np.subtract(rhs, r, out=r)
 
 
 def _rounding_floor(A: sp.spmatrix, rhs: np.ndarray, x: np.ndarray) -> float:

@@ -189,22 +189,48 @@ class DGSpace:
         return self.kept[key]
 
 
-def conforming_p1_embedding(space: DGSpace, edges: EdgeClassification) -> sp.csr_matrix:
-    """Embedding of the conforming P1 vertex space into the DG space.
+@dataclass(frozen=True, eq=False)
+class P1Embedding:
+    """The embedding P of the conforming P1 vertex space into the DG space,
+    held as each element's corner unknowns and the barycentric table, and
+    its transpose P' as CSR: no (n_dofs x number of P1 unknowns) matrix.
 
-    Column v holds the hat function of P1 unknown v (see ``p1_vertices``)
-    at every element's Lagrange nodes (its barycentric coordinates there),
-    shape (n_dofs, number of P1 unknowns).  On a periodic mesh the seam
-    vertices are one unknown, so its hat function spans the seam.
+    ``prolong`` is P c, a gather and a product with the table: at p = 1
+    and 2, where each Lagrange node's value takes at most two nonzero
+    halves, bitwise the CSR product of P, and faster.  P' stays CSR: its
+    CSC view gives the same bits more slowly, a gathered ``bincount`` is
+    five times slower, and summing element by element would reorder
+    p = 2's sums (see README, Linear solver)."""
+
+    corners: np.ndarray  # (n_triangles, 3) the P1 unknown of each element vertex
+    bary: np.ndarray | None  # (n_local, 3) barycentric coordinates of the nodes; None where the identity (p = 1)
+    restriction: sp.csr_matrix  # P', (number of P1 unknowns, n_dofs)
+
+    def prolong(self, c: np.ndarray) -> np.ndarray:
+        """P c: the DG coefficients of the P1 function with unknowns ``c``."""
+        if self.bary is None:
+            return c.take(self.corners.ravel())
+        return (c[self.corners] @ self.bary.T).ravel()
+
+
+def conforming_p1_embedding(space: DGSpace, edges: EdgeClassification) -> P1Embedding:
+    """The embedding of the conforming P1 vertex space into the DG space.
+
+    Column v of P holds the hat function of P1 unknown v (see
+    ``p1_vertices``) at every element's Lagrange nodes (its barycentric
+    coordinates there).  On a periodic mesh the seam vertices are one
+    unknown, so its hat function spans the seam.  P' is that matrix's
+    transpose with its zeros eliminated, built directly: P is never held.
     """
     mesh = space.mesh
     bary = reference_basis(1).eval(space.basis.nodes)  # (n_local, 3)
-    shape = (mesh.n_triangles, space.n_local, 3)
-    rows = np.broadcast_to(space.dofs[:, :, None], shape)
     vertices = p1_vertices(mesh, edges.bc_mode)
-    cols = np.broadcast_to(vertices[mesh.triangles][:, None, :], shape)
+    corners = vertices[mesh.triangles]
+    shape = (mesh.n_triangles, space.n_local, 3)
+    rows = np.broadcast_to(corners[:, None, :], shape)
+    cols = np.broadcast_to(space.dofs[:, :, None], shape)
     vals = np.broadcast_to(bary, shape)
     keep = (vals != 0).ravel()  # P2 edge nodes are off the opposite vertex's support
     entries = vals.ravel()[keep], (rows.ravel()[keep], cols.ravel()[keep])
-    return sp.csr_matrix(entries, shape=(space.n_dofs, vertices.max() + 1))
-
+    restriction = sp.csr_matrix(entries, shape=(vertices.max() + 1, space.n_dofs))
+    return P1Embedding(corners, None if np.array_equal(bary, np.eye(3)) else bary, restriction)

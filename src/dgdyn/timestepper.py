@@ -117,7 +117,11 @@ def _refuse_wall_data(edges: EdgeClassification, u_D) -> None:
 
 
 def _p1_coarse(space: DGSpace, edges: EdgeClassification) -> tuple:
-    """The conforming-P1 embedding and its prolongations."""
+    """The conforming-P1 embedding and its prolongations: each element's
+    corner unknowns, the barycentric table and P' as CSR (a
+    ``P1Embedding``), and the coarse grids' CSR prolongations.  P, one
+    entry per DG dof at p = 1 and 1.5 a dof at p = 2 (4.13 MB at level 7,
+    p = 2), is not held."""
     return conforming_p1_embedding(space, edges), p1_prolongations(space.mesh, edges.bc_mode)
 
 
@@ -133,32 +137,37 @@ def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None, flags):
     """``solve(rhs, what, start=None)``: CG on ``blocks`` as CSR under block
     Jacobi, with the conforming-P1 V-cycle if ``p1_coarse`` (the P1
     embedding and its prolongations) is given; a SolverError names
-    ``what`` and, if CG stalls, the ``flags()`` to lower.  A solve starts
-    from zero unless ``start``, the state before it, has opened a history:
-    the solver then keeps the last HISTORY solutions x_j with their images
-    S x_j, newest first (``start``'s by its one product), starts each solve
-    from their minimal-residual mix (``_start``) and takes each solution's
-    image as rhs - r, formed in place from CG's final residual r."""
+    ``what`` and, if CG stalls, the ``flags()`` to lower.  The solver
+    holds the CSR system, not ``blocks``.  A solve starts from zero unless
+    ``start``, the state before it, has opened a history: the solver then
+    keeps the last HISTORY solutions x_j with their images S x_j, newest
+    first (``start``'s by its one product), starts each solve from their
+    minimal-residual mix (``_start``), a new array CG works in, and takes
+    each solution's image as rhs - r, formed in place of CG's final
+    residual r.  It returns (x, report, image), the image None without a
+    history; the report then carries no residual, whose buffer is the
+    image."""
     system = blocks.tocsr()
     prec = block_jacobi_preconditioner(system, blocks.own())
     if p1_coarse is not None:
         prec = two_level_preconditioner(prec, system, *p1_coarse)
     history = []
 
-    def solve(rhs: np.ndarray, what: str, start: np.ndarray | None = None) -> np.ndarray:
+    def solve(rhs: np.ndarray, what: str, start: np.ndarray | None = None) -> tuple:
         if start is not None and not history:
             history.append((start, system @ start))
         x0, r0 = _start(history, rhs) if history else (None, None)
-        x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0, r0=r0)
+        x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0, r0=r0, overwrite_x0=True)
         if not report.converged:
             raise SolverError(
                 f"{what} failed: residual {report.final_relative_residual:.3e} after {report.iterations} iterations "
                 f"(lower {flags()})"
             )
-        if history:
-            image = np.subtract(rhs, report.residual, out=report.residual)
-            history[:] = [(x, image), *history[: HISTORY - 1]]
-        return x
+        if not history:
+            return x, report, None
+        image, report.residual = np.subtract(rhs, report.residual, out=report.residual), None
+        history[:] = [(x, image), *history[: HISTORY - 1]]
+        return x, report, image
 
     return solve
 
@@ -175,15 +184,16 @@ def _differences(vectors: list) -> list:
 
 
 def _start(history: list, rhs: np.ndarray) -> tuple:
-    """(x0, rhs - S x0) for x0 = x_k + a dx_k + b d2x_k, the first and
-    second differences of the solutions kept in ``history`` ((x_j, S x_j),
-    newest first), with (a, b) minimizing the residual: the least-squares
-    fit of rhs - S x_k by the same differences of the images, from its 2x2
-    normal equations scaled to a unit diagonal.  No product: the start's
-    residual is made from the images.  A zero difference, or a second one
-    (nearly) parallel to the first, is dropped.  The images' differences
-    are formed before any inner product, as a Gram matrix of the images
-    themselves would lose the differences' digits to cancellation."""
+    """(x0, rhs - S x0), both new arrays, for x0 = x_k + a dx_k + b d2x_k,
+    the first and second differences of the solutions kept in ``history``
+    ((x_j, S x_j), newest first), with (a, b) minimizing the residual: the
+    least-squares fit of rhs - S x_k by the same differences of the images,
+    from its 2x2 normal equations scaled to a unit diagonal.  No product:
+    the start's residual is made from the images.  A zero difference, or a
+    second one (nearly) parallel to the first, is dropped.  The images'
+    differences are formed before any inner product, as a Gram matrix of
+    the images themselves would lose the differences' digits to
+    cancellation."""
     (x, image), *_ = history
     r0 = rhs - image
     d_images = _differences([s for _, s in history])
@@ -201,11 +211,10 @@ def _start(history: list, rhs: np.ndarray) -> tuple:
     for a, d in zip(coef, d_images):
         r0 -= np.multiply(d, a, out=d)
     del d_images
-    if not any(coef):
-        return x, r0  # CG copies its start
-    x0 = x.copy()
-    for a, d in zip(coef, _differences([x for x, _ in history])):
-        x0 += np.multiply(d, a, out=d)
+    x0 = x.copy()  # CG's iterate: the history's solutions stay as they are
+    if any(coef):
+        for a, d in zip(coef, _differences([x for x, _ in history])):
+            x0 += np.multiply(d, a, out=d)
     return x0, r0
 
 
@@ -228,13 +237,37 @@ def solve_stationary(
     if u_D is not None:
         rhs += assemble_dirichlet_terms(mesh, edges, space, params, u_D)
     # no mass term: the stiff limit, where the coarse correction always pays
-    return _cg_solver(A, space.keep(_p1_coarse, edges), lambda: _largest_term_flag(space, edges, params))(rhs, "stationary solve")
+    solve = _cg_solver(A, space.keep(_p1_coarse, edges), lambda: _largest_term_flag(space, edges, params))
+    return solve(rhs, "stationary solve")[0]
 
 
 @dataclass(eq=False)
 class TransientResult:
+    """A run's final state and norms, and per step what its solve showed:
+    CG's iterations and final true relative residual, and the Rayleigh
+    quotient u'A_h u / u'Mu of the state it gave.  With S = M + dt A_h,
+    that is (u'Su - u'Mu) / (dt u'Mu), where u'Su = u'(rhs - r) comes from
+    CG's final residual r and u'Mu from the norm the next step takes, so
+    the quotient costs one dot product a step and no matrix product.  A
+    negative quotient proves that A_h is not positive definite: the
+    penalty is too small for coercivity.  A state with u'Mu = 0 has none
+    (NaN)."""
+
     coeffs: np.ndarray  # final state u_h^K
     l2lambda_norms: np.ndarray  # ||u_h^k||_{L2_lambda}, k = 0..K
+    cg_iterations: np.ndarray  # (K,) CG iterations of each step's solve
+    true_residuals: np.ndarray  # (K,) each solve's final ||rhs - S u|| / ||rhs||
+    rayleigh_quotients: np.ndarray  # (K,) u'A_h u / u'Mu of u_h^k, k = 1..K
+
+    @property
+    def negative_states(self) -> int:
+        """The number of states with u'A_h u < 0."""
+        return int(np.count_nonzero(self.rayleigh_quotients < 0.0))
+
+    @property
+    def min_quotient(self) -> float:
+        """The smallest u'A_h u / u'Mu of the run's states (inf if none has one)."""
+        return float(np.fmin.reduce(self.rayleigh_quotients, initial=np.inf))
 
 
 def run_backward_euler(
@@ -256,6 +289,8 @@ def run_backward_euler(
     never writes an array given to ``on_step``.  f and g may be
     ``SeparableField``s (see ``assemble_load``).  Wall data enters through
     the operators, as ``build_operators(config, u_D=)`` gave it to them.
+    Each step's solve report and its state's Rayleigh quotient go to the
+    result (``TransientResult``).
     """
     n_steps = config.num_steps()
     dt = config.dt
@@ -263,27 +298,36 @@ def run_backward_euler(
         ops = build_operators(config)
     mesh, edges, space = ops.mesh, ops.edges, ops.space
 
-    system = ops.M_blocks.plus(dt, ops.A_blocks)
     p1_coarse = space.keep(_p1_coarse, edges) if dt * ops.stiffness_per_dt > TWO_LEVEL_STIFFNESS else None
-    solve = _cg_solver(system, p1_coarse, lambda: f"{_largest_term_flag(space, edges, ops.params)} or --dt")
+    flags = lambda: f"{_largest_term_flag(space, edges, ops.params)} or --dt"
+    solve = _cg_solver(ops.M_blocks.plus(dt, ops.A_blocks), p1_coarse, flags)  # the blocks go once S is CSR
     M = ops.M_diagonal
 
     u = l2_lambda_project(mesh, space, edges, config.lam, u0)
-    norms = []
+    mass, stiff, iterations, residuals = [], [], [], []  # u'Mu of each state; u'Su and the report of each step
     if on_step is not None:
         on_step(0, 0.0, u)
 
     for k in range(n_steps):
         t_next = (k + 1) * dt
-        rhs = M @ u  # the norm of u^k, then the right-hand side
-        norms.append(float(np.sqrt(u @ rhs)))
-        rhs += dt * assemble_load(mesh, edges, space, f, g, t=t_next)
+        load = assemble_load(mesh, edges, space, f, g, t=t_next)  # before M u^k: the first load sets the run's peak
+        load *= dt
+        rhs = M @ u  # u'Mu, then the right-hand side
+        mass.append(float(u @ rhs))
+        rhs += load
+        del load
         if ops.dirichlet_rhs is not None:
             rhs += dt * ops.dirichlet_rhs(t_next)
-        u = solve(rhs, f"backward Euler step {k + 1}", start=u if k == 0 else None)
-        del rhs  # during on_step the loop holds the solver's history alone
+        u, report, image = solve(rhs, f"backward Euler step {k + 1}", start=u if k == 0 else None)
+        stiff.append(float(u @ image))
+        iterations.append(report.iterations)
+        residuals.append(report.final_relative_residual)
+        del rhs, image  # during on_step the loop holds the solver's history alone
         if on_step is not None:
             on_step(k + 1, t_next, u)
-    norms.append(float(np.sqrt(u @ (M @ u))))
+    mass.append(float(u @ (M @ u)))
 
-    return TransientResult(coeffs=u, l2lambda_norms=np.array(norms))
+    mass = np.array(mass)
+    with np.errstate(all="ignore"):  # a witness: an overflow in it is no error of the run
+        quotients = np.divide(np.subtract(stiff, mass[1:]), dt * mass[1:], out=np.full(n_steps, np.nan), where=mass[1:] > 0.0)
+    return TransientResult(u, np.sqrt(mass), np.array(iterations), np.array(residuals), quotients)

@@ -34,6 +34,7 @@ from dgdyn.cli import (
     run_stability,
 )
 from dgdyn.config import CASES, FORMATS, PENALTY_MODES, ProblemConfig
+from dgdyn.errors import ErrorRecord
 from dgdyn.manufactured import get_case
 from dgdyn.mesh import DIRICHLET_LATERAL
 
@@ -452,8 +453,9 @@ def test_stability_accepts_any_coefficients(tmp_path):
         ),
         # CG's two failures name the flags that move each: a penalty far
         # too small for coercivity, and an overflow, which names every
-        # coefficient that scales the system (once a RuntimeWarning from the
-        # dot products, then an error naming no flag)
+        # coefficient that scales the system and the command accepts (once a
+        # RuntimeWarning from the dot products, then an error naming no
+        # flag, then one naming --alpha and --beta, which converge-dt refuses)
         (
             ["solve", "--case", "example1", "--level", "1", "--gamma", "1e-300", "--dt", "1", "--t-final", "1"],
             "non-positive curvature in CG: penalty too small for coercivity (raise --gamma)",
@@ -461,7 +463,7 @@ def test_stability_accepts_any_coefficients(tmp_path):
         (
             ["converge-dt", "--case", "example1", "--p", "2", "--gamma", "1e300", "--dt", "0.001", "--t-final", "0.003"]
             + ["--level", "0", "--dt-steps", "2"],
-            "non-finite value in CG: the system or data overflow floating point (lower --gamma, --alpha, --beta, --lambda or --dt)",
+            "non-finite value in CG: the system or data overflow floating point (lower --gamma or --dt)",
         ),
         # CG that stalls short of its tolerance names the flags that fix it:
         # here --gamma 1e7 or --dt 0.01 does
@@ -541,6 +543,10 @@ def test_bad_input_is_one_error_line(tmp_path, args, message):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("dgdyn: error: ") and message in last, proc.stderr
     assert proc.stdout == ""
+    # a hint names only flags the command accepts
+    accepted = {KEYS[key][0] for key in COMMANDS[argv[0]][3]}
+    for hint in re.findall(r"\((?:lower|raise) (--[^()]*)\)", last):
+        assert set(re.split(", | or ", hint)) <= accepted, last
 
 
 def magnitudes(low, high):
@@ -617,7 +623,86 @@ def test_printed_tables_match_golden(argv, golden, capsys):
     # the stored tables fix every printed digit of these commands; they
     # were printed when every step evaluated the manufactured fields afresh
     assert main(argv) == 0
-    assert capsys.readouterr().out == (DATA / golden).read_text()
+    captured = capsys.readouterr()
+    assert captured.out == (DATA / golden).read_text()
+    assert captured.err == ""  # no run of theirs shows an indefinite A_h
+
+
+@pytest.mark.parametrize(
+    "message, command, want",
+    [
+        ("overflow (lower --gamma, --alpha, --beta, --lambda or --dt)", "stability", None),
+        ("overflow (lower --gamma, --alpha, --beta, --lambda or --dt)", "converge-dt", "overflow (lower --gamma or --dt)"),
+        ("singular (lower --gamma, --alpha, --beta or --dt)", "solve", "singular (lower --gamma or --dt)"),
+        ("block singular (lower --lambda or --gamma)", "converge-h", "block singular (lower --gamma)"),
+        ("assembling M overflows floating point (lower --lambda)", "solve", "assembling M overflows floating point"),
+        ("too small (raise --gamma) or too stiff (lower --gamma or --dt)", "solve", None),
+        ("residual 1e-3 after 9 iterations (lower --beta or --dt)", "converge-h", "residual 1e-3 after 9 iterations (lower --dt)"),
+    ],
+)
+def test_hints_name_only_the_flags_a_command_accepts(message, command, want):
+    # the solver names every flag that scales a system; a command's error
+    # line keeps those it accepts, and drops a hint that names none
+    assert dgdyn.cli.accepted_hints(message, command) == (want or message)
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # criterion 3: fixed_sigma's A_h is indefinite, and at level 4 the
+        # run shows it in its states and in the negative rates
+        (
+            ["converge-h", "--case", "example1", "--levels", "2..4", "--penalty-mode", "fixed_sigma", "--dt", "1e-5", "--t-final", "1e-3"],
+            [
+                "dgdyn: warning: level 4: u'A_h u < 0 in 35 states (smallest u'A_h u / u'Mu -8.613e+02), "
+                "so A_h is not positive definite: raise --gamma",
+                "dgdyn: warning: level 4: l2_domain and energy above level 3's, a negative rate the error estimate "
+                "rules out for a coercive penalty: raise --gamma",
+            ],
+        ),
+        (
+            ["solve", "--case", "example1", "--level", "4", "--gamma", "0.5", "--dt", "1e-5", "--t-final", "1e-3"],
+            [
+                "dgdyn: warning: level 4: u'A_h u < 0 in 43 states (smallest u'A_h u / u'Mu -3.856e+03), "
+                "so A_h is not positive definite: raise --gamma",
+            ],
+        ),
+        (
+            ["converge-dt", "--case", "example1", "--level", "4", "--penalty-mode", "fixed_sigma", "--dt", "2e-5"]
+            + ["--t-final", "1e-3", "--dt-steps", "2"],
+            [
+                "dgdyn: warning: level 4, dt 2e-05: u'A_h u < 0 in 19 states (smallest u'A_h u / u'Mu -1.281e+03), "
+                "so A_h is not positive definite: raise --gamma",
+                "dgdyn: warning: level 4, dt 1e-05: u'A_h u < 0 in 35 states (smallest u'A_h u / u'Mu -8.613e+02), "
+                "so A_h is not positive definite: raise --gamma",
+            ],
+        ),
+    ],
+)
+def test_an_indefinite_operator_is_one_line_after_the_table(argv, lines, capsys):
+    # a run whose states have u'A_h u < 0, or whose finer row's error is
+    # above the coarser row's, still prints every row and exits 0, then
+    # names --gamma on stderr, as printed lines rather than warnings
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    n_rows = {"converge-h": 3, "solve": 1, "converge-dt": 2}[argv[0]]
+    assert len(captured.out.splitlines()) == 1 + n_rows
+    assert captured.err.splitlines() == lines
+
+
+def test_a_growing_error_is_one_line_per_finer_row(capsys):
+    # each finer row with an error above the coarser row's gets one line
+    # naming those errors; equal errors (converge-dt's zero energy) do not
+    records = [
+        ErrorRecord(h=0.1, dt=0.1, l2_domain=1.0, l2_gamma1=1.0, energy=0.0),
+        ErrorRecord(h=0.1, dt=0.05, l2_domain=0.5, l2_gamma1=2.0, energy=0.0),
+        ErrorRecord(h=0.1, dt=0.025, l2_domain=0.25, l2_gamma1=1.0, energy=0.0),
+    ]
+    dgdyn.cli._warn_non_coercive(records, ["dt 0.1", "dt 0.05", "dt 0.025"])
+    assert capsys.readouterr().err.splitlines() == [
+        "dgdyn: warning: dt 0.05: l2_gamma1 above dt 0.1's, a negative rate the error estimate rules out for a "
+        "coercive penalty: raise --gamma"
+    ]
 
 
 def test_commands_use_scipy_through_scipy_sparse_only():

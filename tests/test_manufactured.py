@@ -6,6 +6,7 @@ pointwise checks, float64 Richardson differences for the larger sweeps.
 """
 
 import dataclasses
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,17 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from dgdyn.config import CASES
-from dgdyn.manufactured import ManufacturedCase, SeparableField, example1, example3, get_case, time_nodes
+from dgdyn.manufactured import (
+    BLOCK_VALUES,
+    TWO_PI,
+    ManufacturedCase,
+    SeparableField,
+    _lean_form,
+    example1,
+    example3,
+    get_case,
+    time_nodes,
+)
 
 mp.mp.dps = 40
 
@@ -257,3 +268,42 @@ def test_lean_sources_are_the_first_closed_forms(case_fn, coefficients):
             assert all(isinstance(v, float) for v, _ in values)
             got, want = np.array(values).T
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def two_array_form(a, b, x, ky):
+    """(a - b cos(2 pi x)) cos(ky) with a work array for each cosine, the
+    form the sources took before they kept one."""
+    out, cos_ky = (np.cos(v, out=v) if isinstance(v, np.ndarray) else np.cos(v) for v in (TWO_PI * x, ky))
+    out *= -b
+    out += a
+    out *= cos_ky
+    return out
+
+
+@pytest.mark.parametrize("k", [2.0 * TWO_PI, np.pi])
+def test_lean_form_is_the_two_array_form_in_one_work_array(k):
+    # bitwise the two-array form on a point set's strided x and y views (of
+    # one (m, 2, nq) array, as ``_on_simplices`` makes them), with a
+    # partial last block, on time weights given per point, and on Python
+    # floats; x and y are left as they were, and beyond the result the
+    # form holds one block of cos(k y), where the two-array form held a
+    # second array of the result's size
+    rng = np.random.default_rng(5)
+    points = rng.random((3 * BLOCK_VALUES // 25 + 7, 2, 25))
+    x, y = points[:, 0], points[:, 1]
+    given = points.copy()
+    for a, b in ((1.5, -2.25), (rng.random(x.shape), rng.random(x.shape))):
+        assert _lean_form(a, b, x, k, y).tobytes() == two_array_form(a, b, x, k * y).tobytes()
+    assert points.tobytes() == given.tobytes()
+    for xs, ys in rng.random((20, 2)).tolist():
+        got = _lean_form(0.75, 3.5, xs, k, ys)
+        assert isinstance(got, float) and got == two_array_form(0.75, 3.5, xs, k * ys)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = _lean_form(1.5, -2.25, x, k, y)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 8 * BLOCK_VALUES + 8 * np.getbufsize() + 4096  # and a ufunc's buffer for strided y

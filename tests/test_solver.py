@@ -218,6 +218,45 @@ def test_in_place_updates_make_the_textbook_iterates():
     assert x0.tobytes() == start.tobytes()
 
 
+@pytest.mark.parametrize("preconditioner", ["none", "two-level"])
+def test_cg_never_writes_a_callers_start_unless_told_to(preconditioner):
+    # from a given x0 (with or without its residual r0) CG works in a copy,
+    # so the caller's x0 keeps its bytes; with overwrite_x0 it works in x0
+    # itself and returns it, with bitwise the same solution and count
+    S, own, space = be_system(3, dt=0.1)
+    B = None if preconditioner == "none" else two_level(S, own, space)
+    rng = np.random.default_rng(12)
+    rhs, start = rng.standard_normal((2, S.shape[0]))
+    r_start = rhs - S @ start
+    solutions = []
+    for r0 in (None, r_start):
+        x0 = start.copy()
+        x, report = cg_solve(S, rhs, preconditioner=B, x0=x0, r0=None if r0 is None else r0.copy())
+        assert report.converged and x is not x0 and x0.tobytes() == start.tobytes()
+        own_x, own_report = cg_solve(S, rhs, preconditioner=B, x0=x0, r0=None if r0 is None else r0.copy(), overwrite_x0=True)
+        assert own_x is x0 and own_x.tobytes() == x.tobytes() and own_report.iterations == report.iterations
+        solutions.append(x)
+    assert solutions[0].tobytes() == solutions[1].tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc_mode", BC_MODES)
+def test_two_level_apply_is_bitwise_the_one_with_the_matrix_p(p, bc_mode):
+    # the gathered P, the Galerkin matrix set up as P' S (P')' and the
+    # correction added in place give bitwise B r = smoother(r) + P V P' r
+    # with P the CSR matrix and P' S P
+    S, own, space = be_system(4, p=p, dt=0.1, bc_mode=bc_mode)
+    embedding = conforming_p1_embedding(space, classify_edges(space.mesh, bc_mode))
+    PT = embedding.restriction
+    P = PT.T.tocsr()
+    smoother = block_jacobi_preconditioner(S, own)
+    prolongations = p1_prolongations(space.mesh, bc_mode)
+    V = v_cycle(PT @ S @ P, prolongations)
+    B = two_level_preconditioner(smoother, S, embedding, prolongations)
+    for r in np.random.default_rng(p).standard_normal((3, S.shape[0])):
+        assert B(r).tobytes() == (smoother(r) + P @ V(PT @ r)).tobytes()
+
+
 def test_dimension_mismatch():
     A = sp.identity(4, format="csr")
     with pytest.raises(SolverError):
@@ -369,8 +408,8 @@ def test_p1_prolongation_is_nested_interpolation(bc_mode):
     def p1_mass(mesh):
         space = DGSpace(mesh, 1)
         edges = classify_edges(mesh, bc_mode)
-        P = conforming_p1_embedding(space, edges)
-        return (P.T @ assemble_mass(mesh, edges, space, 10.0).tobsr() @ P).toarray()
+        PT = conforming_p1_embedding(space, edges).restriction
+        return (PT @ assemble_mass(mesh, edges, space, 10.0).tobsr() @ PT.T).toarray()
 
     def linear(mesh):
         numbers = p1_vertices(mesh, bc_mode)
@@ -391,8 +430,8 @@ def test_p1_prolongation_is_nested_interpolation(bc_mode):
 
 def test_v_cycle_without_coarser_levels_is_the_exact_solve():
     S, own, space = be_system(3, dt=0.1)
-    P = conforming_p1_embedding(space, classify_edges(space.mesh))
-    C = P.T @ S @ P
+    PT = conforming_p1_embedding(space, classify_edges(space.mesh)).restriction
+    C = PT @ S @ PT.T
     r = np.random.default_rng(6).standard_normal(C.shape[0])
     expected = np.linalg.solve(C.toarray(), r)
     assert np.linalg.norm(v_cycle(C, [])(r) - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -405,9 +444,9 @@ def test_v_cycle_is_spd_and_contracts_on_the_periodic_seam():
     # V is SPD and I - V C an energy-norm contraction
     for bc_mode in BC_MODES:
         S, own, space = be_system(5, dt=0.1, bc_mode=bc_mode)
-        P = conforming_p1_embedding(space, classify_edges(space.mesh, bc_mode))
+        PT = conforming_p1_embedding(space, classify_edges(space.mesh, bc_mode)).restriction
         prolongations = p1_prolongations(space.mesh, bc_mode)
-        C = (P.T @ S @ P).toarray()
+        C = (PT @ S @ PT.T).toarray()
         levels = [C]
         for R in prolongations:
             levels.append(R.T @ levels[-1] @ R)
@@ -428,7 +467,7 @@ def test_non_positive_galerkin_diagonal_is_a_solver_error():
     config = ProblemConfig(level=3, p=1, bc_mode="dirichlet_lateral", gamma=0.5)
     ops = build_operators(config)
     A, own = ops.A_blocks.tocsr(), ops.A_blocks.own()
-    P = conforming_p1_embedding(ops.space, ops.edges)
-    assert (P.T @ A @ P).diagonal().min() <= 0.0
+    PT = conforming_p1_embedding(ops.space, ops.edges).restriction
+    assert (PT @ A @ PT.T).diagonal().min() <= 0.0
     with pytest.raises(SolverError, match="coarse matrix not positive definite"):
         two_level(A, own, ops.space, "dirichlet_lateral")

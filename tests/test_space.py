@@ -20,6 +20,7 @@ from dgdyn.space import (
     reference_basis,
     triangle_quadrature,
 )
+import dgdyn.timestepper
 from dgdyn.timestepper import Operators, run_backward_euler
 
 from test_assembly import nodal
@@ -159,26 +160,77 @@ def test_interpolate_reproduces_polynomials():
         assert np.allclose(uh, 2.0 + X[..., 0] - 3.0 * X[..., 1], atol=1e-13)
 
 
+def p1_matrix(space, edges):
+    """The embedding P as the CSR matrix of every node's barycentric value
+    with its zeros eliminated."""
+    mesh = space.mesh
+    bary = reference_basis(1).eval(space.basis.nodes)
+    rows = np.repeat(space.dofs.ravel(), 3)
+    cols = np.repeat(p1_vertices(mesh, edges.bc_mode)[mesh.triangles], space.n_local, axis=0).ravel()
+    shape = (space.n_dofs, p1_vertices(mesh, edges.bc_mode).max() + 1)
+    P = sp.csr_matrix((np.tile(bary.ravel(), mesh.n_triangles), (rows, cols)), shape=shape)
+    P.eliminate_zeros()
+    return P
+
+
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("bc_mode", ["periodic", "dirichlet_lateral"])
 def test_p1_embedding_is_its_nonzero_values_in_arrays_of_its_size(p, bc_mode):
-    # bitwise the matrix of every node's barycentric value with its zeros
-    # eliminated, whose arrays kept the length of every value: 7.08 MB for a
-    # 3.54 MB matrix at level 7, p = 2.  From level 1 up, where no triangle
-    # has two vertices folded into one unknown, so no entries are summed.
+    # P' is bitwise the transpose, as CSR, of the matrix of every node's
+    # barycentric value with its zeros eliminated, in arrays of its own
+    # length (ones of every value's took 7.08 MB for a 3.54 MB matrix at
+    # level 7, p = 2).  From level 1 up, where no triangle has two vertices
+    # folded into one unknown, so no entries are summed.
     for level in range(1, 5):
         mesh = build_structured_mesh(level)
         edges = classify_edges(mesh, bc_mode)
         space = DGSpace(mesh, p)
-        P = conforming_p1_embedding(space, edges)
-        bary = reference_basis(1).eval(space.basis.nodes)
-        rows = np.repeat(space.dofs.ravel(), 3)
-        cols = np.repeat(p1_vertices(mesh, bc_mode)[mesh.triangles], space.n_local, axis=0).ravel()
-        want = sp.csr_matrix((np.tile(bary.ravel(), mesh.n_triangles), (rows, cols)), shape=P.shape)
-        want.eliminate_zeros()
-        for x, y in zip((P.indptr, P.indices, P.data), (want.indptr, want.indices, want.data)):
+        PT = conforming_p1_embedding(space, edges).restriction
+        want = p1_matrix(space, edges).T.tocsr()
+        assert isinstance(PT, sp.csr_matrix) and PT.shape == want.shape
+        for x, y in zip((PT.indptr, PT.indices, PT.data), (want.indptr, want.indices, want.data)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        assert all(getattr(x.base, "size", x.size) == P.nnz for x in (P.data, P.indices))
+        assert all(getattr(x.base, "size", x.size) == PT.nnz for x in (PT.data, PT.indices))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc_mode", ["periodic", "dirichlet_lateral"])
+def test_p1_prolongation_is_bitwise_the_matrix_product(p, bc_mode):
+    # P c as a gather of each element's corner values times the barycentric
+    # table (a plain gather at p = 1, where the table is the identity) is
+    # bitwise the CSR product: each node's value takes at most two halves
+    for level in range(1, 5):
+        mesh = build_structured_mesh(level)
+        edges = classify_edges(mesh, bc_mode)
+        space = DGSpace(mesh, p)
+        embedding = conforming_p1_embedding(space, edges)
+        P = p1_matrix(space, edges)
+        assert (embedding.bary is None) == (p == 1)
+        for seed in range(3):
+            c = np.random.default_rng(seed).standard_normal(P.shape[1])
+            assert embedding.prolong(c).tobytes() == (P @ c).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bc_mode", ["periodic", "dirichlet_lateral"])
+def test_kept_p1_parts_hold_no_fine_matrix(p, bc_mode):
+    # what a run keeps of the coarse space is each element's corners, the
+    # table, P' and the coarse grids' prolongations: no array or matrix
+    # with a row per DG dof, and less than the matrix P with P' beside it
+    mesh = build_structured_mesh(5)
+    edges = classify_edges(mesh, bc_mode)
+    space = DGSpace(mesh, p)
+    embedding, prolongations = space.keep(dgdyn.timestepper._p1_coarse, edges)
+    parts = [embedding.corners, embedding.bary, embedding.restriction, *prolongations]
+    assert embedding.corners.shape == (mesh.n_triangles, 3)
+    assert embedding.restriction.shape == (p1_vertices(mesh, bc_mode).max() + 1, space.n_dofs)
+    assert not any(part.shape[0] == space.n_dofs for part in parts if part is not None)
+
+    def size(matrix):
+        return sum(a.nbytes for a in (matrix.data, matrix.indices, matrix.indptr))
+
+    P = p1_matrix(space, edges)
+    assert size(embedding.restriction) + embedding.corners.nbytes < size(P) + size(P.T.tocsr())
 
 
 def shared_space_configurations():

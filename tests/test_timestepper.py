@@ -372,8 +372,9 @@ def test_start_drops_vanishing_and_parallel_differences():
         history = [(s, S @ s) for s in states]
         x0, r0 = _start(history, rhs)
         assert np.abs(r0 - (rhs - S @ x0)).max() <= 1e-13 * np.abs(rhs).max()
+        assert x0 is not states[0]  # a new array, which CG works in
         if states[1] is not v:
-            assert x0 is states[0]  # nothing to mix: the newest state itself
+            assert x0.tobytes() == states[0].tobytes()  # nothing to mix: the newest state
     # with 0, v, 3 v the start is the best multiple of v along the first difference
     x0, r0 = _start([(3.0 * v, S @ (3.0 * v)), (v, S @ v), (0.0 * v, 0.0 * v)], rhs)
     a = (S @ v) @ (rhs - S @ (3.0 * v)) / np.linalg.norm(S @ v) ** 2
@@ -570,3 +571,55 @@ def test_step_memory_proportional_to_operator(monkeypatch):
     (system,) = systems
     assert system.format == "csr" and system.nnz == np.count_nonzero(system.data)
     assert peak <= 3.24 * (system.data.nbytes + system.indices.nbytes + system.indptr.nbytes)
+
+
+def test_result_keeps_each_steps_solve_report(monkeypatch):
+    # the run keeps, per step, the iterations and final true relative
+    # residual of the report its solve returned, in step order
+    reports = []
+
+    def recording_cg_solve(system, rhs, **kwargs):
+        x, report = cg_solve(system, rhs, **kwargs)
+        reports.append((report.iterations, report.final_relative_residual))
+        return x, report
+
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
+    case = get_case("example1")
+    config = ProblemConfig(case="example1", level=3, p=1, dt=1e-3, t_final=5e-3)
+    res = run_backward_euler(config, case.f, case.g, case.u0)
+    assert len(reports) == config.num_steps() == len(res.cg_iterations) == len(res.true_residuals)
+    assert res.cg_iterations.tolist() == [n for n, _ in reports]
+    assert res.true_residuals.tolist() == [rel for _, rel in reports]
+    assert (res.true_residuals <= 1e-12).all() and (res.cg_iterations > 0).all()
+
+
+@pytest.mark.parametrize(
+    "penalty_mode, gamma, negative",
+    # criterion 3's level 4 with fixed_sigma, gamma = 0.5, and the default
+    [("fixed_sigma", 10.0, True), ("gamma_over_h", 0.5, True), ("gamma_over_h", 10.0, False)],
+)
+def test_rayleigh_quotients_witness_an_indefinite_operator(penalty_mode, gamma, negative):
+    # each state's u'A_h u / u'Mu, taken from CG's final residual and the
+    # norm's product, is the quotient of the explicit products to 1e-9
+    # relative (its largest magnitude); a non-coercive penalty shows as
+    # negative states, the default penalty as none
+    case = get_case("example1")
+    config = ProblemConfig(case="example1", level=4, p=1, dt=1e-5, t_final=1e-3, penalty_mode=penalty_mode, gamma=gamma)
+    ops = build_operators(config)
+    states = []
+    res = run_backward_euler(config, case.f, case.g, case.u0, ops=ops, on_step=lambda k, t, u: states.append(u.copy()))
+    explicit = np.array([(u @ (ops.A @ u)) / (u @ (ops.M @ u)) for u in states[1:]])
+    assert len(res.rayleigh_quotients) == config.num_steps()
+    np.testing.assert_allclose(res.rayleigh_quotients, explicit, rtol=0, atol=1e-9 * np.abs(explicit).max())
+    assert res.negative_states == np.count_nonzero(explicit < 0) and (res.negative_states > 0) == negative
+    assert res.min_quotient == res.rayleigh_quotients.min()
+    assert (res.min_quotient < 0) == negative
+
+
+def test_a_zero_state_has_no_quotient():
+    # u0 = 0 and no sources leave every state zero: no quotient, no
+    # negative state and no warning (warnings are errors here)
+    config = ProblemConfig(case="example1", level=1, p=1, dt=1e-3, t_final=3e-3)
+    res = run_backward_euler(config, None, None, lambda x, y: 0.0 * x)
+    assert np.isnan(res.rayleigh_quotients).all() and len(res.rayleigh_quotients) == 3
+    assert res.negative_states == 0 and res.min_quotient == np.inf
