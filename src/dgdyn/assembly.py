@@ -37,8 +37,8 @@ coefficients of a run of entries to point values or one derivative with
 one small product per class run, and ``test`` is its weighted transpose.
 What is built once is kept on the space (``DGSpace.keep``) by the builder
 that reads it: point sets, class orders, projections, inverse masses and
-a source's load vectors per time node (``manufactured.time_nodes``),
-which a later load sums weighted.
+a source's load vectors or a field's projections per time node
+(``manufactured.time_nodes``), which a later load or initial state sums.
 
 Element blocks are built once per class, and an operator is a
 ``BlockTable``: its block pattern, a type per element pair (pairs with
@@ -64,7 +64,7 @@ from functools import cached_property, partial
 import numpy as np
 import scipy.sparse as sp
 
-from .manufactured import time_nodes
+from .manufactured import FieldAt, SeparableField, time_nodes
 from .mesh import DIRICHLET_LATERAL, EdgeClassification, Faces, Mesh
 from .solver import SolverError
 from .space import DGSpace, edge_quadrature, triangle_quadrature
@@ -554,13 +554,20 @@ def _node_loads(space: DGSpace, faces: Faces, field, whole: bool = True) -> list
 
 def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:
     """Projection of u0(x, y) in the lambda-weighted norm (domain plus lam *
-    gamma1), kept on the space (``_project``); each call returns a copy.
+    gamma1), a new array.  A ``SeparableField`` at t (a ``FieldAt``) is the
+    sum of w_k(t) P_k over its nodes with w_k != 0, P_k the projection at
+    node k kept on the space (``_project``), which the energy error reads
+    too.  Any other u0 is projected and kept as it is.
 
     This is the initial datum the time stepper uses: unlike the plain
     domain projection, its boundary trace is accurate to the same order as
     the interior, which the boundary-error convergence rates require.  With
     lam = 0 it is the plain L2(Omega) projection."""
-    return space.keep(_project, edges, lam, u0).copy()
+    if not (isinstance(u0, FieldAt) and isinstance(u0.field, SeparableField)):
+        return space.keep(_project, edges, lam, u0).copy()
+    nodes = zip(u0.field.nodes, u0.field.weights(u0.t))
+    parts = [w * space.keep(_project, edges, lam, FieldAt(u0.field, s)) for s, w in nodes if w != 0.0]  # new arrays
+    return sum(parts[1:], parts[0]) if parts else np.zeros(space.n_dofs)
 
 
 def _project(space: DGSpace, edges: EdgeClassification, lam: float, u0) -> np.ndarray:

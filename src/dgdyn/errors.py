@@ -18,7 +18,8 @@ The energy error is measured in two parts.  Let u = sum_k tau_k(t) U_k
 be the field's ``manufactured.time_nodes`` (a case's time-separable field
 declares them; any other field is one node at the call's time), P_k the
 projection ``assembly.l2_lambda_project`` of U_k and delta = sum_k tau_k
-P_k - u_h, a DG vector.  Then
+P_k - u_h, a DG vector (for a separable field, the P_k the initial state
+sums: one kept projection per node).  Then
 
     |||u - u_h|||^2 = sum_jk tau_j tau_k C_jk + 2 sum_k tau_k r_k . delta
                       + |||delta|||^2,
@@ -59,7 +60,7 @@ from functools import partial
 import numpy as np
 
 from .assembly import FormParams, _project, _scatter, mass_terms, stiffness_terms
-from .manufactured import ManufacturedCase, time_nodes
+from .manufactured import FieldAt, ManufacturedCase, time_nodes
 from .mesh import EdgeClassification, Mesh
 from .space import DGSpace
 
@@ -247,11 +248,13 @@ def _error_sums(space, passes, u_h, taus, projections, C, r, by_name) -> dict:
     return sums
 
 
-def _exact_part(space, edges, params, fields, by_name=False) -> tuple:
+def _exact_part(space, edges, params, fields, by_name=False, kept=True) -> tuple:
     """(projections, C, r) of the exact value and gradient ``fields``, ``SeparableField``s
-    of one set of time nodes: the projections P_k of the value at each node and ``_exact_sums``."""
-    nodes = [tuple(partial(field.fn, s) for field in fields) for s in fields[0].nodes]
-    projections = [_project(space, edges, params.lam, value) for value, _ in nodes]
+    of one set of time nodes: the projections P_k of the value at each node, ``kept`` on the
+    space as ``l2_lambda_project`` keeps them or made afresh, and ``_exact_sums``."""
+    keep = space.keep if kept else lambda build, *args: build(space, *args)
+    nodes = [tuple(FieldAt(field, s) for field in fields) for s in fields[0].nodes]
+    projections = [keep(_project, edges, params.lam, value) for value, _ in nodes]
     return projections, *_exact_sums(space, stiffness_terms(edges, params), nodes, projections, by_name)
 
 
@@ -271,7 +274,7 @@ def _energy_sums(edges, space, params, u_h, exact, t, by_name) -> dict:
         return _error_sums(space, passes, u_h, [], [], {}, {}, by_name)
     fields, taus, separable = time_nodes(t, value_fn, grad_fn)
     kept = separable and not by_name
-    part = space.keep(_exact_part, edges, params, fields) if kept else _exact_part(space, edges, params, fields, by_name)
+    part = space.keep(_exact_part, edges, params, fields) if kept else _exact_part(space, edges, params, fields, by_name, False)
     return _error_sums(space, passes, u_h, taus, *part, by_name)
 
 

@@ -16,7 +16,8 @@ these nodes and weights per field, which is then a ``SeparableField``.
 spatial part (a source's load vectors, an exact field's part of the
 energy error) is made once and kept on the space under the field and
 every later time is a weighted sum; any other field is one node at the
-call's time, and nothing is kept.
+call's time, and nothing is kept.  A case's u0 is u at 0, a ``FieldAt``:
+its projection, too, is a weighted sum of the ones kept per node.
 
 A kept source node is evaluated on all the points of a set at once, so
 its temporaries add to the run's peak: the shipped sources, each one form
@@ -78,6 +79,15 @@ class SeparableField:
         return self.fn(t, x, y)
 
 
+@dataclass(frozen=True)
+class FieldAt:
+    """The field (t, x, y) at time t, as a callable (x, y) that names both."""
+
+    field: callable
+    t: float
+    __call__ = lambda self, x, y: self.field(self.t, x, y)
+
+
 def time_nodes(t: float, *fields) -> tuple:
     """(fields, weights, separable): the ``fields`` as ``SeparableField``s of
     one set of nodes, each at time t the sum of weights[k] times its value
@@ -110,8 +120,7 @@ class ManufacturedCase:
             if not isinstance(fn := getattr(self, name), SeparableField):
                 object.__setattr__(self, name, SeparableField(fn, nodes, weights))
 
-    def u0(self, x, y):
-        return self.u(0.0, x, y)
+    u0 = property(lambda self: FieldAt(self.u, 0.0))  # u at t = 0, a callable (x, y)
 
 
 def example1(alpha: float = 2.0, beta: float = 5.0, lam: float = 10.0) -> ManufacturedCase:

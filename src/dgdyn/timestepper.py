@@ -141,12 +141,12 @@ def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None, flags):
     holds the CSR system, not ``blocks``.  A solve starts from zero unless
     ``start``, the state before it, has opened a history: the solver then
     keeps the last HISTORY solutions x_j with their images S x_j, newest
-    first (``start``'s by its one product), starts each solve from their
-    minimal-residual mix (``_start``), a new array CG works in, and takes
-    each solution's image as rhs - r, formed in place of CG's final
-    residual r.  It returns (x, report, image), the image None without a
-    history; the report then carries no residual, whose buffer is the
-    image."""
+    first (``start``'s by its one product, or +0.0s if it is zero, bitwise
+    S 0), starts each solve from their minimal-residual mix (``_start``), a
+    new array CG works in, and takes each solution's image as rhs - r,
+    formed in place of CG's final residual r.  It returns (x, report,
+    image), the image None without a history; the report then carries no
+    residual, whose buffer is the image."""
     system = blocks.tocsr()
     prec = block_jacobi_preconditioner(system, blocks.own())
     if p1_coarse is not None:
@@ -155,7 +155,7 @@ def _cg_solver(blocks: BlockTable, p1_coarse: tuple | None, flags):
 
     def solve(rhs: np.ndarray, what: str, start: np.ndarray | None = None) -> tuple:
         if start is not None and not history:
-            history.append((start, system @ start))
+            history.append((start, system @ start if start.any() else np.zeros_like(start)))
         x0, r0 = _start(history, rhs) if history else (None, None)
         x, report = cg_solve(system, rhs, preconditioner=prec, x0=x0, r0=r0, overwrite_x0=True)
         if not report.converged:

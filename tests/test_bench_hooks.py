@@ -42,18 +42,21 @@ def test_tracer_installs():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_one_traced_pass_calls_every_span():
-    # one traced table-h pass, as the benchmark's worker makes it: every
-    # row is computed, every span the workload names is called, and a
-    # case's f and g are evaluated once per time node and level (5 x 2)
+@pytest.mark.parametrize("workload, source_calls", [("table-h", 10), ("fine-p2", 4)])
+def test_one_traced_pass_calls_every_span(workload, source_calls):
+    # one traced pass, as the benchmark's worker makes it: every row is
+    # computed, every span the workload names is called (fine-p2's
+    # timestepper.project too, whose zero initial state evaluates nothing),
+    # and a case's f and g are evaluated once per time node and space
+    # (table-h 5 levels x 2, fine-p2 2 nodes x 2)
     env = dict(os.environ, **bench_run.PINNED, PYTHONPATH=str(ROOT / "src"))
-    cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", "table-h", "--trace", "1"]
+    cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload, "--trace", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert [(row["label"], row["error"]) for row in record["rows"] if "error" in row] == []
     assert record["missing_spans"] == []
-    assert record["layers"]["manufactured.source_calls"] == 10
+    assert record["layers"]["manufactured.source_calls"] == source_calls
 
 
 ROWS = [(w.name, label, kwargs) for w in workloads.WORKLOADS.values() for label, kwargs in w.rows]

@@ -9,7 +9,7 @@ import dgdyn.timestepper
 from dgdyn.assembly import FormParams, assemble_dirichlet_terms, assemble_load, assemble_mass
 from dgdyn.config import ProblemConfig
 from dgdyn.errors import energy_norm, l2_errors, rate
-from dgdyn.manufactured import get_case
+from dgdyn.manufactured import FieldAt, get_case
 from dgdyn.mesh import DIRICHLET_LATERAL, PERIODIC, build_structured_mesh, classify_edges, p1_prolongations
 from dgdyn.solver import SolverError, block_jacobi_preconditioner, cg_solve, two_level_preconditioner
 from dgdyn.space import DGSpace, conforming_p1_embedding
@@ -126,6 +126,49 @@ def test_l2_lambda_project_kept_per_field_and_lambda():
     assert l2_lambda_project(mesh, fresh, edges, 10.0, u0).tobytes() == expected.tobytes()
     assert l2_lambda_project(mesh, space, edges, 0.0, u0).tobytes() != expected.tobytes()
     assert calls["u0"] == 6
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("bc", [PERIODIC, DIRICHLET_LATERAL])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_initial_state_shares_the_energy_errors_node_projections(name, p, bc, level, monkeypatch):
+    # a case's u0 is u at 0, projected as the weighted sum of the projections
+    # of u's time nodes kept on the space: bitwise the projection of the
+    # plain callable, and example3's u = t U, of weight 0 at t = 0, is not
+    # evaluated; after a run and an energy norm the space keeps one
+    # projection per node, the one the initial state and the error share,
+    # and a zero first state opens the solver's history as S 0 does
+    calls = Counter()
+    case = get_case(name)
+    exact = case.u.fn
+
+    def u(t, x, y):
+        calls["u"] += 1
+        return exact(t, x, y)
+
+    case = replace(case, bc_mode=bc, u=u)
+    config = ProblemConfig(case=name, level=level, p=p, bc_mode=bc, dt=1e-3, t_final=3e-3)
+    ops = build_operators(config)
+    mesh, edges, space = ops.mesh, ops.edges, ops.space
+    u0 = l2_lambda_project(mesh, space, edges, config.lam, case.u0)
+    assert (calls["u"] == 0) == (name == "example3")
+    plain = l2_lambda_project(mesh, DGSpace(mesh, p), edges, config.lam, lambda x, y: case.u(0.0, x, y))
+    assert u0.tobytes() == plain.tobytes()
+
+    first = []
+
+    def recording_cg_solve(system, rhs, **kwargs):
+        if not first:
+            first.append((kwargs["x0"].copy(), kwargs["r0"].tobytes() == (rhs - system @ kwargs["x0"]).tobytes()))
+        return cg_solve(system, rhs, **kwargs)
+
+    monkeypatch.setattr(dgdyn.timestepper, "cg_solve", recording_cg_solve)
+    res = run_backward_euler(config, case.f, case.g, case.u0, ops=ops)
+    assert first[0][1] and np.array_equal(first[0][0], u0)
+    energy_norm(mesh, edges, space, ops.params, u_h=res.coeffs, exact=case, t=config.t_final)
+    projections = [key for key in space.kept if key[0] == "_project"]
+    assert projections == [("_project", edges, config.lam, FieldAt(case.u, s)) for s in case.u.nodes]
 
 
 # --- stationary solve ------------------------------------------------------
