@@ -2,6 +2,29 @@
 bottom boundary carry a dynamic (time-derivative) condition with a surface
 diffusion term, with periodic or weakly-imposed Dirichlet lateral walls."""
 
+import importlib.util
+import sys
+
+import numpy
+
+
+def _defer_numpy_submodules(names):
+    """A stopgap until no run imports scipy (ROADMAP item 18): scipy.sparse's
+    array-API layer clones numpy by getattr over dir(numpy), which runs
+    numpy's lazily loaded optional submodules (about 200 modules, 11 MB of
+    peak memory) that no command uses.  Each of ``names`` runs on its first
+    use instead, unless this numpy lacks it or the host imported it."""
+    for name in names:
+        spec = None if f"numpy.{name}" in sys.modules else importlib.util.find_spec(f"numpy.{name}")
+        if spec is not None:
+            spec.loader = importlib.util.LazyLoader(spec.loader)
+            sys.modules[spec.name] = module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            setattr(numpy, name, module)
+
+
+_defer_numpy_submodules(("f2py", "testing", "ma", "polynomial", "ctypeslib", "rec", "char", "strings"))
+
 from .assembly import (
     FormParams,
     assemble_Ah,

@@ -557,14 +557,15 @@ def l2_lambda_project(mesh: Mesh, space: DGSpace, edges: EdgeClassification, lam
     gamma1), a new array.  A ``SeparableField`` at t (a ``FieldAt``) is the
     sum of w_k(t) P_k over its nodes with w_k != 0, P_k the projection at
     node k kept on the space (``_project``), which the energy error reads
-    too.  Any other u0 is projected and kept as it is.
+    too.  Any other u0 is projected afresh and not kept: a fresh callable
+    per call would leave a kept array no later call reaches.
 
     This is the initial datum the time stepper uses: unlike the plain
     domain projection, its boundary trace is accurate to the same order as
     the interior, which the boundary-error convergence rates require.  With
     lam = 0 it is the plain L2(Omega) projection."""
     if not (isinstance(u0, FieldAt) and isinstance(u0.field, SeparableField)):
-        return space.keep(_project, edges, lam, u0).copy()
+        return _project(space, edges, lam, u0)
     nodes = zip(u0.field.nodes, u0.field.weights(u0.t))
     parts = [w * space.keep(_project, edges, lam, FieldAt(u0.field, s)) for s, w in nodes if w != 0.0]  # new arrays
     return sum(parts[1:], parts[0]) if parts else np.zeros(space.n_dofs)

@@ -707,25 +707,47 @@ def test_a_growing_error_is_one_line_per_finer_row(capsys):
 
 def test_commands_use_scipy_through_scipy_sparse_only():
     # the quadrature rules are a table: no run loads scipy.special, nor the
-    # scipy.linalg it computes Gauss rules with (about 12 MB of peak memory)
+    # scipy.linalg it computes Gauss rules with (about 12 MB of peak memory);
+    # and the numpy submodules scipy.sparse's array-API clone of numpy would
+    # run are deferred: none runs in a command (about 11 MB), each works on
+    # its first use, and one the host imported before dgdyn is left as it is
     runs = [
         ["converge-h", "--levels", "2..3", "--dt", "1e-3", "--t-final", "1e-2"],
         ["converge-dt", "--level", "3", "--dt", "1e-2", "--t-final", "2e-2", "--dt-steps", "2"],
         ["solve", "--case", "example3", "--level", "3", "--p", "2", "--dt", "1e-2", "--t-final", "2e-2"],
         ["stability", "--level", "2", "--dt", "1e-3", "--t-final", "1e-2"],
     ]
+    deferred = ("f2py", "testing", "ma", "polynomial", "ctypeslib", "rec", "char", "strings")
+    ran = f"[n for n in {deferred!r} if type(sys.modules['numpy.' + n]).__name__ == 'module']"
     code = (
         "import sys\n"
         "from dgdyn.cli import main\n"
         f"for argv in {runs!r}:\n"
         "    main(argv)\n"
         "print(sorted(m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules))\n"
+        f"print({ran})\n"
+        "import numpy\n"
+        "numpy.testing.assert_allclose(1.0, 1.0)\n"
+        "print(numpy.polynomial.Polynomial([1.0, 2.0])(3.0) == 7.0)\n"
+        f"print({ran})\n"
+    )
+    imported_first = (
+        "import sys\n"
+        "import numpy.testing\n"
+        "host = sys.modules['numpy.testing']\n"
+        "import dgdyn\n"
+        "import numpy\n"
+        "print(sys.modules['numpy.testing'] is host and numpy.testing is host)\n"
+        f"print({ran})\n"
     )
     src = str(Path(dgdyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-4:] == ["[]", "[]", "True", "['testing', 'polynomial']"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", imported_first], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "['testing']"]
 
 
 @pytest.mark.parametrize("name, nodes", [("example1", 1), ("example3", 2)])

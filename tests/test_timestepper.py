@@ -104,10 +104,11 @@ def test_l2_lambda_project_solves_weighted_mass_system(p, bc):
     assert np.abs(residual).max() <= 1e-13 * np.abs(load).max()
 
 
-def test_l2_lambda_project_kept_per_field_and_lambda():
-    # a second projection of the same u0 and lam on a space evaluates u0 no
-    # more, returns bitwise the first result and never the kept array, so
-    # writing a result changes no later one; another lam is its own
+def test_l2_lambda_project_of_a_plain_callable_not_kept():
+    # a plain u0 is projected afresh on every call and nothing is kept under
+    # it, so fresh lambdas leave no arrays on the space: a second projection
+    # evaluates u0 again and returns bitwise the first result, a new array,
+    # so writing a result changes no later one; another lam is its own
     mesh, edges, space, _ = setup(3, 2, bc=DIRICHLET_LATERAL)
     calls = Counter()
 
@@ -119,13 +120,14 @@ def test_l2_lambda_project_kept_per_field_and_lambda():
     expected = first.copy()
     first[:] = 0.0
     again = l2_lambda_project(mesh, space, edges, 10.0, u0)
-    assert calls["u0"] == 2  # the cells and gamma1, once
+    assert calls["u0"] == 4  # the cells and gamma1, on each call
     assert again.tobytes() == expected.tobytes()
     assert l2_lambda_project(mesh, space, edges, 10.0, u0) is not again
     fresh = DGSpace(mesh, 2)
     assert l2_lambda_project(mesh, fresh, edges, 10.0, u0).tobytes() == expected.tobytes()
     assert l2_lambda_project(mesh, space, edges, 0.0, u0).tobytes() != expected.tobytes()
-    assert calls["u0"] == 6
+    assert calls["u0"] == 10
+    assert not [key for key in space.kept if key[0] == "_project"]
 
 
 @pytest.mark.parametrize("level", [2, 3])
